@@ -1143,3 +1143,17 @@ def test_maximal_independent_set_brute_force(ray_session):
     assert gset == want
     assert all(not (adj[a] & gset) for a in gset)          # independent
     assert all(adj[x] & gset for x in set(adj) - gset)     # maximal
+
+
+def test_maximal_independent_set_empty_graph(ray_session):
+    """An empty edge set yields a typed, empty MIS (no IndexError)."""
+    import pandas as pd
+    import ray.data as rd
+
+    from versa_ray.ops.graph import maximal_independent_set
+
+    empty = pd.DataFrame({"u": pd.Series([], dtype="int64"),
+                          "v": pd.Series([], dtype="int64")})
+    got = maximal_independent_set(rd.from_pandas(empty))
+    assert got.count() == 0
+    assert got.schema().names == ["node"]

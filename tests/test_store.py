@@ -90,11 +90,13 @@ def test_distinct_dataset_forms(ray_session):
 
 def test_update_linkset_incremental(ray_session, tmp_path):
     """Incremental add: duplicate-refusing merge touches ONLY the
-    partitions the new links hash into; other partition files are
-    byte-identical afterwards."""
+    partitions the new links hash into, rewriting each as exactly one
+    live file however many blocks the delta arrives in; other
+    partition files are byte-identical afterwards."""
     import glob
     import hashlib
     import os
+    from collections import Counter
 
     from versa_ray.model.store import update_linkset
 
@@ -115,8 +117,10 @@ def test_update_linkset_incremental(ray_session, tmp_path):
     # delta: some exact duplicates of base + a few new links for ONE origin
     delta = base[:5] + [("urn:t:7", NAME, "second name"),
                         ("urn:t:new", TYPE_, "urn:t:Thing")]
-    stats = update_linkset(path, linkset.from_links(delta))
+    stats = update_linkset(path, linkset.from_links(delta).repartition(3))
     assert stats["partitions_updated"] < 64  # strict subset of R x P
+    live = Counter(os.path.dirname(f) for f in pruned_fragments(path))
+    assert max(live.values()) == 1
     # dup-refusal: only the 2 genuinely new links appear
     assert stats["rows_after"] == n_base + 2
     assert read_linkset(path).count() == n_base + 2
@@ -137,24 +141,59 @@ def test_update_linkset_incremental(ray_session, tmp_path):
     assert set(row["target"]) == {"name 7", "second name"}
 
 
+def test_write_linkset_drops_duplicate_quads(ray_session, tmp_path):
+    """write_linkset takes non-distinct input: each quad is stored once
+    and keeps its minimum src_url, exactly as distinct_links keeps it."""
+    path = str(tmp_path / "store")
+    base = _sample_links()
+    ds = linkset.from_links(base, extra_cols={"src_url": "https://s/2"}).union(
+        linkset.from_links(base[:30], extra_cols={"src_url": "https://s/1"}),
+        linkset.from_links(base[:10], extra_cols={"src_url": "https://s/3"}),
+    ).repartition(5)
+    write_linkset(ds, path, num_rel_buckets=4, num_partitions=4)
+
+    got = read_linkset(path).to_pandas()
+    assert len(got) == len(base)
+    assert not got.duplicated(subset=linkset.QUAD_COLS).any()
+    key = ["origin", "rel", "target"]
+    src = dict(zip(map(tuple, got[key].to_numpy()), got["src_url"]))
+    assert src == {
+        (o, r, t): "https://s/1" if i < 30 else "https://s/2"
+        for i, (o, r, t) in enumerate(base)
+    }
+    ref = linkset.distinct_links(ds).to_pandas()
+    assert src == dict(zip(map(tuple, ref[key].to_numpy()), ref["src_url"]))
+
+
 def test_compact_linkset(ray_session, tmp_path):
-    """Repeated updates fragment partitions into multiple files;
-    compaction rewrites ONLY over-threshold partitions down to one
-    file each with identical contents."""
-    import glob
+    """Compaction rewrites ONLY over-threshold partitions down to one
+    file each with identical contents. Commits write one file per
+    partition, so the fragmented store is built by hand: a manifest
+    that lists two files for one partition, as older updaters (one
+    file per input block) left behind."""
     import os
 
-    from versa_ray.model.store import compact_linkset, update_linkset
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from versa_ray.core.canon import LINK_SCHEMA, link_to_row
+    from versa_ray.model.store import (
+        _commit_epoch, _current_epoch, _file_entry, _load_manifest,
+        compact_linkset)
 
     path = str(tmp_path / "store")
     base = _sample_links()
     write_linkset(linkset.from_links(base), path,
                   num_rel_buckets=4, num_partitions=4)
-    # two updates targeting the same origins -> fragmented partitions
-    update_linkset(path, linkset.from_links(
-        [("urn:t:7", NAME, "extra one")]))
-    update_linkset(path, linkset.from_links(
-        [("urn:t:7", NAME, "extra two")]))
+    # a second live file in urn:t:7's name partition -> fragmented
+    [part_file] = pruned_fragments(path, origin="urn:t:7", rel=NAME)
+    extra = os.path.join(os.path.dirname(part_file), "extra.parquet")
+    pq.write_table(pa.Table.from_pylist(
+        [link_to_row("urn:t:7", NAME, t) for t in ("extra one", "extra two")],
+        schema=LINK_SCHEMA), extra)
+    ep = _current_epoch(path)
+    _commit_epoch(path, ep + 1, _load_manifest(path, ep)["files"]
+                  + [_file_entry(path, extra)])
 
     before_rows = (
         read_linkset(path).to_pandas()

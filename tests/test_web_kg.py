@@ -156,6 +156,15 @@ def test_sharded_resume(ray_session, tmp_path):
     # lineage manifest contents
     man = json.load(open(markers[0]))
     assert man["rows"] > 0 and man["page_range"][1] > man["page_range"][0]
+    # the marker's row count is the shard's stored Parquet row count
+    import pyarrow.parquet as pq
+
+    for m in markers:
+        shard = json.load(open(m))
+        files = glob.glob(
+            f"{out}/stage=extracted/shard={shard['shard']}/*.parquet")
+        assert files and shard["rows"] == sum(
+            pq.ParquetFile(f).metadata.num_rows for f in files)
 
     # resume completes the rest without redoing finished shards
     final = build_kg_sharded(out, n_pages=80, num_shards=4)

@@ -617,7 +617,7 @@ def main(argv=None):
 
     p = sub.add_parser(
         "kgcompact",
-        help="compact fragmented store partitions (post-update maintenance)",
+        help="compact partitions fragmented by older store writers",
     )
     p.add_argument("store", help="linkset store directory")
     p.add_argument("--max-files", type=int, default=1)

@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .linkset import match
+from .linkset import QUAD_COLS, match
 
 _META_NAME = "_linkset_meta.json"
 _PART_COLS = ("rel_bucket", "part_id")
@@ -51,33 +51,14 @@ def write_linkset(ds, path: str, num_rel_buckets: int = 8,
 
     One directory per (rel_bucket, part_id); a failed run can resume by
     skipping completed partition directories, and every file carries
-    its partition values in the path (lineage). Rows are co-located by
-    partition (one shuffle over R x P groups) before the write —
-    without it every input block writes a sliver into every partition
-    directory and the store ends up as tens of thousands of tiny
-    files."""
-    import pyarrow as pa
-
+    its partition values in the path (lineage). The input need not be
+    distinct: the write runs ONE partition-keyed shuffle
+    (``_partition_distinct``) that drops duplicate quads inside each
+    partition and lands every partition whole in one block, so the
+    store holds exactly one file per non-empty partition."""
     os.makedirs(path, exist_ok=True)
-
-    def _bucket(df: pd.DataFrame) -> "pa.Table":
-        df = df.copy()
-        df["rel_bucket"] = _stable_bucket(df["rel"], num_rel_buckets)
-        df["part_id"] = _stable_bucket(df["origin"], num_partitions)
-        df["_pkey"] = (
-            df["rel_bucket"].to_numpy().astype("int64") * num_partitions
-            + df["part_id"].to_numpy()
-        ).astype("int32")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    grouped = (
-        ds.map_batches(_bucket, batch_format="pandas")
-        .groupby("_pkey")
-        .map_groups(
-            lambda df: df.drop(columns=["_pkey"]), batch_format="pandas"
-        )
-    )
-    grouped.write_parquet(path, partition_cols=list(_PART_COLS))
+    _partition_distinct(ds, num_rel_buckets, num_partitions).write_parquet(
+        path, partition_cols=list(_PART_COLS))
     entries = _dir_file_entries(path)
     with open(os.path.join(path, _META_NAME), "w") as f:
         json.dump(
@@ -474,16 +455,49 @@ def _recover_staging(path: str):
 
 def _partition_tagger(r_b: int, n_p: int):
     """The store's one partition-assignment rule (rel bucket + origin
-    partition), shared by write/update/compact so layouts can't
-    drift."""
+    partition, plus their combined shuffle key ``_pkey``), shared by
+    every commit so layouts can't drift. Arrow in and out: the shuffle
+    sorts Arrow blocks markedly faster than pandas ones."""
+    tag_cols = (*_PART_COLS, "_pkey")
 
-    def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["rel_bucket"] = _stable_bucket(df["rel"], r_b)
-        df["part_id"] = _stable_bucket(df["origin"], n_p)
-        return df
+    def _tag(tbl: pa.Table) -> pa.Table:
+        rb = _stable_bucket(tbl["rel"].to_pandas(), r_b)
+        pid = _stable_bucket(tbl["origin"].to_pandas(), n_p)
+        tbl = tbl.select([c for c in tbl.column_names if c not in tag_cols])
+        return (
+            tbl.append_column("rel_bucket", pa.array(rb))
+            .append_column("part_id", pa.array(pid))
+            .append_column("_pkey", pa.array(rb.astype("int64") * n_p + pid))
+        )
 
     return _tag
+
+
+def _partition_distinct(ds, r_b: int, n_p: int):
+    """The store's one shuffle: tag rows with their partition, group by
+    ``_pkey`` and drop duplicate quads inside each group. The in-group
+    dedup is exact and global, because identical quads share origin
+    and rel and so always land in the same partition. Extra (lineage)
+    columns keep their lexicographic minimum, as in ``distinct_links``;
+    a group without duplicates skips that sort. Each partition's rows
+    end up wholly in one block, so a partitioned write of the result
+    emits one file per partition."""
+    skip = set(QUAD_COLS) | set(_PART_COLS)
+
+    def _dedup(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop(columns=["_pkey"])
+        if df.duplicated(subset=QUAD_COLS).any():
+            extras = [c for c in df.columns if c not in skip]
+            if extras:
+                df = df.sort_values(extras, kind="stable")
+            df = df.drop_duplicates(subset=QUAD_COLS)
+        return df
+
+    return (
+        ds.map_batches(_partition_tagger(r_b, n_p), batch_format="pyarrow")
+        .groupby("_pkey")
+        .map_groups(_dedup, batch_format="pandas")
+    )
 
 
 def _write_meta(path: str, r_b: int, n_p: int) -> None:
@@ -529,16 +543,18 @@ def _swap_staged_partitions(path: str, staging: str, pairs) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def update_linkset(path: str, new_ds, num_buckets=None, claim_ttl=None):
+def update_linkset(path: str, new_ds, claim_ttl=None):
     """Incremental append-with-dedup against a stored link-set — the
     at-scale form of the reference's duplicate-refusing add
     (/root/reference/tools/py/driver/memory.py:179-181) applied to the
     on-disk KG.
 
-    Only the partitions the new links hash into are read, merged with
-    the new rows, re-deduped (dedup is partition-local because the
-    layout hash-partitions by origin), and rewritten; every other
-    partition directory is untouched. An appended corpus delta
+    ``new_ds`` need not be distinct. Only the partitions the new links
+    hash into are read, merged with the new rows and rewritten through
+    ONE ``_partition_distinct`` shuffle (dedup is partition-local
+    because the layout hash-partitions by rel and origin), so each
+    touched partition is rewritten as exactly one file; every other
+    partition's files are untouched. An appended corpus delta
     therefore costs O(delta + touched partitions), not a full-store
     rescan. The rewrite STAGES the merged partitions to a temp dir
     under the store root and swaps each affected partition directory
@@ -566,29 +582,27 @@ def update_linkset(path: str, new_ds, num_buckets=None, claim_ttl=None):
     dir-swap path above remains for legacy (manifest-less) stores.
     Returns {"partitions_updated", "rows_after"}."""
     with _writer_claim(path, ttl=claim_ttl):
-        return _update_linkset_locked(path, new_ds, num_buckets)
+        return _update_linkset_locked(path, new_ds)
 
 
-def _update_linkset_locked(path: str, new_ds, num_buckets=None):
+def _update_linkset_locked(path: str, new_ds):
     import shutil
 
     import ray.data as rd
-
-    from .linkset import distinct_links
 
     meta = _read_meta(path)
     r_b, n_p = meta["num_rel_buckets"], meta["num_partitions"]
 
     _tag = _partition_tagger(r_b, n_p)
-    tagged = new_ds.map_batches(_tag, batch_format="pandas").materialize()
+    merged = new_ds.materialize()
 
     # affected partition list: bounded by R x P, never by data size
-    def _pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["rel_bucket", "part_id"]].drop_duplicates()
+    def _pairs(tbl: pa.Table) -> pd.DataFrame:
+        return _tag(tbl).select(list(_PART_COLS)).to_pandas().drop_duplicates()
 
     affected = {
         (int(r["rel_bucket"]), int(r["part_id"]))
-        for r in tagged.map_batches(_pairs, batch_format="pandas")
+        for r in merged.map_batches(_pairs, batch_format="pyarrow")
         .take_all()
     }
     if not affected:
@@ -616,9 +630,8 @@ def _update_linkset_locked(path: str, new_ds, num_buckets=None):
             expr = e if expr is None else expr | e
         old_files = [f.path for f in dataset.get_fragments(filter=expr)]
 
-    merged = tagged.drop_columns(["rel_bucket", "part_id"])
     if old_files:
-        old = rd.read_parquet(old_files)
+        old = rd.read_parquet(old_files, partitioning=None)
         # schema-align the two sides: a delta without the store's
         # lineage columns (or vice versa) null-fills the difference
         new_cols = list(merged.schema().names)
@@ -635,8 +648,7 @@ def _update_linkset_locked(path: str, new_ds, num_buckets=None):
             merged = merged.map_batches(_align, batch_format="pandas")
             old = old.map_batches(_align, batch_format="pandas")
         merged = merged.union(old)
-    merged = distinct_links(merged)
-    merged = merged.map_batches(_tag, batch_format="pandas").materialize()
+    merged = _partition_distinct(merged, r_b, n_p)
 
     import uuid
 
@@ -752,14 +764,15 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
 def compact_linkset(path: str, max_files: int = 1, vacuum_keep: int = 2,
                     claim_ttl=None):
     """Merge fragmented partitions back to at most ``max_files``
-    parquet files each. Repeated ``update_linkset`` calls append a
-    fresh file set per touched partition; at crawl cadence a hot
-    partition accumulates hundreds of small files and pruned reads
-    pay per-file open cost. Compaction is the standard maintenance
-    pass: ONLY partitions over the threshold are read and rewritten
-    (bounded by fragmentation, not store size), with the same
-    stage-and-swap crash discipline as ``update_linkset`` — a reader
-    sees the old or the new complete partition, never a mix.
+    parquet files each. ``write_linkset`` and ``update_linkset`` write
+    one file per partition, so this serves stores fragmented by older
+    writers, which rewrote each touched partition as one sliver per
+    input block; pruned reads of such a store pay per-file open cost.
+    ONLY partitions over the threshold are read and rewritten
+    (bounded by fragmentation, not store size), through the same
+    ``_partition_distinct`` shuffle as every other commit and with the
+    same stage-and-swap crash discipline as ``update_linkset`` — a
+    reader sees the old or the new complete partition, never a mix.
     Runs under the same ``_writer_claim`` fence as update (a
     concurrent writer raises ``StoreWriteConflict``). Returns
     {"partitions_compacted", "files_before", "files_after"}."""
@@ -808,21 +821,14 @@ def _compact_linkset_locked(path, max_files, vacuum_keep):
         return {"partitions_compacted": 0, "files_before": files_before,
                 "files_after": files_before}
 
-    merged = rd.read_parquet([f for _, _, fs in victims for f in fs])
-
+    merged = rd.read_parquet([f for _, _, fs in victims for f in fs],
+                             partitioning=None)
     r_b, n_p = meta["num_rel_buckets"], meta["num_partitions"]
-    _tag = _partition_tagger(r_b, n_p)
 
     staging = os.path.join(path, f".staging-{uuid.uuid4().hex[:12]}")
     try:
-        # group rows by their partition before the write: each
-        # partition's rows land wholly in one block, so the staged
-        # write emits ONE file per compacted partition
-        merged.map_batches(_tag, batch_format="pandas").groupby(
-            list(_PART_COLS)
-        ).map_groups(lambda df: df, batch_format="pandas").write_parquet(
-            staging, partition_cols=list(_PART_COLS),
-        )
+        _partition_distinct(merged, r_b, n_p).write_parquet(
+            staging, partition_cols=list(_PART_COLS))
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise

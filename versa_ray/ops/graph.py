@@ -3377,6 +3377,9 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
     live_nodes, live_edges = nodes, edges
     for _ in range(max_rounds):
         if live_nodes.count() == 0:
+            if not mis_parts:  # empty graph: typed empty result
+                return rd.from_pandas(
+                    pd.DataFrame({"node": pd.Series([], dtype="int64")}))
             out = mis_parts[0]
             for p in mis_parts[1:]:
                 out = out.union(p)

@@ -4933,7 +4933,7 @@ def build_oracles():
             "AS slope_den FROM ix GROUP BY event_type ORDER BY event_type"
         ),
         # bipartiteness replay: same ring fixture (customers mod G,
-        # G = max(25, n//40)), min depth from each ring's min node via
+        # G = max(23, n//40)), min depth from each ring's min node via
         # the capped recursive walk (UNION dedups states; rings stay
         # ~40 nodes so min depth < 40), odd edge = endpoints with
         # equal depth parity

@@ -9,15 +9,18 @@
            -> link rows + lineage (src_url)
       -> map_batches(EntityScorer)   [broadcast alias table; actor pool
                                       when the table is heavy]
-      -> distinct_links (coarse-bucket shuffle; combiner pre-dedup)
-      -> write partitioned Parquet link-set + manifests (stage-level
+      -> write_linkset: ONE partition-keyed shuffle (rel_bucket x
+         part_id) that drops duplicate quads inside each partition,
+         then one Parquet file per partition + manifests (stage-level
          resume via build_kg, per-shard resume via build_kg_sharded)
 
 All entity IDs are content fingerprints, so the cross-document "same
 entity" reconciliation IS the dedup shuffle (see SURVEY.md §7 hard
-part 2). Each stage boundary can materialize to Parquet with a
-_SUCCESS marker; a rerun skips completed stages (resume) and the
-output carries per-partition lineage columns.
+part 2); identical quads share origin and rel, so the store's partition
+shuffle is where that dedup happens. ``update_kg`` folds a delta in
+through the same shuffle. Each stage boundary can materialize to
+Parquet with a _SUCCESS marker; a rerun skips completed stages
+(resume) and the output carries per-partition lineage columns.
 """
 
 from __future__ import annotations
@@ -696,14 +699,15 @@ def build_kg_sharded(
         links = extract_links(ds, check_text=check_text)
         if alias_table:
             links = score_entities(links, alias_table)
-        links = distinct_links(links)
-        links.write_parquet(sdir)
+        distinct_links(links).write_parquet(sdir)
         with open(marker, "w") as f:
             json.dump(
                 {
                     "shard": k,
                     "page_range": [lo, hi],
-                    "rows": links.count(),
+                    # footers only: counting the lazy Dataset would
+                    # rerun extract + score + dedup
+                    "rows": rd.read_parquet(sdir).count(),
                     "wall_sec": round(time.time() - t0, 2),
                 },
                 f,
@@ -718,11 +722,10 @@ def build_kg_sharded(
         all_links = rd.read_parquet(ex_root)
         if "shard" in all_links.schema().names:
             all_links = all_links.drop_columns(["shard"])
-        final = distinct_links(all_links)
         from ..model.store import write_linkset
 
         write_linkset(
-            final, _stage_dir(out_dir, "linkset"),
+            all_links, _stage_dir(out_dir, "linkset"),
             num_partitions=num_partitions,
         )
         _mark_complete(out_dir, "linkset", {"partitions": num_partitions, "shards": num_shards})
@@ -775,15 +778,14 @@ def build_kg(
     if alias_table:
         links = score_entities(links, alias_table, concurrency=concurrency)
 
-    final = distinct_links(links)
-
     # rel+origin partitioned output: match(rel=...) and match(origin=...)
     # against the stored linkset prune whole partition directories
-    # (model/store.py — the sqlite driver's (subj,pred) index intent)
+    # (model/store.py — the sqlite driver's (subj,pred) index intent);
+    # the write's partition shuffle is also the global dedup
     from ..model.store import write_linkset
 
     write_linkset(
-        final, _stage_dir(out_dir, "linkset"), num_partitions=num_partitions
+        links, _stage_dir(out_dir, "linkset"), num_partitions=num_partitions
     )
     _mark_complete(out_dir, "linkset", {"partitions": num_partitions})
     from ..model.store import read_linkset
@@ -812,4 +814,4 @@ def update_kg(pages_ds, store_dir, alias_table=None, concurrency=None,
         pages_ds, check_text=check_text, concurrency=concurrency)
     if alias_table:
         links = score_entities(links, alias_table, concurrency=concurrency)
-    return update_linkset(store_dir, distinct_links(links))
+    return update_linkset(store_dir, links)
