@@ -347,6 +347,44 @@ def test_update_linkset_schema_alignment(ray_session, tmp_path):
     assert row[row.origin == "urn:t:new"]["src_url"].isna().all()
 
 
+def test_update_linkset_null_lineage_keeps_declared_types(
+        ray_session, tmp_path):
+    """A delta whose lineage column is all null commits with the
+    store's declared column types, and no store file carries pandas
+    schema metadata."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from versa_ray.model.store import update_linkset
+
+    path = str(tmp_path / "store")
+    write_linkset(
+        linkset.from_links(_sample_links(), extra_cols={"stage": "extracted"}),
+        path)
+    delta = pd.DataFrame({
+        "origin": ["urn:t:new", "urn:t:1"], "rel": [TYPE_, NAME],
+        "target": ["urn:t:Thing", "another name"],
+        "target_is_iri": [True, False], "attrs": ["{}", "{}"],
+        "stage": [None, None]})
+    import ray.data as rd
+
+    update_linkset(path, rd.from_pandas(delta))
+    files = pruned_fragments(path)
+    assert files
+    for f in files:
+        sch = pq.read_schema(f)
+        assert sch.field("stage").type == pa.string()
+        assert not (sch.metadata or {}).get(b"pandas")
+    back = read_linkset(path)
+    sch = back.schema().base_schema
+    assert sch.field("stage").type == pa.string()
+    assert sch.field("target_is_iri").type == pa.bool_()
+    assert sch.field("origin").type == pa.string()
+    rows = back.to_pandas()
+    assert rows[rows.origin == "urn:t:new"]["stage"].isna().all()
+    assert len(rows) == 122
+
+
 def test_write_ntriples_ds_roundtrip(ray_session, tmp_path):
     """Distributed NT sink round-trips through the NT parser."""
     import glob

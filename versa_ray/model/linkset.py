@@ -139,32 +139,24 @@ def _unescape(s: str) -> str:
 
 def intersect_statements(a, b, num_buckets=64):
     """Statement-set INTERSECTION of two link-sets (full-quad
-    equality, attrs included). Both sides may be corpus-sized: a's
-    rows dedup and carry their composite quad key, b reduces to its
-    distinct quad keys, and one coarse-bucket semi-join
-    (ops.joins.semi_join_keys) keeps a's statements present in b —
+    equality, attrs included). Both sides may be corpus-sized: each
+    side's rows carry their composite quad key, and one two-input
+    keyed exchange keeps a's distinct statements whose key b holds —
     no driver-side key set, no broadcast. Complements
     ``remove_statements`` (difference vs a small set) and ``union``."""
-    from ..ops.dedup import dedup_rows
-    from ..ops.joins import semi_join_keys
+    from ..core.exchange import exchange
 
-    left = dedup_rows(with_quad_key(a), ["qkey"], num_buckets=num_buckets)
-    right = with_quad_key(b).map_batches(
-        lambda tbl: tbl.select(["qkey"]), batch_format="pyarrow"
-    )
-    out = semi_join_keys(
-        left, right, on="qkey", num_buckets=num_buckets,
-        left_cols=["origin", "rel", "target", "target_is_iri", "attrs",
-                   "qkey"],
-    )
-    def _restore(df):
-        # the semi-join's tagged union null-fills left columns on key
-        # rows, upcasting bool to object — restore the link schema
-        df = df.drop(columns=["qkey"])
-        df["target_is_iri"] = df["target_is_iri"].astype(bool)
-        return df
+    def _keep(ra: pd.DataFrame, rb: pd.DataFrame) -> pd.DataFrame:
+        if not len(ra) or not len(rb):
+            return None
+        ra = ra.drop_duplicates(subset=["qkey"])
+        return ra[ra["qkey"].isin(set(rb["qkey"]))]
 
-    return out.map_batches(_restore, batch_format="pandas")
+    keys_b = with_quad_key(b).map_batches(
+        lambda tbl: tbl.select(["qkey"]), batch_format="pyarrow")
+    return exchange(
+        [with_quad_key(a.select_columns(QUAD_COLS)), keys_b], "qkey", _keep,
+        LINK_SCHEMA, num_buckets)
 
 
 def diff_statements(a, b, num_buckets=64):
@@ -172,49 +164,26 @@ def diff_statements(a, b, num_buckets=64):
     the KG version diff: distinct quads present only in ``a`` emit
     with ``change='removed'``, only in ``b`` with ``change='added'``
     (set semantics; full-quad equality including attrs, the same
-    contract as ``intersect_statements``). ONE tagged-union
-    coarse-bucket shuffle carries both sides: ``with_quad_key``
-    pre-dedups each batch (combiner), every copy of a quad co-locates
-    by key, and the per-bucket side test is a local nunique. No
-    reference counterpart (Versa diffs models by driver-side
-    statement iteration)."""
-    from ..ops.dedup import coarse_bucket
+    contract as ``intersect_statements``). ONE two-input keyed
+    exchange carries both sides: ``with_quad_key`` pre-dedups each
+    batch (combiner), every copy of a quad co-locates by key, and the
+    per-bucket side test is a set lookup. No reference counterpart
+    (Versa diffs models by driver-side statement iteration)."""
+    from ..core.exchange import exchange
 
-    cols = ["origin", "rel", "target", "target_is_iri", "attrs"]
+    def _emit(ra: pd.DataFrame, rb: pd.DataFrame) -> pd.DataFrame:
+        outs = []
+        for rows, other, change in ((ra, rb, "removed"), (rb, ra, "added")):
+            if len(rows):
+                seen = set(other["qkey"]) if len(other) else set()
+                only = rows[~rows["qkey"].isin(seen)]
+                outs.append(only.drop_duplicates(subset=["qkey"])
+                            .assign(change=change))
+        return pd.concat(outs, ignore_index=True) if outs else None
 
-    def _tag(side):
-        def _t(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_side"] = np.int8(side)
-            df["_cbucket"] = coarse_bucket(df, ["qkey"], num_buckets)
-            return df
-        return _t
-
-    tagged = (
-        with_quad_key(a).map_batches(_tag(0), batch_format="pandas")
-        .union(with_quad_key(b).map_batches(_tag(1), batch_format="pandas"))
-    )
-
-    def _emit(bucket: pd.DataFrame) -> pd.DataFrame:
-        if not len(bucket) or "qkey" not in bucket.columns:
-            return pd.DataFrame(
-                {"origin": pd.Series([], dtype=object),
-                 "rel": pd.Series([], dtype=object),
-                 "target": pd.Series([], dtype=object),
-                 "target_is_iri": pd.Series([], dtype=bool),
-                 "attrs": pd.Series([], dtype=object),
-                 "change": pd.Series([], dtype=object)})
-        u = bucket.drop_duplicates(subset=["qkey", "_side"])
-        nsides = u.groupby("qkey")["_side"].transform("nunique")
-        only = u[nsides == 1]
-        out = only[cols].copy()
-        out["target_is_iri"] = out["target_is_iri"].astype(bool)
-        out["change"] = np.where(
-            only["_side"].to_numpy() == 0, "removed", "added")
-        return out
-
-    return tagged.groupby("_cbucket").map_groups(
-        _emit, batch_format="pandas")
+    return exchange(
+        [with_quad_key(a), with_quad_key(b)], "qkey", _emit,
+        LINK_SCHEMA.append(pa.field("change", pa.string())), num_buckets)
 
 
 def with_quad_key(ds, key_col="qkey"):
@@ -270,22 +239,9 @@ def distinct_links(ds, num_buckets=None):
     B balanced buckets the per-group overhead is paid B times total,
     and inside each bucket the dedup is one pandas drop_duplicates
     (C-vectorized). Extra (lineage) columns keep their lexicographic
-    minimum — deterministic across runs and workers."""
-    import ray
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)) * 4)
-        except Exception:
-            num_buckets = 32
-
-    # schema() on a lazy non-read Dataset EXECUTES it for one row
-    # (~0.5-0.8 s of wasted pipeline warm-up per call); fetch only a
-    # cached/inferable schema and fall back to per-batch detection
-    sch = ds.schema(fetch_if_missing=False)
-    extra_cols = (
-        [n for n in sch.names if n not in QUAD_COLS] if sch is not None else None
-    )
+    minimum — deterministic across runs and workers. The exchange is
+    keyed on the quad hash ``_qhash``."""
+    from ..core.exchange import exchange
 
     def _prep(tbl: pa.Table) -> pa.Table:
         # composite quad key computed batch-locally; only its 64-bit
@@ -320,31 +276,24 @@ def distinct_links(ds, num_buckets=None):
                 ix = np.flatnonzero(keep)
                 tbl = tbl.take(ix)
                 qhash = qhash[ix]
-        tbl = tbl.append_column(
+        return tbl.append_column(
             "_qhash", pa.array(qhash.astype("int64"), type=pa.int64())
         )
-        bucket = (qhash % num_buckets).astype("int32")
-        return tbl.append_column("bucket", pa.array(bucket))
 
-    def _dedup_bucket(group: pd.DataFrame) -> pa.Table:
-        extras = (
-            extra_cols
-            if extra_cols is not None
-            else [n for n in group.columns
-                  if n not in QUAD_COLS and n not in ("bucket", "_qhash")]
-        )
+    def _dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
+        extras = [n for n in group.columns
+                  if n not in QUAD_COLS and n != "_qhash"]
         if extras:
             # int-first sort: string (lineage) comparisons only happen
             # for equal hashes, so min-lineage determinism costs O(n)
             # int comparisons instead of a 5-string-column sort
             group = group.sort_values(["_qhash"] + extras, kind="stable")
-        out = group.drop_duplicates(subset=["_qhash"] + QUAD_COLS).drop(
-            columns=["bucket", "_qhash"]
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return group.drop_duplicates(subset=["_qhash"] + QUAD_COLS)
 
-    keyed = ds.map_batches(_prep, batch_format="pyarrow")
-    return keyed.groupby("bucket").map_groups(_dedup_bucket, batch_format="pandas")
+    return exchange(
+        ds.map_batches(_prep, batch_format="pyarrow"), "_qhash",
+        _dedup_bucket, lambda sch: sch.remove(sch.get_field_index("_qhash")),
+        num_buckets)
 
 
 def union(*datasets, dedup=True):
@@ -381,10 +330,10 @@ def column_values_ds(ds, col: str):
     """Dataset-returning distinct values of one link column — the
     at-scale form of column_values (which materializes a sorted list
     driver-side and is only for small results). Distinct runs through
-    the coarse-bucket shuffle, so the result streams."""
-    from ..ops.dedup import dedup_rows
+    the keyed exchange, so the result streams."""
+    from ..core.exchange import distinct_rows
 
-    return dedup_rows(ds.select_columns([col]), [col])
+    return distinct_rows(ds.select_columns([col]), [col], lambda s: s)
 
 
 def all_origins_ds(ds, of_types=None):
@@ -557,68 +506,29 @@ def replace_values_ds(ds, mapping_ds, num_buckets=64):
     bucket-merge pass keyed on the attrs column. The extra passes are
     skipped entirely when no attrs value matches the mapping (the
     common case — the translation table is tiny and checked first)."""
-    # schema() on a lazy non-read Dataset executes it for one row;
-    # use the cached/inferable schema when available and pay the
-    # one-row probe only when it is not (extra columns beyond the
-    # quad must be preserved, so guessing QUAD_COLS is not safe).
-    sch = ds.schema(fetch_if_missing=False)
-    link_cols = list(sch.names) if sch is not None else list(ds.schema().names)
+    from ..core.exchange import exchange
+
+    string3 = pa.schema({"_astr": pa.string(), "_key": pa.string(),
+                         "_mval": pa.string()})
 
     def _mapping_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({c: pd.Series([""] * len(df), dtype=object)
-                            for c in link_cols})
-        if "entity" in df.columns and len(df):
-            out["_key"] = df["entity"].astype(str).to_numpy()
-            out["_mval"] = df["authority"].astype(str).to_numpy()
-        else:
-            out["_key"] = pd.Series([], dtype=object)
-            out["_mval"] = pd.Series([], dtype=object)
-            out = out.iloc[0:0]
-        out["_kind"] = np.int8(1) if len(out) else pd.Series([], dtype="int8")
-        return out[["_key", "_kind", "_mval"] + link_cols]
-
-    def _link_rows(key_col):
-        def _fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[link_cols].copy()
-            out["_key"] = df[key_col].astype(str).to_numpy()
-            out["_kind"] = np.zeros(len(df), dtype=np.int8)
-            out["_mval"] = ""
-            return out[["_key", "_kind", "_mval"] + link_cols]
-
-        return _fn
+        if "entity" not in df.columns:
+            return pd.DataFrame({"_key": [], "_mval": []}, dtype=object)
+        return pd.DataFrame({"_key": df["entity"].astype(str).to_numpy(),
+                             "_mval": df["authority"].astype(str).to_numpy()})
 
     def _rewrite_pass(links, key_col, mapping=None):
-        both = links.map_batches(_link_rows(key_col), batch_format="pandas").union(
-            (mapping if mapping is not None else mapping_ds).map_batches(
-                _mapping_rows, batch_format="pandas"
-            )
-        )
+        def _apply(lnk: pd.DataFrame, mp: pd.DataFrame) -> pd.DataFrame:
+            if not len(lnk) or not len(mp):
+                return lnk
+            mp = mp.drop_duplicates("_key")
+            remap = lnk[key_col].map(dict(zip(mp["_key"], mp["_mval"])))
+            return lnk.assign(**{key_col: remap.fillna(lnk[key_col])})
 
-        def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_cbucket"] = (
-                pd.util.hash_pandas_object(df["_key"], index=False) % num_buckets
-            ).astype("int32")
-            return df
-
-        def _apply(bucket: pd.DataFrame) -> pd.DataFrame:
-            if "_key" not in bucket.columns or not len(bucket):
-                return pd.DataFrame(columns=link_cols)
-            lnk = bucket[bucket["_kind"] == 0]
-            mp = bucket[bucket["_kind"] == 1].drop_duplicates("_key")
-            out = lnk[link_cols].copy()
-            if len(mp):
-                remap = out[key_col].map(
-                    dict(zip(mp["_key"], mp["_mval"]))
-                )
-                out[key_col] = remap.fillna(out[key_col])
-            return out
-
-        return (
-            both.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_apply, batch_format="pandas")
-        )
+        mapping = (mapping if mapping is not None else mapping_ds).map_batches(
+            _mapping_rows, batch_format="pandas")
+        return exchange([links, mapping], [[key_col], ["_key"]], _apply,
+                        lambda ls, ms: ls, num_buckets)
 
     def _attrs_translation(links):
         """Distributed (attrs -> rewritten attrs) translation table.
@@ -644,102 +554,42 @@ def replace_values_ds(ds, mapping_ds, num_buckets=64):
                     if isinstance(v, str):
                         astr.append(s)
                         vals.append(v)
-            return pd.DataFrame(
-                {
-                    "_astr": pd.Series(astr, dtype=object),
-                    "_key": pd.Series(vals, dtype=object),
-                    "_kind": np.zeros(len(astr), dtype=np.int8),
-                    "_mval": pd.Series([""] * len(astr), dtype=object),
-                }
-            )
+            return pd.DataFrame({"_astr": pd.Series(astr, dtype=object),
+                                 "_key": pd.Series(vals, dtype=object)})
 
-        def _map_rows(df: pd.DataFrame) -> pd.DataFrame:
-            if "entity" not in df.columns or not len(df):
-                return pd.DataFrame(
-                    {
-                        "_astr": pd.Series([], dtype=object),
-                        "_key": pd.Series([], dtype=object),
-                        "_kind": pd.Series([], dtype="int8"),
-                        "_mval": pd.Series([], dtype=object),
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    "_astr": pd.Series([""] * len(df), dtype=object),
-                    "_key": df["entity"].astype(str).to_numpy(),
-                    "_kind": np.ones(len(df), dtype=np.int8),
-                    "_mval": df["authority"].astype(str).to_numpy(),
-                }
-            )
-
-        both = links.map_batches(_explode, batch_format="pandas").union(
-            mapping_ds.map_batches(_map_rows, batch_format="pandas")
-        )
-
-        def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_cbucket"] = (
-                pd.util.hash_pandas_object(df["_key"], index=False) % num_buckets
-            ).astype("int32")
-            return df
-
-        empty_hits = pd.DataFrame(
-            {
-                "_astr": pd.Series([], dtype=object),
-                "_key": pd.Series([], dtype=object),
-                "_mval": pd.Series([], dtype=object),
-            }
-        )
-
-        def _hits(bucket: pd.DataFrame) -> pd.DataFrame:
-            if "_key" not in bucket.columns or not len(bucket):
-                return empty_hits
-            mp = bucket[bucket["_kind"] == 1].drop_duplicates("_key")
-            pr = bucket[bucket["_kind"] == 0]
-            if not len(mp) or not len(pr):
-                return empty_hits
+        def _hits(pr: pd.DataFrame, mp: pd.DataFrame) -> pd.DataFrame:
+            if not len(pr) or not len(mp):
+                return None
+            mp = mp.drop_duplicates("_key")
             got = pr["_key"].map(dict(zip(mp["_key"], mp["_mval"])))
-            sel = got.notna()
-            if not sel.any():
-                return empty_hits
-            return pd.DataFrame(
-                {
-                    "_astr": pr["_astr"][sel].to_numpy(),
-                    "_key": pr["_key"][sel].to_numpy(),
-                    "_mval": got[sel].to_numpy(),
-                }
-            )
+            return pr[got.notna()].assign(_mval=got[got.notna()])
 
-        matched = (
-            both.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_hits, batch_format="pandas")
-        )
+        matched = exchange(
+            [links.map_batches(_explode, batch_format="pandas"),
+             mapping_ds.map_batches(_mapping_rows, batch_format="pandas")],
+            "_key", _hits, string3, num_buckets)
 
         def _rebuild(grp: pd.DataFrame) -> pd.DataFrame:
             out_a, out_n = [], []
-            if "_astr" in grp.columns:
-                for s, g in grp.groupby("_astr"):
-                    d = _json.loads(s)
-                    rm = dict(zip(g["_key"], g["_mval"]))
-                    d2 = {
-                        k: rm.get(v, v) if isinstance(v, str) else v
-                        for k, v in d.items()
-                    }
-                    if d2 != d:
-                        out_a.append(s)
-                        out_n.append(attrs_to_json(d2))
-            return pd.DataFrame(
-                {
-                    "entity": pd.Series(out_a, dtype=object),
-                    "authority": pd.Series(out_n, dtype=object),
+            for s, g in grp.groupby("_astr"):
+                d = _json.loads(s)
+                rm = dict(zip(g["_key"], g["_mval"]))
+                d2 = {
+                    k: rm.get(v, v) if isinstance(v, str) else v
+                    for k, v in d.items()
                 }
-            )
+                if d2 != d:
+                    out_a.append(s)
+                    out_n.append(attrs_to_json(d2))
+            return pd.DataFrame({"entity": out_a, "authority": out_n})
 
-        return matched.groupby("_astr").map_groups(_rebuild, batch_format="pandas")
+        return exchange(
+            matched, "_astr", _rebuild,
+            pa.schema({"entity": pa.string(), "authority": pa.string()}),
+            num_buckets)
 
     out = _rewrite_pass(_rewrite_pass(ds, "origin"), "target")
-    if "attrs" in link_cols:
+    if "attrs" in (ds.schema(fetch_if_missing=False) or ds.schema()).names:
         # attrs strings are untouched by the origin/target passes, so the
         # translation computed from the input applies verbatim to `out`
         tx = _attrs_translation(ds).materialize()
@@ -788,6 +638,8 @@ def follow_join(ds, *rels, num_partitions=None):
     import ray
 
     if num_partitions is None:
+        # Ray's hash join starts one aggregator per partition; more
+        # partitions than this stall a small cluster
         try:
             num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
         except Exception:
@@ -820,19 +672,14 @@ def origin_adjacency(ds, num_buckets=64):
     the same per-group-overhead rule as distinct_links)."""
     import json
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["origin"], index=False) % num_buckets
-        ).astype("int32")
-        return df
+    from ..core.exchange import exchange
 
     def _adj_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         # ONE output frame per bucket (a 1-row DataFrame per origin is
         # ~0.5 ms each — the dominant cost at 10k+ origins); rows are
         # grouped by a single vectorized sort + itertools slicing
-        if "origin" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({"origin": [], "adjacency": []})
+        if not len(bucket):
+            return None
         b = bucket.sort_values(
             ["origin", "rel", "target", "attrs"], na_position="first"
         )
@@ -852,14 +699,10 @@ def origin_adjacency(ds, num_buckets=64):
             )
         return pd.DataFrame({"origin": origins, "adjacency": adjacency})
 
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(
-            lambda b: _adj_bucket(b.drop(columns=["_cbucket"])),
-            batch_format="pandas",
-        )
-    )
+    return exchange(
+        ds, "origin", _adj_bucket,
+        pa.schema({"origin": pa.string(), "adjacency": pa.string()}),
+        num_buckets)
 
 
 def _resolve_sink(path, filesystem=None):
@@ -1121,14 +964,9 @@ def transitive_closure_ds(ds, seeds, rel, max_iters=50, num_buckets=None):
     nodes. Convergence = a per-round scalar of EMITTED traversal
     tokens (pending work); a round that only activates leaf nodes
     emits none and the loop stops."""
-    import ray
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_buckets = 16
     import ray.data as rd
+
+    from ..core.exchange import exchange
 
     edge_ds = match(ds, rel=rel)
 
@@ -1147,6 +985,9 @@ def transitive_closure_ds(ds, seeds, rel, max_iters=50, num_buckets=None):
         )
 
     seed_list = sorted({str(s) for s in seeds})
+    work_schema = pa.schema({"key": pa.string(), "kind": pa.int8(),
+                             "other": pa.string(), "flag": pa.int8(),
+                             "c": pa.int8()})
     seed_tbl = pa.table(
         {
             "key": pa.array(seed_list, type=pa.string()),
@@ -1159,13 +1000,6 @@ def transitive_closure_ds(ds, seeds, rel, max_iters=50, num_buckets=None):
     work = edge_ds.map_batches(_init, batch_format="pyarrow").union(
         rd.from_arrow(seed_tbl)
     )
-
-    def _bucketize(df: pd.DataFrame) -> pa.Table:
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["key"], index=False) % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(df, preserve_index=False)
 
     def _hop(bucket: pd.DataFrame) -> pd.DataFrame:
         visited = bucket[bucket["kind"] == 0]
@@ -1216,12 +1050,8 @@ def transitive_closure_ds(ds, seeds, rel, max_iters=50, num_buckets=None):
 
     new_count = 0
     for _ in range(max_iters):
-        work = (
-            work.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_hop, batch_format="pandas")
-            .materialize()
-        )
+        work = exchange(work, "key", _hop, work_schema,
+                        num_buckets).materialize()
         new_count = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "c"].sum())]}

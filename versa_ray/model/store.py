@@ -473,31 +473,51 @@ def _partition_tagger(r_b: int, n_p: int):
     return _tag
 
 
+def _aligner(cols, stored: pa.Schema):
+    """Batch map to exactly ``cols``: each column cast to its ``stored``
+    type where it has one, missing columns as typed nulls, no schema
+    metadata."""
+
+    def _align(tbl: pa.Table) -> pa.Table:
+        out = []
+        for c in cols:
+            typ = stored.field(c).type if c in stored.names else None
+            if c not in tbl.column_names:
+                out.append(pa.nulls(tbl.num_rows, typ or pa.null()))
+            elif typ is not None and tbl[c].type != typ:
+                out.append(tbl[c].cast(typ))
+            else:
+                out.append(tbl[c])
+        return pa.table(out, names=cols)
+
+    return _align
+
+
 def _partition_distinct(ds, r_b: int, n_p: int):
-    """The store's one shuffle: tag rows with their partition, group by
-    ``_pkey`` and drop duplicate quads inside each group. The in-group
-    dedup is exact and global, because identical quads share origin
-    and rel and so always land in the same partition. Extra (lineage)
-    columns keep their lexicographic minimum, as in ``distinct_links``;
-    a group without duplicates skips that sort. Each partition's rows
-    end up wholly in one block, so a partitioned write of the result
-    emits one file per partition."""
+    """The store's one shuffle: tag rows with their partition, exchange
+    on ``_pkey`` (several partitions may share a bucket) and drop
+    duplicate quads inside each bucket. The dedup is exact and global,
+    because identical quads share origin and rel and so always land in
+    the same partition. Extra (lineage) columns keep their
+    lexicographic minimum, as in ``distinct_links``; a bucket without
+    duplicates skips that sort. Each partition's rows end up wholly in
+    one block, so a partitioned write of the result emits one file per
+    partition."""
+    from ..core.exchange import exchange
+
     skip = set(QUAD_COLS) | set(_PART_COLS)
 
     def _dedup(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["_pkey"])
         if df.duplicated(subset=QUAD_COLS).any():
             extras = [c for c in df.columns if c not in skip]
             if extras:
                 df = df.sort_values(extras, kind="stable")
             df = df.drop_duplicates(subset=QUAD_COLS)
-        return df
+        return df.drop(columns=["_pkey"])
 
-    return (
-        ds.map_batches(_partition_tagger(r_b, n_p), batch_format="pyarrow")
-        .groupby("_pkey")
-        .map_groups(_dedup, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_partition_tagger(r_b, n_p), batch_format="pyarrow"),
+        "_pkey", _dedup, lambda sch: sch.remove(sch.get_field_index("_pkey")))
 
 
 def _write_meta(path: str, r_b: int, n_p: int) -> None:
@@ -632,22 +652,16 @@ def _update_linkset_locked(path: str, new_ds):
 
     if old_files:
         old = rd.read_parquet(old_files, partitioning=None)
-        # schema-align the two sides: a delta without the store's
-        # lineage columns (or vice versa) null-fills the difference
+        stored = old.schema().base_schema
+        # schema-align both sides to the stored column types: a delta
+        # without the store's lineage columns (or vice versa, or with
+        # one all null) gets typed nulls, and no side ships schema
+        # metadata into the shuffle
         new_cols = list(merged.schema().names)
-        old_cols = list(old.schema().names)
-        all_cols = new_cols + [c for c in old_cols if c not in new_cols]
-        if set(new_cols) != set(old_cols):
-
-            def _align(df: pd.DataFrame) -> pd.DataFrame:
-                for c in all_cols:
-                    if c not in df.columns:
-                        df = df.assign(**{c: None})
-                return df[all_cols]
-
-            merged = merged.map_batches(_align, batch_format="pandas")
-            old = old.map_batches(_align, batch_format="pandas")
-        merged = merged.union(old)
+        align = _aligner(
+            new_cols + [c for c in stored.names if c not in new_cols], stored)
+        merged = merged.map_batches(align, batch_format="pyarrow").union(
+            old.map_batches(align, batch_format="pyarrow"))
     merged = _partition_distinct(merged, r_b, n_p)
 
     import uuid

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import bucketed_group_apply, exchange
 
 __all__ = [
     "grouped_agg_small", "grouped_topk", "approx_quantiles",
@@ -60,8 +63,6 @@ def grouped_topk(ds, keys, order_by, k=1, ascending=False, tie_cols=None,
     ``tie_cols`` when given; with no tie_cols the order among ties is
     partition-dependent — pass tie_cols for deterministic output.
     """
-    from .dedup import bucketed_group_apply
-
     keys = list(keys)
     order_cols = [order_by] if isinstance(order_by, str) else list(order_by)
     ties = list(tie_cols or [])
@@ -85,7 +86,7 @@ def grouped_topk(ds, keys, order_by, k=1, ascending=False, tie_cols=None,
 
     return bucketed_group_apply(
         ds.map_batches(_local, batch_format="pandas"), keys, _final,
-        num_buckets=num_buckets,
+        lambda sch: sch.append(pa.field("rank", pa.int64())), num_buckets,
     )
 
 
@@ -438,8 +439,6 @@ def approx_distinct(ds, col, key=None, precision=12):
     ``groups x 2^p``-byte rows. Per-key mode sizes for MODERATE key
     cardinality (each key carries a 4 KiB register payload at p=12;
     drop ``precision`` for very wide key spaces)."""
-    from .dedup import bucketed_group_apply
-
     if key is None:
         def _partial(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
@@ -471,7 +470,10 @@ def approx_distinct(ds, col, key=None, precision=12):
         )
 
     partials = ds.map_batches(_partial_k, batch_format="pandas")
-    return bucketed_group_apply(partials, [key], _final_k)
+    return bucketed_group_apply(
+        partials, [key], _final_k,
+        lambda sch: pa.schema([sch.field(key),
+                               pa.field("approx_distinct", pa.float64())]))
 
 
 def _cms_rows(vals: "pd.Series", depth: int, width: int) -> np.ndarray:
@@ -503,12 +505,10 @@ def heavy_hitters(ds, col, threshold_frac=0.01, width=2048, depth=4):
        near ``1/threshold_frac`` values (plus bounded collision
        noise) — small enough to broadcast;
     3. exact verify: rows are semi-filtered by the broadcast
-       candidate set and counted on one coarse-bucket shuffle; the
+       candidate set and counted on one keyed exchange; the
        threshold cut uses the EXACT counts.
     """
     import ray
-
-    from .dedup import coarse_bucket
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         sketch = np.zeros((depth, width), dtype=np.int64)
@@ -549,30 +549,20 @@ def heavy_hitters(ds, col, threshold_frac=0.01, width=2048, depth=4):
     cand_ref = ray.put(cand)
 
     def _count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if col not in df.columns or not len(df):
-            return pd.DataFrame({col: pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64"),
-                                 "_cbucket": pd.Series([], dtype="int32")})
-        sel = df[df[col].isin(ray.get(cand_ref))]
-        vc = sel[col].value_counts()
-        out = pd.DataFrame({col: vc.index.to_numpy(),
-                            "n": vc.to_numpy().astype("int64")})
-        out["_cbucket"] = coarse_bucket(out, [col], 16)
-        return out
+        if col not in df.columns:  # schema-less empty block
+            return pd.DataFrame({col: [], "n": []})
+        vc = df[col][df[col].isin(ray.get(cand_ref))].value_counts()
+        return pd.DataFrame({col: vc.index.to_numpy(),
+                             "n": vc.to_numpy().astype("int64")})
 
     def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        if col not in group.columns or not len(group):
-            return pd.DataFrame({col: pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype="int64")})
         g = group.groupby(col, as_index=False, sort=False)["n"].sum()
-        g["n"] = g["n"].astype("int64")
         return g[g["n"] >= threshold]
 
-    return (
-        ds.map_batches(_count_partial, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_count_partial, batch_format="pandas"),
+        col, _merge,
+        lambda sch: pa.schema([sch.field(col), pa.field("n", pa.int64())]))
 
 
 def grouped_quantile_disc(ds, key, col, q, num_buckets=64):
@@ -581,31 +571,20 @@ def grouped_quantile_disc(ds, key, col, q, num_buckets=64):
     each group) — ``(key, col)`` rows, one per group.
 
     Per-batch partial ``(key, value, m)`` counts (combiner: distinct
-    values per batch, not rows), ONE coarse-bucket shuffle on the
+    values per batch, not rows), ONE keyed exchange on the
     group key, exact rank selection from the merged counts. Assumes
     per-group DISTINCT-VALUE cardinality fits a task (quality scores,
     token/char lengths, bounded ints) — the multi-round global
     ``exact_quantiles`` covers the unbounded-cardinality case."""
-    from .dedup import coarse_bucket
-
     q = float(q)
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        if key not in df.columns or not len(df):
-            return pd.DataFrame({key: pd.Series([], dtype=object),
-                                 col: pd.Series([], dtype="float64"),
-                                 "m": pd.Series([], dtype="int64"),
-                                 "_cbucket": pd.Series([], dtype="int32")})
+        if key not in df.columns:  # schema-less empty block
+            return pd.DataFrame({key: [], col: [], "m": []})
         g = df.groupby([key, col], as_index=False, sort=False).size()
-        g = g.rename(columns={"size": "m"})
-        g["m"] = g["m"].astype("int64")
-        g["_cbucket"] = coarse_bucket(g, [key], num_buckets)
-        return g
+        return g.rename(columns={"size": "m"})
 
     def _select(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame({key: pd.Series([], dtype=object),
-                                 col: pd.Series([], dtype="float64")})
         rows = []
         merged = group.groupby([key, col], as_index=False, sort=False)[
             "m"].sum()
@@ -618,11 +597,10 @@ def grouped_quantile_disc(ds, key, col, q, num_buckets=64):
             rows.append({key: kv, col: g[col].to_numpy()[ix]})
         return pd.DataFrame(rows, columns=[key, col])
 
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_select, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_partial, batch_format="pandas"),
+        key, _select, lambda sch: pa.schema([sch.field(key), sch.field(col)]),
+        num_buckets)
 
 
 def filter_above_group_quantile(ds, key, col, q, num_buckets=64):
@@ -714,21 +692,14 @@ def zip_with_index(ds, order_by, num_buckets=64, samples_per_batch=64,
         return df
 
     def _assign(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=object) for c in group.columns
-                 if c != "_zb"} | {out_col: pd.Series([], dtype="int64")})
         g = group.sort_values(key, kind="mergesort")
         off = ray.get(o_ref)[int(g["_zb"].iloc[0])]
-        g = g.drop(columns=["_zb"])
         g[out_col] = off + np.arange(len(g), dtype=np.int64)
         return g
 
-    return (
-        ds.map_batches(_tag, batch_format="pandas")
-        .groupby("_zb")
-        .map_groups(_assign, batch_format="pandas")
-    )
+    return bucketed_group_apply(
+        ds.map_batches(_tag, batch_format="pandas"), ["_zb"], _assign,
+        _replace_tag("_zb", out_col, pa.int64()), num_buckets)
 
 
 def percent_rank(ds, col, out_col="pct_rank", num_buckets=64,
@@ -799,24 +770,22 @@ def percent_rank(ds, col, out_col="pct_rank", num_buckets=64,
         return df
 
     def _assign(group: pd.DataFrame) -> pd.DataFrame:
-        if col not in group.columns or not len(group):
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=object) for c in group.columns
-                 if c != "_prb"}
-                | {out_col: pd.Series([], dtype="float64")})
         vals = group[col].to_numpy()
         sv = np.sort(vals)
         smaller = np.searchsorted(sv, vals, side="left").astype(np.int64)
         off = int(ray.get(o_ref)[int(group["_prb"].iloc[0])])
-        g = group.drop(columns=["_prb"]).copy()
-        g[out_col] = (off + smaller) / denom
-        return g
+        return group.assign(**{out_col: (off + smaller) / denom})
 
-    return (
-        ds.map_batches(_tag, batch_format="pandas")
-        .groupby("_prb")
-        .map_groups(_assign, batch_format="pandas")
-    )
+    return bucketed_group_apply(
+        ds.map_batches(_tag, batch_format="pandas"), ["_prb"], _assign,
+        _replace_tag("_prb", out_col, pa.float64()), num_buckets)
+
+
+def _replace_tag(tag, out_col, out_type):
+    """Output schema: the input's columns without ``tag``, then
+    ``out_col``."""
+    return lambda sch: sch.remove(sch.get_field_index(tag)).append(
+        pa.field(out_col, out_type))
 
 
 def histogram(ds, col, bins, lo=None, hi=None):
@@ -1009,36 +978,16 @@ def grouped_percent_rank(ds, key, col, out_col="pct_rank",
     window requirement; an unbounded single group needs the global
     :func:`percent_rank`'s range machinery instead.
     """
-    from .dedup import coarse_bucket
+    def _rank(g: pd.DataFrame) -> pd.DataFrame:
+        v = g[col].to_numpy()
+        smaller = np.searchsorted(np.sort(v), v, side="left")
+        den = len(v) - 1
+        return g.assign(**{out_col: smaller / den if den
+                           else np.zeros(len(v), dtype=np.float64)})
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["_cbucket"] = coarse_bucket(out, [key], num_buckets)
-        return out
-
-    def _rank(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            out = group.drop(columns=["_cbucket"], errors="ignore")
-            out[out_col] = pd.Series([], dtype="float64")
-            return out
-        outs = []
-        for _, g in group.groupby(key, sort=False):
-            v = g[col].to_numpy()
-            sv = np.sort(v)
-            smaller = np.searchsorted(sv, v, side="left")
-            den = len(v) - 1
-            pr = (smaller / den if den
-                  else np.zeros(len(v), dtype=np.float64))
-            gg = g.drop(columns=["_cbucket"])
-            gg[out_col] = pr
-            outs.append(gg)
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_rank, batch_format="pandas")
-    )
+    return bucketed_group_apply(
+        ds, [key], _rank,
+        lambda sch: sch.append(pa.field(out_col, pa.float64())), num_buckets)
 
 
 def skyline2d(ds, x, y, num_final_blocks=1):

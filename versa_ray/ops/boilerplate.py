@@ -14,9 +14,9 @@ Scale design (the 100-TB shape):
   shuffle KEY is never raw text) and each bucket counts distinct
   doc_ids per exact line text (collision-safe: the in-bucket group
   key is the line itself).
-- Flagged lines join back to the exploded corpus by a tagged union on
-  the same bucketing (second line-cardinality shuffle), then docs
-  reassemble on a doc_id-bucketed groupby (third, doc-cardinality).
+- Flagged lines join back to the exploded corpus by a two-input
+  exchange on the line (second line-cardinality shuffle), then docs
+  reassemble on a doc_id exchange (third, doc-cardinality).
 - The corpus is scanned twice (once per branch of the flag join) —
   the standard two-pass trade; nothing corpus-cardinality ever
   reaches the driver, and the flag set itself stays distributed.
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from .dedup import coarse_bucket
+from ..core.exchange import exchange, spread_key
 
 
 def explode_lines(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -69,33 +70,20 @@ def boilerplate_lines(ds, min_docs: int = 10, id_col: str = "doc_id",
 
     def _distinct(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["line"].str.strip() != ""]
-        df = df.drop_duplicates(subset=[id_col, "line"])[[id_col, "line"]].copy()
-        df["_cbucket"] = coarse_bucket(df, ["line"], num_buckets)
-        return df
+        return df.drop_duplicates(subset=[id_col, "line"])[[id_col, "line"]]
 
-    def _count(bucket: pd.DataFrame) -> "object":
-        import pyarrow as _pa
-
-        # Arrow output (explicit schema) keeps zero-row blocks typed —
-        # pandas object columns of size 0 trip Ray's size estimator.
-        schema = _pa.schema([("line", _pa.string())])
-        if not len(bucket):
-            return schema.empty_table()
+    def _count(bucket: pd.DataFrame) -> pd.DataFrame:
         # rows are already per-(doc, line) distinct within a batch;
         # cross-batch repeats of the same doc's line can't occur
         # (a doc's text sits in one input row), so size() == distinct
         # doc count per exact line text
         c = bucket.groupby("line", sort=False).size()
-        keep = c[c >= min_docs]
-        return _pa.table({"line": keep.index.to_numpy(dtype=object)},
-                         schema=schema)
+        return pd.DataFrame({"line": c[c >= min_docs].index})
 
     lines = explode_lines(ds, id_col=id_col, text_col=text_col)
-    return (
-        lines.map_batches(_distinct, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_count, batch_format="pandas")
-    )
+    return exchange(lines.map_batches(_distinct, batch_format="pandas"),
+                    "line", _count, pa.schema({"line": pa.string()}),
+                    num_buckets)
 
 
 def remove_boilerplate(ds, min_docs: int = 10, id_col: str = "doc_id",
@@ -106,75 +94,27 @@ def remove_boilerplate(ds, min_docs: int = 10, id_col: str = "doc_id",
     Returns ``(id_col, out_col)`` with each document's surviving lines
     re-joined by '\\n' in original order ('' when nothing survives).
     Blank lines are never boilerplate and always survive.
-    ``id_col`` must be integer-typed (flag rows carry an int64 dummy
-    id so both branches of the tagged union share one schema)."""
+    ``id_col`` must be integer-typed."""
 
     flags = boilerplate_lines(ds, min_docs=min_docs, id_col=id_col,
                               text_col=text_col, num_buckets=num_buckets)
 
-    def _tag_line(df: pd.DataFrame) -> "object":
-        import pyarrow as _pa
-
+    def _keyed(df: pd.DataFrame) -> pd.DataFrame:
         # blank lines and anchors can never be flagged, so they don't
-        # need to co-locate with any flag row — bucket them by doc id.
-        # Hashing them by line text would funnel every blank line in
+        # need to co-locate with any flag row — key them by doc id.
+        # Keying them by line text would funnel every blank line in
         # the corpus (and one anchor per doc) into ONE group: a
         # doc-cardinality skew hotspot at scale.
-        by_line = coarse_bucket(df, ["line"], num_buckets)
         inert = (df["pos"].to_numpy() < 0) | \
             (df["line"].str.strip() == "").to_numpy()
-        if inert.any():
-            by_id = coarse_bucket(df, [id_col], num_buckets)
-            by_line = np.where(inert, by_id, by_line).astype("int32")
-        return _pa.table({
-            id_col: _pa.array(df[id_col].to_numpy(dtype="int64")),
-            "pos": _pa.array(df["pos"].to_numpy()),
-            "line": _pa.array(df["line"].astype(object), type=_pa.string()),
-            "_kind": _pa.array(np.ones(len(df), dtype="int8")),
-            "_cbucket": _pa.array(by_line),
-        })
+        return df.assign(_k=spread_key(df, "line", inert, id_col))
 
-    def _tag_flag(df: pd.DataFrame) -> "object":
-        import pyarrow as _pa
-
-        n = len(df)
-        lines = (df["line"].astype(object) if n
-                 else pd.Series([], dtype=object))
-        cbucket = (coarse_bucket(df, ["line"], num_buckets)
-                   if n else np.empty(0, dtype="int32"))
-        return _pa.table({
-            id_col: _pa.array(np.zeros(n, dtype="int64")),
-            "pos": _pa.array(np.zeros(n, dtype="int64")),
-            "line": _pa.array(lines, type=_pa.string()),
-            "_kind": _pa.array(np.zeros(n, dtype="int8")),
-            "_cbucket": _pa.array(cbucket),
-        })
-
-    def _empty_kept() -> pd.DataFrame:
-        return pd.DataFrame({
-            id_col: pd.Series([], dtype="int64"),
-            "pos": pd.Series([], dtype="int64"),
-            "line": pd.Series([], dtype=object),
-        })
-
-    def _filter(bucket: pd.DataFrame) -> pd.DataFrame:
-        cols = [id_col, "pos", "line"]
-        if "_kind" not in bucket.columns or not len(bucket):
-            return _empty_kept()
-        lines = bucket[bucket["_kind"] == 1]
-        bad = bucket.loc[bucket["_kind"] == 0, "line"]
-        kept = lines[~lines["line"].isin(set(bad))]
-        return kept[cols]
-
-    def _bucket_doc(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, [id_col], num_buckets)
-        return df
+    def _filter(lines: pd.DataFrame, flags: pd.DataFrame) -> pd.DataFrame:
+        if not len(lines) or not len(flags):
+            return lines
+        return lines[~lines["line"].isin(set(flags["line"]))]
 
     def _reassemble(bucket: pd.DataFrame) -> pd.DataFrame:
-        if not len(bucket):
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                 out_col: pd.Series([], dtype=object)})
         bucket = bucket.sort_values([id_col, "pos"], kind="stable")
         ids = bucket[id_col].unique()
         real = bucket[bucket["pos"] >= 0]
@@ -185,12 +125,11 @@ def remove_boilerplate(ds, min_docs: int = 10, id_col: str = "doc_id",
 
     lines = explode_lines(ds, id_col=id_col, text_col=text_col,
                           with_anchor=True)
-    tagged = lines.map_batches(_tag_line, batch_format="pandas").union(
-        flags.map_batches(_tag_flag, batch_format="pandas")
-    )
-    kept = tagged.groupby("_cbucket").map_groups(_filter, batch_format="pandas")
-    return (
-        kept.map_batches(_bucket_doc, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_reassemble, batch_format="pandas")
-    )
+    kept = exchange(
+        [lines.map_batches(_keyed, batch_format="pandas"), flags],
+        [["_k"], ["line"]], _filter,
+        pa.schema({id_col: pa.int64(), "pos": pa.int64(),
+                   "line": pa.string()}), num_buckets)
+    return exchange(kept, id_col, _reassemble,
+                    pa.schema({id_col: pa.int64(), out_col: pa.string()}),
+                    num_buckets)

@@ -49,6 +49,7 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 _TOKEN_RUN = re.compile(r"[a-z0-9]+")
 _EOW = "</w>"
@@ -64,7 +65,7 @@ def word_freqs(ds, text_col: str = "text", num_buckets: int = 32):
     ``[a-z0-9]+`` lowercase tokenizer contract.  Per-batch vectorized
     partial counts; each word's total is summed inside its coarse hash
     bucket so a word never spans reducers."""
-    from .dedup import coarse_bucket
+    from ..core.exchange import exchange
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -76,21 +77,12 @@ def word_freqs(ds, text_col: str = "text", num_buckets: int = 32):
         return pd.DataFrame({"word": vc.index.to_numpy(dtype=object),
                              "freq": vc.to_numpy().astype("int64")})
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["word"], num_buckets)
-        return df
-
     def _sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("word", as_index=False)["freq"].sum()
-        return out[["word", "freq"]]
+        return df.groupby("word", as_index=False)["freq"].sum()
 
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_sum, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_partial, batch_format="pandas"), "word", _sum,
+        pa.schema({"word": pa.string(), "freq": pa.int64()}), num_buckets)
 
 
 def _pair_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -170,7 +162,7 @@ def train_bpe(ds, num_merges: int, text_col: str = "text",
     so the table is re-materialized only every few rounds), one
     pair-bucket shuffle, <= num_buckets candidate rows to the driver.
     Both paths share the contract bit-exactly (equality pytest)."""
-    from .dedup import coarse_bucket
+    from ..core.exchange import exchange
 
     wf = word_freqs(ds, text_col=text_col, num_buckets=num_buckets)
 
@@ -189,11 +181,6 @@ def train_bpe(ds, num_merges: int, text_col: str = "text",
         return _merges_df([])
     if n_vocab <= driver_vocab_threshold:
         return _train_driver(words.to_pandas(), num_merges)
-
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["lhs", "rhs"], num_buckets)
-        return df
 
     def _bucket_top1(df: pd.DataFrame) -> pd.DataFrame:
         totals = df.groupby(["lhs", "rhs"], as_index=False)["n"].sum()
@@ -217,11 +204,11 @@ def train_bpe(ds, num_merges: int, text_col: str = "text",
         if pending:
             stage = stage.map_batches(
                 _apply_many(list(pending)), batch_format="pandas")
-        cands = (
-            stage.map_batches(_pair_partials, batch_format="pandas")
-            .map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_bucket_top1, batch_format="pandas")
+        cands = exchange(
+            stage.map_batches(_pair_partials, batch_format="pandas"),
+            ["lhs", "rhs"], _bucket_top1,
+            pa.schema({"lhs": pa.string(), "rhs": pa.string(),
+                       "n": pa.int64()}), num_buckets,
         ).to_pandas()  # <= num_buckets rows by construction
         if not len(cands):
             break

@@ -136,8 +136,10 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
     partition compares ids as float64; the order-defining sort is
     exact — float rounding near a bound only shifts which range a
     doc lands in, monotonically, never the global order)."""
+    import pyarrow as pa
+
+    from ..core.exchange import bucketed_group_apply
     from .agg import approx_quantiles, grouped_agg_small
-    from .dedup import bucketed_group_apply
 
     def _slim(df: pd.DataFrame) -> pd.DataFrame:
         from .textstats import whitespace_token_counts
@@ -175,17 +177,6 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
     offsets = dict(zip(totals["_range"].astype(int), run.astype(int)))
 
     def _spans(group: pd.DataFrame) -> pd.DataFrame:
-        def _empty():
-            return pd.DataFrame(
-                {id_col: group[id_col].iloc[:0],
-                 "seq_id": pd.Series([], dtype="int64"),
-                 "n_tokens": pd.Series([], dtype="int64")}
-            )
-
-        # bucketed_group_apply probes with a ZERO-ROW frame when every
-        # group in a bucket returned empty — answer with the schema
-        if not len(group):
-            return _empty()
         g = group.sort_values(id_col, ignore_index=True)
         n = g["n_tokens"].to_numpy()
         start = offsets[int(g["_range"].iloc[0])] + np.concatenate(
@@ -193,8 +184,6 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
         )
         nz = n > 0
         n, start, ids = n[nz], start[nz], g[id_col].to_numpy()[nz]
-        if not len(n):
-            return _empty()
         s0 = start // seq_len
         s1 = (start + n - 1) // seq_len
         reps = (s1 - s0 + 1).astype(np.int64)
@@ -214,5 +203,8 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
         )
 
     return bucketed_group_apply(
-        ranged, ["_range"], _spans, num_buckets=min(num_ranges, 64)
-    )
+        ranged, ["_range"], _spans,
+        lambda sch: pa.schema([sch.field(id_col),
+                               pa.field("seq_id", pa.int64()),
+                               pa.field("n_tokens", pa.int64())]),
+        min(num_ranges, 64))

@@ -12,7 +12,9 @@ cluster machinery (ops/dedup.minhash_dedup).
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
+from ..core.exchange import exchange, spread_key
 from .textstats import normalize_text, token_stats
 
 __all__ = ["curate_documents"]
@@ -72,31 +74,24 @@ def curate_documents(ds, *, text_col="text", id_col="doc_id", lang_col="lang",
     # distinct content; fingerprint-bucketed shuffle, never the text)
     def _local(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            df = df.copy()
-            df["_fp"] = pd.Series([], dtype="int64")
-            df["_cbucket"] = pd.Series([], dtype="int32")
-            return df
-        out = df.loc[df.groupby(out_text)[id_col].idxmin()].copy()
-        fp = pd.util.hash_pandas_object(out[out_text], index=False).to_numpy()
-        out["_fp"] = fp.astype("int64")
-        out["_cbucket"] = (fp % num_buckets).astype("int32")
-        return out
+            return df.assign(_fp=pd.Series([], dtype="int64"))
+        out = df.loc[df.groupby(out_text)[id_col].idxmin()]
+        return out.assign(_fp=pd.util.hash_pandas_object(
+            out[out_text], index=False).to_numpy().astype("int64"))
 
     def _bucket_dedup(group: pd.DataFrame) -> pd.DataFrame:
         return group.loc[
             group.groupby(["_fp", out_text], sort=False)[id_col].idxmin(), cols
         ]
 
-    deduped = (
-        filtered.map_batches(_local, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_bucket_dedup, batch_format="pandas")
-    )
+    def _cols_of(sch, *_):
+        return pa.schema([sch.field(c) for c in cols])
+
+    deduped = exchange(filtered.map_batches(_local, batch_format="pandas"),
+                       "_fp", _bucket_dedup, _cols_of, num_buckets)
 
     if near_dedup:
-        import numpy as np
-
-        from .dedup import _int_bucket, minhash_dedup
+        from .dedup import minhash_dedup
 
         # the lazy deduped dataset is consumed three times below
         # (candidate pairs, cluster assignment, keep_rows) — pin it
@@ -110,39 +105,19 @@ def curate_documents(ds, *, text_col="text", id_col="doc_id", lang_col="lang",
         )
         # non-representatives (cluster label = min member id) form the
         # DROP set; anti-join it onto the full rows by one id-keyed
-        # bucket merge, so neither side is ever broadcast
+        # exchange, so neither side is ever broadcast
         drops = clusters.map_batches(
-            lambda df: df.loc[df[id_col] != df["cluster"], [id_col]].assign(
-                _kind=np.int8(1)
-            ),
+            lambda df: df.loc[df[id_col] != df["cluster"], [id_col]],
             batch_format="pandas",
         )
-        keep_rows = deduped.map_batches(
-            lambda df: df.assign(_kind=np.int8(0)), batch_format="pandas"
-        )
 
-        def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_cbucket"] = _int_bucket(
-                df[id_col].to_numpy().astype("int64"), num_buckets
-            )
-            return df
+        def _anti(keep: pd.DataFrame, drop: pd.DataFrame) -> pd.DataFrame:
+            if len(keep) and len(drop):
+                return keep[~keep[id_col].isin(set(drop[id_col]))]
+            return keep
 
-        def _anti(bucket: pd.DataFrame) -> pd.DataFrame:
-            if id_col not in bucket.columns or not len(bucket):
-                return pd.DataFrame({c: [] for c in cols})
-            dropset = set(bucket.loc[bucket["_kind"] == 1, id_col])
-            keep = bucket[bucket["_kind"] == 0]
-            if dropset:
-                keep = keep[~keep[id_col].isin(dropset)]
-            return keep[cols]
-
-        deduped = (
-            keep_rows.union(drops)
-            .map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_anti, batch_format="pandas")
-        )
+        deduped = exchange([deduped, drops], id_col, _anti,
+                           deduped.schema().base_schema, num_buckets)
 
     if out_path:
         deduped.write_parquet(out_path, partition_cols=[lang_col])
@@ -172,12 +147,12 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
     Distributed shape (nothing corpus-sized driver-side, no broadcast):
 
     1. per-batch (token, ct, cs) count partials merge on ONE
-       token-keyed coarse-bucket shuffle -> the vocab table;
+       token-keyed exchange -> the vocab table;
        T_t / T_s / V reduce to THREE driver scalars;
     2. doc-token rows and vocab rows meet on a second token-keyed
-       tagged-union shuffle where each doc-token row picks up its
+       two-input exchange where each doc-token row picks up its
        ``m * (ln p_t - ln p_s)`` term;
-    3. a doc-keyed bucket sum (with per-doc anchors, so token-less
+    3. a doc-keyed exchange sum (with per-doc anchors, so token-less
        documents still emit a row) finalizes
        ``(id_col, n_tokens, log_ratio)``.
 
@@ -187,7 +162,6 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
     """
     import numpy as np
 
-    from .dedup import coarse_bucket
     from .lm import _doc_token_counts, _round6
 
     def _partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -211,28 +185,15 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
         }).groupby("token", as_index=False, sort=False).sum()
         return g
 
-    def _tb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["token"], num_buckets)
-        return df
-
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "token" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({
-                "token": pd.Series([], dtype=object),
-                "ct": pd.Series([], dtype="int64"),
-                "cs": pd.Series([], dtype="int64")})
-        g = bucket.groupby("token", as_index=False, sort=False)[
+        return bucket.groupby("token", as_index=False, sort=False)[
             ["ct", "cs"]].sum()
-        return g
 
-    cnt = (
-        ds.map_batches(_partials, batch_format="pandas")
-        .map_batches(_tb, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-        .materialize()
-    )
+    cnt = exchange(
+        ds.map_batches(_partials, batch_format="pandas"), "token", _merge,
+        pa.schema({"token": pa.string(), "ct": pa.int64(), "cs": pa.int64()}),
+        num_buckets,
+    ).materialize()
     scal = cnt.map_batches(
         lambda df: pd.DataFrame({
             "tt": [int(df["ct"].sum())], "ts": [int(df["cs"].sum())],
@@ -242,72 +203,32 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
     Tt, Ts, V = (int(scal["sum(tt)"]), int(scal["sum(ts)"]),
                  int(scal["sum(v)"]))
 
-    # pass 2: tagged union on the token key — kind 0 vocab rows carry
-    # (ct, cs); kind 1 doc rows carry (doc, m); kind 2 per-doc anchors
-    # ride the DOC key hash so token-less docs surface in pass 3
-    def _tag_docs(df: pd.DataFrame) -> pd.DataFrame:
+    # pass 2: token-keyed exchange of per-doc token counts against the
+    # vocab rows (ct, cs); per-doc anchors (m=0) key by doc id so
+    # token-less docs surface in pass 3
+    def _doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         dtc = _doc_token_counts(df, id_col, text_col)
-        out = pd.DataFrame({
-            "token": dtc["token"], "_kind": np.int8(1),
-            id_col: dtc[id_col].to_numpy(), "m": dtc["m"].to_numpy(),
-            "ct": np.int64(0), "cs": np.int64(0), "_lr": 0.0})
         anchors = pd.DataFrame({
-            "token": df[id_col].astype(str).to_numpy(),
-            "_kind": np.int8(2), id_col: df[id_col].to_numpy(),
-            "m": np.int64(0), "ct": np.int64(0), "cs": np.int64(0),
-            "_lr": 0.0})
-        return pd.concat([out, anchors], ignore_index=True)
+            id_col: df[id_col].to_numpy(), "token": "", "m": np.int64(0)})
+        out = pd.concat([dtc, anchors], ignore_index=True)
+        return out.assign(
+            _k=spread_key(out, "token", out["m"].to_numpy() == 0, id_col))
 
-    def _tag_cnt(df: pd.DataFrame) -> pd.DataFrame:
-        if "token" not in df.columns or not len(df):
-            df = pd.DataFrame({
-                "token": pd.Series([], dtype=object),
-                "ct": pd.Series([], dtype="int64"),
-                "cs": pd.Series([], dtype="int64")})
-        return pd.DataFrame({
-            "token": df["token"], "_kind": np.int8(0),
-            id_col: np.int64(0), "m": np.int64(0),
-            "ct": df["ct"].to_numpy(), "cs": df["cs"].to_numpy(),
-            "_lr": 0.0})
-
-    def _attach(bucket: pd.DataFrame) -> pd.DataFrame:
-        cols = ["token", "_kind", id_col, "m", "ct", "cs", "_lr"]
-        if "_kind" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({c: pd.Series([], dtype=object) if c ==
-                                 "token" else pd.Series([], dtype="int64")
-                                 for c in cols[:-1]} | {
-                                     "_lr": pd.Series([], dtype="float64")})
-        vocab = bucket[bucket["_kind"] == 0]
-        docs = bucket[bucket["_kind"] == 1]
-        anchors = bucket[bucket["_kind"] == 2]
-        if len(docs):
-            lut_t = pd.Series(vocab["ct"].to_numpy(),
-                              index=vocab["token"]).reindex(docs["token"])
-            lut_s = pd.Series(vocab["cs"].to_numpy(),
-                              index=vocab["token"]).reindex(docs["token"])
-            ct = lut_t.fillna(0).to_numpy(dtype="float64")
-            cs = lut_s.fillna(0).to_numpy(dtype="float64")
-            lr = (np.log((ct + 1.0) / float(Tt + V))
-                  - np.log((cs + 1.0) / float(Ts + V)))
-            docs = docs.copy()
-            docs["_lr"] = docs["m"].to_numpy() * lr
-        return pd.concat([docs, anchors], ignore_index=True)[cols]
-
-    def _db(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        # anchors already carry their doc id in `token`; doc rows
-        # rebucket by doc id so one group sees a whole document
-        df["_dkey"] = df[id_col].astype(str)
-        df["_cbucket"] = coarse_bucket(df, ["_dkey"], num_buckets)
-        return df.drop(columns=["_dkey"])
+    def _attach(docs: pd.DataFrame, vocab: pd.DataFrame) -> pd.DataFrame:
+        if not len(docs):
+            return None
+        if len(vocab):
+            ct = (pd.Series(vocab["ct"].to_numpy(), index=vocab["token"])
+                  .reindex(docs["token"]).fillna(0).to_numpy(dtype="float64"))
+            cs = (pd.Series(vocab["cs"].to_numpy(), index=vocab["token"])
+                  .reindex(docs["token"]).fillna(0).to_numpy(dtype="float64"))
+        else:
+            ct = cs = np.zeros(len(docs))
+        lr = (np.log((ct + 1.0) / float(Tt + V))
+              - np.log((cs + 1.0) / float(Ts + V)))
+        return docs.assign(_lr=docs["m"].to_numpy() * lr)
 
     def _finalize(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            id_col: pd.Series([], dtype="int64"),
-            "n_tokens": pd.Series([], dtype="int64"),
-            "log_ratio": pd.Series([], dtype="float64")})
-        if id_col not in bucket.columns or not len(bucket):
-            return empty
         g = bucket.groupby(id_col, as_index=False, sort=False).agg(
             n_tokens=("m", "sum"), slr=("_lr", "sum"))
         n = g["n_tokens"].to_numpy(dtype="float64")
@@ -318,15 +239,12 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
                 n > 0, g["slr"].to_numpy() / np.maximum(n, 1.0), 0.0)),
         })
 
-    tagged = (
-        ds.map_batches(_tag_docs, batch_format="pandas")
-        .union(cnt.map_batches(_tag_cnt, batch_format="pandas"))
-        .map_batches(_tb, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_attach, batch_format="pandas")
-    )
-    return (
-        tagged.map_batches(_db, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_finalize, batch_format="pandas")
-    )
+    attached = exchange(
+        [ds.map_batches(_doc_rows, batch_format="pandas"), cnt],
+        [["_k"], ["token"]], _attach,
+        pa.schema({id_col: pa.int64(), "m": pa.int64(), "_lr": pa.float64()}),
+        num_buckets)
+    return exchange(
+        attached, id_col, _finalize,
+        pa.schema({id_col: pa.int64(), "n_tokens": pa.int64(),
+                   "log_ratio": pa.float64()}), num_buckets)

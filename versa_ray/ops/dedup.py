@@ -1,23 +1,31 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram
 Jaccard, embedding-cosine near-dup.
 
-Shuffle discipline (the part that matters at 100 TB):
+Shuffle discipline (the part that matters at 100 TB): every wide
+step is one ``core.exchange`` — rows hash to a small int bucket of
+their key, one groupby on the bucket, and the per-key work runs as a
+vectorized pandas pass (or a local groupby loop) inside the bucket.
 
-* exact        — per-batch pre-dedup, then ONE groupby on the content
-                 key (combiner pattern; skew-free because keys are
-                 hashes).
+* exact        — per-batch pre-dedup (combiner), then ONE exchange on
+                 the 64-bit content fingerprint; the bucket re-checks
+                 (fingerprint, content) so collisions never merge.
 * minhash-LSH  — signatures are computed vectorized per batch (numpy,
                  one pass over hashed shingles), exploded to
                  (band, band_hash) rows, and candidates emerge from a
-                 groupby on the band bucket — signatures travel WITH
-                 the bucket rows so verification happens inside
-                 map_groups, no second join.
+                 per-key exchange on the band key — signatures travel
+                 WITH the rows so verification happens inside the
+                 bucket, no second join.
 * simhash      — 64-bit signature, banded into 4×16-bit chunks for
                  bucketing (Hamming ≤3 guaranteed to collide in ≥1
                  chunk by pigeonhole).
 * embedding    — random-hyperplane LSH buckets, in-bucket cosine
                  verify (the scale path for ANN; brute force lives in
                  ops.similarity).
+
+The incremental dedup state is Hive-partitioned on disk by
+``_stable_int_bucket`` (and the exact path by fingerprint mod N);
+those partition hashes define persisted layout and are not the
+in-flight exchange hash.
 
 Cluster assembly uses union-find on the verified pair list — pairs
 are the small output of verification, not the corpus; for corpora
@@ -30,6 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import bucketed_group_apply, distinct_rows, exchange
 
 _MERSENNE = (1 << 61) - 1
 _MINHASHER_CACHE: dict = {}
@@ -49,94 +60,16 @@ def _empty_pairs(extra_col=None, extra_dtype="float64"):
     return pd.DataFrame(cols)
 
 
-def coarse_bucket(df: "pd.DataFrame", cols, num_buckets: int) -> "np.ndarray":
-    """Coarse hash bucket of key columns, dtype-NORMALIZED (integer
-    kinds -> int64) so two datasets hashed separately before a union
-    bucket identically regardless of physical integer width —
-    hash_pandas_object is dtype-sensitive, and mis-bucketed keys in a
-    tagged join silently never co-locate."""
-    key = df[list(cols)]
-    norm = {}
-    for c in key.columns:
-        if key[c].dtype.kind in "iu" and key[c].dtype != np.int64:
-            norm[c] = key[c].astype("int64")
-    if norm:
-        key = key.assign(**norm)
-    return (
-        pd.util.hash_pandas_object(key, index=False) % num_buckets
-    ).astype("int32").to_numpy()
+_PAIRS = pa.schema({"id_a": pa.int64(), "id_b": pa.int64()})
 
 
-def bucketed_group_apply(ds, keys, fn, num_buckets=64, out_schema=None,
-                         min_group_size=1):
-    """groupby(keys) + per-group function, shuffled on a COARSE hash
-    bucket of the keys instead of the keys themselves.
-
-    Ray's groupby pays ~ms of task overhead per group; with
-    high-cardinality keys (LSH buckets, user ids, content hashes) that
-    dominates wall time. Hashing the keys into `num_buckets` balanced
-    buckets keeps the shuffle group count tiny and pays the per-group
-    Python inside the bucket task (a local pandas groupby loop).
-
-    ``min_group_size``: groups smaller than this are dropped with one
-    VECTORIZED size filter before the per-group loop — pair-generating
-    callers (LSH buckets are overwhelmingly singletons) skip the
-    Python loop for the long tail entirely.
-
-    fn: group DataFrame -> DataFrame (may be empty).
-    """
-    import pyarrow as _pa
-
-    keys = list(keys)
-
-    def _bucket(df: pd.DataFrame) -> "pd.DataFrame":
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, keys, num_buckets)
-        return _pa.Table.from_pandas(df, preserve_index=False)
-
-    def _apply(bucket_df: pd.DataFrame) -> pd.DataFrame:
-        work_df = bucket_df
-        if min_group_size > 1 and len(work_df):
-            sizes = work_df.groupby(keys, sort=False)[keys[0]].transform("size")
-            work_df = work_df[sizes >= min_group_size]
-        outs = []
-        for _, group in work_df.groupby(keys, sort=False):
-            res = fn(group.drop(columns=["_cbucket"]))
-            if res is not None and len(res):
-                outs.append(res)
-        if not outs:
-            # empty frame with the right columns if we can know them
-            probe = fn(bucket_df.drop(columns=["_cbucket"]).iloc[0:0])
-            return probe if probe is not None else pd.DataFrame()
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        ds.map_batches(_bucket, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_apply, batch_format="pandas")
-    )
+def _pair_schema(extra_col=None, extra_type=pa.float64()):
+    """Schema of a pair Dataset: (id_a, id_b[, extra_col])."""
+    return _PAIRS.append(pa.field(extra_col, extra_type)) if extra_col else _PAIRS
 
 
-def dedup_rows(ds, subset, num_buckets=64):
-    """Distributed drop_duplicates(subset) via coarse-bucket shuffle."""
-    import pyarrow as _pa
-
-    def _local(df: pd.DataFrame) -> "object":
-        df = df.drop_duplicates(subset=subset).copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df[subset], index=False)
-            % num_buckets
-        ).astype("int32")
-        return _pa.Table.from_pandas(df, preserve_index=False)
-
-    def _bucket_dedup(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates(subset=subset).drop(columns=["_cbucket"])
-
-    return (
-        ds.map_batches(_local, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_bucket_dedup, batch_format="pandas")
-    )
+def _distinct_pairs(pairs, extra_col=None):
+    return distinct_rows(pairs, ["id_a", "id_b"], _pair_schema(extra_col))
 
 
 def _hash_words(words):
@@ -216,27 +149,22 @@ def exact_dedup(ds, key: str = "text", id_col: str = "doc_id", num_buckets=64):
     scale-killer. Local pre-dedup (combiner) -> bucket shuffle ->
     per-bucket groupby on (fingerprint, key) so hash collisions can
     never merge distinct contents."""
-    import pyarrow as pa
 
-    def _local(df: pd.DataFrame) -> pa.Table:
-        out = df.loc[df.groupby(key)[id_col].idxmin(), [id_col, key]].copy()
-        fp = pd.util.hash_pandas_object(out[key], index=False).to_numpy()
-        out["_fp"] = fp.astype("int64")
-        out["_cbucket"] = (fp % num_buckets).astype("int32")
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def _local(df: pd.DataFrame) -> pd.DataFrame:
+        out = df.loc[df.groupby(key)[id_col].idxmin(), [id_col, key]]
+        return out.assign(_fp=pd.util.hash_pandas_object(
+            out[key], index=False).to_numpy().astype("int64"))
 
-    def _bucket_dedup(group: pd.DataFrame) -> pa.Table:
-        out = group.loc[
+    def _bucket_dedup(group: pd.DataFrame) -> pd.DataFrame:
+        return group.loc[
             group.groupby(["_fp", key], sort=False)[id_col].idxmin(),
             [id_col, key],
         ]
-        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        ds.map_batches(_local, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_bucket_dedup, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_local, batch_format="pandas"), "_fp", _bucket_dedup,
+        lambda sch: pa.schema([sch.field(id_col), sch.field(key)]),
+        num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +355,10 @@ def minhash_candidate_pairs(ds, num_perm=64, bands=16, k=3, threshold=0.5,
     # duplicate edges (cluster assembly: min-label propagation is
     # idempotent) pass dedup=False and save a shuffle.
     pairs = bucketed_group_apply(
-        sigs, ["band", "band_hash"], _bucket_pairs, min_group_size=2
+        sigs, ["band", "band_hash"], _bucket_pairs,
+        _pair_schema("est_jaccard"), min_group_size=2
     )
-    return dedup_rows(pairs, ["id_a", "id_b"]) if dedup else pairs
+    return _distinct_pairs(pairs, "est_jaccard") if dedup else pairs
 
 
 def cluster_pairs(pair_rows, ids=None) -> dict:
@@ -461,42 +390,20 @@ def cluster_pairs(pair_rows, ids=None) -> dict:
     return out
 
 
-def _norm_cols(colspec: dict):
-    """Schema normalizer: Ray groupby().aggregate() emits column-less
-    EMPTY blocks for empty partitions, which break downstream Arrow
-    joins ("no match for key field"). Reindex every batch to the
-    expected (name -> numpy dtype) schema."""
-
-    def _fix(df: pd.DataFrame) -> pd.DataFrame:
-        out = {}
-        for name, dt in colspec.items():
-            if name in df.columns:
-                out[name] = df[name].to_numpy().astype(dt, copy=False)
-            else:
-                out[name] = np.empty(len(df), dtype=dt)
-        return pd.DataFrame(out)
-
-    return _fix
-
-
-def _num_partitions(default=8):
-    import ray
-
-    try:
-        return max(default, int(ray.cluster_resources().get("CPU", default)) // 2)
-    except Exception:
-        return default
-
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _int_bucket(key_np: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Balanced bucket assignment for int64 keys (multiplicative hash;
-    sequential ids stay balanced even when num_buckets shares factors
-    with the id stride)."""
+def _stable_int_bucket(key_np: np.ndarray, num_buckets: int) -> np.ndarray:
+    """PERSISTED partition of int64 keys in the incremental dedup state
+    (``bands/bucket=N``, ``sigs/bucket=N``): a multiplicative hash that
+    stays balanced on sequential ids. It defines on-disk layout and so
+    must not change; in-flight shuffles use ``core.exchange``."""
     h = key_np.astype(np.uint64) * _GOLDEN
     return ((h >> np.uint64(33)) % np.uint64(num_buckets)).astype(np.int32)
+
+
+_WORK = pa.schema({"key": pa.int64(), "kind": pa.int8(), "a": pa.int64(),
+                   "c": pa.int8()})
 
 
 def _work_frame(key, kind, a, c=None) -> pd.DataFrame:
@@ -509,35 +416,6 @@ def _work_frame(key, kind, a, c=None) -> pd.DataFrame:
             "c": np.zeros(n, dtype=np.int8) if c is None
             else np.asarray(c, dtype=np.int8),
         }
-    )
-
-
-def _bucket_shuffle(ds, fn, num_buckets):
-    """Coarse-bucket shuffle of the (key,kind,a,c) working set: shuffle
-    key is a small int bucket (same per-group-overhead discipline as
-    distinct_links), per-bucket work is one vectorized pandas call.
-    Blocks entering the shuffle are Arrow (pandas blocks make Ray's
-    sort path ~20x slower — BASELINE.md)."""
-    import pyarrow as _pa
-
-    def _bucketize(df: pd.DataFrame) -> "_pa.Table":
-        if "key" not in df.columns or not len(df):
-            out = _work_frame([], 0, [])
-            out["_cbucket"] = np.empty(0, dtype=np.int32)
-            return _pa.Table.from_pandas(out, preserve_index=False)
-        df = df.copy()
-        df["_cbucket"] = _int_bucket(df["key"].to_numpy(), num_buckets)
-        return _pa.Table.from_pandas(df, preserve_index=False)
-
-    def _apply(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in bucket.columns or not len(bucket):
-            return _work_frame([], 0, [])
-        return fn(bucket.drop(columns=["_cbucket"]))
-
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_apply, batch_format="pandas")
     )
 
 
@@ -565,14 +443,7 @@ def cluster_pairs_ds(pairs, max_iters=50, num_buckets=None):
     The distributed form of the reference's dedup semantics
     (/root/reference/tools/py/util.py:209-223) extended to near-dup
     clusters."""
-    import ray
     import ray.data as rd
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(32, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_buckets = 32
 
     def _init(df: pd.DataFrame) -> pd.DataFrame:
         if "id_a" not in df.columns or not len(df):
@@ -622,15 +493,12 @@ def cluster_pairs_ds(pairs, max_iters=50, num_buckets=None):
 
     work = pairs.map_batches(_init, batch_format="pandas")
     for it in range(max_iters):
-        work = _bucket_shuffle(work, _step, num_buckets).materialize()
+        work = exchange(work, "key", _step, _WORK, num_buckets).materialize()
         if it == 0:
             if work.count() == 0:
-                import pyarrow as _pa
-
-                return rd.from_arrow(
-                    _pa.table({"node": _pa.array([], type=_pa.int64()),
-                               "label": _pa.array([], type=_pa.int64())})
-                )
+                return rd.from_arrow(pa.table(
+                    {"node": pa.array([], type=pa.int64()),
+                     "label": pa.array([], type=pa.int64())}))
             continue  # round 0 only seeds messages; no change signal yet
         if not work.sum("c"):  # c nonzero only on changed label rows
             break
@@ -658,12 +526,6 @@ def assign_clusters(ds, pairs, id_col="doc_id", num_buckets=None,
     way. Nothing corpus-cardinality ever touches the driver."""
     import ray
 
-    if num_buckets is None:
-        try:
-            num_buckets = max(32, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_buckets = 32
-
     pairs = pairs.materialize()
     if pairs.count() <= broadcast_threshold:
         from ..core.dsutil import rows_of
@@ -688,47 +550,21 @@ def assign_clusters(ds, pairs, id_col="doc_id", num_buckets=None,
 
     labels = cluster_pairs_ds(pairs, num_buckets=num_buckets)
 
-    def _corpus_rows(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy().astype(np.int64)
-        return _work_frame(ids, 0, ids)
+    def _merge(corpus: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        if not len(corpus):
+            return None
+        ids = corpus[[id_col]].astype(np.int64)
+        if not len(lab):
+            return ids.assign(cluster=ids[id_col])
+        lab = lab.drop_duplicates("node").rename(
+            columns={"node": id_col, "label": "cluster"})
+        out = ids.merge(lab, on=id_col, how="left")
+        return out.assign(
+            cluster=out["cluster"].fillna(out[id_col]).astype(np.int64))
 
-    def _label_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in df.columns or not len(df):
-            return _work_frame([], 1, [])
-        return _work_frame(df["node"].to_numpy(), 1, df["label"].to_numpy())
-
-    both = ds.select_columns([id_col]).map_batches(
-        _corpus_rows, batch_format="pandas"
-    ).union(labels.map_batches(_label_rows, batch_format="pandas"))
-
-    def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
-        corpus = bucket[bucket["kind"] == 0]
-        lab = bucket[bucket["kind"] == 1][["key", "a"]].rename(
-            columns={"a": "_label"}
-        ).drop_duplicates("key")
-        out = corpus[["key"]].merge(lab, on="key", how="left")
-        cluster = out["_label"].fillna(out["key"]).astype(np.int64)
-        return pd.DataFrame(
-            {id_col: out["key"].to_numpy(), "cluster": cluster.to_numpy()}
-        )
-
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = _int_bucket(df["key"].to_numpy(), num_buckets)
-        return df
-
-    def _apply(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in bucket.columns or not len(bucket):
-            return pd.DataFrame(
-                {id_col: np.empty(0, np.int64), "cluster": np.empty(0, np.int64)}
-            )
-        return _merge(bucket.drop(columns=["_cbucket"]))
-
-    return (
-        both.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_apply, batch_format="pandas")
-    )
+    return exchange(
+        [ds.select_columns([id_col]), labels], [[id_col], ["node"]], _merge,
+        pa.schema({id_col: pa.int64(), "cluster": pa.int64()}), num_buckets)
 
 
 def verified_near_dup_pairs(ds, threshold=0.5, est_threshold=0.35, k=3,
@@ -762,122 +598,85 @@ def verify_pairs_jaccard_ds(ds, pairs, threshold=0.5, k=3, text_col="text",
     corpus bucket-merge pass (each pair emits two endpoint-keyed
     rows), then a pair-sized shuffle joins both texts and computes the
     exact word-k-shingle Jaccard."""
-    import pyarrow as _pa
 
-    def _corpus_rows(df: pd.DataFrame) -> _pa.Table:
+    def _texts(corpus: pd.DataFrame):
+        return corpus[text_col].fillna("").astype(str).to_numpy()
+
+    def _jaccard(ta, tb):
+        return np.fromiter((ngram_jaccard(x, y, k) for x, y in zip(ta, tb)),
+                           dtype=np.float64, count=len(ta))
+
+    attached = _attach_endpoints(ds.select_columns([id_col, text_col]), pairs,
+                                 id_col, _texts, pa.string(), num_buckets)
+    return _verify_pairs(attached, _jaccard, "jaccard", threshold, num_buckets)
+
+
+def _attach_endpoints(ds, pairs, id_col, payload, pay_type, num_buckets):
+    """(id_a, id_b, side, pay) rows: each candidate pair's endpoint
+    payloads (``payload(corpus_frame)``), attached in ONE corpus
+    exchange — every pair emits two rows, keyed by each endpoint."""
+
+    def _pair_rows(df: pd.DataFrame) -> pd.DataFrame:
+        a = df["id_a"].to_numpy().astype(np.int64)
+        b = df["id_b"].to_numpy().astype(np.int64)
         n = len(df)
-        out = pd.DataFrame(
-            {
-                "key": df[id_col].to_numpy().astype(np.int64),
-                "other": np.zeros(n, dtype=np.int64),
-                "kind": np.zeros(n, dtype=np.int8),
-                "side": np.zeros(n, dtype=np.int8),
-                "txt": df[text_col].fillna("").astype(str).to_numpy(),
-            }
-        )
-        out["_cbucket"] = _int_bucket(out["key"].to_numpy(), num_buckets)
-        return _pa.Table.from_pandas(out, preserve_index=False)
+        return pd.DataFrame({
+            "key": np.concatenate([a, b]),
+            "other": np.concatenate([b, a]),
+            "side": np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
+        })
 
-    def _pair_rows(df: pd.DataFrame) -> _pa.Table:
-        # each pair emits TWO rows, keyed by each endpoint, so both
-        # texts attach in the SAME corpus shuffle (one pass, not two)
-        if "id_a" not in df.columns or not len(df):
-            out = pd.DataFrame(
-                {"key": np.empty(0, np.int64), "other": np.empty(0, np.int64),
-                 "kind": np.empty(0, np.int8), "side": np.empty(0, np.int8),
-                 "txt": np.empty(0, object)}
-            )
-        else:
-            a = df["id_a"].to_numpy().astype(np.int64)
-            b = df["id_b"].to_numpy().astype(np.int64)
-            n = len(df)
-            out = pd.DataFrame(
-                {
-                    "key": np.concatenate([a, b]),
-                    "other": np.concatenate([b, a]),
-                    "kind": np.ones(2 * n, dtype=np.int8),
-                    "side": np.concatenate(
-                        [np.zeros(n, np.int8), np.ones(n, np.int8)]
-                    ),
-                    "txt": np.full(2 * n, "", dtype=object),
-                }
-            )
-        out["_cbucket"] = (
-            _int_bucket(out["key"].to_numpy(), num_buckets)
-            if len(out) else np.empty(0, np.int32)
-        )
-        return _pa.Table.from_pandas(out, preserve_index=False)
-
-    def _attach(bucket: pd.DataFrame) -> _pa.Table:
-        # attach each endpoint's text; re-key rows onto the PAIR
-        empty = pd.DataFrame(
-            {"id_a": np.empty(0, np.int64), "id_b": np.empty(0, np.int64),
-             "side": np.empty(0, np.int8), "txt": np.empty(0, object),
-             "_pbucket": np.empty(0, np.int32)}
-        )
-        if "key" not in bucket.columns or not len(bucket):
-            return _pa.Table.from_pandas(empty, preserve_index=False)
-        corpus = bucket[bucket["kind"] == 0][["key", "txt"]].drop_duplicates("key")
+    def _attach(corpus: pd.DataFrame, prs: pd.DataFrame) -> pd.DataFrame:
+        if not len(corpus) or not len(prs):
+            return None
+        corpus = pd.DataFrame({
+            "key": corpus[id_col].to_numpy().astype(np.int64),
+            "_p": payload(corpus),
+        }).drop_duplicates("key")
         # every copy of a duplicate candidate pair lands in this bucket
         # (endpoint-keyed), so deduping here lets callers skip a whole
-        # dedup_rows sort shuffle on the pair set
-        prs = bucket[bucket["kind"] == 1].drop_duplicates(
-            ["key", "other", "side"])
-        if not len(prs) or not len(corpus):
-            return _pa.Table.from_pandas(empty, preserve_index=False)
-        m = prs[["key", "other", "side"]].merge(
-            corpus.rename(columns={"txt": "_t"}), on="key", how="inner"
-        )
+        # pair-dedup shuffle
+        m = prs.drop_duplicates(["key", "other", "side"]).merge(
+            corpus, on="key", how="inner")
         side = m["side"].to_numpy()
         key = m["key"].to_numpy()
         other = m["other"].to_numpy()
-        out = pd.DataFrame(
-            {
-                "id_a": np.where(side == 0, key, other),
-                "id_b": np.where(side == 0, other, key),
-                "side": side,
-                "txt": m["_t"].to_numpy(),
-            }
-        )
-        out["_pbucket"] = (
-            pd.util.hash_pandas_object(out[["id_a", "id_b"]], index=False)
-            % num_buckets
-        ).astype("int32")
-        return _pa.Table.from_pandas(out, preserve_index=False)
+        return pd.DataFrame({
+            "id_a": np.where(side == 0, key, other),
+            "id_b": np.where(side == 0, other, key),
+            "side": side,
+            "pay": m["_p"].to_numpy(),
+        })
+
+    return exchange(
+        [ds, pairs.map_batches(_pair_rows, batch_format="pandas")],
+        [[id_col], ["key"]], _attach,
+        _PAIRS.append(pa.field("side", pa.int8())).append(
+            pa.field("pay", pay_type)), num_buckets)
+
+
+def _verify_pairs(attached, score, col, threshold, num_buckets):
+    """Pair-sized exchange joining both endpoint payloads of each pair
+    and keeping pairs with ``score(pay_a, pay_b) >= threshold``."""
 
     def _verify(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "id_a" not in bucket.columns or not len(bucket):
-            return _empty_pairs("jaccard")
-        lhs = bucket[bucket["side"] == 0][["id_a", "id_b", "txt"]]
-        rhs = bucket[bucket["side"] == 1][["id_a", "id_b", "txt"]].rename(
-            columns={"txt": "_t"}
+        lhs = bucket[bucket["side"] == 0][["id_a", "id_b", "pay"]]
+        rhs = bucket[bucket["side"] == 1][["id_a", "id_b", "pay"]].rename(
+            columns={"pay": "_p"}
         )
         m = lhs.merge(rhs, on=["id_a", "id_b"], how="inner")
         if not len(m):
-            return _empty_pairs("jaccard")
-        ja = np.fromiter(
-            (ngram_jaccard(ta, tb, k) for ta, tb in zip(m["txt"], m["_t"])),
-            dtype=np.float64, count=len(m),
-        )
-        keep = ja >= threshold
-        return pd.DataFrame(
-            {
-                "id_a": m["id_a"].to_numpy()[keep],
-                "id_b": m["id_b"].to_numpy()[keep],
-                "jaccard": ja[keep],
-            }
-        )
+            return None
+        sc = score(m["pay"].to_numpy(), m["_p"].to_numpy())
+        keep = sc >= threshold
+        return pd.DataFrame({
+            "id_a": m["id_a"].to_numpy()[keep],
+            "id_b": m["id_b"].to_numpy()[keep],
+            col: sc[keep],
+        })
 
-    both = ds.map_batches(_corpus_rows, batch_format="pandas").union(
-        pairs.map_batches(_pair_rows, batch_format="pandas")
-    )
-    attached = both.groupby("_cbucket").map_groups(
-        _attach, batch_format="pandas"
-    )
-    # second shuffle is PAIR-sized (texts of candidate pairs only)
-    return attached.groupby("_pbucket").map_groups(
-        _verify, batch_format="pandas"
-    )
+    return exchange(attached, ["id_a", "id_b"], _verify, _pair_schema(col),
+                    num_buckets)
 
 
 def minhash_dedup(ds, text_col="text", id_col="doc_id", threshold=0.5, **kw):
@@ -939,11 +738,7 @@ def edit_distance_pairs(ds, col, id_col="doc_id", num_buckets=64):
     def _pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates([id_col])
         if len(g) < 2:
-            return pd.DataFrame(
-                {"id_a": pd.Series([], dtype="int64"),
-                 "id_b": pd.Series([], dtype="int64"),
-                 "dist": pd.Series([], dtype="int64")}
-            )
+            return None
         ids = g[id_col].to_numpy()
         strs = g["_s"].to_numpy()
         ia, ib = np.triu_indices(len(g), k=1)
@@ -954,15 +749,14 @@ def edit_distance_pairs(ds, col, id_col="doc_id", num_buckets=64):
             if _edit_distance_leq1(strs[x], strs[y]):
                 lo, hi = sorted((int(ids[x]), int(ids[y])))
                 rows.append((lo, hi, int(strs[x] != strs[y])))
-        return pd.DataFrame(rows, columns=["id_a", "id_b", "dist"]).astype(
-            {"id_a": "int64", "id_b": "int64", "dist": "int64"}
-        )
+        return pd.DataFrame(rows, columns=["id_a", "id_b", "dist"])
 
+    schema = _pair_schema("dist", pa.int64())
     cands = bucketed_group_apply(
         ds.map_batches(_variants, batch_format="pandas"),
-        ["_var"], _pairs, num_buckets=num_buckets, min_group_size=2,
+        ["_var"], _pairs, schema, num_buckets, min_group_size=2,
     )
-    return dedup_rows(cands, ["id_a", "id_b"], num_buckets=num_buckets)
+    return distinct_rows(cands, ["id_a", "id_b"], schema, num_buckets)
 
 
 def near_dup_keep_best(ds, by, text_col="text", id_col="doc_id",
@@ -988,43 +782,18 @@ def near_dup_keep_best(ds, by, text_col="text", id_col="doc_id",
     quality = ds.map_batches(
         lambda df: df[[id_col, by]], batch_format="pandas"
     )
-    # the tagged union null-fills each side's exclusive columns, which
-    # floats integer dtypes — restore them from the input schema
-    # (metadata-only for parquet reads)
     sch = ds.schema()
-    by_dtype = dict(zip(sch.names, sch.types))[by].to_pandas_dtype()
+    by_type = dict(zip(sch.names, sch.types))[by]
 
-    def _tag_a(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_kind"] = np.int8(1)
-        df["_cbucket"] = coarse_bucket(df, [id_col], num_buckets)
-        return df
+    def _merge(a: pd.DataFrame, q: pd.DataFrame) -> pd.DataFrame:
+        if not len(a) or not len(q):
+            return None
+        return a[[id_col, "cluster"]].merge(q, on=id_col)
 
-    def _tag_q(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_kind"] = np.int8(0)
-        df["_cbucket"] = coarse_bucket(df, [id_col], num_buckets)
-        return df
-
-    def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in bucket.columns or not len(bucket):
-            return pd.DataFrame(
-                {id_col: [], "cluster": pd.Series([], dtype="int64"),
-                 by: []}
-            )
-        a = bucket[bucket["_kind"] == 1][[id_col, "cluster"]]
-        q = bucket[bucket["_kind"] == 0][[id_col, by]]
-        m = a.merge(q, on=id_col)
-        m["cluster"] = m["cluster"].astype("int64")
-        m[by] = m[by].astype(by_dtype)
-        return m
-
-    joined = (
-        assigns.map_batches(_tag_a, batch_format="pandas")
-        .union(quality.map_batches(_tag_q, batch_format="pandas"))
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    joined = exchange(
+        [assigns, quality], id_col, _merge,
+        pa.schema([pa.field(id_col, pa.int64()), pa.field("cluster", pa.int64()),
+                   pa.field(by, by_type)]), num_buckets)
     best = grouped_topk(
         joined, ["cluster"], by, k=1, ascending=ascending,
         tie_cols=[id_col], num_buckets=num_buckets,
@@ -1177,10 +946,11 @@ def simhash_near_dups(ds, text_col="text", id_col="doc_id", max_hamming=3,
         return out.drop_duplicates(["id_a", "id_b"], ignore_index=True)
 
     exploded = sigs.map_batches(_explode, batch_format="pandas")
+    schema = _pair_schema("hamming", pa.int64())
     pairs = bucketed_group_apply(
-        exploded, ["chunk", "chunk_val"], _pairs, min_group_size=2
+        exploded, ["chunk", "chunk_val"], _pairs, schema, min_group_size=2
     )
-    return dedup_rows(pairs, ["id_a", "id_b"])
+    return distinct_rows(pairs, ["id_a", "id_b"], schema)
 
 
 # ---------------------------------------------------------------------------
@@ -1329,23 +1099,19 @@ def embedding_near_dups(ds, dim: int, vec_col="embedding", id_col="vec_id",
 
     def _cand_pairs(group: pd.DataFrame) -> pd.DataFrame:
         ids = np.unique(group[id_col].to_numpy())
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"id_a": np.empty(0, np.int64), "id_b": np.empty(0, np.int64)}
-            )
         a_ix, b_ix = np.triu_indices(len(ids), k=1)
         return pd.DataFrame({"id_a": ids[a_ix], "id_b": ids[b_ix]})
 
     bucketed = ds.map_batches(_bucket, batch_format="pandas")
     if inline:
         pairs = bucketed_group_apply(
-            bucketed, ["table", "bucket"], _pairs_inline, min_group_size=2
+            bucketed, ["table", "bucket"], _pairs_inline,
+            _pair_schema("cosine"), min_group_size=2
         )
-        return dedup_rows(pairs, ["id_a", "id_b"])
-    cand = bucketed_group_apply(
-        bucketed, ["table", "bucket"], _cand_pairs, min_group_size=2
-    )
-    cand = dedup_rows(cand, ["id_a", "id_b"])
+        return _distinct_pairs(pairs, "cosine")
+    cand = _distinct_pairs(bucketed_group_apply(
+        bucketed, ["table", "bucket"], _cand_pairs, _PAIRS, min_group_size=2
+    ))
     return verify_pairs_cosine_ds(
         ds, cand, threshold=threshold, vec_col=vec_col, id_col=id_col,
         num_buckets=num_buckets,
@@ -1359,114 +1125,23 @@ def verify_pairs_cosine_ds(ds, pairs, threshold=0.95, vec_col="embedding",
     pair endpoints in ONE corpus bucket-merge pass, then a pair-sized
     shuffle joins both vectors and computes the exact cosine. Output:
     (id_a, id_b, cosine) with id_a < id_b."""
-    import pyarrow as _pa
 
-    def _corpus_rows(df: pd.DataFrame) -> _pa.Table:
-        mat = np.stack(df[vec_col].to_numpy()).astype(np.float64)
-        n = len(df)
-        out = pd.DataFrame(
-            {
-                "key": df[id_col].to_numpy().astype(np.int64),
-                "other": np.zeros(n, dtype=np.int64),
-                "kind": np.zeros(n, dtype=np.int8),
-                "side": np.zeros(n, dtype=np.int8),
-                "pay": [m.tobytes() for m in mat],
-            }
-        )
-        out["_cbucket"] = _int_bucket(out["key"].to_numpy(), num_buckets)
-        return _pa.Table.from_pandas(out, preserve_index=False)
+    def _vectors(corpus: pd.DataFrame):
+        mat = np.stack(corpus[vec_col].to_numpy()).astype(np.float64)
+        return [m.tobytes() for m in mat]
 
-    def _pair_rows(df: pd.DataFrame) -> _pa.Table:
-        if "id_a" not in df.columns or not len(df):
-            out = pd.DataFrame(
-                {"key": np.empty(0, np.int64), "other": np.empty(0, np.int64),
-                 "kind": np.empty(0, np.int8), "side": np.empty(0, np.int8),
-                 "pay": np.empty(0, object)}
-            )
-        else:
-            a = df["id_a"].to_numpy().astype(np.int64)
-            b = df["id_b"].to_numpy().astype(np.int64)
-            n = len(df)
-            out = pd.DataFrame(
-                {
-                    "key": np.concatenate([a, b]),
-                    "other": np.concatenate([b, a]),
-                    "kind": np.ones(2 * n, dtype=np.int8),
-                    "side": np.concatenate(
-                        [np.zeros(n, np.int8), np.ones(n, np.int8)]
-                    ),
-                    "pay": np.full(2 * n, b"", dtype=object),
-                }
-            )
-        out["_cbucket"] = (
-            _int_bucket(out["key"].to_numpy(), num_buckets)
-            if len(out) else np.empty(0, np.int32)
-        )
-        return _pa.Table.from_pandas(out, preserve_index=False)
-
-    def _attach(bucket: pd.DataFrame) -> _pa.Table:
-        empty = pd.DataFrame(
-            {"id_a": np.empty(0, np.int64), "id_b": np.empty(0, np.int64),
-             "side": np.empty(0, np.int8), "pay": np.empty(0, object),
-             "_pbucket": np.empty(0, np.int32)}
-        )
-        if "key" not in bucket.columns or not len(bucket):
-            return _pa.Table.from_pandas(empty, preserve_index=False)
-        corpus = bucket[bucket["kind"] == 0][["key", "pay"]].drop_duplicates("key")
-        prs = bucket[bucket["kind"] == 1]
-        if not len(prs) or not len(corpus):
-            return _pa.Table.from_pandas(empty, preserve_index=False)
-        m = prs[["key", "other", "side"]].merge(
-            corpus.rename(columns={"pay": "_p"}), on="key", how="inner"
-        )
-        side = m["side"].to_numpy()
-        key = m["key"].to_numpy()
-        other = m["other"].to_numpy()
-        out = pd.DataFrame(
-            {
-                "id_a": np.where(side == 0, key, other),
-                "id_b": np.where(side == 0, other, key),
-                "side": side,
-                "pay": m["_p"].to_numpy(),
-            }
-        )
-        out["_pbucket"] = (
-            pd.util.hash_pandas_object(out[["id_a", "id_b"]], index=False)
-            % num_buckets
-        ).astype("int32")
-        return _pa.Table.from_pandas(out, preserve_index=False)
-
-    def _verify(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "id_a" not in bucket.columns or not len(bucket):
-            return _empty_pairs("cosine")
-        lhs = bucket[bucket["side"] == 0][["id_a", "id_b", "pay"]]
-        rhs = bucket[bucket["side"] == 1][["id_a", "id_b", "pay"]].rename(
-            columns={"pay": "_p"}
-        )
-        m = lhs.merge(rhs, on=["id_a", "id_b"], how="inner")
-        if not len(m):
-            return _empty_pairs("cosine")
-        va = np.stack([np.frombuffer(b, dtype=np.float64) for b in m["pay"]])
-        vb = np.stack([np.frombuffer(b, dtype=np.float64) for b in m["_p"]])
+    def _cosine(pa_, pb_):
+        va = np.stack([np.frombuffer(b, dtype=np.float64) for b in pa_])
+        vb = np.stack([np.frombuffer(b, dtype=np.float64) for b in pb_])
         na = np.linalg.norm(va, axis=1)
         nb = np.linalg.norm(vb, axis=1)
         na[na == 0] = 1.0
         nb[nb == 0] = 1.0
-        cs = (va * vb).sum(axis=1) / (na * nb)
-        keep = cs >= threshold
-        return pd.DataFrame(
-            {
-                "id_a": m["id_a"].to_numpy()[keep],
-                "id_b": m["id_b"].to_numpy()[keep],
-                "cosine": cs[keep],
-            }
-        )
+        return (va * vb).sum(axis=1) / (na * nb)
 
-    both = ds.map_batches(_corpus_rows, batch_format="pandas").union(
-        pairs.map_batches(_pair_rows, batch_format="pandas")
-    )
-    attached = both.groupby("_cbucket").map_groups(_attach, batch_format="pandas")
-    return attached.groupby("_pbucket").map_groups(_verify, batch_format="pandas")
+    attached = _attach_endpoints(ds.select_columns([id_col, vec_col]), pairs,
+                                 id_col, _vectors, pa.binary(), num_buckets)
+    return _verify_pairs(attached, _cosine, "cosine", threshold, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -1530,43 +1205,18 @@ def line_dedup(ds, text_col="text", id_col="doc_id", sep="\n",
         out = out.explode("line", ignore_index=True)
         out["line"] = out["line"].fillna("")
         out["line_idx"] = out.groupby(id_col, sort=False).cumcount()
-        out["_cbucket"] = (
-            pd.util.hash_pandas_object(out["line"], index=False)
-            % num_buckets
-        ).astype("int32")
         return out
 
-    _mark_cols = [id_col, "line", "line_idx", "keep", "_dbucket",
-                  *keep_cols]
-
     def _mark(bucket: pd.DataFrame) -> pd.DataFrame:
-        if not len(bucket):
-            # preserve incoming dtypes (id_col may be str or int)
-            out = bucket.copy()
-            out["keep"] = np.empty(0, bool)
-            out["_dbucket"] = np.empty(0, np.int64)
-            return out[_mark_cols]
         b = bucket.sort_values(["line", id_col, "line_idx"],
                                kind="mergesort")
         b["keep"] = ~b.duplicated(subset=["line"], keep="first")
         # dropped lines travel the doc-id shuffle as empty strings —
         # only their doc_id matters downstream
         b.loc[~b["keep"], "line"] = ""
-        # dtype-agnostic doc bucketing (string ids work too),
-        # matching the line-hash pass
-        b["_dbucket"] = (
-            pd.util.hash_pandas_object(b[id_col], index=False)
-            .to_numpy(np.uint64) % num_buckets
-        ).astype(np.int64)
-        return b[_mark_cols]
+        return b
 
     def _rebuild(bucket: pd.DataFrame) -> pd.DataFrame:
-        if not len(bucket):
-            out = pd.DataFrame({id_col: bucket[id_col],
-                                text_col: np.empty(0, object)})
-            for c in keep_cols:
-                out[c] = bucket[c]
-            return out
         kept = bucket[bucket["keep"]].sort_values(
             [id_col, "line_idx"], kind="mergesort")
         agg = kept.groupby(id_col, sort=False)["line"].agg(joiner.join)
@@ -1582,17 +1232,14 @@ def line_dedup(ds, text_col="text", id_col="doc_id", sep="\n",
                 out[c] = meta[c].reindex(all_ids).to_numpy()
         return out
 
-    marked = (
-        ds.map_batches(_explode, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(lambda b: _mark(b.drop(columns=["_cbucket"])),
-                    batch_format="pandas")
-    )
-    return (
-        marked.groupby("_dbucket")
-        .map_groups(lambda b: _rebuild(b.drop(columns=["_dbucket"])),
-                    batch_format="pandas")
-    )
+    marked = exchange(
+        ds.map_batches(_explode, batch_format="pandas"), "line", _mark,
+        lambda sch: sch.append(pa.field("keep", pa.bool_())), num_buckets)
+    return exchange(
+        marked, id_col, _rebuild,
+        lambda sch: pa.schema([sch.field(id_col), pa.field(text_col, pa.string())]
+                              + [sch.field(c) for c in keep_cols]),
+        num_buckets)
 
 
 def _sweep_stages(state_dir):
@@ -1735,7 +1382,7 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
     os.makedirs(state_dir, exist_ok=True)
     _sweep_stages(state_dir)
 
-    def _local(df: pd.DataFrame) -> pa.Table:
+    def _local(df: pd.DataFrame) -> pd.DataFrame:
         out = df.loc[df.groupby(key)[id_col].idxmin(), [id_col, key]].copy()
         fp = pd.util.hash_pandas_object(out[key], index=False).to_numpy()
         out["_fp"] = fp.astype("int64")
@@ -1744,51 +1391,31 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
             for v in out[key]
         ]
         out["bucket"] = (fp % num_buckets).astype("int64")
-        out["_kind"] = np.int8(0)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return out
 
     delta = delta_ds.map_batches(_local, batch_format="pandas").materialize()
     touched = sorted(
         int(b) for b in delta.unique("bucket")
     )  # bounded by num_buckets
-    parts = delta
     existing = [
         b for b in touched
         if os.path.isdir(os.path.join(state_dir, f"bucket={b}"))
     ]
+    inputs = [delta]
     if existing:
+        inputs.append(rd.read_parquet(
+            _partition_files(state_dir, existing), columns=["_md5"]))
 
-        def _tag_state(df: pd.DataFrame) -> pa.Table:
-            # bucket is the hive dir name, not a file column: re-derive
-            # from the stored fingerprint
-            df = df.copy()
-            df[id_col] = np.int64(-1)
-            df[key] = ""
-            df["bucket"] = (
-                df["_fp"].to_numpy().astype(np.uint64) % num_buckets
-            ).astype("int64")
-            df["_kind"] = np.int8(1)
-            return pa.Table.from_pandas(
-                df[[id_col, key, "_fp", "_md5", "bucket", "_kind"]],
-                preserve_index=False)
-
-        state = rd.read_parquet(
-            _partition_files(state_dir, existing)
-        ).map_batches(_tag_state, batch_format="pandas")
-        parts = parts.union(state)
-
-    def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
-        seen = set(bucket.loc[bucket["_kind"] == 1, "_md5"])
-        d = bucket[bucket["_kind"] == 0]
+    def _merge(d: pd.DataFrame, state=None) -> pd.DataFrame:
+        if not len(d):
+            return None
         d = d.loc[d.groupby("_md5", sort=False)[id_col].idxmin()]
-        return d[~d["_md5"].isin(seen)][
-            [id_col, key, "_fp", "_md5", "bucket"]]
+        if state is not None and len(state):
+            d = d[~d["_md5"].isin(set(state["_md5"]))]
+        return d
 
-    new_docs = (
-        parts.groupby("bucket")
-        .map_groups(_merge, batch_format="pandas")
-        .materialize()
-    )
+    new_docs = exchange(inputs, "_md5", _merge, lambda sch, *_: sch,
+                        num_buckets).materialize()
     n_new = new_docs.count()
 
     # rewrite ONLY touched buckets: old rows of the bucket + new hashes
@@ -1892,7 +1519,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
             out["band_hash"].to_numpy().astype(np.uint64) * _P1
             + out["band"].to_numpy().astype(np.uint64)
         )
-        out["bucket"] = _int_bucket(key.astype(np.int64), num_buckets).astype(
+        out["bucket"] = _stable_int_bucket(key.astype(np.int64), num_buckets).astype(
             "int64")
         return out
 
@@ -1977,10 +1604,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
             d = group.loc[group["_kind"] == 0, "_id"].unique()
             s = group.loc[group["_kind"] == 1, "_rep"].unique()
             if not len(d) or not len(s):
-                # typed empty: float64-defaulted columns would poison
-                # the downstream int-keyed dedup shuffle
-                return pd.DataFrame({"_id": np.empty(0, np.int64),
-                                     "_rep": np.empty(0, np.int64)})
+                return None
             if len(s) > max_bucket:  # hot-bucket cap (see candidates)
                 s = np.sort(s)[:max_bucket]
             if len(d) > max_bucket:
@@ -1996,16 +1620,17 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
             rd.read_parquet(_partition_files(bands_dir, existing))
             .map_batches(_tag_state, batch_format="pandas")
         )
-        cand = dedup_rows(
-            bucketed_group_apply(
-                probe, ["band", "band_hash"], _pairs, min_group_size=2),
-            ["_id", "_rep"],
+        cand_schema = pa.schema({"_id": pa.int64(), "_rep": pa.int64()})
+        cand = distinct_rows(
+            bucketed_group_apply(probe, ["band", "band_hash"], _pairs,
+                                 cand_schema, min_group_size=2),
+            ["_id", "_rep"], cand_schema,
         ).to_pandas()  # candidate-cardinality — small by LSH design
 
         if len(cand):
             cand_reps = np.unique(cand["_rep"].to_numpy())
             rep_buckets = sorted(
-                set(int(b) for b in _int_bucket(cand_reps, num_buckets)))
+                set(int(b) for b in _stable_int_bucket(cand_reps, num_buckets)))
             rep_buckets = [
                 b for b in rep_buckets
                 if os.path.isdir(os.path.join(sigs_dir, f"bucket={b}"))
@@ -2070,35 +1695,26 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
     # ---- state update: append band + sig rows for NEW REPRESENTATIVES
     # (docs whose final cluster is their own id); kept-row selection is
     # a delta-cardinality coarse-bucket join on the doc id
-    _KB = ["band", "band_hash", "rep", "sig", "bucket", "_kind"]
+    def _sig_rows_of(df: pd.DataFrame) -> pd.DataFrame:
+        return df.rename(columns={id_col: "rep"})[
+            ["band", "band_hash", "rep", "sig", "bucket"]]
 
-    def _tag_sig_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.rename(columns={id_col: "rep"})[
-            ["band", "band_hash", "rep", "sig", "bucket"]].copy()
-        out["_kind"] = np.int8(0)
-        return out[_KB]
-
-    def _tag_final(df: pd.DataFrame) -> pd.DataFrame:
+    def _kept_reps(df: pd.DataFrame) -> pd.DataFrame:
         kept = df[df[id_col].to_numpy() == df["cluster"].to_numpy()]
-        n = len(kept)
-        return pd.DataFrame({
-            "band": np.full(n, -1, dtype=np.int64),
-            "band_hash": np.zeros(n, dtype=np.int64),
-            "rep": kept[id_col].to_numpy().astype(np.int64),
-            "sig": [b""] * n,
-            "bucket": np.zeros(n, dtype=np.int64),
-            "_kind": np.ones(n, dtype=np.int8),
-        })
+        return pd.DataFrame({"rep": kept[id_col].to_numpy().astype(np.int64)})
 
-    def _kept_rows(group: pd.DataFrame) -> pd.DataFrame:
-        if not (group["_kind"] == 1).any():
-            return group.iloc[0:0][_KB]
-        return group[group["_kind"] == 0][_KB]
+    def _kept_rows(rows: pd.DataFrame, kept: pd.DataFrame) -> pd.DataFrame:
+        if not len(rows) or not len(kept):
+            return None
+        return rows[rows["rep"].isin(set(kept["rep"]))]
 
-    kept_bands = bucketed_group_apply(
-        delta_sigs.map_batches(_tag_sig_rows, batch_format="pandas").union(
-            final.map_batches(_tag_final, batch_format="pandas")),
-        ["rep"], _kept_rows,
+    kept_bands = exchange(
+        [delta_sigs.map_batches(_sig_rows_of, batch_format="pandas"),
+         final.map_batches(_kept_reps, batch_format="pandas")],
+        "rep", _kept_rows,
+        pa.schema({"band": pa.int64(), "band_hash": pa.int64(),
+                   "rep": pa.int64(), "sig": pa.binary(),
+                   "bucket": pa.int64()}),
     ).materialize()
     n_kept = kept_bands.count() // max(bands, 1)
 
@@ -2108,7 +1724,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
         def _sig_rows(df: pd.DataFrame) -> pd.DataFrame:
             one = df[df["band"] == 0]
             out = one[["rep", "sig"]].copy()
-            out["bucket"] = _int_bucket(
+            out["bucket"] = _stable_int_bucket(
                 out["rep"].to_numpy().astype(np.int64), num_buckets
             ).astype("int64")
             return out
@@ -2135,7 +1751,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                     rd.read_parquet(_partition_files(sigs_dir, sig_existing))
                     .map_batches(
                         lambda df: df.assign(
-                            bucket=_int_bucket(
+                            bucket=_stable_int_bucket(
                                 df["rep"].to_numpy().astype(np.int64),
                                 num_buckets).astype("int64")),
                         batch_format="pandas",
@@ -2151,7 +1767,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                 rd.read_parquet(_partition_files(bands_dir, existing))
                 .map_batches(
                     lambda df: df.assign(
-                        bucket=_int_bucket(
+                        bucket=_stable_int_bucket(
                             (df["band_hash"].to_numpy().astype(np.uint64)
                              * _P1
                              + df["band"].to_numpy().astype(np.uint64)
@@ -2235,7 +1851,11 @@ def semantic_dedup(ds, threshold=0.95, k=16, n_iters=3,
             {id_col: ids, "cluster": g["cluster"].to_numpy(), "keep": keep})
 
     return bucketed_group_apply(
-        tagged, ["cluster"], _cluster_dedup, num_buckets=num_buckets)
+        tagged, ["cluster"], _cluster_dedup,
+        lambda sch: pa.schema([sch.field(id_col),
+                               pa.field("cluster", pa.int64()),
+                               pa.field("keep", pa.bool_())]),
+        num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -2286,37 +1906,13 @@ def dup_spans(ds, text_col="text", id_col="doc_id", k=8, min_docs=2,
             "pos": np.asarray(poss, dtype=np.int64),
             "gram": pd.Series(grams, dtype=object),
         })
-        out["_gbucket"] = (
-            pd.util.hash_pandas_object(out["gram"], index=False)
-            % num_buckets
-        ).astype("int32")
         return out
 
     def _mark(bucket: pd.DataFrame) -> pd.DataFrame:
-        if not len(bucket):
-            return pd.DataFrame({
-                id_col: np.empty(0, np.int64),
-                "pos": np.empty(0, np.int64),
-                "_dbucket": np.empty(0, np.int32),
-            })
         nuniq = bucket.groupby("gram")[id_col].transform("nunique")
-        hit = bucket.loc[nuniq >= min_docs, [id_col, "pos"]]
-        out = pd.DataFrame({
-            id_col: hit[id_col].to_numpy(dtype=np.int64),
-            "pos": hit["pos"].to_numpy(dtype=np.int64),
-        })
-        out["_dbucket"] = _int_bucket(
-            out[id_col].to_numpy(), num_buckets).astype("int32")
-        return out
+        return bucket.loc[nuniq >= min_docs, [id_col, "pos"]]
 
     def _spans(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            id_col: np.empty(0, np.int64),
-            "span_start": np.empty(0, np.int64),
-            "span_end": np.empty(0, np.int64),
-        })
-        if not len(bucket):
-            return empty
         g = bucket.sort_values([id_col, "pos"], kind="mergesort")
         did = g[id_col].to_numpy()
         pos = g["pos"].to_numpy()
@@ -2336,8 +1932,15 @@ def dup_spans(ds, text_col="text", id_col="doc_id", k=8, min_docs=2,
         })
 
     grams = ds.map_batches(_grams, batch_format="pandas")
-    hits = grams.groupby("_gbucket").map_groups(_mark, batch_format="pandas")
-    return hits.groupby("_dbucket").map_groups(_spans, batch_format="pandas")
+    hits = exchange(grams, "gram", _mark,
+                    pa.schema({id_col: pa.int64(), "pos": pa.int64()}),
+                    num_buckets)
+    return exchange(hits, id_col, _spans, _SPANS(id_col), num_buckets)
+
+
+def _SPANS(id_col):
+    return pa.schema({id_col: pa.int64(), "span_start": pa.int64(),
+                      "span_end": pa.int64()})
 
 
 def remove_dup_spans(ds, spans=None, text_col="text", id_col="doc_id",
@@ -2356,42 +1959,15 @@ def remove_dup_spans(ds, spans=None, text_col="text", id_col="doc_id",
         spans = dup_spans(ds, text_col=text_col, id_col=id_col, k=k,
                           min_docs=min_docs, num_buckets=num_buckets)
 
-    def _doc_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            id_col: df[id_col].to_numpy(dtype=np.int64),
-            "a": np.full(len(df), -1, dtype=np.int64),
-            "b": np.full(len(df), -1, dtype=np.int64),
-            "txt": df[text_col].astype(object).to_numpy(),
-        })
-        out["_dbucket"] = _int_bucket(
-            out[id_col].to_numpy(), num_buckets).astype("int32")
-        return out
-
-    def _span_rows(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            id_col: df[id_col].to_numpy(dtype=np.int64),
-            "a": df["span_start"].to_numpy(dtype=np.int64),
-            "b": df["span_end"].to_numpy(dtype=np.int64),
-            "txt": np.full(len(df), None, dtype=object),
-        })
-        out["_dbucket"] = _int_bucket(
-            out[id_col].to_numpy(), num_buckets).astype("int32")
-        return out
-
-    def _strip(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            id_col: np.empty(0, np.int64),
-            text_col: np.empty(0, object),
-        })
-        if not len(bucket):
-            return empty
-        docs = bucket[bucket["a"] < 0]
-        sp = bucket[bucket["a"] >= 0]
-        by_doc = {d: list(zip(g["a"].to_numpy(), g["b"].to_numpy()))
+    def _strip(docs: pd.DataFrame, sp: pd.DataFrame) -> pd.DataFrame:
+        if not len(docs):
+            return None
+        by_doc = {d: list(zip(g["span_start"].to_numpy(),
+                              g["span_end"].to_numpy()))
                   for d, g in sp.groupby(id_col)} if len(sp) else {}
         ids_out, txt_out = [], []
         for did, txt in zip(docs[id_col].to_numpy(),
-                            docs["txt"].to_numpy()):
+                            docs[text_col].to_numpy()):
             toks = (txt or "").split()
             cuts = by_doc.get(did)
             if cuts:
@@ -2401,14 +1977,11 @@ def remove_dup_spans(ds, spans=None, text_col="text", id_col="doc_id",
                 toks = [t for t, kf in zip(toks, keep) if kf]
             ids_out.append(did)
             txt_out.append(" ".join(toks))
-        return pd.DataFrame({
-            id_col: np.asarray(ids_out, dtype=np.int64),
-            text_col: pd.Series(txt_out, dtype=object),
-        })
+        return pd.DataFrame({id_col: ids_out, text_col: txt_out})
 
-    both = ds.map_batches(_doc_rows, batch_format="pandas").union(
-        spans.map_batches(_span_rows, batch_format="pandas"))
-    return both.groupby("_dbucket").map_groups(_strip, batch_format="pandas")
+    return exchange(
+        [ds.select_columns([id_col, text_col]), spans], id_col, _strip,
+        pa.schema({id_col: pa.int64(), text_col: pa.string()}), num_buckets)
 
 
 def edit_distance_join(left, right, col, right_col=None, id_col="doc_id",
@@ -2448,31 +2021,24 @@ def edit_distance_join(left, right, col, right_col=None, id_col="doc_id",
         return _v
 
     def _pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"id_l": pd.Series([], dtype="int64"),
-             "id_r": pd.Series([], dtype="int64"),
-             "dist": pd.Series([], dtype="int64")})
         ls = group[group["_side"] == 0].drop_duplicates(["_id"])
         rs = group[group["_side"] == 1].drop_duplicates(["_id"])
-        if not len(ls) or not len(rs):
-            return empty
         rows = []
         for il, sl in zip(ls["_id"], ls["_s"]):
             for ir, sr in zip(rs["_id"], rs["_s"]):
                 if _edit_distance_leq1(sl, sr):
                     rows.append((int(il), int(ir), int(sl != sr)))
-        if not rows:
-            return empty
-        return pd.DataFrame(rows, columns=["id_l", "id_r", "dist"]).astype(
-            {"id_l": "int64", "id_r": "int64", "dist": "int64"})
+        return pd.DataFrame(rows, columns=["id_l", "id_r", "dist"])
 
+    schema = pa.schema({"id_l": pa.int64(), "id_r": pa.int64(),
+                        "dist": pa.int64()})
     cands = bucketed_group_apply(
         left.map_batches(_variants(col, id_col, 0), batch_format="pandas")
         .union(right.map_batches(
             _variants(rcol, rid, 1), batch_format="pandas")),
-        ["_var"], _pairs, num_buckets=num_buckets, min_group_size=2,
+        ["_var"], _pairs, schema, num_buckets, min_group_size=2,
     )
-    return dedup_rows(cands, ["id_l", "id_r"], num_buckets=num_buckets)
+    return distinct_rows(cands, ["id_l", "id_r"], schema, num_buckets)
 
 
 def _winnow_hash_md5(text: str, k: int, m: int) -> "np.ndarray":
@@ -2607,43 +2173,22 @@ def winnow_overlap_pairs(ds, text_col="text", id_col="doc_id", k=8, w=8,
     def _pairs(group: pd.DataFrame) -> pd.DataFrame:
         ids = np.sort(group[id_col].to_numpy())
         if len(ids) > max_fp_docs:
-            return _empty_pairs()
+            return None
         ia, ib = np.triu_indices(len(ids), k=1)
         return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]})
 
     cands = bucketed_group_apply(
-        dfp, ["fp"], _pairs, num_buckets=num_buckets, min_group_size=2)
-
-    import pyarrow as _pa
-
-    def _bucketize(df: pd.DataFrame) -> "_pa.Table":
-        if not len(df):
-            out = _empty_pairs()
-            out["_cbucket"] = np.empty(0, dtype=np.int32)
-        else:
-            out = df.copy()
-            out["_cbucket"] = coarse_bucket(out, ["id_a", "id_b"], num_buckets)
-        return _pa.Table.from_pandas(out, preserve_index=False)
+        dfp, ["fp"], _pairs, _PAIRS, num_buckets, min_group_size=2)
 
     def _count(bucket: pd.DataFrame) -> pd.DataFrame:
-        if not len(bucket):
-            return _empty_pairs("shared", "int64")
         counts = (
             bucket.groupby(["id_a", "id_b"], sort=False)
             .size().rename("shared").reset_index()
         )
-        counts = counts[counts["shared"] >= min_shared]
-        return pd.DataFrame({
-            "id_a": counts["id_a"].to_numpy(dtype=np.int64),
-            "id_b": counts["id_b"].to_numpy(dtype=np.int64),
-            "shared": counts["shared"].to_numpy(dtype=np.int64),
-        })
+        return counts[counts["shared"] >= min_shared]
 
-    return (
-        cands.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_count, batch_format="pandas")
-    )
+    return exchange(cands, ["id_a", "id_b"], _count,
+                    _pair_schema("shared", pa.int64()), num_buckets)
 
 
 def winnow_containment_pairs(ds, text_col="text", id_col="doc_id", k=8,
@@ -2686,52 +2231,18 @@ def winnow_containment_pairs(ds, text_col="text", id_col="doc_id", k=8,
     counts = fps.map_batches(_counts, batch_format="pandas").materialize()
 
     def _attach(side, out_col):
-        def _tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.copy()
-            out["_kind"] = np.int8(1)
-            out["_cbucket"] = _int_bucket(
-                out[side].to_numpy(dtype=np.int64), num_buckets)
-            return out
+        def _join(p: pd.DataFrame, c: pd.DataFrame) -> pd.DataFrame:
+            if not len(p):
+                return None
+            n = (dict(zip(c[id_col], c["n_fp"])) if len(c) else {})
+            return p.assign(**{out_col: p[side].map(n).fillna(0)})
 
-        def _tag_counts(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame({side: df[id_col].to_numpy(dtype=np.int64),
-                                "n_fp": df["n_fp"].to_numpy(np.int64)})
-            out["_kind"] = np.int8(0)
-            out["_cbucket"] = _int_bucket(
-                out[side].to_numpy(dtype=np.int64), num_buckets)
-            return out
-
-        def _join(bucket: pd.DataFrame) -> pd.DataFrame:
-            if "_kind" not in bucket.columns or not len(bucket):
-                return pd.DataFrame({
-                    "id_a": pd.Series([], dtype="int64"),
-                    "id_b": pd.Series([], dtype="int64"),
-                    "shared": pd.Series([], dtype="int64"),
-                    **({out_col: pd.Series([], dtype="int64")}
-                       if out_col != "n_a"
-                       else {"n_a": pd.Series([], dtype="int64")})})
-            p = bucket[bucket["_kind"] == 1].drop(
-                columns=["_kind", "_cbucket", "n_fp"], errors="ignore")
-            c = bucket[bucket["_kind"] == 0][[side, "n_fp"]]
-            m = p.merge(c, on=side, how="left")
-            m[out_col] = m["n_fp"].fillna(0).astype("int64")
-            m = m.drop(columns=["n_fp"])
-            # the union's count rows null-fill pair columns and float-
-            # upcast them; renormalize every int column each pass
-            casts = {col: "int64" for col in
-                     ("id_a", "id_b", "shared", "n_a", "n_b")
-                     if col in m.columns}
-            return m.astype(casts)
-
-        return _tag_pairs, _tag_counts, _join
+        return _join
 
     cur = pairs
+    schema = _pair_schema("shared", pa.int64())
     for side, out_col in (("id_a", "n_a"), ("id_b", "n_b")):
-        tp, tc, jn = _attach(side, out_col)
-        cur = (
-            cur.map_batches(tp, batch_format="pandas")
-            .union(counts.map_batches(tc, batch_format="pandas"))
-            .groupby("_cbucket")
-            .map_groups(jn, batch_format="pandas")
-        )
+        schema = schema.append(pa.field(out_col, pa.int64()))
+        cur = exchange([cur, counts], [[side], [id_col]],
+                       _attach(side, out_col), schema, num_buckets)
     return cur

@@ -1,11 +1,12 @@
 """Graph analytics over link-sets: degrees and PageRank.
 
-Both reuse the engine's shuffle discipline: degrees are a per-batch
-partial count + small-bucket merge; PageRank is the same tagged
-working-set pattern as ops.dedup.cluster_pairs_ds — node rows and edge
-rows co-bucketed by node key, one fused shuffle per iteration
-(contributions are emitted with the just-updated ranks), scalar-only
-convergence signals on the driver.
+Every wide step is one ``core.exchange`` keyed shuffle: degrees are a
+per-batch partial count + one exchange merge; PageRank is the same
+tagged working-set pattern as ops.dedup.cluster_pairs_ds — node rows
+and edge rows exchanged on the node key, one fused exchange per
+iteration (contributions are emitted with the just-updated ranks),
+scalar-only convergence signals on the driver. Joins of two Datasets
+(degree attach, semi-filters, peeling) are two-input exchanges.
 
 PageRank semantics (fixed, deterministic): damping d, uniform
 teleport, dangling mass redistributed uniformly each iteration —
@@ -16,31 +17,51 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import bucketed_group_apply, distinct_rows, exchange
+
+# string-keyed working sets of the iterative operators
+_PR_WORK = pa.schema({"key": pa.string(), "kind": pa.int8(),
+                      "other": pa.string(), "val": pa.float64()})
+_LABEL_WORK = pa.schema({"key": pa.string(), "kind": pa.int8(),
+                         "a": pa.string(), "c": pa.int8()})
+
+
+def _int64_schema(names):
+    return pa.schema([(c, pa.int64()) for c in names])
+
+
+def _distinct_nodes(edges, cols, num_buckets):
+    """Distinct int64 ``node`` rows over the endpoint ``cols``."""
+
+    def _ends(df: pd.DataFrame) -> pd.DataFrame:
+        ends = (np.concatenate([df[c].to_numpy() for c in cols])
+                if len(df) else np.empty(0, dtype=np.int64))
+        return pd.DataFrame({"node": np.unique(ends).astype(np.int64)})
+
+    return distinct_rows(edges.map_batches(_ends, batch_format="pandas"),
+                         ["node"], _int64_schema(["node"]), num_buckets)
 
 
 def out_degrees(links_ds, num_buckets=64):
     """(origin, out_degree) for every origin — per-batch partial
     counts merged in a coarse-bucket shuffle (origins are near-unique
     keys)."""
-    import pyarrow as pa
 
-    def _partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby("origin", as_index=False).agg(out_degree=("rel", "size"))
-        g["_cbucket"] = (
-            pd.util.hash_pandas_object(g["origin"], index=False) % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def _partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("origin", as_index=False).agg(
+            out_degree=("rel", "size"))
 
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
         return bucket.groupby("origin", as_index=False).agg(
             out_degree=("out_degree", "sum")
         )
 
-    return (
-        links_ds.map_batches(_partial, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return exchange(
+        links_ds.map_batches(_partial, batch_format="pandas"), "origin",
+        _merge, pa.schema({"origin": pa.string(), "out_degree": pa.int64()}),
+        num_buckets)
 
 
 def _iri_edges(links_ds):
@@ -79,15 +100,6 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
     seed set is schema-sized by definition and broadcasts in the
     step closure; raises if any seed is not in the graph (its teleport
     mass would silently vanish)."""
-    import ray
-    import pyarrow as pa
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_buckets = 16
-
     edges = _iri_edges(links_ds)
 
     def _init(tbl: pa.Table) -> pa.Table:
@@ -107,13 +119,6 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
     work = edges.map_batches(_init, batch_format="pyarrow").materialize()
 
     # node count + duplicate-node-seed collapse need one pre-pass
-    def _bucketize(df: pd.DataFrame) -> "pa.Table":
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["key"], index=False) % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(df, preserve_index=False)
-
     def _collapse(bucket: pd.DataFrame) -> pd.DataFrame:
         edg = bucket[bucket["kind"] == 1]
         nodes = bucket[bucket["kind"] == 0].drop_duplicates("key")
@@ -131,12 +136,8 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
         )
         return out
 
-    work = (
-        work.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_collapse, batch_format="pandas")
-        .materialize()
-    )
+    work = exchange(work, "key", _collapse, _PR_WORK,
+                    num_buckets).materialize()
     n_nodes = work.map_batches(
         lambda df: pd.DataFrame({"n": [int((df["kind"] == 0).sum())]}),
         batch_format="pandas",
@@ -249,12 +250,8 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
                 )
             return pd.concat(out_parts, ignore_index=True)
 
-        work = (
-            work.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_step, batch_format="pandas")
-            .materialize()
-        )
+        work = exchange(work, "key", _step, _PR_WORK,
+                        num_buckets).materialize()
         # collect this round's dangling mass (one scalar), then drop
         # the marker rows and stale contributions for the next round
         state["dangling"] = work.map_batches(
@@ -300,16 +297,8 @@ def weakly_connected_components(links_ds, rels=None, max_iters=50,
     needed. Diameter-bound iterations: D shuffles for a diameter-D
     graph, so typical entity graphs (shallow hierarchies) converge in
     a handful of rounds regardless of corpus size."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(32, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_buckets = 32
 
     rel_set = None if rels is None else set(rels)
 
@@ -348,8 +337,6 @@ def weakly_connected_components(links_ds, rels=None, max_iters=50,
         )
 
     def _step(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in bucket.columns or not len(bucket):
-            return _wf([], 0, [])
         lab = bucket[bucket["kind"] == 0].groupby("key", as_index=False)["a"].min()
         edg = bucket[bucket["kind"] == 1]
         msgs = bucket[bucket["kind"] == 2]
@@ -377,30 +364,13 @@ def weakly_connected_components(links_ds, rels=None, max_iters=50,
             ignore_index=True,
         )
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["key"].astype(str), index=False)
-            % num_buckets
-        ).astype("int32")
-        return df
-
-    def _apply(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "key" not in bucket.columns or not len(bucket):
-            return _wf([], 0, [])
-        return _step(bucket.drop(columns=["_cbucket"]))
-
     work = links_ds.map_batches(_edges, batch_format="pyarrow").map_batches(
         _init, batch_format="pandas"
     )
     converged = False
     for it in range(max_iters):
-        work = (
-            work.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_apply, batch_format="pandas")
-            .materialize()
-        )
+        work = exchange(work, "key", _step, _LABEL_WORK,
+                        num_buckets).materialize()
         if it == 0:
             if work.count() == 0:
                 return rd.from_arrow(
@@ -446,7 +416,6 @@ def entail_types(links_ds, subclass_pairs, type_rel=None, num_buckets=64):
     import ray
 
     from ..core import VTYPE_REL
-    from .dedup import dedup_rows
 
     type_rel = str(type_rel or VTYPE_REL)
 
@@ -482,7 +451,9 @@ def entail_types(links_ds, subclass_pairs, type_rel=None, num_buckets=64):
              "cls": np.concatenate([cls, e.to_numpy(object)])})
 
     out = links_ds.map_batches(_entail, batch_format="pandas")
-    return dedup_rows(out, ["origin", "cls"], num_buckets=num_buckets)
+    return distinct_rows(
+        out, ["origin", "cls"],
+        pa.schema({"origin": pa.string(), "cls": pa.string()}), num_buckets)
 
 
 def triangle_count(edges_ds, u="u", v="v", num_buckets=64):
@@ -493,8 +464,8 @@ def triangle_count(edges_ds, u="u", v="v", num_buckets=64):
     1. edges group by their smaller endpoint; each group emits the
        wedges (x, y), x < y, over its neighbor set — every triangle
        a < b < c is generated exactly once (center a);
-    2. wedges semi-join the edge set on (x, y) via one coarse-bucket
-       shuffle; the match count is the triangle count.
+    2. wedges semi-join the edge set on (x, y) via one keyed
+       exchange; the match count is the triangle count.
 
     Wedge volume is sum-over-centers C(deg_min, 2) where deg_min
     counts only HIGHER-numbered neighbors — the canonical u < v
@@ -506,53 +477,15 @@ def triangle_count(edges_ds, u="u", v="v", num_buckets=64):
     Returns a one-row pandas DataFrame ``(n_triangles,)`` — the
     per-bucket match counts (<= ``num_buckets`` rows) merge on the
     driver."""
-    from .dedup import bucketed_group_apply, coarse_bucket
-
-    def _wedges(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {u: pd.Series([], dtype="int64"),
-                 v: pd.Series([], dtype="int64")}
-            )
-        nb = np.sort(group[v].to_numpy())
-        n = len(nb)
-        if n < 2:
-            return pd.DataFrame({u: nb[:0], v: nb[:0]})
-        ia, ib = np.triu_indices(n, k=1)
-        return pd.DataFrame({u: nb[ia], v: nb[ib]})
-
+    uv = _uv_schema(u, v)
     wedges = bucketed_group_apply(
-        edges_ds, [u], _wedges, num_buckets=num_buckets, min_group_size=2
-    )
+        edges_ds, [u], _wedges_of(u, v), uv, num_buckets, min_group_size=2)
 
-    # count wedges that are themselves edges: tagged union bucketed on
+    # count wedges that are themselves edges: a two-input exchange on
     # the (u, v) pair, per-bucket set membership, small-sum finish
-    def _tag(kind):
-        def _t(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[[u, v]].copy()
-            df["_kind"] = np.int8(kind)
-            df["_cbucket"] = coarse_bucket(df, [u, v], num_buckets)
-            return df
-
-        return _t
-
-    def _match(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({"n": pd.Series([], dtype="int64")})
-        e = bucket[bucket["_kind"] == 0]
-        w = bucket[bucket["_kind"] == 1]
-        if not len(e) or not len(w):
-            return pd.DataFrame({"n": pd.Series([], dtype="int64")})
-        ekeys = pd.MultiIndex.from_frame(e[[u, v]])
-        wkeys = pd.MultiIndex.from_frame(w[[u, v]])
-        return pd.DataFrame({"n": [int(wkeys.isin(ekeys).sum())]})
-
-    matched = (
-        edges_ds.map_batches(_tag(0), batch_format="pandas")
-        .union(wedges.map_batches(_tag(1), batch_format="pandas"))
-        .groupby("_cbucket")
-        .map_groups(_match, batch_format="pandas")
-    )
+    matched = exchange(
+        [edges_ds.select_columns([u, v]), wedges], [u, v], _count_matches(u, v),
+        pa.schema({"n": pa.int64()}), num_buckets)
 
     # final merge is driver-side on purpose: <= num_buckets count rows,
     # and a triangle-free graph leaves EVERY block empty — a
@@ -561,6 +494,37 @@ def triangle_count(edges_ds, u="u", v="v", num_buckets=64):
     counts = matched.to_pandas()
     total = int(counts["n"].sum()) if "n" in counts.columns else 0
     return pd.DataFrame({"n_triangles": [np.int64(total)]})
+
+
+def _uv_schema(u, v):
+    """Edge/wedge schema: the two endpoint columns, typed from input."""
+    return lambda sch: pa.schema([sch.field(u), sch.field(v)])
+
+
+def _wedges_of(u, v):
+    """Per-center wedge emitter: the (x, y), x < y, pairs over one
+    group's sorted ``v`` neighbor set."""
+
+    def _wedges(group: pd.DataFrame) -> pd.DataFrame:
+        nb = np.sort(group[v].to_numpy())
+        ia, ib = np.triu_indices(len(nb), k=1)
+        return pd.DataFrame({u: nb[ia], v: nb[ib]})
+
+    return _wedges
+
+
+def _count_matches(u, v):
+    """Per-bucket count of wedges (second input) that are edges
+    (first input)."""
+
+    def _match(e: pd.DataFrame, w: pd.DataFrame) -> pd.DataFrame:
+        if not len(e) or not len(w):
+            return None
+        ekeys = pd.MultiIndex.from_frame(e[[u, v]])
+        wkeys = pd.MultiIndex.from_frame(w[[u, v]])
+        return pd.DataFrame({"n": [int(wkeys.isin(ekeys).sum())]})
+
+    return _match
 
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -635,34 +599,17 @@ def cooccurrence_edges(mentions_ds, total_docs, id_col="doc_id",
     import ray
 
     from .agg import grouped_agg_small
-    from .dedup import dedup_rows
 
-    m = dedup_rows(
+    m = distinct_rows(
         mentions_ds.map_batches(
             lambda df: df[[id_col, entity_col]], batch_format="pandas"),
-        [id_col, entity_col], num_buckets=num_buckets)
+        [id_col, entity_col], lambda sch: sch, num_buckets)
 
     ent_df = grouped_agg_small(
         m, [entity_col], {"n_docs": (id_col, "size")}).to_pandas()
     ent_ref = ray.put(dict(zip(ent_df[entity_col], ent_df["n_docs"])))
 
-    def _doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[id_col, entity_col]].copy()
-        out["_dbucket"] = (
-            pd.util.hash_pandas_object(out[id_col], index=False)
-            % num_buckets
-        ).astype("int32")
-        return out
-
     def _pairs(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "entity_a": pd.Series([], dtype=object),
-            "entity_b": pd.Series([], dtype=object),
-            "n": pd.Series([], dtype="int64"),
-            "_pbucket": pd.Series([], dtype="int32"),
-        })
-        if not len(bucket):
-            return empty
         a_out, b_out = [], []
         for _, g in bucket.groupby(id_col):
             ents = sorted(g[entity_col].unique())
@@ -670,53 +617,34 @@ def cooccurrence_edges(mentions_ds, total_docs, id_col="doc_id",
                 for j in range(i + 1, len(ents)):
                     a_out.append(ents[i])
                     b_out.append(ents[j])
-        if not a_out:
-            return empty
-        out = pd.DataFrame({
-            "entity_a": pd.Series(a_out, dtype=object),
-            "entity_b": pd.Series(b_out, dtype=object),
-        })
+        out = pd.DataFrame({"entity_a": a_out, "entity_b": b_out})
         # partial count within this doc bucket (combiner)
-        out = out.groupby(["entity_a", "entity_b"], as_index=False).agg(
+        return out.groupby(["entity_a", "entity_b"], as_index=False).agg(
             n=("entity_a", "size"))
-        out["n"] = out["n"].astype("int64")
-        out["_pbucket"] = (
-            pd.util.hash_pandas_object(
-                out[["entity_a", "entity_b"]], index=False)
-            % num_buckets
-        ).astype("int32")
-        return out
 
     def _finalize(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "entity_a": pd.Series([], dtype=object),
-            "entity_b": pd.Series([], dtype=object),
-            "n_docs": pd.Series([], dtype="int64"),
-            "pmi": pd.Series([], dtype="float64"),
-        })
-        if not len(bucket):
-            return empty
         out = bucket.groupby(["entity_a", "entity_b"], as_index=False).agg(
             n_docs=("n", "sum"))
         out = out[out["n_docs"] >= min_count]
-        if not len(out):
-            return empty
         ent = ray.get(ent_ref)
         na = out["entity_a"].map(ent).to_numpy(dtype=np.float64)
         nb = out["entity_b"].map(ent).to_numpy(dtype=np.float64)
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["pmi"] = np.log(
+        return out.assign(pmi=np.log(
             out["n_docs"].to_numpy(dtype=np.float64)
-            * float(total_docs) / (na * nb))
-        return out
+            * float(total_docs) / (na * nb)))
 
-    return (
-        m.map_batches(_doc_bucket, batch_format="pandas")
-        .groupby("_dbucket")
-        .map_groups(_pairs, batch_format="pandas")
-        .groupby("_pbucket")
-        .map_groups(_finalize, batch_format="pandas")
-    )
+    def _ent_pair(extra):
+        return lambda sch: pa.schema(
+            [("entity_a", sch.field(entity_col).type),
+             ("entity_b", sch.field(entity_col).type)] + extra)
+
+    pairs = exchange(m, id_col, _pairs, _ent_pair([("n", pa.int64())]),
+                     num_buckets)
+    return exchange(
+        pairs, ["entity_a", "entity_b"], _finalize,
+        lambda sch: pa.schema([sch.field("entity_a"), sch.field("entity_b"),
+                               ("n_docs", pa.int64()), ("pmi", pa.float64())]),
+        num_buckets)
 
 
 def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
@@ -734,16 +662,8 @@ def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
     when ``max_iters`` hops don't quiesce; ``max_depth`` bounds
     exploration (tokens past it are never emitted, so the loop
     terminates early and nodes beyond it are absent)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_buckets = 16
 
     rel_set = None if rels is None else sorted({str(r) for r in rels})
 
@@ -770,13 +690,6 @@ def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
     })
     work = links_ds.map_batches(_init, batch_format="pyarrow").union(
         rd.from_arrow(seed_tbl))
-
-    def _bucketize(df: pd.DataFrame) -> "pa.Table":
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["key"], index=False) % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(df, preserve_index=False)
 
     def _hop(bucket: pd.DataFrame) -> pd.DataFrame:
         visited = bucket[bucket["kind"] == 0]
@@ -815,12 +728,8 @@ def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
 
     pending = 0
     for _ in range(max_iters):
-        work = (
-            work.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_hop, batch_format="pandas")
-            .materialize()
-        )
+        work = exchange(work, "key", _hop, seed_tbl.schema,
+                        num_buckets).materialize()
         pending = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "d"].sum())]}),
@@ -858,13 +767,12 @@ def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
     Scale shape: the entity vocabulary gets global ranks via
     :func:`versa_ray.ops.agg.zip_with_index` (three bounded passes,
     no driver materialization); sampled ranks resolve to entities
-    with ONE tagged-union coarse-bucket join per resolution round
+    with ONE two-input exchange per resolution round
     (two rounds: initial draw, then only the collision rows).
     Returns ``(origin, rel, target, neg_i, neg_entity)``.
     """
     import hashlib
 
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray
 
@@ -875,11 +783,9 @@ def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
     def _ents(tbl: pa.Table) -> pa.Table:
         return pa.table({"entity": tbl["origin"]})
 
-    from .dedup import dedup_rows
-
-    ents = dedup_rows(
+    ents = distinct_rows(
         links_ds.map_batches(_ents, batch_format="pyarrow"),
-        ["entity"], num_buckets=num_buckets)
+        ["entity"], pa.schema({"entity": pa.string()}), num_buckets)
     indexed = zip_with_index(ents, "entity", num_buckets=num_buckets)
     n = int(indexed.count())
     if n < 2:
@@ -915,45 +821,24 @@ def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
                             dtype="int64"),
         })
 
+    resolved = pa.schema({"origin": pa.string(), "rel": pa.string(),
+                          "target": pa.string(), "neg_i": pa.int64(),
+                          "raw": pa.int64(), "ix": pa.int64(),
+                          "_ent": pa.string()})
+
+    def _join(smp: pd.DataFrame, ent: pd.DataFrame) -> pd.DataFrame:
+        if not len(smp):
+            return None
+        if not len(ent):
+            return smp.assign(_ent=None)
+        ent = ent.rename(columns={"_index": "ix", "entity": "_ent"})
+        return smp.merge(ent[["ix", "_ent"]], on="ix", how="left")
+
     def _resolve(samples):
-        """Attach indexed.entity at samples.ix via one tagged-union
-        coarse-bucket join keyed on the rank."""
-        cols = ["origin", "rel", "target", "neg_i", "raw", "ix"]
-
-        def _s_rows(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[cols].copy()
-            out["_kind"] = np.int8(1)
-            out["_ent"] = ""
-            out["_jb"] = (out["ix"].to_numpy() % num_buckets).astype(
-                "int32")
-            return out
-
-        def _e_rows(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(
-                {c: pd.Series([""] * len(df), dtype=object) for c in
-                 ["origin", "rel", "target"]})
-            out["neg_i"] = np.int64(0)
-            out["raw"] = np.int64(0)
-            out["ix"] = df["_index"].to_numpy(dtype=np.int64)
-            out["_kind"] = np.int8(0)
-            out["_ent"] = df["entity"].astype(object).to_numpy()
-            out["_jb"] = (out["ix"].to_numpy() % num_buckets).astype(
-                "int32")
-            return out
-
-        def _join(bucket: pd.DataFrame) -> pd.DataFrame:
-            out_cols = cols + ["_ent"]
-            if "_kind" not in bucket.columns or not len(bucket):
-                return pd.DataFrame(
-                    {c: pd.Series([], dtype=object) for c in out_cols})
-            ent = bucket[bucket["_kind"] == 0][["ix", "_ent"]]
-            smp = bucket[bucket["_kind"] == 1][cols]
-            m = smp.merge(ent, on="ix", how="left")
-            return m[out_cols]
-
-        both = samples.map_batches(_s_rows, batch_format="pandas").union(
-            indexed.map_batches(_e_rows, batch_format="pandas"))
-        return both.groupby("_jb").map_groups(_join, batch_format="pandas")
+        """Attach indexed.entity at samples.ix via one two-input
+        exchange keyed on the rank."""
+        return exchange([samples, indexed], [["ix"], ["_index"]], _join,
+                        resolved, num_buckets)
 
     pos = links_ds.map_batches(_pos, batch_format="pyarrow")
     first = _resolve(pos.map_batches(_expand, batch_format="pandas"))
@@ -998,70 +883,39 @@ def clustering_coefficients(edges_ds, u="u", v="v", num_buckets=64):
     Extends the :func:`triangle_count` node-iterator shape: wedges
     carry their CENTER through the edge semi-join, every matched
     wedge credits all three corners, per-node triangle counts and
-    degrees merge on node-keyed coarse-bucket shuffles, and one final
-    tagged-union join divides. Returns ``(node, degree, triangles,
+    degrees merge on node-keyed exchanges, and one final two-input
+    exchange divides. Returns ``(node, degree, triangles,
     cc)`` rows — every node incident to an edge appears."""
-    from .dedup import bucketed_group_apply, coarse_bucket
 
     def _wedges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"c": pd.Series([], dtype="int64"),
-                              u: pd.Series([], dtype="int64"),
-                              v: pd.Series([], dtype="int64")})
-        if not len(group):
-            return empty
         nb = np.sort(group[v].to_numpy())
-        n = len(nb)
-        if n < 2:
-            return empty
-        ia, ib = np.triu_indices(n, k=1)
+        ia, ib = np.triu_indices(len(nb), k=1)
         return pd.DataFrame({
             "c": np.full(len(ia), group[u].iloc[0], dtype=np.int64),
             u: nb[ia], v: nb[ib]})
 
     wedges = bucketed_group_apply(
-        edges_ds, [u], _wedges, num_buckets=num_buckets, min_group_size=2)
+        edges_ds, [u], _wedges,
+        lambda sch: pa.schema([("c", pa.int64()), sch.field(u), sch.field(v)]),
+        num_buckets, min_group_size=2)
 
-    def _tag_e(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[u, v]].copy()
-        out["c"] = np.int64(-1)
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, [u, v], num_buckets)
-        return out[["c", u, v, "_kind", "_cbucket"]]
-
-    def _tag_w(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["c", u, v]].copy()
-        out["_kind"] = np.int8(1)
-        out["_cbucket"] = coarse_bucket(out, [u, v], num_buckets)
-        return out
-
-    def _match(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                              "t": pd.Series([], dtype="int64")})
-        if "_kind" not in bucket.columns or not len(bucket):
-            return empty
-        e = bucket[bucket["_kind"] == 0]
-        w = bucket[bucket["_kind"] == 1]
+    def _match(e: pd.DataFrame, w: pd.DataFrame) -> pd.DataFrame:
         if not len(e) or not len(w):
-            return empty
+            return None
         ekeys = pd.MultiIndex.from_frame(e[[u, v]])
         wkeys = pd.MultiIndex.from_frame(w[[u, v]])
         hit = w[wkeys.isin(ekeys)]
-        if not len(hit):
-            return empty
         # each matched wedge (c, x, y) is the triangle {c, x, y}:
         # credit all three corners
         nodes = np.concatenate([hit["c"].to_numpy(),
                                 hit[u].to_numpy(), hit[v].to_numpy()])
         un, cn = np.unique(nodes, return_counts=True)
-        return pd.DataFrame({"node": un.astype(np.int64),
-                             "t": cn.astype(np.int64)})
+        return pd.DataFrame({"node": un, "t": cn})
 
-    tri_partial = (
-        edges_ds.map_batches(_tag_e, batch_format="pandas")
-        .union(wedges.map_batches(_tag_w, batch_format="pandas"))
-        .groupby("_cbucket")
-        .map_groups(_match, batch_format="pandas")
-    )
+    node_t = pa.schema({"node": pa.int64(), "t": pa.int64()})
+    tri_partial = exchange(
+        [edges_ds.select_columns([u, v]), wedges], [u, v], _match, node_t,
+        num_buckets)
 
     def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         nodes = np.concatenate([df[u].to_numpy(), df[v].to_numpy()]) \
@@ -1070,48 +924,26 @@ def clustering_coefficients(edges_ds, u="u", v="v", num_buckets=64):
         return pd.DataFrame({"node": un.astype(np.int64),
                              "d": cn.astype(np.int64)})
 
-    def _tag(kind, val_col):
-        def _t(df: pd.DataFrame) -> pd.DataFrame:
-            if "node" not in df.columns or not len(df):
-                return pd.DataFrame({
-                    "node": pd.Series([], dtype="int64"),
-                    "t": pd.Series([], dtype="int64"),
-                    "d": pd.Series([], dtype="int64"),
-                    "_nbucket": pd.Series([], dtype="int32")})
-            out = pd.DataFrame({"node": df["node"].to_numpy(dtype=np.int64)})
-            out["t"] = (df[val_col].to_numpy(dtype=np.int64)
-                        if kind == 1 else np.int64(0))
-            out["d"] = (df[val_col].to_numpy(dtype=np.int64)
-                        if kind == 0 else np.int64(0))
-            out["_nbucket"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
-
-        return _t
-
-    def _finalize(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({
-                "node": pd.Series([], dtype="int64"),
-                "degree": pd.Series([], dtype="int64"),
-                "triangles": pd.Series([], dtype="int64"),
-                "cc": pd.Series([], dtype="float64")})
-        g = bucket.groupby("node", as_index=False, sort=False).agg(
+    def _finalize(deg: pd.DataFrame, tri: pd.DataFrame) -> pd.DataFrame:
+        if not len(deg):
+            return None
+        rows = deg.assign(t=0)
+        if len(tri):
+            rows = pd.concat([rows, tri.assign(d=0)], ignore_index=True)
+        g = rows.groupby("node", as_index=False, sort=False).agg(
             triangles=("t", "sum"), degree=("d", "sum"))
         d = g["degree"].to_numpy(dtype=np.float64)
         t = g["triangles"].to_numpy(dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             cc = np.where(d >= 2, 2.0 * t / (d * np.maximum(d - 1, 1)), 0.0)
-        return pd.DataFrame({
-            "node": g["node"].to_numpy(dtype=np.int64),
-            "degree": g["degree"].astype("int64"),
-            "triangles": g["triangles"].astype("int64"),
-            "cc": cc.astype("float64")})
+        return g.assign(cc=cc)
 
-    deg_partial = edges_ds.map_batches(_deg_partial, batch_format="pandas")
-    both = deg_partial.map_batches(_tag(0, "d"), batch_format="pandas").union(
-        tri_partial.map_batches(_tag(1, "t"), batch_format="pandas"))
-    return both.groupby("_nbucket").map_groups(
-        _finalize, batch_format="pandas")
+    return exchange(
+        [edges_ds.map_batches(_deg_partial, batch_format="pandas"),
+         tri_partial], "node", _finalize,
+        pa.schema({"node": pa.int64(), "degree": pa.int64(),
+                   "triangles": pa.int64(), "cc": pa.float64()}),
+        num_buckets)
 
 
 def k_core(edges_ds, k, max_rounds=50, num_buckets=64):
@@ -1119,96 +951,54 @@ def k_core(edges_ds, k, max_rounds=50, num_buckets=64):
     has degree >= k (undirected simple graph as canonical ``u < v``
     distinct edges). Iterative peeling, fully distributed: each round
     recomputes degrees of the SURVIVING subgraph (one node-keyed
-    coarse-bucket shuffle over edge endpoints), drops nodes below k,
-    and filters edges incident to dropped nodes (a second bucket pass
-    keyed on each endpoint). The driver sees one dropped-count scalar
+    exchange over edge endpoints), drops nodes below k, and filters
+    edges incident to dropped nodes (an exchange keyed on each
+    endpoint). The driver sees one dropped-count scalar
     per round; converged = a round that drops nothing. Raises if
     ``max_rounds`` rounds still dropped nodes — a silently truncated
     peel is NOT the k-core (it may keep nodes the next round would
     drop). Returns a Dataset of ``(node,)`` rows."""
-    import ray.data as rd
+    node = pa.schema({"node": pa.int64()})
+    uv = pa.schema({"u": pa.int64(), "v": pa.int64()})
 
-    from .dedup import coarse_bucket
+    def _ends(df: pd.DataFrame) -> pd.DataFrame:
+        nodes = (np.concatenate([df["u"].to_numpy(), df["v"].to_numpy()])
+                 if len(df) else np.empty(0, dtype=np.int64))
+        un, cn = np.unique(nodes, return_counts=True)
+        return pd.DataFrame({"node": un.astype(np.int64),
+                             "d": cn.astype(np.int64)})
+
+    def _drop(group: pd.DataFrame) -> pd.DataFrame:
+        g = group.groupby("node", as_index=False, sort=False)["d"].sum()
+        return g.loc[g["d"] < k, ["node"]]
+
+    def _keep_off(end):
+        def _keep(e: pd.DataFrame, bad: pd.DataFrame) -> pd.DataFrame:
+            if not len(e) or not len(bad):
+                return e
+            return e[~e[end].isin(set(bad["node"]))]
+
+        return _keep
 
     # materialize once: every peel round reads `edges` 2-3x, and a lazy
     # input would re-execute its whole upstream (edge projection,
     # m>=N reductions) each time
     edges = edges_ds.materialize()
     for _ in range(max_rounds):
-        def _ends(df: pd.DataFrame) -> pd.DataFrame:
-            nodes = (np.concatenate([df["u"].to_numpy(),
-                                     df["v"].to_numpy()])
-                     if len(df) else np.empty(0, dtype=np.int64))
-            un, cn = np.unique(nodes, return_counts=True)
-            out = pd.DataFrame({"node": un.astype(np.int64),
-                                "d": cn.astype(np.int64)})
-            out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
-
-        def _drop(group: pd.DataFrame) -> pd.DataFrame:
-            if "node" not in group.columns or not len(group):
-                return pd.DataFrame({"node": pd.Series([], dtype="int64")})
-            g = group.groupby("node", as_index=False, sort=False)["d"].sum()
-            return g.loc[g["d"] < k, ["node"]]
-
-        dropped = (
-            edges.map_batches(_ends, batch_format="pandas")
-            .groupby("_nb")
-            .map_groups(_drop, batch_format="pandas")
-            .repartition(8)
-            .materialize()
-        )
+        dropped = exchange(
+            edges.map_batches(_ends, batch_format="pandas"), "node", _drop,
+            node, num_buckets,
+        ).repartition(8).materialize()
         n_dropped = int(dropped.count())
         if n_dropped == 0:
             break
 
-        # filter edges touching a dropped node: tagged union bucketed
-        # on each endpoint; an edge survives only if BOTH endpoint
-        # checks pass, so it is emitted from the u-keyed row only when
-        # the v-keyed row also survived — implemented as two chained
-        # semi-filters (each one bucket pass)
+        # filter edges touching a dropped node: an edge survives only
+        # if BOTH endpoint checks pass — two chained semi-filters, each
+        # one exchange keyed on that endpoint
         for end in ("u", "v"):
-            def _tag_e(df: pd.DataFrame, end=end) -> pd.DataFrame:
-                out = df[["u", "v"]].copy()
-                out["node"] = out[end].to_numpy()
-                out["_kind"] = np.int8(1)
-                out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-                return out
-
-            def _tag_d(df: pd.DataFrame) -> pd.DataFrame:
-                if "node" not in df.columns or not len(df):
-                    return pd.DataFrame({
-                        "u": pd.Series([], dtype="int64"),
-                        "v": pd.Series([], dtype="int64"),
-                        "node": pd.Series([], dtype="int64"),
-                        "_kind": pd.Series([], dtype="int8"),
-                        "_nb": pd.Series([], dtype="int32")})
-                out = pd.DataFrame({
-                    "u": np.zeros(len(df), dtype=np.int64),
-                    "v": np.zeros(len(df), dtype=np.int64),
-                    "node": df["node"].to_numpy(dtype=np.int64)})
-                out["_kind"] = np.int8(0)
-                out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-                return out
-
-            def _keep(bucket: pd.DataFrame) -> pd.DataFrame:
-                empty = pd.DataFrame({"u": pd.Series([], dtype="int64"),
-                                      "v": pd.Series([], dtype="int64")})
-                if "_kind" not in bucket.columns or not len(bucket):
-                    return empty
-                bad = set(bucket.loc[bucket["_kind"] == 0, "node"])
-                e = bucket[bucket["_kind"] == 1]
-                if not len(e):
-                    return empty
-                keep = ~e["node"].isin(bad)
-                return e.loc[keep, ["u", "v"]]
-
-            edges = (
-                edges.map_batches(_tag_e, batch_format="pandas")
-                .union(dropped.map_batches(_tag_d, batch_format="pandas"))
-                .groupby("_nb")
-                .map_groups(_keep, batch_format="pandas")
-            )
+            edges = exchange([edges, dropped], [[end], ["node"]],
+                             _keep_off(end), uv, num_buckets)
         # repartition BEFORE materializing: each union+groupby grows the
         # block count (sort output blocks ~ input blocks), and ten rounds
         # of compounding leaves hundreds of near-empty blocks whose sort
@@ -1220,24 +1010,7 @@ def k_core(edges_ds, k, max_rounds=50, num_buckets=64):
             f"k_core did not converge in {max_rounds} peel rounds; "
             "raise max_rounds")
 
-    def _nodes(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = (np.unique(np.concatenate([df["u"].to_numpy(),
-                                           df["v"].to_numpy()]))
-                 if len(df) else np.empty(0, dtype=np.int64))
-        out = pd.DataFrame({"node": nodes.astype(np.int64)})
-        out["_nb"] = (out["node"].to_numpy() % num_buckets).astype("int32")
-        return out
-
-    def _dedup(group: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in group.columns or not len(group):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64")})
-        return group[["node"]].drop_duplicates()
-
-    return (
-        edges.map_batches(_nodes, batch_format="pandas")
-        .groupby("_nb")
-        .map_groups(_dedup, batch_format="pandas")
-    )
+    return _distinct_nodes(edges, ["u", "v"], num_buckets)
 
 
 def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
@@ -1252,17 +1025,15 @@ def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
     v`` edges. Candidates come from wedge enumeration at the shared
     neighbor (a pair with J > 0 shares at least one neighbor, so
     every such pair is emitted by at least one wedge center) — NEVER
-    all-pairs. Common counts merge on a pair-keyed coarse-bucket
-    shuffle, degrees on a node-keyed one, and two slim tagged-union
-    bucket joins attach endpoint degrees (the pair table never ships
-    whole-graph state). ``|N(a) | N(b)| = deg(a) + deg(b) - common``.
+    all-pairs. Common counts merge on a pair-keyed exchange, degrees
+    on a node-keyed one, and two slim two-input exchanges attach
+    endpoint degrees (the pair table never ships whole-graph state). ``|N(a) | N(b)| = deg(a) + deg(b) - common``.
 
     Wedge fan-out is quadratic in the center's degree; ``max_degree``
     (optional) skips hub centers, which makes the result a documented
     UNDERCOUNT of common neighbors through skipped hubs — leave it
     None for exact. Returns ``(u, v, common, jaccard)`` for pairs
     with ``jaccard >= min_sim``."""
-    from .dedup import bucketed_group_apply, coarse_bucket
 
     def _bidir(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -1280,115 +1051,27 @@ def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
     adj = edges_ds.map_batches(_bidir, batch_format="pandas").materialize()
 
     def _wedges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"x": pd.Series([], dtype="int64"),
-                              "y": pd.Series([], dtype="int64")})
         nb = np.unique(group["b"].to_numpy())
-        if len(nb) < 2 or (max_degree is not None and len(nb) > max_degree):
-            return empty
+        if max_degree is not None and len(nb) > max_degree:
+            return None
         ia, ib = np.triu_indices(len(nb), k=1)
-        return pd.DataFrame({"x": nb[ia].astype(np.int64),
-                             "y": nb[ib].astype(np.int64)})
+        return pd.DataFrame({"x": nb[ia], "y": nb[ib]})
 
-    pairs = bucketed_group_apply(adj, ["a"], _wedges,
-                                 num_buckets=num_buckets, min_group_size=2)
-
-    def _pbucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_pb"] = coarse_bucket(df, ["x", "y"], num_buckets)
-        return df
+    pairs = bucketed_group_apply(
+        adj, ["a"], _wedges, _int64_schema(["x", "y"]), num_buckets,
+        min_group_size=2)
 
     def _pcount(g: pd.DataFrame) -> pd.DataFrame:
-        if "x" not in g.columns or not len(g):
-            return pd.DataFrame({"x": pd.Series([], dtype="int64"),
-                                 "y": pd.Series([], dtype="int64"),
-                                 "common": pd.Series([], dtype="int64")})
         out = g.groupby(["x", "y"], as_index=False, sort=False).size()
-        out.columns = ["x", "y", "common"]
-        return out.astype({"common": "int64"})
+        return out.rename(columns={"size": "common"})
 
-    common = (pairs.map_batches(_pbucket, batch_format="pandas")
-              .groupby("_pb").map_groups(_pcount, batch_format="pandas"))
-
-    def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        un, cn = (np.unique(df["a"].to_numpy(), return_counts=True)
-                  if len(df) else (np.empty(0, dtype=np.int64),) * 2)
-        return pd.DataFrame({"node": un.astype(np.int64),
-                             "d": cn.astype(np.int64)})
-
-    def _dsum(g: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in g.columns or not len(g):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "d": pd.Series([], dtype="int64")})
-        return g.groupby("node", as_index=False, sort=False)["d"].sum()
-
-    def _nbucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_nb"] = coarse_bucket(df, ["node"], num_buckets)
-        return df
-
-    deg = (adj.map_batches(_deg_partial, batch_format="pandas")
-           .map_batches(_nbucket, batch_format="pandas")
-           .groupby("_nb").map_groups(_dsum, batch_format="pandas")
-           .materialize())
-
-    def _attach(pair_ds, end_col, out_col):
-        # tagged union bucketed on the endpoint: kind 0 = degree rows,
-        # kind 1 = pair rows keyed by that endpoint
-        pcols = [c for c in ("x", "y", "common", "dx") if c != out_col]
-
-        def _tag_p(df: pd.DataFrame) -> pd.DataFrame:
-            cols = [c for c in pcols if c in df.columns]
-            if "x" not in df.columns or not len(df):
-                out = pd.DataFrame({c: pd.Series([], dtype="int64")
-                                    for c in pcols})
-            else:
-                out = df[cols].copy()
-            out["node"] = (out[end_col].to_numpy(dtype=np.int64)
-                           if len(out) else
-                           np.empty(0, dtype=np.int64))
-            out["d"] = np.int64(-1)
-            out["_kind"] = np.int8(1)
-            out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
-
-        def _tag_d(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df) if "node" in df.columns else 0
-            out = pd.DataFrame({c: np.zeros(n, dtype=np.int64)
-                                for c in pcols})
-            out["node"] = (df["node"].to_numpy(dtype=np.int64) if n
-                           else np.empty(0, dtype=np.int64))
-            out["d"] = (df["d"].to_numpy(dtype=np.int64) if n
-                        else np.empty(0, dtype=np.int64))
-            out["_kind"] = np.int8(0)
-            out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
-
-        def _join(bucket: pd.DataFrame) -> pd.DataFrame:
-            cols = pcols + [out_col]
-            empty = pd.DataFrame({c: pd.Series([], dtype="int64")
-                                  for c in cols})
-            if "_kind" not in bucket.columns or not len(bucket):
-                return empty
-            p = bucket[bucket["_kind"] == 1]
-            d = bucket[bucket["_kind"] == 0]
-            if not len(p):
-                return empty
-            m = pd.Series(d["d"].to_numpy(), index=d["node"].to_numpy())
-            out = p[pcols].copy()
-            # every pair endpoint has >= 1 edge, so the lookup always
-            # hits; a miss would mean mis-bucketed keys — fail loud
-            got = m.reindex(p["node"].to_numpy())
-            if got.isna().any():
-                raise AssertionError("degree lookup missed a node")
-            out[out_col] = got.to_numpy(dtype=np.int64)
-            return out
-
-        return (pair_ds.map_batches(_tag_p, batch_format="pandas")
-                .union(deg.map_batches(_tag_d, batch_format="pandas"))
-                .groupby("_nb").map_groups(_join, batch_format="pandas"))
-
-    with_dx = _attach(common, "x", "dx")
-    with_dy = _attach(with_dx, "y", "dy")
+    common = exchange(pairs, ["x", "y"], _pcount,
+                      _int64_schema(["x", "y", "common"]), num_buckets)
+    deg = _node_degrees(adj, "a", num_buckets)
+    with_dx = _attach_degree(common, ["x", "y", "common"], deg, "x", "dx",
+                             num_buckets)
+    with_dy = _attach_degree(with_dx, ["x", "y", "common", "dx"], deg, "y",
+                             "dy", num_buckets)
 
     def _score(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({u: pd.Series([], dtype="int64"),
@@ -1411,12 +1094,45 @@ def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
     return with_dy.map_batches(_score, batch_format="pandas")
 
 
+def _node_degrees(adj, col, num_buckets):
+    """Materialized ``(node, d)`` degrees from bidirectional adjacency
+    rows (one row per edge orientation, source node in ``col``)."""
+
+    def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
+        un, cn = (np.unique(df[col].to_numpy(), return_counts=True)
+                  if len(df) else (np.empty(0, dtype=np.int64),) * 2)
+        return pd.DataFrame({"node": un.astype(np.int64),
+                             "d": cn.astype(np.int64)})
+
+    def _dsum(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("node", as_index=False, sort=False)["d"].sum()
+
+    return exchange(adj.map_batches(_deg_partial, batch_format="pandas"),
+                    "node", _dsum, _int64_schema(["node", "d"]),
+                    num_buckets).materialize()
+
+
+def _attach_degree(pairs, cols, deg, end_col, out_col, num_buckets):
+    """``pairs`` (int64 ``cols``) plus ``out_col`` = the degree of the
+    ``end_col`` endpoint, via one two-input exchange on that node."""
+
+    def _join(p: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
+        if not len(p):
+            return None
+        # every pair endpoint has >= 1 edge, so the lookup always hits
+        return p.assign(**{out_col: _node_values(p, end_col, d, "d")})
+
+    return exchange(
+        [pairs, deg], [[end_col], ["node"]], _join,
+        _int64_schema(cols + [out_col]), num_buckets)
+
+
 def degree_assortativity(edges_ds, u="u", v="v"):
     """Degree assortativity coefficient of an undirected simple graph
     (canonical ``u < v`` distinct edges): the Pearson correlation of
     endpoint degrees over the edge list with each edge counted in
-    BOTH orientations (Newman 2002's r). One node-keyed bucket
-    shuffle for degrees, two slim tagged joins to annotate edges,
+    BOTH orientations (Newman 2002's r). One node-keyed exchange
+    for degrees, two slim two-input exchanges to annotate edges,
     then six scalar moments reduce to the driver — nothing
     edge-cardinality ever materializes driver-side. Returns a
     one-row ``(assortativity,)`` Dataset; NaN on degenerate graphs
@@ -1425,98 +1141,22 @@ def degree_assortativity(edges_ds, u="u", v="v"):
 
     import ray.data as rd
 
-    from .dedup import coarse_bucket
-
     def _bidir(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({"x": pd.Series([], dtype="int64"),
-                                 "y": pd.Series([], dtype="int64"),
-                                 "common": pd.Series([], dtype="int64")})
+                                 "y": pd.Series([], dtype="int64")})
         return pd.DataFrame({
             "x": np.concatenate([df[u].to_numpy(),
                                  df[v].to_numpy()]).astype(np.int64),
             "y": np.concatenate([df[v].to_numpy(),
-                                 df[u].to_numpy()]).astype(np.int64),
-            "common": np.zeros(2 * len(df), dtype=np.int64)})
+                                 df[u].to_numpy()]).astype(np.int64)})
 
-    # shape bidirectional edges as (x, y, common=0) pair rows so the
-    # degree attach below mirrors neighborhood_jaccard's tagged join
+    # bidirectional edges as (x, y) pair rows, so the degree attach
+    # below is neighborhood_jaccard's
     bidir = edges_ds.map_batches(_bidir, batch_format="pandas").materialize()
-
-    # degrees + attach, inlined (same tagged-union shape as above)
-    def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        un, cn = (np.unique(df["x"].to_numpy(), return_counts=True)
-                  if len(df) else (np.empty(0, dtype=np.int64),) * 2)
-        return pd.DataFrame({"node": un.astype(np.int64),
-                             "d": cn.astype(np.int64)})
-
-    def _dsum(g: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in g.columns or not len(g):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "d": pd.Series([], dtype="int64")})
-        return g.groupby("node", as_index=False, sort=False)["d"].sum()
-
-    def _nbucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_nb"] = coarse_bucket(df, ["node"], 64)
-        return df
-
-    deg = (bidir.map_batches(_deg_partial, batch_format="pandas")
-           .map_batches(_nbucket, batch_format="pandas")
-           .groupby("_nb").map_groups(_dsum, batch_format="pandas")
-           .materialize())
-
-    def _attach(pair_ds, end_col, out_col, pcols):
-        def _tag_p(df: pd.DataFrame) -> pd.DataFrame:
-            cols = [c for c in pcols if c in df.columns]
-            if "x" not in df.columns or not len(df):
-                out = pd.DataFrame({c: pd.Series([], dtype="int64")
-                                    for c in pcols})
-            else:
-                out = df[cols].copy()
-            out["node"] = (out[end_col].to_numpy(dtype=np.int64)
-                           if len(out) else np.empty(0, dtype=np.int64))
-            out["d"] = np.int64(-1)
-            out["_kind"] = np.int8(1)
-            out["_nb"] = coarse_bucket(out, ["node"], 64)
-            return out
-
-        def _tag_d(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df) if "node" in df.columns else 0
-            out = pd.DataFrame({c: np.zeros(n, dtype=np.int64)
-                                for c in pcols})
-            out["node"] = (df["node"].to_numpy(dtype=np.int64) if n
-                           else np.empty(0, dtype=np.int64))
-            out["d"] = (df["d"].to_numpy(dtype=np.int64) if n
-                        else np.empty(0, dtype=np.int64))
-            out["_kind"] = np.int8(0)
-            out["_nb"] = coarse_bucket(out, ["node"], 64)
-            return out
-
-        def _join(bucket: pd.DataFrame) -> pd.DataFrame:
-            cols = pcols + [out_col]
-            empty = pd.DataFrame({c: pd.Series([], dtype="int64")
-                                  for c in cols})
-            if "_kind" not in bucket.columns or not len(bucket):
-                return empty
-            p = bucket[bucket["_kind"] == 1]
-            d = bucket[bucket["_kind"] == 0]
-            if not len(p):
-                return empty
-            m = pd.Series(d["d"].to_numpy(), index=d["node"].to_numpy())
-            out = p[pcols].copy()
-            got = m.reindex(p["node"].to_numpy())
-            if got.isna().any():
-                raise AssertionError("degree lookup missed a node")
-            out[out_col] = got.to_numpy(dtype=np.int64)
-            return out
-
-        return (pair_ds.map_batches(_tag_p, batch_format="pandas")
-                .union(deg.map_batches(_tag_d, batch_format="pandas"))
-                .groupby("_nb").map_groups(_join, batch_format="pandas"))
-
-    with_dx = _attach(bidir, "x", "dx", ["x", "y", "common"])
-    with_dy = _attach(with_dx, "y", "dy", ["x", "y", "common", "dx"])
+    deg = _node_degrees(bidir, "x", 64)
+    with_dx = _attach_degree(bidir, ["x", "y"], deg, "x", "dx", 64)
+    with_dy = _attach_degree(with_dx, ["x", "y", "dx"], deg, "y", "dy", 64)
 
     def _moments(df: pd.DataFrame) -> pd.DataFrame:
         if "dx" not in df.columns or not len(df):
@@ -1552,14 +1192,13 @@ def label_propagation(edges_ds, n_rounds=4, u="u", v="v", num_buckets=64):
     DuckDB oracle unrolls the same rounds) can check it bit-exactly.
 
     Fully distributed: labels live in a node-keyed Dataset; each
-    round is two coarse-bucket shuffles — one keyed on the NEIGHBOR
+    round is two keyed exchanges — one keyed on the NEIGHBOR
     endpoint to annotate adjacency rows with the neighbor's current
     label (with per-bucket partial (node, label) counts so only
     count rows ride the second shuffle), one keyed on the node for
     the global count merge + argmax. Nothing graph-sized touches the
     driver. Returns ``(node, label)`` rows for every node incident
     to an edge."""
-    from .dedup import coarse_bucket
 
     def _bidir(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -1572,105 +1211,62 @@ def label_propagation(edges_ds, n_rounds=4, u="u", v="v", num_buckets=64):
                                  df[u].to_numpy()]).astype(np.int64)})
 
     adj = edges_ds.map_batches(_bidir, batch_format="pandas").materialize()
+    labels = _seed_nodes(adj, ["a"], "label", None, num_buckets)
 
-    def _init_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        un = (np.unique(df["a"].to_numpy()) if len(df)
-              else np.empty(0, dtype=np.int64))
-        out = pd.DataFrame({"node": un.astype(np.int64)})
-        out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-        return out
+    def _annotate(e: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        if not len(e):
+            return None
+        out = pd.DataFrame({"node": e["a"].to_numpy(dtype=np.int64),
+                            "label": _node_values(e, "b", lab, "label")})
+        # partial counts: only (node, label, c) rows ride the second
+        # shuffle, not raw adjacency
+        return out.groupby(["node", "label"], as_index=False,
+                           sort=False).size().rename(columns={"size": "c"})
 
-    def _init_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in g.columns or not len(g):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "label": pd.Series([], dtype="int64")})
-        un = g["node"].drop_duplicates()
-        return pd.DataFrame({"node": un.to_numpy(dtype=np.int64),
-                             "label": un.to_numpy(dtype=np.int64)})
-
-    labels = (adj.map_batches(_init_nodes, batch_format="pandas")
-              .groupby("_nb").map_groups(_init_dedup,
-                                         batch_format="pandas"))
+    def _argmax(g: pd.DataFrame) -> pd.DataFrame:
+        s = g.groupby(["node", "label"], as_index=False, sort=False)["c"].sum()
+        s = s.sort_values(["node", "c", "label"],
+                          ascending=[True, False, True])
+        return s.drop_duplicates("node")
 
     for _ in range(n_rounds):
-        def _tag_adj(df: pd.DataFrame) -> pd.DataFrame:
-            if "a" not in df.columns or not len(df):
-                return pd.DataFrame({
-                    "a": pd.Series([], dtype="int64"),
-                    "key": pd.Series([], dtype="int64"),
-                    "label": pd.Series([], dtype="int64"),
-                    "_kind": pd.Series([], dtype="int8"),
-                    "_nb": pd.Series([], dtype="int32")})
-            out = pd.DataFrame({
-                "a": df["a"].to_numpy(dtype=np.int64),
-                "key": df["b"].to_numpy(dtype=np.int64)})
-            out["label"] = np.int64(-1)
-            out["_kind"] = np.int8(1)
-            out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-            return out
-
-        def _tag_lbl(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df) if "node" in df.columns else 0
-            out = pd.DataFrame({
-                "a": np.zeros(n, dtype=np.int64),
-                "key": (df["node"].to_numpy(dtype=np.int64) if n
-                        else np.empty(0, dtype=np.int64)),
-                "label": (df["label"].to_numpy(dtype=np.int64) if n
-                          else np.empty(0, dtype=np.int64))})
-            out["_kind"] = np.int8(0)
-            out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-            return out
-
-        def _annotate(bucket: pd.DataFrame) -> pd.DataFrame:
-            empty = pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                  "label": pd.Series([], dtype="int64"),
-                                  "c": pd.Series([], dtype="int64")})
-            if "_kind" not in bucket.columns or not len(bucket):
-                return empty
-            e = bucket[bucket["_kind"] == 1]
-            l = bucket[bucket["_kind"] == 0]
-            if not len(e):
-                return empty
-            m = pd.Series(l["label"].to_numpy(), index=l["key"].to_numpy())
-            got = m.reindex(e["key"].to_numpy())
-            if got.isna().any():
-                raise AssertionError("label lookup missed a node")
-            out = pd.DataFrame({
-                "node": e["a"].to_numpy(dtype=np.int64),
-                "label": got.to_numpy(dtype=np.int64)})
-            # partial counts: only (node, label, c) rows ride the
-            # second shuffle, not raw adjacency
-            g = out.groupby(["node", "label"], as_index=False,
-                            sort=False).size()
-            g.columns = ["node", "label", "c"]
-            return g.astype({"c": "int64"})
-
-        def _nbucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_nb2"] = coarse_bucket(df, ["node"], num_buckets)
-            return df
-
-        def _argmax(g: pd.DataFrame) -> pd.DataFrame:
-            if "node" not in g.columns or not len(g):
-                return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                     "label": pd.Series([], dtype="int64")})
-            s = g.groupby(["node", "label"], as_index=False,
-                          sort=False)["c"].sum()
-            s = s.sort_values(["node", "c", "label"],
-                              ascending=[True, False, True])
-            return s.drop_duplicates("node")[["node", "label"]]
-
-        labels = (
-            adj.map_batches(_tag_adj, batch_format="pandas")
-            .union(labels.map_batches(_tag_lbl, batch_format="pandas"))
-            .groupby("_nb").map_groups(_annotate, batch_format="pandas")
-            .map_batches(_nbucket, batch_format="pandas")
-            .groupby("_nb2").map_groups(_argmax, batch_format="pandas")
-        ).repartition(num_buckets).materialize()
-        # repartition bounds per-round block growth (union+2 groupbys
+        counts = exchange([adj, labels], [["b"], ["node"]], _annotate,
+                          _int64_schema(["node", "label", "c"]), num_buckets)
+        # repartition bounds per-round block growth (two exchanges
         # compound sort-output blocks; see k_core)
+        labels = exchange(
+            counts, "node", _argmax, _int64_schema(["node", "label"]),
+            num_buckets).repartition(num_buckets).materialize()
 
     return labels
+
+
+def _node_values(rows, key_col, vals, val_col):
+    """int64 ``vals[val_col]`` at each row's ``key_col`` node (``vals``
+    is keyed by ``node``). Every key must hit: a miss means keys that
+    should co-locate did not, so it fails loud."""
+    m = pd.Series(vals[val_col].to_numpy() if len(vals) else [],
+                  index=vals["node"].to_numpy() if len(vals) else [],
+                  dtype="int64")
+    got = m.reindex(rows[key_col].to_numpy())
+    if got.isna().any():
+        raise AssertionError(f"{val_col} lookup missed a node")
+    return got.to_numpy(dtype=np.int64)
+
+
+def _seed_nodes(edges, cols, val_col, val, num_buckets):
+    """Materialized distinct ``(node, val_col)`` over the int endpoint
+    ``cols`` of ``edges``; ``val_col`` starts at ``val``, or at the
+    node id itself when ``val`` is None."""
+
+    def _seed(df: pd.DataFrame) -> pd.DataFrame:
+        if "node" not in df.columns:  # schema-less empty block
+            return df
+        return df.assign(**{val_col: df["node"] if val is None
+                            else np.int64(val)})
+
+    return _distinct_nodes(edges, cols, num_buckets).map_batches(
+        _seed, batch_format="pandas").materialize()
 
 
 def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
@@ -1690,8 +1286,8 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
     cf. /root/reference/tools/py/util.py jsondump/simple walks).
 
     Fully distributed: scores live in node-keyed Datasets; each
-    half-round is the same two coarse-bucket shuffles as
-    label_propagation — a tagged union keyed on the score-side
+    half-round is the same two keyed exchanges as
+    label_propagation — a two-input exchange keyed on the score-side
     endpoint annotates edges with current scores and emits per-bucket
     PARTIAL sums (only (node, s) partials ride the second shuffle),
     then a node-keyed merge sums exactly. A per-round scalar max
@@ -1701,7 +1297,6 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
     Returns ``(node, hub, auth)`` for every node incident to an
     edge; a node with no in-edges has auth 0, no out-edges hub 0.
     """
-    from .dedup import coarse_bucket
 
     def _edges(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -1712,96 +1307,29 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
             "b": df[v].to_numpy().astype(np.int64)})
 
     edges = edges_ds.map_batches(_edges, batch_format="pandas").materialize()
+    nodes = _seed_nodes(edges, ["a", "b"], "s", 1, num_buckets)
+    node_s = _int64_schema(["node", "s"])
 
-    def _init_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        both = (np.concatenate([df["a"].to_numpy(), df["b"].to_numpy()])
-                if len(df) else np.empty(0, dtype=np.int64))
-        out = pd.DataFrame({"node": np.unique(both).astype(np.int64)})
-        out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-        return out
-
-    def _init_dedup(g: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in g.columns or not len(g):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "s": pd.Series([], dtype="int64")})
-        un = g["node"].drop_duplicates()
-        return pd.DataFrame({"node": un.to_numpy(dtype=np.int64),
-                             "s": np.ones(len(un), dtype=np.int64)})
-
-    nodes = (edges.map_batches(_init_nodes, batch_format="pandas")
-             .groupby("_nb").map_groups(_init_dedup, batch_format="pandas")
-             ).materialize()
+    def _sum(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("node", as_index=False, sort=False)["s"].sum()
 
     def _half_round(scores, score_end, out_end):
         """out(out_end) = sum of scores(score_end) over edges."""
 
-        def _tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-            if "a" not in df.columns or not len(df):
-                return pd.DataFrame({
-                    "node": pd.Series([], dtype="int64"),
-                    "key": pd.Series([], dtype="int64"),
-                    "s": pd.Series([], dtype="int64"),
-                    "_kind": pd.Series([], dtype="int8"),
-                    "_nb": pd.Series([], dtype="int32")})
-            out = pd.DataFrame({
-                "node": df[out_end].to_numpy(dtype=np.int64),
-                "key": df[score_end].to_numpy(dtype=np.int64)})
-            out["s"] = np.int64(0)
-            out["_kind"] = np.int8(1)
-            out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-            return out
-
-        def _tag_score(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df) if "node" in df.columns else 0
-            out = pd.DataFrame({
-                "node": np.zeros(n, dtype=np.int64),
-                "key": (df["node"].to_numpy(dtype=np.int64) if n
-                        else np.empty(0, dtype=np.int64)),
-                "s": (df["s"].to_numpy(dtype=np.int64) if n
-                      else np.empty(0, dtype=np.int64))})
-            out["_kind"] = np.int8(0)
-            out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-            return out
-
-        def _annotate(bucket: pd.DataFrame) -> pd.DataFrame:
-            empty = pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                  "s": pd.Series([], dtype="int64")})
-            if "_kind" not in bucket.columns or not len(bucket):
-                return empty
-            e = bucket[bucket["_kind"] == 1]
-            sc = bucket[bucket["_kind"] == 0]
+        def _annotate(e: pd.DataFrame, sc: pd.DataFrame) -> pd.DataFrame:
             if not len(e):
-                return empty
-            m = pd.Series(sc["s"].to_numpy(), index=sc["key"].to_numpy())
-            got = m.reindex(e["key"].to_numpy())
-            if got.isna().any():
-                raise AssertionError("HITS score lookup missed a node")
-            out = pd.DataFrame({
-                "node": e["node"].to_numpy(dtype=np.int64),
-                "s": got.to_numpy(dtype=np.int64)})
+                return None
             # partial sums: only (node, s) partials ride the second
             # shuffle, not annotated adjacency
-            return out.groupby("node", as_index=False, sort=False)["s"].sum()
+            return _sum(pd.DataFrame({
+                "node": e[out_end].to_numpy(dtype=np.int64),
+                "s": _node_values(e, score_end, sc, "s")}))
 
-        def _nbucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_nb2"] = coarse_bucket(df, ["node"], num_buckets)
-            return df
-
-        def _merge(g: pd.DataFrame) -> pd.DataFrame:
-            if "node" not in g.columns or not len(g):
-                return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                     "s": pd.Series([], dtype="int64")})
-            return g.groupby("node", as_index=False, sort=False)["s"].sum()
-
-        return (
-            edges.map_batches(_tag_edge, batch_format="pandas")
-            .union(scores.map_batches(_tag_score, batch_format="pandas"))
-            .groupby("_nb").map_groups(_annotate, batch_format="pandas")
-            .map_batches(_nbucket, batch_format="pandas")
-            .groupby("_nb2").map_groups(_merge, batch_format="pandas")
-        ).repartition(num_buckets).materialize()
+        partial = exchange([edges, scores], [[score_end], ["node"]],
+                           _annotate, node_s, num_buckets)
         # repartition bounds per-round block growth (see k_core)
+        return exchange(partial, "node", _sum, node_s,
+                        num_buckets).repartition(num_buckets).materialize()
 
     hub = nodes
     auth = nodes
@@ -1814,44 +1342,24 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
                 f"hits_scores: round max score {mx} exceeds 2^40; another "
                 "round could overflow int64 — lower n_rounds")
 
-    # outer-merge hub/auth/node tables on one node-keyed shuffle;
+    # outer-merge hub/auth/node tables on one node-keyed exchange;
     # nodes with no out-edges (in-edges) get hub (auth) 0
-    from .dedup import coarse_bucket as _cb
+    def _final(base: pd.DataFrame, h: pd.DataFrame,
+               a: pd.DataFrame) -> pd.DataFrame:
+        if not len(base):
+            return None
+        idx = base["node"].drop_duplicates().to_numpy(dtype=np.int64)
 
-    def _tag(which):
-        def _t(df: pd.DataFrame) -> pd.DataFrame:
-            n = len(df) if "node" in df.columns else 0
-            out = pd.DataFrame({
-                "node": (df["node"].to_numpy(dtype=np.int64) if n
-                         else np.empty(0, dtype=np.int64)),
-                "s": (df["s"].to_numpy(dtype=np.int64) if n
-                      else np.empty(0, dtype=np.int64))})
-            out["_kind"] = np.int8(which)
-            out["_nb"] = _cb(out, ["node"], num_buckets)
-            return out
-        return _t
+        def _at(sc):
+            if not len(sc):
+                return np.zeros(len(idx), dtype=np.int64)
+            return (sc.set_index("node")["s"].reindex(idx).fillna(0)
+                    .to_numpy(dtype=np.int64))
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                              "hub": pd.Series([], dtype="int64"),
-                              "auth": pd.Series([], dtype="int64")})
-        if "_kind" not in g.columns or not len(g):
-            return empty
-        base = g.loc[g["_kind"] == 0, "node"].drop_duplicates()
-        h = g[g["_kind"] == 1].set_index("node")["s"]
-        a = g[g["_kind"] == 2].set_index("node")["s"]
-        idx = base.to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "node": idx,
-            "hub": h.reindex(idx).fillna(0).to_numpy(dtype=np.int64),
-            "auth": a.reindex(idx).fillna(0).to_numpy(dtype=np.int64)})
+        return pd.DataFrame({"node": idx, "hub": _at(h), "auth": _at(a)})
 
-    return (
-        nodes.map_batches(_tag(0), batch_format="pandas")
-        .union(hub.map_batches(_tag(1), batch_format="pandas"),
-               auth.map_batches(_tag(2), batch_format="pandas"))
-        .groupby("_nb").map_groups(_final, batch_format="pandas")
-    )
+    return exchange([nodes, hub, auth], "node", _final,
+                    _int64_schema(["node", "hub", "auth"]), num_buckets)
 
 
 def schema_profile(links_ds, type_rel=None, num_buckets=64,
@@ -1869,8 +1377,8 @@ def schema_profile(links_ds, type_rel=None, num_buckets=64,
     nothing like this distributed — its type utilities are driver
     loops over resourcetypes (cf. /root/reference/tools/py/util.py).
 
-    Two coarse-bucket tagged-union joins (origin-keyed type attach,
-    then target-keyed), partial counts inside the second join's
+    Two two-input exchanges (origin-keyed type attach, then
+    target-keyed), partial counts inside the second exchange's
     buckets, and a small rollup — only (rel, type, type, n) partials
     leave the joins, never annotated link rows.
 
@@ -1878,7 +1386,6 @@ def schema_profile(links_ds, type_rel=None, num_buckets=64,
     """
     from ..core import VTYPE_REL
     from .agg import grouped_agg_small
-    from .dedup import coarse_bucket
 
     type_rel = str(type_rel or VTYPE_REL)
 
@@ -1889,45 +1396,19 @@ def schema_profile(links_ds, type_rel=None, num_buckets=64,
 
     typed = links_ds.map_batches(_typed, batch_format="pandas").materialize()
 
-    empty1 = pd.DataFrame({"rel": pd.Series([], dtype=object),
-                           "key": pd.Series([], dtype=object),
-                           "iri": pd.Series([], dtype=bool),
-                           "otype": pd.Series([], dtype=object)})
-
-    def _tag_link(df: pd.DataFrame) -> pd.DataFrame:
+    def _links(df: pd.DataFrame) -> pd.DataFrame:
         l = df[df["rel"] != type_rel]
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "rel": l["rel"].to_numpy(object),
             "key": l["origin"].to_numpy(object),
             "extra": l["target"].to_numpy(object),
-            "iri": l["target_is_iri"].to_numpy(bool),
-            "t": np.full(len(l), "", dtype=object)})
-        out["_kind"] = np.int8(1)
-        out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-        return out
+            "iri": l["target_is_iri"].to_numpy(bool)})
 
-    def _tag_typed(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df) if "key" in df.columns else 0
-        out = pd.DataFrame({
-            "rel": np.full(n, "", dtype=object),
-            "key": (df["key"].to_numpy(object) if n
-                    else np.empty(0, dtype=object)),
-            "extra": np.full(n, "", dtype=object),
-            "iri": np.zeros(n, dtype=bool),
-            "t": (df["t"].to_numpy(object) if n
-                  else np.empty(0, dtype=object))})
-        out["_kind"] = np.int8(0)
-        out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-        return out
-
-    def _attach_origin(g: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in g.columns or not len(g):
-            return empty1.copy()
-        links = g[g["_kind"] == 1][["rel", "key", "extra", "iri"]]
+    def _attach_origin(links: pd.DataFrame, ty: pd.DataFrame) -> pd.DataFrame:
         if not len(links):
-            return empty1.copy()
-        ty = g[g["_kind"] == 0][["key", "t"]]
-        m = links.merge(ty, on="key", how="left")
+            return None
+        m = (links.merge(ty, on="key", how="left") if len(ty)
+             else links.assign(t=None))
         # target becomes the next join key; origin type rides along
         return pd.DataFrame({
             "rel": m["rel"].to_numpy(object),
@@ -1935,77 +1416,42 @@ def schema_profile(links_ds, type_rel=None, num_buckets=64,
             "iri": m["iri"].to_numpy(bool),
             "otype": m["t"].fillna(untyped).to_numpy(object)})
 
-    annotated = (
-        links_ds.map_batches(_tag_link, batch_format="pandas")
-        .union(typed.map_batches(_tag_typed, batch_format="pandas"))
-        .groupby("_nb").map_groups(_attach_origin, batch_format="pandas")
-    )
+    annotated = exchange(
+        [links_ds.map_batches(_links, batch_format="pandas"), typed], "key",
+        _attach_origin,
+        pa.schema({"rel": pa.string(), "key": pa.string(),
+                   "iri": pa.bool_(), "otype": pa.string()}), num_buckets)
 
-    empty2 = pd.DataFrame({"rel": pd.Series([], dtype=object),
-                           "origin_type": pd.Series([], dtype=object),
-                           "target_type": pd.Series([], dtype=object),
-                           "n": pd.Series([], dtype="int64")})
-
-    def _tag_ann(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df) if "rel" in df.columns else 0
-        out = pd.DataFrame({
-            "rel": (df["rel"].to_numpy(object) if n
-                    else np.empty(0, dtype=object)),
-            "key": (df["key"].to_numpy(object) if n
-                    else np.empty(0, dtype=object)),
-            "iri": (df["iri"].to_numpy(bool) if n
-                    else np.empty(0, dtype=bool)),
-            "otype": (df["otype"].to_numpy(object) if n
-                      else np.empty(0, dtype=object)),
-            "t": np.full(n, "", dtype=object)})
-        out["_kind"] = np.int8(1)
-        out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
+    def _spread(df: pd.DataFrame) -> pd.DataFrame:
         # literal targets need no type lookup — spread them uniformly
         # instead of keying on the literal value (a hot literal like a
         # 5-value segment column would concentrate one bucket)
-        if n:
-            lit = ~out["iri"].to_numpy(bool)
-            out.loc[lit, "_nb"] = (
-                np.arange(n, dtype=np.int32) % num_buckets)[lit]
-        return out
+        key = df["key"].astype(object).to_numpy(copy=True)
+        lit = ~df["iri"].to_numpy(bool)
+        key[lit] = "\x00" + np.arange(len(df))[lit].astype(str).astype(object)
+        return df.assign(_k=key)
 
-    def _tag_typed2(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df) if "key" in df.columns else 0
-        out = pd.DataFrame({
-            "rel": np.full(n, "", dtype=object),
-            "key": (df["key"].to_numpy(object) if n
-                    else np.empty(0, dtype=object)),
-            "iri": np.zeros(n, dtype=bool),
-            "otype": np.full(n, "", dtype=object),
-            "t": (df["t"].to_numpy(object) if n
-                  else np.empty(0, dtype=object))})
-        out["_kind"] = np.int8(0)
-        out["_nb"] = coarse_bucket(out, ["key"], num_buckets)
-        return out
-
-    def _attach_target(g: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in g.columns or not len(g):
-            return empty2.copy()
-        links = g[g["_kind"] == 1][["rel", "key", "iri", "otype"]]
+    def _attach_target(links: pd.DataFrame, ty: pd.DataFrame) -> pd.DataFrame:
         if not len(links):
-            return empty2.copy()
-        ty = g[g["_kind"] == 0][["key", "t"]]
-        lit = links[~links["iri"]].copy()
-        lit["t"] = literal
-        ir = links[links["iri"]].merge(ty, on="key", how="left")
+            return None
+        lit = links[~links["iri"]].assign(t=literal)
+        ir = links[links["iri"]]
+        ir = (ir.merge(ty, on="key", how="left") if len(ty)
+              else ir.assign(t=None))
         ir["t"] = ir["t"].fillna(untyped)
         both = pd.concat([lit, ir], ignore_index=True)
         # partial counts: only (rel, otype, ttype, n) leaves the bucket
         out = (both.groupby(["rel", "otype", "t"], as_index=False,
                             sort=False).size())
         out.columns = ["rel", "origin_type", "target_type", "n"]
-        return out.astype({"n": "int64"})
+        return out
 
-    partials = (
-        annotated.map_batches(_tag_ann, batch_format="pandas")
-        .union(typed.map_batches(_tag_typed2, batch_format="pandas"))
-        .groupby("_nb").map_groups(_attach_target, batch_format="pandas")
-    )
+    partials = exchange(
+        [annotated.map_batches(_spread, batch_format="pandas"), typed],
+        [["_k"], ["key"]], _attach_target,
+        pa.schema({"rel": pa.string(), "origin_type": pa.string(),
+                   "target_type": pa.string(), "n": pa.int64()}),
+        num_buckets)
     return grouped_agg_small(
         partials, ["rel", "origin_type", "target_type"],
         {"n": ("n", "sum")})
@@ -2023,8 +1469,8 @@ def random_walks(edges, walk_len, src_col="src", dst_col="dst",
     out_degree``. Walks at sink nodes stop early.
 
     Scale shape: the adjacency (distinct edges + per-src rank/degree,
-    one coarse-bucket shuffle, materialized once) re-joins the
-    frontier in ONE tagged-union coarse-bucket shuffle per step —
+    one src-keyed exchange, materialized once) re-joins the frontier
+    in ONE two-input exchange per step —
     the same per-round cost family as pagerank/bfs_depths; the
     frontier is seeds-sized and the md5 draws are one digest per
     live walk per step. Returns ``(walk_id, step, node)`` with step 0
@@ -2032,104 +1478,54 @@ def random_walks(edges, walk_len, src_col="src", dst_col="dst",
     """
     import hashlib
 
-    from .dedup import coarse_bucket, dedup_rows
+    def _adj(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.drop_duplicates([src_col, dst_col]).sort_values(
+            [src_col, dst_col], ignore_index=True)
+        g["rnk"] = g.groupby(src_col, sort=False).cumcount()
+        g["deg"] = g.groupby(src_col, sort=False)[dst_col].transform("size")
+        return g
 
-    ded = dedup_rows(edges, [src_col, dst_col], num_buckets=num_buckets)
-
-    def _rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, [src_col], num_buckets)
-        return df
-
-    def _adj(bucket: pd.DataFrame) -> pd.DataFrame:
-        g = bucket.sort_values([src_col, dst_col], ignore_index=True)
-        g["rnk"] = g.groupby(src_col, sort=False).cumcount().astype("int64")
-        g["deg"] = g.groupby(src_col, sort=False)[dst_col].transform(
-            "size").astype("int64")
-        return g.drop(columns=["_cbucket"])
-
-    adj = (
-        ded.map_batches(_rank, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_adj, batch_format="pandas")
-    ).materialize()
+    # one src-keyed exchange dedups the edges AND ranks each src's
+    # adjacency (every copy of an edge shares its src bucket)
+    adj = exchange(
+        edges.select_columns([src_col, dst_col]), src_col, _adj,
+        lambda sch: sch.append(pa.field("rnk", pa.int64())).append(
+            pa.field("deg", pa.int64())),
+        num_buckets).materialize()
 
     def _seeds(df: pd.DataFrame) -> pd.DataFrame:
         u = df[[src_col]].drop_duplicates()
         return pd.DataFrame({"walk_id": u[src_col].to_numpy(),
                              "node": u[src_col].to_numpy()})
 
-    frontier = dedup_rows(
-        adj.map_batches(_seeds, batch_format="pandas"), ["walk_id"],
-        num_buckets=num_buckets).materialize()
+    node_t = adj.schema().base_schema.field(src_col).type
+    walk = pa.schema([("walk_id", node_t), ("node", node_t)])
+    frontier = distinct_rows(
+        adj.map_batches(_seeds, batch_format="pandas"), ["walk_id"], walk,
+        num_buckets).materialize()
 
     outs = [frontier]
     for k in range(walk_len):
-        def _tag_adj(df: pd.DataFrame, _k=k) -> pd.DataFrame:
-            out = pd.DataFrame({
-                "node": df[src_col].to_numpy(),
-                "dst": df[dst_col].to_numpy(),
-                "rnk": df["rnk"].to_numpy(),
-                "deg": df["deg"].to_numpy(),
-                # zero placeholder in the SOURCE dtype: a NaN-filled
-                # reindex would upcast walk_id to float across the
-                # tagged union
-                "walk_id": np.zeros(
-                    len(df), dtype=df[src_col].to_numpy().dtype),
-                "_kind": np.full(len(df), 0, dtype=np.int8),
-            })
-            out["_cbucket"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
-
-        def _tag_frontier(df: pd.DataFrame, _k=k) -> pd.DataFrame:
-            if "node" not in df.columns or not len(df):
-                return pd.DataFrame()
+        def _step(a: pd.DataFrame, f: pd.DataFrame, _k=k) -> pd.DataFrame:
+            if not len(a) or not len(f):
+                return None
             draws = np.array([
                 int(hashlib.md5(f"{w}|{_k}".encode()).hexdigest()[:15], 16)
-                for w in df["walk_id"]], dtype="int64")
-            out = pd.DataFrame({
-                "node": df["node"].to_numpy(),
-                "dst": df["node"].to_numpy(),  # placeholder, same dtype
-                "rnk": draws,
-                "deg": np.zeros(len(df), dtype="int64"),
-                "walk_id": df["walk_id"].to_numpy(),
-                "_kind": np.full(len(df), 1, dtype=np.int8),
-            })
-            out["_cbucket"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
-
-        def _step(bucket: pd.DataFrame) -> pd.DataFrame:
-            if "_kind" not in bucket.columns or not len(bucket):
-                return pd.DataFrame({
-                    "walk_id": pd.Series([], dtype="int64"),
-                    "node": pd.Series([], dtype="int64")})
-            a = bucket[bucket["_kind"] == 0]
-            f = bucket[bucket["_kind"] == 1]
-            if not len(a) or not len(f):
-                return pd.DataFrame({
-                    "walk_id": f["walk_id"].iloc[0:0],
-                    "node": f["node"].iloc[0:0]})
-            deg = a.groupby("node", sort=False)["deg"].first()
-            fd = f.merge(deg.rename("deg_"), left_on="node",
-                         right_index=True, how="inner")
-            fd["want_rnk"] = fd["rnk"] % fd["deg_"]
-            # the frontier's placeholder dst would suffix-collide with
-            # the adjacency's real dst in the merge
-            fd = fd[["walk_id", "node", "want_rnk"]]
-            hit = fd.merge(
-                a[["node", "rnk", "dst"]].rename(columns={"rnk": "a_rnk"}),
-                left_on=["node", "want_rnk"], right_on=["node", "a_rnk"],
+                for w in f["walk_id"]], dtype="int64")
+            deg = a.groupby(src_col, sort=False)["deg"].first()
+            fd = f.assign(_draw=draws).merge(
+                deg.rename("deg_"), left_on="node", right_index=True,
+                how="inner")
+            fd["want_rnk"] = fd["_draw"] % fd["deg_"]
+            hit = fd[["walk_id", "node", "want_rnk"]].merge(
+                a[[src_col, "rnk", dst_col]],
+                left_on=["node", "want_rnk"], right_on=[src_col, "rnk"],
                 how="inner")
             return pd.DataFrame({"walk_id": hit["walk_id"].to_numpy(),
-                                 "node": hit["dst"].to_numpy()})
+                                 "node": hit[dst_col].to_numpy()})
 
-        stepped = (
-            adj.map_batches(_tag_adj, batch_format="pandas")
-            .union(frontier.map_batches(_tag_frontier,
-                                        batch_format="pandas"))
-            .groupby("_cbucket")
-            .map_groups(_step, batch_format="pandas")
-        ).materialize()
+        stepped = exchange([adj, frontier], [[src_col], ["node"]], _step,
+                           walk, num_buckets).materialize()
         if not stepped.count():
             break  # every live walk hit a sink; nothing to union in
         outs.append(stepped)
@@ -2168,10 +1564,10 @@ def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v",
     Fully distributed, never all-pairs:
 
     1. candidates come from WEDGE ENUMERATION at the shared neighbor —
-       the bidirectional adjacency groups by center z (one coarse-bucket
-       shuffle), each group emits its neighbor pairs (x < y) carrying
+       the bidirectional adjacency groups by center z (one keyed
+       exchange), each group emits its neighbor pairs (x < y) carrying
        the partial ``10**9 // deg(z)``;
-    2. one tagged-union coarse-bucket shuffle on the pair key merges
+    2. one two-input exchange on the pair key merges
        wedge partials (count = cn, sum = ra_e9) and drops pairs that
        are already edges in the same pass.
 
@@ -2182,7 +1578,6 @@ def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v",
 
     Returns a Dataset ``(u, v, cn, ra_e9)`` with ``cn >= min_cn``.
     """
-    from .dedup import bucketed_group_apply, coarse_bucket
 
     def _bidir(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2195,68 +1590,34 @@ def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v",
     def _wedges(group: pd.DataFrame) -> pd.DataFrame:
         nb = np.unique(group["_n"].to_numpy())
         d = len(nb)
-        empty = pd.DataFrame({
-            u: nb[:0], v: nb[:0],
-            "_ra": pd.Series([], dtype="int64")})
-        if d < 2 or (max_degree is not None and d > max_degree):
-            return empty
+        if max_degree is not None and d > max_degree:
+            return None
         ia, ib = np.triu_indices(d, k=1)
         return pd.DataFrame({
             u: nb[ia], v: nb[ib],
             "_ra": np.full(len(ia), 10**9 // d, dtype=np.int64)})
 
     wedges = bucketed_group_apply(
-        adj, ["_c"], _wedges, num_buckets=num_buckets, min_group_size=2)
+        adj, ["_c"], _wedges,
+        lambda sch: pa.schema([(u, sch.field("_n").type),
+                               (v, sch.field("_n").type),
+                               ("_ra", pa.int64())]),
+        num_buckets, min_group_size=2)
 
-    def _tag(kind):
-        def _t(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[[u, v]].copy()
-            out["_ra"] = (df["_ra"].to_numpy() if "_ra" in df.columns
-                          else np.int64(0))
-            out["_kind"] = np.int8(kind)
-            out["_cbucket"] = coarse_bucket(out, [u, v], num_buckets)
-            return out
-        return _t
-
-    def _score(bucket: pd.DataFrame) -> "object":
-        # Arrow output on purpose: an all-empty result made of pandas
-        # blocks comes back column-less from Ray (the doc_postings
-        # lookup hit the same quirk) — Arrow empties keep their schema,
-        # so a high min_cn that filters EVERYTHING still returns the
-        # four declared columns
-        import pyarrow as _pa
-
-        empty = pd.DataFrame({
-            "u": pd.Series([], dtype="int64"),
-            "v": pd.Series([], dtype="int64"),
-            "cn": pd.Series([], dtype="int64"),
-            "ra_e9": pd.Series([], dtype="int64")})
-        empty.columns = [u, v, "cn", "ra_e9"]
-        if "_kind" not in bucket.columns or not len(bucket):
-            return _pa.Table.from_pandas(empty, preserve_index=False)
-        e = bucket[bucket["_kind"] == 0]
-        wd = bucket[bucket["_kind"] == 1]
+    def _score(e: pd.DataFrame, wd: pd.DataFrame) -> pd.DataFrame:
         if not len(wd):
-            return _pa.Table.from_pandas(empty, preserve_index=False)
+            return None
         g = wd.groupby([u, v], as_index=False, sort=False).agg(
             cn=("_ra", "size"), ra_e9=("_ra", "sum"))
         if len(e):
             ekeys = pd.MultiIndex.from_frame(e[[u, v]])
             gkeys = pd.MultiIndex.from_frame(g[[u, v]])
             g = g[~gkeys.isin(ekeys)]
-        g = g[g["cn"] >= min_cn]
-        return _pa.Table.from_pandas(pd.DataFrame({
-            u: g[u].to_numpy(), v: g[v].to_numpy(),
-            "cn": g["cn"].to_numpy().astype(np.int64),
-            "ra_e9": g["ra_e9"].to_numpy().astype(np.int64)}),
-            preserve_index=False)
+        return g[g["cn"] >= min_cn]
 
-    return (
-        edges_ds.map_batches(_tag(0), batch_format="pandas")
-        .union(wedges.map_batches(_tag(1), batch_format="pandas"))
-        .groupby("_cbucket")
-        .map_groups(_score, batch_format="pandas")
-    )
+    return exchange(
+        [edges_ds.select_columns([u, v]), wedges], [u, v], _score,
+        _int64_schema([u, v, "cn", "ra_e9"]), num_buckets)
 
 
 def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
@@ -2278,15 +1639,7 @@ def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
     Integer distances sum exactly, so results are partition-invariant
     and replay bit-exactly in a recursive-CTE oracle.
     """
-    import pyarrow as pa
-    import ray
     import ray.data as rd
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_buckets = 16
 
     def _init(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2305,13 +1658,6 @@ def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
     })
     work = edges_ds.map_batches(_init, batch_format="pandas").union(
         rd.from_arrow(seed_tbl))
-
-    def _bucketize(df: pd.DataFrame) -> "pa.Table":
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["key"], index=False) % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(df, preserve_index=False)
 
     def _relax(bucket: pd.DataFrame) -> pd.DataFrame:
         settled = bucket[bucket["kind"] == 0]
@@ -2351,12 +1697,8 @@ def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
 
     pending = 0
     for _ in range(max_rounds):
-        work = (
-            work.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_relax, batch_format="pandas")
-            .materialize()
-        )
+        work = exchange(work, "key", _relax, seed_tbl.schema,
+                        num_buckets).materialize()
         pending = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "d"].sum())]}),
@@ -2400,7 +1742,6 @@ def entail_domain_range(links_ds, property_rules, type_rel=None,
     additionally close over a subclass hierarchy.
     """
     from ..core import VTYPE_REL
-    from .dedup import dedup_rows
 
     type_rel = str(type_rel or VTYPE_REL)
     dom = {str(r): str(d) for r, (d, _) in property_rules.items()
@@ -2431,7 +1772,9 @@ def entail_domain_range(links_ds, property_rules, type_rel=None,
         return pd.concat(parts, ignore_index=True)
 
     out = links_ds.map_batches(_entail, batch_format="pandas")
-    return dedup_rows(out, ["node", "cls"], num_buckets=num_buckets)
+    return distinct_rows(
+        out, ["node", "cls"],
+        pa.schema({"node": pa.string(), "cls": pa.string()}), num_buckets)
 
 
 def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
@@ -2452,14 +1795,7 @@ def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
     The building block for seed-sampled closeness centrality (see
     ``closeness_from_seeds``) and landmark-distance embeddings.
     """
-    import ray
     import ray.data as rd
-
-    if num_buckets is None:
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_buckets = 16
 
     seed_list = sorted(set(seeds))
     sidx = {s: i for i, s in enumerate(seed_list)}
@@ -2482,13 +1818,6 @@ def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
     })
     work = edges_ds.map_batches(_init, batch_format="pandas").union(
         rd.from_pandas(seed_tbl))
-
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df["key"], index=False) % num_buckets
-        ).astype("int32")
-        return df
 
     def _hop(bucket: pd.DataFrame) -> pd.DataFrame:
         visited = bucket[bucket["kind"] == 0]
@@ -2533,12 +1862,8 @@ def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
 
     pending = 0
     for _ in range(max_iters):
-        work = (
-            work.map_batches(_bucketize, batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(_hop, batch_format="pandas")
-            .materialize()
-        )
+        work = exchange(work, "key", _hop, lambda sch: sch,
+                        num_buckets).materialize()
         pending = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "d"].sum())]}),
@@ -2574,37 +1899,26 @@ def closeness_from_seeds(edges_ds, seeds, max_iters=50, num_buckets=64,
     (the standard K-landmark estimator of closeness; exact integers,
     so the result is partition-invariant and SQL-replayable — the
     1/sum float inversion is left to the caller). One
-    ``multi_source_bfs`` traversal plus a node-keyed coarse-bucket
+    ``multi_source_bfs`` traversal plus a node-keyed exchange
     rollup."""
-    from .dedup import coarse_bucket
-
     depths = multi_source_bfs(
         edges_ds, seeds, max_iters=max_iters, num_buckets=num_buckets,
         src=src, dst=dst)
+    return _depth_rollup(depths, num_buckets)
 
-    def _b(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["node"], num_buckets)
-        return df
+
+def _depth_rollup(depths, num_buckets):
+    """``(node, n_reached, sum_depth)`` over ``(node, seed, depth)``
+    rows, on one node-keyed exchange."""
 
     def _roll(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({
-                "node": pd.Series([], dtype="int64"),
-                "n_reached": pd.Series([], dtype="int64"),
-                "sum_depth": pd.Series([], dtype="int64")})
-        g = bucket.groupby("node", as_index=False, sort=False).agg(
+        return bucket.groupby("node", as_index=False, sort=False).agg(
             n_reached=("seed", "size"), sum_depth=("depth", "sum"))
-        return pd.DataFrame({
-            "node": g["node"].to_numpy(),
-            "n_reached": g["n_reached"].to_numpy().astype(np.int64),
-            "sum_depth": g["sum_depth"].to_numpy().astype(np.int64)})
 
-    return (
-        depths.map_batches(_b, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_roll, batch_format="pandas")
-    )
+    return exchange(
+        depths, "node", _roll,
+        lambda sch: pa.schema([sch.field("node"), ("n_reached", pa.int64()),
+                               ("sum_depth", pa.int64())]), num_buckets)
 
 
 def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
@@ -2625,8 +1939,8 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
     still surfaces as its own singleton SCC.
 
     Each fixpoint is a label-relaxation loop in the Bellman-Ford mold:
-    one fused coarse-bucket shuffle per round over tagged (label /
-    edge / token) rows, one improved-count scalar to the driver.
+    one fused keyed exchange per round over tagged (label / edge /
+    token) rows, one improved-count scalar to the driver.
     Round counts are graph-shaped: a min label crosses one edge per
     round, so long cycles / deep DAG chains cost rounds — the
     documented mitigation is the same as WCC's (this op targets
@@ -2634,7 +1948,7 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
     a silently wrong partition). Worst-case outer rounds = the number
     of distinct SCC "levels" along the condensation's minimum chain.
     """
-    from .dedup import coarse_bucket
+    node_s = _int64_schema(["node"])
 
     def _proj(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2643,24 +1957,7 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
 
     edges = edges_ds.map_batches(_proj, batch_format="pandas").materialize()
 
-    def _ends(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = (np.unique(np.concatenate([df["src"].to_numpy(),
-                                           df["dst"].to_numpy()]))
-                 if len(df) else np.empty(0, dtype=np.int64))
-        out = pd.DataFrame({"node": nodes.astype(np.int64)})
-        out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-        return out
-
-    def _ddup(group: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in group.columns or not len(group):
-            return pd.DataFrame({"node": pd.Series([], dtype="int64")})
-        return group[["node"]].drop_duplicates()
-
-    nodes = (
-        edges.map_batches(_ends, batch_format="pandas")
-        .groupby("_nb").map_groups(_ddup, batch_format="pandas")
-        .materialize()
-    )
+    nodes = _distinct_nodes(edges, ["src", "dst"], num_buckets).materialize()
 
     def _minprop(nodes_ds, edges_ds_live, forward: bool):
         """Min-label fixpoint: label(v) = min id with a directed path
@@ -2688,11 +1985,8 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
         work = edges_ds_live.map_batches(
             _einit, batch_format="pandas").union(
             nodes_ds.map_batches(_ninit, batch_format="pandas"))
-
-        def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["_cbucket"] = coarse_bucket(df, ["key"], num_buckets)
-            return df
+        work_schema = pa.schema({"key": pa.int64(), "kind": pa.int8(),
+                                 "other": pa.int64(), "c": pa.int64()})
 
         def _relax(bucket: pd.DataFrame) -> pd.DataFrame:
             lab = bucket[bucket["kind"] == 0]
@@ -2733,12 +2027,8 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
 
         pending = 0
         for _ in range(max_inner):
-            work = (
-                work.map_batches(_bucketize, batch_format="pandas")
-                .groupby("_cbucket")
-                .map_groups(_relax, batch_format="pandas")
-                .materialize()
-            )
+            work = exchange(work, "key", _relax, work_schema,
+                            num_buckets).materialize()
             pending = work.map_batches(
                 lambda df: pd.DataFrame(
                     {"n": [int(df.loc[df["kind"] == 4, "c"].sum())]}),
@@ -2769,37 +2059,18 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
         fwd = _minprop(nodes, edges, forward=True)
         bwd = _minprop(nodes, edges, forward=False)
 
-        # F == B intersect: one node-keyed tagged shuffle
-        def _tagfb(side):
-            def _t(df: pd.DataFrame) -> pd.DataFrame:
-                out = df.copy()
-                out["_side"] = np.int8(side)
-                out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-                return out
-            return _t
-
-        def _match(bucket: pd.DataFrame) -> pd.DataFrame:
-            empty = pd.DataFrame({
-                "node": pd.Series([], dtype="int64"),
-                "comp": pd.Series([], dtype="int64")})
-            if "_side" not in bucket.columns or not len(bucket):
-                return empty
-            f = bucket[bucket["_side"] == 0]
-            b = bucket[bucket["_side"] == 1]
+        # F == B intersect: one node-keyed exchange
+        def _match(f: pd.DataFrame, b: pd.DataFrame) -> pd.DataFrame:
+            if not len(f) or not len(b):
+                return None
             m = f.merge(b, on="node", suffixes=("_f", "_b"))
             hit = m[m["c_f"] == m["c_b"]]
-            return pd.DataFrame({
-                "node": hit["node"].to_numpy(dtype=np.int64),
-                "comp": hit["c_f"].to_numpy(dtype=np.int64)})
+            return pd.DataFrame({"node": hit["node"].to_numpy(),
+                                 "comp": hit["c_f"].to_numpy()})
 
-        newly = (
-            fwd.map_batches(_tagfb(0), batch_format="pandas")
-            .union(bwd.map_batches(_tagfb(1), batch_format="pandas"))
-            .groupby("_nb")
-            .map_groups(_match, batch_format="pandas")
-            .repartition(8)
-            .materialize()
-        )
+        newly = exchange(
+            [fwd, bwd], "node", _match, _int64_schema(["node", "comp"]),
+            num_buckets).repartition(8).materialize()
         if not newly.count():
             raise RuntimeError(
                 "scc made no progress in an outer round — "
@@ -2808,81 +2079,21 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
         assigned.append(newly)
 
         # peel: nodes anti-join newly; edges endpoint-semi-filter newly
-        def _tag_n(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[["node"]].copy()
-            out["_kind"] = np.int8(1)
-            out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
+        def _survive_on(col):
+            def _survive(live: pd.DataFrame, gone: pd.DataFrame):
+                if not len(live) or not len(gone):
+                    return live
+                return live[~live[col].isin(set(gone["node"]))]
 
-        def _tag_a(df: pd.DataFrame) -> pd.DataFrame:
-            if "node" not in df.columns or not len(df):
-                return pd.DataFrame({
-                    "node": pd.Series([], dtype="int64"),
-                    "_kind": pd.Series([], dtype="int8"),
-                    "_nb": pd.Series([], dtype="int32")})
-            out = df[["node"]].copy()
-            out["_kind"] = np.int8(0)
-            out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-            return out
+            return _survive
 
-        def _survive(bucket: pd.DataFrame) -> pd.DataFrame:
-            if "_kind" not in bucket.columns or not len(bucket):
-                return pd.DataFrame({"node": pd.Series([], dtype="int64")})
-            gone = set(bucket.loc[bucket["_kind"] == 0, "node"])
-            live = bucket[bucket["_kind"] == 1]
-            return live.loc[~live["node"].isin(gone), ["node"]]
-
-        nodes = (
-            nodes.map_batches(_tag_n, batch_format="pandas")
-            .union(newly.map_batches(_tag_a, batch_format="pandas"))
-            .groupby("_nb")
-            .map_groups(_survive, batch_format="pandas")
-            .repartition(8)
-            .materialize()
-        )
-
+        nodes = exchange(
+            [nodes, newly], "node", _survive_on("node"), node_s,
+            num_buckets).repartition(8).materialize()
         for end in ("src", "dst"):
-            def _tag_e(df: pd.DataFrame, end=end) -> pd.DataFrame:
-                out = df[["src", "dst"]].copy()
-                out["node"] = out[end].to_numpy()
-                out["_kind"] = np.int8(1)
-                out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-                return out
-
-            def _tag_g(df: pd.DataFrame) -> pd.DataFrame:
-                if "node" not in df.columns or not len(df):
-                    return pd.DataFrame({
-                        "src": pd.Series([], dtype="int64"),
-                        "dst": pd.Series([], dtype="int64"),
-                        "node": pd.Series([], dtype="int64"),
-                        "_kind": pd.Series([], dtype="int8"),
-                        "_nb": pd.Series([], dtype="int32")})
-                out = pd.DataFrame({
-                    "src": np.zeros(len(df), dtype=np.int64),
-                    "dst": np.zeros(len(df), dtype=np.int64),
-                    "node": df["node"].to_numpy(dtype=np.int64)})
-                out["_kind"] = np.int8(0)
-                out["_nb"] = coarse_bucket(out, ["node"], num_buckets)
-                return out
-
-            def _keep(bucket: pd.DataFrame) -> pd.DataFrame:
-                empty = pd.DataFrame({
-                    "src": pd.Series([], dtype="int64"),
-                    "dst": pd.Series([], dtype="int64")})
-                if "_kind" not in bucket.columns or not len(bucket):
-                    return empty
-                gone = set(bucket.loc[bucket["_kind"] == 0, "node"])
-                e = bucket[bucket["_kind"] == 1]
-                if not len(e):
-                    return empty
-                return e.loc[~e["node"].isin(gone), ["src", "dst"]]
-
-            edges = (
-                edges.map_batches(_tag_e, batch_format="pandas")
-                .union(newly.map_batches(_tag_g, batch_format="pandas"))
-                .groupby("_nb")
-                .map_groups(_keep, batch_format="pandas")
-            )
+            edges = exchange([edges, newly], [[end], ["node"]],
+                             _survive_on(end), _int64_schema(["src", "dst"]),
+                             num_buckets)
         edges = edges.repartition(num_buckets).materialize()
     else:
         raise RuntimeError(
@@ -2909,7 +2120,7 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
     ``multi_source_bfs`` traversal seeded at every component's min
     node (seed list is O(#components) driver-side — the documented
     knob, same shape as multi_source_bfs's seed index), and parities
-    attach to edges through two tagged coarse-bucket joins; only
+    attach to edges through two two-input exchanges; only
     (component, count) partials reach the final rollup.
 
     ``edges_ds``: (src, dst) int64 edges, direction ignored;
@@ -2920,7 +2131,7 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
     component = min node id, n_edges counts distinct canonical
     undirected edges.
     """
-    from .dedup import _int_bucket, cluster_pairs_ds, dedup_rows
+    from .dedup import cluster_pairs_ds
 
     def _canon(df: pd.DataFrame) -> pd.DataFrame:
         a = df[src].to_numpy(dtype=np.int64)
@@ -2930,15 +2141,16 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
         return pd.DataFrame({"id_a": np.minimum(a, b),
                              "id_b": np.maximum(a, b)})
 
-    pairs = dedup_rows(
+    pairs = distinct_rows(
         edges_ds.map_batches(_canon, batch_format="pandas"),
-        ["id_a", "id_b"], num_buckets=num_buckets).materialize()
+        ["id_a", "id_b"], _int64_schema(["id_a", "id_b"]),
+        num_buckets).materialize()
 
     comp = cluster_pairs_ds(
         pairs, max_iters=max_iters, num_buckets=num_buckets)
-    seeds = dedup_rows(
-        comp.map_batches(lambda df: df[["label"]], batch_format="pandas"),
-        ["label"], num_buckets=num_buckets,
+    seeds = distinct_rows(
+        comp.select_columns(["label"]), ["label"], _int64_schema(["label"]),
+        num_buckets,
     ).to_pandas()["label"].astype(np.int64).tolist()
 
     def _sym(df: pd.DataFrame) -> pd.DataFrame:
@@ -2949,140 +2161,60 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
                                    df["id_a"].to_numpy()]),
         })
 
+    # (node, seed = component, depth) rows
     depths = multi_source_bfs(
         pairs.map_batches(_sym, batch_format="pandas"), seeds,
         max_iters=max_iters, num_buckets=num_buckets).materialize()
 
-    # tagged working frame: key (join node), kind (0 = depth row,
-    # 1 = edge row), a (edge: other endpoint / pass-2: parity of u),
-    # comp, par (depth parity)
-    def _frame(key, kind, a, comp_, par):
-        n = len(key)
-        return pd.DataFrame({
-            "key": np.asarray(key, dtype=np.int64),
-            "kind": np.full(n, kind, dtype=np.int8),
-            "a": np.asarray(a, dtype=np.int64),
-            "comp": np.asarray(comp_, dtype=np.int64),
-            "par": np.asarray(par, dtype=np.int8),
-        })
-
-    def _depth_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in df.columns or not len(df):
-            return _frame([], 0, [], [], [])
-        return _frame(df["node"].to_numpy(), 0,
-                      np.zeros(len(df), dtype=np.int64),
-                      df["seed"].to_numpy(),
-                      df["depth"].to_numpy(dtype=np.int64) & 1)
-
-    def _edge_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if "id_a" not in df.columns or not len(df):
-            return _frame([], 1, [], [], [])
-        n = len(df)
-        return _frame(df["id_a"].to_numpy(), 1, df["id_b"].to_numpy(),
-                      np.zeros(n, dtype=np.int64),
-                      np.zeros(n, dtype=np.int8))
-
-    def _bucketed(ds_, fn):
-        import pyarrow as _pa
-
-        def _tag(df: pd.DataFrame) -> "_pa.Table":
-            out = df.copy()
-            out["_cbucket"] = (
-                _int_bucket(out["key"].to_numpy(), num_buckets)
-                if len(out) else np.empty(0, dtype=np.int32))
-            return _pa.Table.from_pandas(out, preserve_index=False)
-
-        def _apply(bucket: pd.DataFrame) -> pd.DataFrame:
-            if "key" not in bucket.columns or not len(bucket):
-                return fn(_frame([], 0, [], [], []))
-            return fn(bucket.drop(columns=["_cbucket"]))
-
-        return (ds_.map_batches(_tag, batch_format="pandas")
-                .groupby("_cbucket").map_groups(_apply,
-                                                batch_format="pandas"))
-
-    pass1_in = depths.map_batches(
-        _depth_rows, batch_format="pandas").union(
-        pairs.map_batches(_edge_rows, batch_format="pandas"))
-
-    def _attach_u(bucket: pd.DataFrame) -> pd.DataFrame:
-        d = bucket[bucket["kind"] == 0][["key", "comp", "par"]]
-        e = bucket[bucket["kind"] == 1][["key", "a"]]
+    def _attach_u(d: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         if not len(e):
-            return _frame([], 1, [], [], [])
-        m = e.merge(d, on="key", how="left")
+            return None
         # every edge endpoint has a depth row by construction
-        return _frame(m["a"].to_numpy(), 1, m["par"].to_numpy(),
-                      m["comp"].to_numpy(), np.zeros(len(m), dtype=np.int8))
+        m = e.merge(d, left_on="id_a", right_on="node", how="left")
+        return pd.DataFrame({
+            "key": m["id_b"].to_numpy(dtype=np.int64),
+            "upar": m["depth"].to_numpy(dtype=np.int64) & 1,
+            "comp": m["seed"].to_numpy(dtype=np.int64)})
 
-    pass2_in = depths.map_batches(
-        _depth_rows, batch_format="pandas").union(
-        _bucketed(pass1_in, _attach_u))
+    # pass 1 re-keys each edge onto its second endpoint with the first
+    # endpoint's depth parity; pass 2 compares parities per component
+    halves = exchange([depths, pairs], [["node"], ["id_a"]], _attach_u,
+                      _int64_schema(["key", "upar", "comp"]), num_buckets)
 
-    def _partials(bucket: pd.DataFrame) -> pd.DataFrame:
-        d = bucket[bucket["kind"] == 0]
-        e = bucket[bucket["kind"] == 1]
+    def _partials(d: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         outs = []
         if len(d):
-            g = d.groupby("comp", sort=False).size()
+            g = d.groupby("seed", sort=False).size()
             outs.append(pd.DataFrame({
-                "comp": g.index.to_numpy(dtype=np.int64),
-                "nodes": g.to_numpy(dtype=np.int64),
-                "edges": np.zeros(len(g), dtype=np.int64),
-                "odd": np.zeros(len(g), dtype=np.int64)}))
+                "comp": g.index.to_numpy(), "nodes": g.to_numpy(),
+                "edges": 0, "odd": 0}))
         if len(e):
-            m = e[["key", "a", "comp"]].merge(
-                d[["key", "par"]], on="key", how="left")
-            odd = (m["a"].to_numpy(dtype=np.int64)
-                   == m["par"].to_numpy(dtype=np.int64))
+            m = e.merge(d, left_on="key", right_on="node", how="left")
+            odd = (m["upar"].to_numpy(dtype=np.int64)
+                   == (m["depth"].to_numpy(dtype=np.int64) & 1))
             g = pd.DataFrame({"comp": m["comp"], "odd": odd}).groupby(
                 "comp", sort=False).agg(edges=("odd", "size"),
                                         odd=("odd", "sum"))
             outs.append(pd.DataFrame({
-                "comp": g.index.to_numpy(dtype=np.int64),
-                "nodes": np.zeros(len(g), dtype=np.int64),
-                "edges": g["edges"].to_numpy(dtype=np.int64),
-                "odd": g["odd"].to_numpy(dtype=np.int64)}))
-        if not outs:
-            return pd.DataFrame({
-                "comp": pd.Series([], dtype="int64"),
-                "nodes": pd.Series([], dtype="int64"),
-                "edges": pd.Series([], dtype="int64"),
-                "odd": pd.Series([], dtype="int64")})
-        return pd.concat(outs, ignore_index=True)
+                "comp": g.index.to_numpy(), "nodes": 0,
+                "edges": g["edges"].to_numpy(), "odd": g["odd"].to_numpy()}))
+        return pd.concat(outs, ignore_index=True) if outs else None
 
-    partials = _bucketed(pass2_in, _partials)
-
-    import pyarrow as _pa
-
-    def _rebucket(df: pd.DataFrame) -> "_pa.Table":
-        out = df.copy()
-        out["_cbucket"] = (
-            _int_bucket(out["comp"].to_numpy(), num_buckets)
-            if len(out) else np.empty(0, dtype=np.int32))
-        return _pa.Table.from_pandas(out, preserve_index=False)
+    partials = exchange(
+        [depths, halves], [["node"], ["key"]], _partials,
+        _int64_schema(["comp", "nodes", "edges", "odd"]), num_buckets)
 
     def _rollup(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "comp" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({
-                "component": pd.Series([], dtype="int64"),
-                "n_nodes": pd.Series([], dtype="int64"),
-                "n_edges": pd.Series([], dtype="int64"),
-                "odd_edges": pd.Series([], dtype="int64"),
-                "is_bipartite": pd.Series([], dtype=bool)})
         g = bucket.groupby("comp", sort=False).agg(
             n_nodes=("nodes", "sum"), n_edges=("edges", "sum"),
             odd_edges=("odd", "sum")).reset_index()
-        return pd.DataFrame({
-            "component": g["comp"].to_numpy(dtype=np.int64),
-            "n_nodes": g["n_nodes"].to_numpy(dtype=np.int64),
-            "n_edges": g["n_edges"].to_numpy(dtype=np.int64),
-            "odd_edges": g["odd_edges"].to_numpy(dtype=np.int64),
-            "is_bipartite": g["odd_edges"].to_numpy() == 0})
+        return g.rename(columns={"comp": "component"}).assign(
+            is_bipartite=g["odd_edges"].to_numpy() == 0)
 
-    return (partials.map_batches(_rebucket, batch_format="pandas")
-            .groupby("_cbucket").map_groups(_rollup,
-                                            batch_format="pandas"))
+    return exchange(
+        partials, "comp", _rollup,
+        _int64_schema(["component", "n_nodes", "n_edges", "odd_edges"])
+        .append(pa.field("is_bipartite", pa.bool_())), num_buckets)
 
 
 def harmonic_from_seeds(edges_ds, seeds, scale=10**9, max_iters=50,
@@ -3097,39 +2229,22 @@ def harmonic_from_seeds(edges_ds, seeds, scale=10**9, max_iters=50,
     Vigna 2014). The integer scaling makes the sum associative through
     the shuffle (partition-invariant) and SQL-replayable bit-exactly,
     the link_prediction convention. One ``multi_source_bfs`` traversal
-    plus a node-keyed coarse-bucket rollup."""
-    from .dedup import coarse_bucket
-
+    plus a node-keyed exchange rollup."""
     depths = multi_source_bfs(
         edges_ds, seeds, max_iters=max_iters, num_buckets=num_buckets,
         src=src, dst=dst)
 
-    def _b(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["node"], num_buckets)
-        return df
-
     def _roll(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "node" not in bucket.columns or not len(bucket):
-            return pd.DataFrame({
-                "node": pd.Series([], dtype="int64"),
-                "n_reached": pd.Series([], dtype="int64"),
-                "harmonic_e9": pd.Series([], dtype="int64")})
         d = bucket["depth"].to_numpy(dtype=np.int64)
         term = np.where(d > 0, np.int64(scale) // np.maximum(d, 1), 0)
-        g = (bucket.assign(_t=term)
-             .groupby("node", as_index=False, sort=False)
-             .agg(n_reached=("seed", "size"), harmonic_e9=("_t", "sum")))
-        return pd.DataFrame({
-            "node": g["node"].to_numpy(),
-            "n_reached": g["n_reached"].to_numpy().astype(np.int64),
-            "harmonic_e9": g["harmonic_e9"].to_numpy().astype(np.int64)})
+        return (bucket.assign(_t=term)
+                .groupby("node", as_index=False, sort=False)
+                .agg(n_reached=("seed", "size"), harmonic_e9=("_t", "sum")))
 
-    return (
-        depths.map_batches(_b, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_roll, batch_format="pandas")
-    )
+    return exchange(
+        depths, "node", _roll,
+        lambda sch: pa.schema([sch.field("node"), ("n_reached", pa.int64()),
+                               ("harmonic_e9", pa.int64())]), num_buckets)
 
 
 def k_truss(edges_ds, k, u="u", v="v", max_rounds=30, num_buckets=64):
@@ -3140,8 +2255,8 @@ def k_truss(edges_ds, k, u="u", v="v", max_rounds=30, num_buckets=64):
     cores keep). Input: canonical distinct undirected edges
     (``u < v``), the triangle_count contract.
 
-    Iterative distributed peeling, three coarse-bucket shuffles per
-    round, the k_core discipline:
+    Iterative distributed peeling, three keyed exchanges per round,
+    the k_core discipline:
 
     1. wedge enumeration at each edge's smaller endpoint (the
        degree-splitting orientation — every triangle c < x < y is
@@ -3159,112 +2274,50 @@ def k_truss(edges_ds, k, u="u", v="v", max_rounds=30, num_buckets=64):
     converged one. Round count is graph-shaped (each round must drop
     at least one edge before the last).
     """
-    from .dedup import bucketed_group_apply, coarse_bucket
-
     if k < 3:
         raise ValueError("k_truss needs k >= 3")
     t = k - 2
 
     def _wedges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"x": pd.Series([], dtype="int64"),
-                              "y": pd.Series([], dtype="int64"),
-                              "c": pd.Series([], dtype="int64")})
-        if not len(group):
-            return empty
         nb = np.sort(group[v].to_numpy(dtype=np.int64))
-        n = len(nb)
-        if n < 2:
-            return empty
-        ia, ib = np.triu_indices(n, k=1)
-        c = np.int64(group[u].iloc[0])
+        ia, ib = np.triu_indices(len(nb), k=1)
         return pd.DataFrame({"x": nb[ia], "y": nb[ib],
-                             "c": np.full(len(ia), c, dtype=np.int64)})
+                             "c": np.int64(group[u].iloc[0])})
 
-    def _tag_edges_xy(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"x": df[u].to_numpy(dtype=np.int64),
-                            "y": df[v].to_numpy(dtype=np.int64)})
-        out["c"] = np.int64(-1)
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, ["x", "y"], num_buckets)
-        return out
-
-    def _tag_wedges(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["_kind"] = np.int8(1)
-        out["_cbucket"] = coarse_bucket(out, ["x", "y"], num_buckets)
-        return out
-
-    def _partials(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({u: pd.Series([], dtype="int64"),
-                              v: pd.Series([], dtype="int64"),
-                              "s": pd.Series([], dtype="int64")})
-        if "_kind" not in bucket.columns or not len(bucket):
-            return empty
-        e = bucket[bucket["_kind"] == 0]
-        w = bucket[bucket["_kind"] == 1]
+    def _partials(e: pd.DataFrame, w: pd.DataFrame) -> pd.DataFrame:
         if not len(e) or not len(w):
-            return empty
-        ekeys = pd.MultiIndex.from_frame(e[["x", "y"]])
+            return None
+        ekeys = pd.MultiIndex.from_frame(e[[u, v]])
         wkeys = pd.MultiIndex.from_frame(w[["x", "y"]])
         hit = w[wkeys.isin(ekeys)]
-        if not len(hit):
-            return empty
         tri = pd.concat([
             pd.DataFrame({u: hit["x"], v: hit["y"]}),
             pd.DataFrame({u: hit["c"], v: hit["x"]}),
             pd.DataFrame({u: hit["c"], v: hit["y"]}),
         ], ignore_index=True)
-        g = tri.groupby([u, v], as_index=False, sort=False).size()
-        return pd.DataFrame({u: g[u].to_numpy(dtype=np.int64),
-                             v: g[v].to_numpy(dtype=np.int64),
-                             "s": g["size"].to_numpy(dtype=np.int64)})
+        return tri.groupby([u, v], as_index=False, sort=False).size().rename(
+            columns={"size": "s"})
 
-    def _tag_base(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[u, v]].copy()
-        out["s"] = np.int64(0)
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, [u, v], num_buckets)
-        return out
-
-    def _tag_sup(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["_kind"] = np.int8(1)
-        out["_cbucket"] = coarse_bucket(out, [u, v], num_buckets)
-        return out
-
-    def _keep(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({u: pd.Series([], dtype="int64"),
-                              v: pd.Series([], dtype="int64")})
-        if "_kind" not in bucket.columns or not len(bucket):
-            return empty
-        base = bucket[bucket["_kind"] == 0][[u, v]]
+    def _keep(base: pd.DataFrame, sup: pd.DataFrame) -> pd.DataFrame:
         if not len(base):
-            return empty
-        sup = (bucket[bucket["_kind"] == 1]
-               .groupby([u, v], as_index=False, sort=False)["s"].sum())
-        m = base.merge(sup, on=[u, v], how="left")
-        m["s"] = m["s"].fillna(0)
-        keep = m[m["s"] >= t]
-        return pd.DataFrame({u: keep[u].to_numpy(dtype=np.int64),
-                             v: keep[v].to_numpy(dtype=np.int64)})
+            return None
+        if not len(sup):
+            return base if t <= 0 else None
+        sup = sup.groupby([u, v], as_index=False, sort=False)["s"].sum()
+        m = base[[u, v]].merge(sup, on=[u, v], how="left")
+        return m[m["s"].fillna(0) >= t]
 
+    uv = _int64_schema([u, v])
     cur = edges_ds.materialize()
     n0 = cur.count()
     for _ in range(max_rounds):
         wedges = bucketed_group_apply(
-            cur, [u], _wedges, num_buckets=num_buckets, min_group_size=2)
-        partials = (
-            cur.map_batches(_tag_edges_xy, batch_format="pandas")
-            .union(wedges.map_batches(_tag_wedges, batch_format="pandas"))
-            .groupby("_cbucket")
-            .map_groups(_partials, batch_format="pandas")
-        )
-        nxt = (
-            cur.map_batches(_tag_base, batch_format="pandas")
-            .union(partials.map_batches(_tag_sup, batch_format="pandas"))
-            .groupby("_cbucket")
-            .map_groups(_keep, batch_format="pandas")
-        ).materialize()
+            cur, [u], _wedges, _int64_schema(["x", "y", "c"]), num_buckets,
+            min_group_size=2)
+        partials = exchange([cur, wedges], [[u, v], ["x", "y"]], _partials,
+                            _int64_schema([u, v, "s"]), num_buckets)
+        nxt = exchange([cur, partials], [u, v], _keep, uv,
+                       num_buckets).materialize()
         n1 = nxt.count()
         cur = nxt
         if n1 == n0:
@@ -3289,7 +2342,7 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
     node wins a round iff its (priority, id) is lexicographically
     smaller than every LIVE neighbor's — priorities derive from the
     node id alone, so neighbor priorities are computed in-map and the
-    winner test is ONE src-keyed coarse-bucket pass (no priority
+    winner test is ONE src-keyed exchange (no priority
     join); winners and their neighbors then peel via the k_core
     anti-/semi-join idiom. Live nodes are carried explicitly so
     edge-isolated survivors win their round. Expected O(log n)
@@ -3303,7 +2356,6 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
 
     import ray.data as rd
 
-    from .dedup import _int_bucket, dedup_rows
     from .joins import semi_join_keys
 
     def _pri(ids: np.ndarray) -> np.ndarray:
@@ -3321,39 +2373,17 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
         })
 
     edges = edges_ds.map_batches(_sym, batch_format="pandas").materialize()
-    nodes = dedup_rows(
-        edges.map_batches(lambda df: pd.DataFrame(
-            {"node": df["a"].to_numpy(dtype=np.int64)}),
-            batch_format="pandas"),
-        ["node"], num_buckets=num_buckets).materialize()
+    nodes = _distinct_nodes(edges, ["a"], num_buckets).materialize()
 
-    def _tag_node(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"key": df["node"].to_numpy(dtype=np.int64)})
-        out["nb"] = np.int64(-1)
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = _int_bucket(out["key"].to_numpy(), num_buckets)
-        return out
-
-    def _tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"key": df["a"].to_numpy(dtype=np.int64),
-                            "nb": df["b"].to_numpy(dtype=np.int64)})
-        out["_kind"] = np.int8(1)
-        out["_cbucket"] = _int_bucket(out["key"].to_numpy(), num_buckets)
-        return out
-
-    def _winners(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"node": pd.Series([], dtype="int64")})
-        if "_kind" not in bucket.columns or not len(bucket):
-            return empty
-        own = bucket[bucket["_kind"] == 0]["key"].to_numpy(dtype=np.int64)
-        if not len(own):
-            return empty
-        e = bucket[bucket["_kind"] == 1]
+    def _winners(nd: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+        if not len(nd):
+            return None
+        own = nd["node"].to_numpy(dtype=np.int64)
         own_pri = _pri(own)
         if len(e):
-            src = e["key"].to_numpy(dtype=np.int64)
-            nbp = _pri(e["nb"].to_numpy(dtype=np.int64))
-            nbi = e["nb"].to_numpy(dtype=np.int64)
+            src = e["a"].to_numpy(dtype=np.int64)
+            nbp = _pri(e["b"].to_numpy(dtype=np.int64))
+            nbi = e["b"].to_numpy(dtype=np.int64)
             # per-src lexicographic min of (neighbor pri, neighbor id)
             order = np.lexsort((nbi, nbp, src))
             s_src = src[order]
@@ -3388,12 +2418,9 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
         # compound the block count and the per-round sort overhead of
         # hundreds of near-empty blocks dwarfs the data (the k_core
         # lesson; measured 5.6 s -> 228 s/round here without it)
-        winners = (
-            live_nodes.map_batches(_tag_node, batch_format="pandas")
-            .union(live_edges.map_batches(_tag_edge,
-                                          batch_format="pandas"))
-            .groupby("_cbucket")
-            .map_groups(_winners, batch_format="pandas")
+        winners = exchange(
+            [live_nodes, live_edges], [["node"], ["a"]], _winners,
+            _int64_schema(["node"]), num_buckets,
         ).repartition(8).materialize()
         mis_parts.append(winners)
         removed = winners.union(
@@ -3408,35 +2435,14 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
                     {"node": "int64"}),
                 batch_format="pandas")
         )
-        def _int_ab(df: pd.DataFrame) -> pd.DataFrame:
-            # semi_join_keys' null-filled key rows upcast a/b to
-            # float64 in surviving blocks; coarse_bucket hashes float
-            # and int DIFFERENTLY, so the next keyed pass would never
-            # co-locate — normalize back to int64 between filters
-            return pd.DataFrame({
-                "a": df["a"].to_numpy(dtype=np.int64),
-                "b": df["b"].to_numpy(dtype=np.int64),
-            }) if len(df) and "a" in df.columns else pd.DataFrame({
-                "a": np.empty(0, dtype=np.int64),
-                "b": np.empty(0, dtype=np.int64)})
-
         live_nodes = semi_join_keys(
             live_nodes, removed, on="node", keys_on="node", anti=True,
-            num_buckets=num_buckets, left_cols=["node"]).map_batches(
-            lambda df: pd.DataFrame(
-                {"node": df["node"].to_numpy(dtype=np.int64)
-                 if len(df) and "node" in df.columns
-                 else np.empty(0, dtype=np.int64)}),
-            batch_format="pandas").repartition(8).materialize()
+            num_buckets=num_buckets).repartition(8).materialize()
         live_edges = semi_join_keys(
-            semi_join_keys(live_edges, live_nodes, on="a",
-                           keys_on="node", num_buckets=num_buckets,
-                           left_cols=["a", "b"]).map_batches(
-                _int_ab, batch_format="pandas"),
+            semi_join_keys(live_edges, live_nodes, on="a", keys_on="node",
+                           num_buckets=num_buckets),
             live_nodes, on="b", keys_on="node",
-            num_buckets=num_buckets,
-            left_cols=["a", "b"]).map_batches(
-            _int_ab, batch_format="pandas").repartition(8).materialize()
+            num_buckets=num_buckets).repartition(8).materialize()
     raise RuntimeError(
         f"maximal_independent_set did not converge in {max_rounds} "
         f"rounds; raise max_rounds")

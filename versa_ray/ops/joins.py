@@ -2,8 +2,8 @@
 
 ``asof_join``: for each left row, the single most recent right row
 with ``right[on] <= left[on]`` (direction='backward'; 'forward' /
-'nearest' per pandas) sharing the same ``by`` key. One tagged union
-shuffled on a coarse hash bucket of ``by``; inside the bucket a
+'nearest' per pandas) sharing the same ``by`` key. One two-input keyed exchange
+(``core.exchange``) on ``by``; inside the bucket a
 sorted ``pandas.merge_asof`` does the per-key matching (C-speed).
 
 PARTITIONING ASSUMPTION (documented): all rows of one ``by`` key
@@ -31,9 +31,9 @@ def asof_join(left, right, on="ts", by="user_id", right_cols=(),
     the union's null-filled right-side columns are dropped from the
     left inside the bucket, so the output schema is exactly
     left + suffixed-right. ``by`` keys are bucketed with a
-    dtype-normalized hash (coarse_bucket) so an int32 right key still
-    co-locates with an int64 left key."""
-    from .dedup import coarse_bucket
+    dtype-normalized hash (``core.exchange.bucket_of``) so an int32
+    right key still co-locates with an int64 left key."""
+    from ..core.exchange import exchange
 
     right_cols = [c for c in right_cols if c not in (on, by)]
     out_right = [on + suffix] + [c + suffix for c in right_cols]
@@ -47,29 +47,17 @@ def asof_join(left, right, on="ts", by="user_id", right_cols=(),
                 f"right output names; pass a different suffix"
             )
 
-    def _tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_kind"] = np.int8(1)
-        df["_cbucket"] = coarse_bucket(df, [by], num_buckets)
-        return df
-
-    def _tag_right(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[by, on] + right_cols].rename(
+    def _right(df: pd.DataFrame) -> pd.DataFrame:
+        return df[[by, on] + right_cols].rename(
             columns={c: c + suffix for c in [on] + right_cols}
         )
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, [by], num_buckets)
-        return out
 
-    def _join(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in bucket.columns or not len(bucket):
-            return pd.DataFrame()
-        drop = ["_kind", "_cbucket"]
-        l = bucket[bucket["_kind"] == 1].drop(columns=drop + out_right,
-                                              errors="ignore")
+    def _join(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         if not len(l):
-            return pd.DataFrame(columns=list(l.columns) + out_right)
-        r = bucket[bucket["_kind"] == 0][[by] + out_right]
+            return None
+        if not len(r):
+            return None if inner else l.assign(**{c: None for c in out_right})
+        r = r.astype({by: l[by].dtype})
         l = l.sort_values(on, kind="stable")
         r = r.sort_values(on + suffix, kind="stable")
         m = pd.merge_asof(
@@ -80,67 +68,52 @@ def asof_join(left, right, on="ts", by="user_id", right_cols=(),
             m = m[m[on + suffix].notna()]
         return m
 
-    tagged = left.map_batches(_tag_left, batch_format="pandas").union(
-        right.map_batches(_tag_right, batch_format="pandas")
-    )
-    return tagged.groupby("_cbucket").map_groups(_join, batch_format="pandas")
+    return exchange(
+        [left, right.map_batches(_right, batch_format="pandas")], by, _join,
+        lambda ls, rs: _joined_schema(ls, rs, out_right), num_buckets)
+
+
+def _joined_schema(ls, rs, right_names):
+    """Left schema plus the named right fields (null-typed where the
+    bucket drew no right rows)."""
+    import pyarrow as pa
+
+    return pa.schema(list(ls) + [
+        rs.field(c) if c in rs.names else pa.field(c, pa.null())
+        for c in right_names])
 
 
 def semi_join_keys(left, keys, on, keys_on=None, anti=False,
                    num_buckets=64, left_cols=None):
     """EXACT distributed semi (``anti=False``) / anti (``anti=True``)
     join: keep left rows whose ``on`` value is / is not present in
-    ``keys`` (a Dataset holding the key column ``keys_on``). Tagged
-    union + coarse-bucket ``groupby().map_groups`` — the same shuffle
-    shape as asof_join — instead of ``Dataset.join``: Ray 2.49's hash
-    join aggregator finalizes an empty partition side as a
-    SCHEMA-LESS zero-column table, so pyarrow rejects the key field
-    whenever any hash partition receives no rows from one side
-    (guaranteed to happen when ``keys`` is small).
-
-    Pass ``left_cols`` (the left schema's column names) whenever you
-    know them: key rows then ship null-filled with the SAME columns
-    and every shuffled/output block shares one schema. Without it,
-    buckets that drew no left rows emit schema-less empties and
-    pandas may upcast non-key left columns to object/float where key
-    rows null-fill them (values preserved; consumers must align)."""
-    from .dedup import coarse_bucket
+    ``keys`` (a Dataset holding the key column ``keys_on``). One
+    two-input ``exchange`` — the same shuffle shape as asof_join —
+    instead of ``Dataset.join``: Ray 2.49's hash join aggregator
+    finalizes an empty partition side as a SCHEMA-LESS zero-column
+    table, so pyarrow rejects the key field whenever any hash
+    partition receives no rows from one side (guaranteed to happen
+    when ``keys`` is small). ``left_cols`` narrows the left rows to
+    those columns. The result keeps the left schema."""
+    from ..core.exchange import exchange
 
     keys_on = keys_on or on
+    if left_cols:
+        left = left.select_columns(list(left_cols))
 
-    def _tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[list(left_cols)].copy() if left_cols else df.copy()
-        df["_kind"] = np.int8(1)
-        df["_cbucket"] = coarse_bucket(df, [on], num_buckets)
-        return df
+    def _key_col(tbl):
+        # empty shuffle blocks may have dropped their columns
+        return tbl.select([keys_on]) if keys_on in tbl.column_names else tbl
 
-    def _tag_keys(df: pd.DataFrame) -> pd.DataFrame:
-        if keys_on in df.columns:
-            out = df[[keys_on]].copy()
-            out.columns = [on]
-        else:  # empty shuffle block that dropped its columns
-            out = pd.DataFrame({on: pd.Series([], dtype="object")})
-        if left_cols:
-            out = out.reindex(columns=list(left_cols))
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, [on], num_buckets)
-        return out
-
-    def _filter(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in bucket.columns or not len(bucket):
-            return (pd.DataFrame(columns=list(left_cols)) if left_cols
-                    else pd.DataFrame())
-        l = bucket[bucket["_kind"] == 1].drop(columns=["_kind", "_cbucket"])
-        if left_cols:
-            l = l.reindex(columns=list(left_cols))
-        kv = set(bucket.loc[bucket["_kind"] == 0, on])
-        mask = l[on].isin(kv)
+    def _filter(l: pd.DataFrame, k: pd.DataFrame) -> pd.DataFrame:
+        if not len(l):
+            return None
+        mask = l[on].isin(set(k[keys_on]) if len(k) else set())
         return l[~mask] if anti else l[mask]
 
-    tagged = left.map_batches(_tag_left, batch_format="pandas").union(
-        keys.map_batches(_tag_keys, batch_format="pandas")
-    )
-    return tagged.groupby("_cbucket").map_groups(_filter, batch_format="pandas")
+    return exchange(
+        [left, keys.map_batches(_key_col, batch_format="pyarrow")],
+        [[on], [keys_on]], _filter, lambda ls, ks: ls, num_buckets)
 
 
 def range_join(left, right, on="ts", by="user_id",
@@ -201,7 +174,7 @@ def range_join_overlap(left, right, on="ts", by="user_id",
     raise ``grain`` instead). Pick ``grain`` near the typical interval
     length: too fine multiplies replication, too coarse grows the
     per-bucket candidate sets."""
-    from .dedup import coarse_bucket
+    from ..core.exchange import exchange
 
     grain_ns = int(pd.Timedelta(grain).value if isinstance(grain, str)
                    else grain)
@@ -222,14 +195,10 @@ def range_join_overlap(left, right, on="ts", by="user_id",
             iv = series.astype("int64")
         return iv.to_numpy() // grain_ns
 
-    def _tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_tb"] = _tb(df[on])
-        df["_kind"] = np.int8(1)
-        df["_cbucket"] = coarse_bucket(df, [by, "_tb"], num_buckets)
-        return df
+    def _left(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(_tb=_tb(df[on]))
 
-    def _tag_right(df: pd.DataFrame) -> pd.DataFrame:
+    def _right(df: pd.DataFrame) -> pd.DataFrame:
         out = df[[by, start_col, end_col] + extra].rename(
             columns={c: c + suffix for c in [start_col, end_col] + extra}
         )
@@ -247,29 +216,23 @@ def range_join_overlap(left, right, on="ts", by="user_id",
         offs = np.arange(counts.sum(), dtype=np.int64) - np.repeat(
             np.cumsum(counts) - counts, counts)
         rep["_tb"] = sb[idx] + offs
-        rep["_kind"] = np.int8(0)
-        rep["_cbucket"] = coarse_bucket(rep, [by, "_tb"], num_buckets)
         return rep
 
-    def _join(bucket: pd.DataFrame) -> pd.DataFrame:
-        if "_kind" not in bucket.columns or not len(bucket):
-            return pd.DataFrame()
-        drop = ["_kind", "_cbucket"]
-        l = bucket[bucket["_kind"] == 1].drop(columns=drop + out_right,
-                                              errors="ignore")
-        if not len(l):
-            return pd.DataFrame(
-                columns=[c for c in l.columns if c != "_tb"] + out_right)
-        r = bucket[bucket["_kind"] == 0][[by, "_tb"] + out_right]
-        m = pd.merge(l, r, on=[by, "_tb"])
+    def _join(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        if not len(l) or not len(r):
+            return None
+        m = pd.merge(l, r[[by, "_tb"] + out_right], on=[by, "_tb"])
         m = m[(m[start_col + suffix] <= m[on])
               & (m[on] <= m[end_col + suffix])]
         return m.drop(columns=["_tb"])
 
-    tagged = left.map_batches(_tag_left, batch_format="pandas").union(
-        right.map_batches(_tag_right, batch_format="pandas")
-    )
-    return tagged.groupby("_cbucket").map_groups(_join, batch_format="pandas")
+    return exchange(
+        [left.map_batches(_left, batch_format="pandas"),
+         right.map_batches(_right, batch_format="pandas")],
+        [by, "_tb"], _join,
+        lambda ls, rs: _joined_schema(
+            ls.remove(ls.get_field_index("_tb")), rs, out_right),
+        num_buckets)
 
 
 def salted_join(left, right, on, right_on=None, salt=8, num_partitions=None,
@@ -294,7 +257,6 @@ def salted_join(left, right, on, right_on=None, salt=8, num_partitions=None,
     right side small enough to broadcast, prefer a broadcast lookup
     inside map_batches instead of any shuffle join.
     """
-    import numpy as np
     import ray
 
     if join_type not in ("inner", "left_outer"):
@@ -304,6 +266,8 @@ def salted_join(left, right, on, right_on=None, salt=8, num_partitions=None,
             "salted_join supports inner/left_outer only; "
             f"got {join_type!r}")
     if num_partitions is None:
+        # Ray's hash join starts one aggregator per partition; more
+        # partitions than this stall a small cluster
         try:
             num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
         except Exception:

@@ -22,7 +22,7 @@ Scale design:
 - ``T`` and ``V`` are the only things that touch the driver (two
   scalars).
 - scoring attaches log-probs to per-doc token counts ``(doc_id,
-  token, m)`` by a tagged union on the SAME token bucketing (second
+  token, m)`` by a two-input exchange on the SAME token key (second
   token-cardinality shuffle), then documents re-aggregate on a
   doc-bucketed groupby (doc-cardinality). When the vocabulary is
   small (``V <= broadcast_threshold``) the count table is instead
@@ -35,9 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from .dedup import coarse_bucket
+from ..core.exchange import exchange, spread_key
 from .textstats import _WS_CLASS
+
+_ATTACHED = {"m": pa.int64(), "_logp": pa.float64()}
 
 
 def _partial_counts(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
@@ -53,24 +56,16 @@ def _partial_counts(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
 
 def token_counts(ds, text_col: str = "text", num_buckets: int = 64):
     """Global whitespace-token counts as a ``(token, n)`` Dataset —
-    per-batch partials merged on one coarse-bucket shuffle."""
-
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["token"], num_buckets)
-        return df
+    per-batch partials merged on one keyed exchange."""
 
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("token", as_index=False, sort=False)["n"].sum()
-        return out
+        return df.groupby("token", as_index=False, sort=False)["n"].sum()
 
-    return (
+    return exchange(
         ds.map_batches(lambda df: _partial_counts(df, text_col),
-                       batch_format="pandas")
-        .map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-    )
+                       batch_format="pandas"),
+        "token", _merge, pa.schema({"token": pa.string(), "n": pa.int64()}),
+        num_buckets)
 
 
 def _doc_token_counts(df: pd.DataFrame, id_col: str,
@@ -159,65 +154,37 @@ def doc_perplexity(ds, text_col: str = "text", id_col: str = "doc_id",
 
         return ds.map_batches(_score, batch_format="pandas")
 
-    # distributed path: tagged union on token buckets, then doc buckets
-    def _tag_doc(df: pd.DataFrame) -> pd.DataFrame:
+    # distributed path: token-keyed exchange, then doc-keyed
+    def _doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         out = _doc_token_counts(df, id_col, text_col)
         # per-doc anchor (m=0, token='') so token-less documents still
-        # reach _finalize; anchors bucket by DOC id — hashing them by
-        # the shared '' token would funnel one row per corpus document
-        # into a single group
+        # reach _finalize
         anchor = pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             "token": np.full(len(df), "", dtype=object),
             "m": np.zeros(len(df), dtype="int64"),
         })
         out = pd.concat([out, anchor], ignore_index=True)
-        out["n"] = np.int64(-1)
-        out["_kind"] = np.int8(1)
-        by_tok = coarse_bucket(out, ["token"], num_buckets)
-        is_anchor = out["m"].to_numpy() == 0
-        if is_anchor.any():
-            by_id = coarse_bucket(out, [id_col], num_buckets)
-            by_tok = np.where(is_anchor, by_id, by_tok).astype("int32")
-        out["_cbucket"] = by_tok
-        return out
+        return out.assign(
+            _k=spread_key(out, "token", out["m"].to_numpy() == 0, id_col))
 
-    def _tag_count(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["token", "n"]].copy()
-        out[id_col] = np.int64(0)
-        out["m"] = np.int64(0)
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, ["token"], num_buckets)
-        return out[[id_col, "token", "m", "n", "_kind", "_cbucket"]]
+    def _attach(docs: pd.DataFrame, vocab: pd.DataFrame) -> pd.DataFrame:
+        if not len(docs):
+            return None
+        c = (pd.Series(vocab["n"].to_numpy(), index=vocab["token"])
+             .reindex(docs["token"]).fillna(0).to_numpy().astype("int64")
+             if len(vocab) else np.zeros(len(docs), dtype="int64"))
+        return docs.assign(
+            _logp=_logp_terms(docs["m"].to_numpy(), c, T, V, min_count))
 
-    def _attach(bucket: pd.DataFrame) -> pd.DataFrame:
-        cols = [id_col, "m", "_logp"]
-        if not len(bucket) or "_kind" not in bucket.columns:
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "m": pd.Series([], dtype="int64"),
-                "_logp": pd.Series([], dtype="float64")})
-        vocab = bucket[bucket["_kind"] == 0]
-        docs = bucket[bucket["_kind"] == 1].copy()
-        lut = pd.Series(vocab["n"].to_numpy(), index=vocab["token"])
-        c = lut.reindex(docs["token"]).fillna(0).to_numpy().astype("int64")
-        docs["_logp"] = _logp_terms(docs["m"].to_numpy(), c, T, V, min_count)
-        return docs[cols]
-
-    def _bucket_doc(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, [id_col], num_buckets)
-        return df
-
-    tagged = ds.map_batches(_tag_doc, batch_format="pandas").union(
-        counts.map_batches(_tag_count, batch_format="pandas"))
-    attached = tagged.groupby("_cbucket").map_groups(
-        _attach, batch_format="pandas")
-    return (
-        attached.map_batches(_bucket_doc, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_finalize, batch_format="pandas")
-    )
+    attached = exchange(
+        [ds.map_batches(_doc_rows, batch_format="pandas"), counts],
+        [["_k"], ["token"]], _attach,
+        pa.schema({id_col: pa.int64(), **_ATTACHED}), num_buckets)
+    return exchange(
+        attached, id_col, _finalize,
+        pa.schema({id_col: pa.int64(), "n_tokens": pa.int64(),
+                   "log_ppl": pa.float64()}), num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +236,7 @@ def doc_bigram_perplexity(ds, text_col: str = "text",
     everything is keyed shuffles: one w1-keyed coarse-bucket pass
     merges partial bigram counts AND derives the context totals
     ``C1`` inside the same bucket (every (w1, *) row co-locates), a
-    tagged union attaches log-probs to per-doc bigram counts in that
+    two-input exchange attaches log-probs to per-doc bigram counts in that
     same pass, and a doc-keyed pass re-aggregates documents. The only
     driver-side value is the scalar ``V`` (from ``token_counts``).
     Hot contexts skew buckets; the in-bucket merge is vectorized and
@@ -279,21 +246,14 @@ def doc_bigram_perplexity(ds, text_col: str = "text",
     V = int(token_counts(ds, text_col=text_col,
                          num_buckets=num_buckets).count())
 
-    def _tag_partials(df: pd.DataFrame) -> pd.DataFrame:
+    def _partials(df: pd.DataFrame) -> pd.DataFrame:
         bc = _doc_bigram_counts(df, id_col, text_col)
         out = bc.groupby(["w1", "w2"], as_index=False, sort=False)["m"].sum()
-        out = out.rename(columns={"m": "n"})
-        out["n"] = out["n"].astype("int64")
-        out[id_col] = np.int64(0)
-        out["m"] = np.int64(0)
-        out["_kind"] = np.int8(0)
-        out["_cbucket"] = coarse_bucket(out, ["w1"], num_buckets)
-        return out[[id_col, "w1", "w2", "m", "n", "_kind", "_cbucket"]]
+        return out.rename(columns={"m": "n"})
 
-    def _tag_docs(df: pd.DataFrame) -> pd.DataFrame:
+    def _doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         out = _doc_bigram_counts(df, id_col, text_col)
-        # per-doc anchor so token-poor documents still reach finalize;
-        # anchors bucket by DOC id (see doc_perplexity)
+        # per-doc anchor so token-poor documents still reach finalize
         anchor = pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             "w1": np.full(len(df), "", dtype=object),
@@ -301,45 +261,24 @@ def doc_bigram_perplexity(ds, text_col: str = "text",
             "m": np.zeros(len(df), dtype="int64"),
         })
         out = pd.concat([out, anchor], ignore_index=True)
-        out["n"] = np.int64(-1)
-        out["_kind"] = np.int8(1)
-        by_w1 = coarse_bucket(out, ["w1"], num_buckets)
-        is_anchor = out["m"].to_numpy() == 0
-        if is_anchor.any():
-            by_id = coarse_bucket(out, [id_col], num_buckets)
-            by_w1 = np.where(is_anchor, by_id, by_w1).astype("int32")
-        out["_cbucket"] = by_w1
-        return out[[id_col, "w1", "w2", "m", "n", "_kind", "_cbucket"]]
+        return out.assign(
+            _k=spread_key(out, "w1", out["m"].to_numpy() == 0, id_col))
 
-    def _attach(bucket: pd.DataFrame) -> pd.DataFrame:
-        cols = [id_col, "m", "_logp"]
-        if not len(bucket) or "_kind" not in bucket.columns:
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "m": pd.Series([], dtype="int64"),
-                "_logp": pd.Series([], dtype="float64")})
-        part = bucket[bucket["_kind"] == 0]
-        docs = bucket[bucket["_kind"] == 1].copy()
+    def _attach(docs: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
         if not len(docs):
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "m": pd.Series([], dtype="int64"),
-                "_logp": pd.Series([], dtype="float64")})
-        c2 = part.groupby(["w1", "w2"], sort=False)["n"].sum()
-        c1 = part.groupby("w1", sort=False)["n"].sum()
-        key = pd.MultiIndex.from_arrays([docs["w1"], docs["w2"]])
-        n2 = c2.reindex(key).fillna(0).to_numpy().astype("float64")
-        n1 = c1.reindex(docs["w1"]).fillna(0).to_numpy().astype("float64")
+            return None
         m = docs["m"].to_numpy()
+        if len(part):
+            c2 = part.groupby(["w1", "w2"], sort=False)["n"].sum()
+            c1 = part.groupby("w1", sort=False)["n"].sum()
+            key = pd.MultiIndex.from_arrays([docs["w1"], docs["w2"]])
+            n2 = c2.reindex(key).fillna(0).to_numpy().astype("float64")
+            n1 = c1.reindex(docs["w1"]).fillna(0).to_numpy().astype("float64")
+        else:
+            n2 = n1 = np.zeros(len(docs))
         with np.errstate(divide="ignore", invalid="ignore"):
             lp = m.astype("float64") * np.log((n2 + 1.0) / (n1 + float(V)))
-        docs["_logp"] = np.where(m > 0, lp, 0.0)
-        return docs[cols]
-
-    def _bucket_doc(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, [id_col], num_buckets)
-        return df
+        return docs.assign(_logp=np.where(m > 0, lp, 0.0))
 
     def _finalize(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(id_col, as_index=False, sort=False).agg(
@@ -352,12 +291,12 @@ def doc_bigram_perplexity(ds, text_col: str = "text",
                      0.0))
         return out
 
-    tagged = ds.map_batches(_tag_partials, batch_format="pandas").union(
-        ds.map_batches(_tag_docs, batch_format="pandas"))
-    attached = tagged.groupby("_cbucket").map_groups(
-        _attach, batch_format="pandas")
-    return (
-        attached.map_batches(_bucket_doc, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_finalize, batch_format="pandas")
-    )
+    attached = exchange(
+        [ds.map_batches(_doc_rows, batch_format="pandas"),
+         ds.map_batches(_partials, batch_format="pandas")],
+        [["_k"], ["w1"]], _attach,
+        pa.schema({id_col: pa.int64(), **_ATTACHED}), num_buckets)
+    return exchange(
+        attached, id_col, _finalize,
+        pa.schema({id_col: pa.int64(), "n_bigrams": pa.int64(),
+                   "log_ppl2": pa.float64()}), num_buckets)

@@ -87,8 +87,9 @@ class DecodeImage:
     REAL zlib/struct codec below (``decode_png``), JPEG payloads
     through the REAL baseline JFIF codec (``ops/jpeg.py`` — marker
     walk, DHT-driven Huffman decode, inverse DCT), BMP through the
-    real 24-bit BI_RGB parser and GIF through the real LZW codec,
-    regardless of ``fake``. Formats this environment cannot decode (WEBP/AVIF/... —
+    real 24-bit BI_RGB parser, GIF through the real LZW codec and TIFF
+    through the real baseline (uncompressed strip) parser, regardless
+    of ``fake``. Formats this environment cannot decode (WEBP/AVIF/... —
     no PIL/opencv) raise NotImplementedError at decode time unless
     ``fake=True``, which routes them to the documented deterministic
     byte-level stand-in (codec='fake': width = payload length,
@@ -150,9 +151,10 @@ class DecodeImage:
                 s_b.append(int(arr[1::2].sum()))
             else:
                 raise NotImplementedError(
-                    "non-PNG/JPEG/BMP/GIF image decode requires PIL/opencv, "
-                    "not present in this environment; construct with "
-                    "fake=True for the deterministic byte-level stand-in"
+                    "non-PNG/JPEG/BMP/GIF/TIFF image decode requires "
+                    "PIL/opencv, not present in this environment; "
+                    "construct with fake=True for the deterministic "
+                    "byte-level stand-in"
                 )
         return pa.table(
             {

@@ -36,6 +36,9 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import bucketed_group_apply
 
 _TOKEN_RUN = r"[a-z0-9]+"
 
@@ -164,9 +167,12 @@ def bm25_search(ds, queries, k=10, k1=1.2, b=0.75, text_col="text",
             ["score", "doc_id"], ascending=[False, True]
         ).head(k)
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["qid", "doc_id", "rank"]]
+        return g
 
-    return partials.groupby("qid").map_groups(_merge, batch_format="pandas")
+    return bucketed_group_apply(
+        partials, ["qid"], _merge,
+        pa.schema({"qid": pa.int64(), "doc_id": pa.int64(),
+                   "rank": pa.int64()}))
 
 
 def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
@@ -174,7 +180,7 @@ def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
     """Top-m TF-IDF keywords per document: ``(doc_id, term, rank)``.
 
     Unlike BM25 the vocabulary here is CORPUS-cardinality, so df
-    cannot be broadcast — the design is two coarse-bucket shuffles:
+    cannot be broadcast — the design is two keyed exchanges:
 
     1. Per-doc term frequencies are exact within the batch (a doc is
        one row), so the first shuffle keys on **term**: every
@@ -187,8 +193,6 @@ def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
     Score = (tf / doc_len) * ln(N / df); rounded to ``round_to``
     decimals before ranking, ties by term asc. N (corpus row count)
     comes from dataset metadata, not a data pass."""
-    from .dedup import bucketed_group_apply
-
     n_docs = float(ds.count())
 
     def _doc_terms(df: pd.DataFrame) -> pd.DataFrame:
@@ -226,11 +230,12 @@ def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
             / g["dl"].to_numpy(dtype=np.float64)
             * np.log(n_docs / df_t)
         )
-        return g[["doc_id", "term", "score"]]
+        return g
 
     scored = bucketed_group_apply(
-        doc_terms, ["term"], _score_term_group, num_buckets=num_buckets
-    )
+        doc_terms, ["term"], _score_term_group,
+        lambda sch: pa.schema([sch.field("doc_id"), sch.field("term"),
+                               ("score", pa.float64())]), num_buckets)
 
     def _topm(group: pd.DataFrame) -> pd.DataFrame:
         g = group.copy()
@@ -238,11 +243,12 @@ def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
         g = g.sort_values(["score", "term"], ascending=[False, True]).head(
             top_m)
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["doc_id", "term", "rank"]]
+        return g
 
     return bucketed_group_apply(
-        scored, ["doc_id"], _topm, num_buckets=num_buckets
-    )
+        scored, ["doc_id"], _topm,
+        lambda sch: pa.schema([sch.field("doc_id"), sch.field("term"),
+                               ("rank", pa.int64())]), num_buckets)
 
 
 def _stable_term_bucket(values: "pd.Series", num_buckets: int) -> np.ndarray:

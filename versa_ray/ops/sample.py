@@ -35,8 +35,8 @@ def stratified_sample(ds, group_col: str, n_per_group: int, id_col: str,
                       num_buckets: int = 64):
     """n_per_group rows per stratum, chosen by md5(id) rank (ties by
     id). Per-batch partial top-n, then a per-group merge shuffled on a
-    coarse hash bucket of the stratum key."""
-    from .dedup import bucketed_group_apply
+    keyed exchange on the stratum key."""
+    from ..core.exchange import bucketed_group_apply
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -56,8 +56,9 @@ def stratified_sample(ds, group_col: str, n_per_group: int, id_col: str,
         )
 
     partials = ds.map_batches(_partial, batch_format="pandas")
-    return bucketed_group_apply(partials, [group_col], _final,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(
+        partials, [group_col], _final,
+        lambda sch: sch.remove(sch.get_field_index("_rk")), num_buckets)
 
 
 def uniform_sample(ds, n: int, id_col: str):
@@ -101,7 +102,7 @@ def token_budget_sample(ds, budget_tokens: int, source_col: str, id_col: str,
     the salted labels.
 
     Returns ``(id_col, source_col, n_tokens)`` for the kept docs."""
-    from .dedup import bucketed_group_apply
+    from ..core.exchange import bucketed_group_apply
 
     def _slim(df: pd.DataFrame) -> pd.DataFrame:
         from .textstats import whitespace_token_counts
@@ -122,8 +123,9 @@ def token_budget_sample(ds, budget_tokens: int, source_col: str, id_col: str,
         return g.loc[keep, [id_col, source_col, "n_tokens"]]
 
     slim = ds.map_batches(_slim, batch_format="pandas")
-    return bucketed_group_apply(slim, [source_col], _take,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(
+        slim, [source_col], _take,
+        lambda sch: sch.remove(sch.get_field_index("_rk")), num_buckets)
 
 
 def split_by_hash(ds, weights, id_col: str, salt: str = ""):

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import bucketed_group_apply, exchange
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -52,15 +55,23 @@ def knn_bruteforce(ds, query_vecs, query_ids, k=5, vec_col="embedding",
 
     partials = ds.map_batches(_local_topk, batch_format="pandas")
 
+    return _merge_topk(partials, k, round_to)
+
+
+def _merge_topk(partials, k, round_to=None):
+    """Per-query top-k of ``(qid, nid, sim)`` partials, ranked by sim
+    desc then nid, with a 1-based ``rank``."""
+
     def _merge(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["sim", "nid"], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = np.arange(1, len(g) + 1)
+        g = g.assign(rank=np.arange(1, len(g) + 1))
         if round_to is not None:
             g["sim"] = g["sim"].round(round_to)
         return g
 
-    return partials.groupby("qid").map_groups(_merge, batch_format="pandas")
+    return bucketed_group_apply(
+        partials, ["qid"], _merge,
+        lambda sch: sch.append(pa.field("rank", pa.int64())))
 
 
 def train_ivf_centroids(ds, n_cells=16, sample_size=2048, n_iters=10,
@@ -269,13 +280,7 @@ def knn_pq(ds, query_vecs, query_ids, codebooks, k=5,
 
     partials = ds.map_batches(_local_topk, batch_format="pandas")
 
-    def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", "nid"], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = np.arange(1, len(g) + 1)
-        return g
-
-    return partials.groupby("qid").map_groups(_merge, batch_format="pandas")
+    return _merge_topk(partials, k)
 
 
 def build_ann_index(ds, index_dir, dim, n_cells=16, m=8, nbits=8,
@@ -630,13 +635,7 @@ def search_ann_index(index_dir, query_vecs, query_ids, k=5, nprobe=4):
 
     partials = codes_ds.map_batches(_local_topk, batch_format="pandas")
 
-    def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", "nid"], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = np.arange(1, len(g) + 1)
-        return g
-
-    return partials.groupby("qid").map_groups(_merge, batch_format="pandas")
+    return _merge_topk(partials, k)
 
 
 def group_centroids(ds, group_fn_col, vec_col="embedding",
@@ -645,13 +644,12 @@ def group_centroids(ds, group_fn_col, vec_col="embedding",
     embedding-pipeline primitive behind k-means init, per-domain
     embedding profiles, cluster summaries). Classic combiner shape:
     each batch emits ONE partial (sum-vector, count) per group it
-    saw, a coarse-bucket shuffle merges partials — vectors cross the
+    saw, a keyed exchange merges partials — vectors cross the
     wire only as group-count-many partials, never corpus-many rows.
 
     ``group_fn_col``: existing column name to group by. Returns rows
     ``(group, dim_idx, mean_val)`` — flattened so results are
     schema-stable and oracle-hashable."""
-    from .dedup import bucketed_group_apply
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -681,7 +679,9 @@ def group_centroids(ds, group_fn_col, vec_col="embedding",
 
     return bucketed_group_apply(
         ds.map_batches(_partial, batch_format="pandas"), ["group"], _final,
-        num_buckets=num_buckets,
+        lambda sch: pa.schema([sch.field("group"), ("dim_idx", pa.int64()),
+                               ("mean_val", pa.float64())]),
+        num_buckets,
     )
 
 
@@ -800,8 +800,6 @@ def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
 
     Returns ``(id_a, id_b, dot, cos)`` with id_a < id_b.
     """
-    from .dedup import bucketed_group_apply, coarse_bucket
-
     from .retrieval import _TOKEN_RUN  # shared [a-z0-9]+ contract
 
     if max_df is None:
@@ -845,15 +843,9 @@ def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
         return out[[id_col, "term", "tf", "n2"]]
 
     def _term_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        ids0 = group[id_col].iloc[0:0].reset_index(drop=True)
-        empty = pd.DataFrame({
-            "id_a": ids0, "id_b": ids0,
-            "prod": pd.Series([], dtype="int64"),
-            "n2a": pd.Series([], dtype="int64"),
-            "n2b": pd.Series([], dtype="int64")})
         dfreq = len(group)
         if dfreq < min_df or dfreq > max_df:
-            return empty
+            return None
         g = group.sort_values(id_col)
         ids = g[id_col].to_numpy()
         tf = g["tf"].to_numpy()
@@ -864,19 +856,18 @@ def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
             "prod": (tf[ia] * tf[ib]).astype("int64"),
             "n2a": n2[ia], "n2b": n2[ib]})
 
+    def _pair_schema(sch):
+        ids = sch.field(id_col).type
+        return pa.schema([("id_a", ids), ("id_b", ids),
+                          ("prod", pa.int64()), ("n2a", pa.int64()),
+                          ("n2b", pa.int64())])
+
     tf_rows = ds.map_batches(_tf, batch_format="pandas")
     pair_parts = bucketed_group_apply(
-        tf_rows, ["term"], _term_pairs,
-        num_buckets=num_buckets, min_group_size=min_df)
+        tf_rows, ["term"], _term_pairs, _pair_schema,
+        num_buckets, min_group_size=min_df)
 
-    def _bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_pbucket"] = coarse_bucket(df, ["id_a", "id_b"], num_buckets)
-        return df
-
-    def _finalize(df: pd.DataFrame):
-        import pyarrow as _pa
-
+    def _finalize(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby(["id_a", "id_b"], as_index=False).agg(
             dot=("prod", "sum"), n2a=("n2a", "first"), n2b=("n2b", "first"))
         cos = agg["dot"].to_numpy() / np.sqrt(
@@ -884,12 +875,10 @@ def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
         keep = cos >= threshold
         out = agg.loc[keep, ["id_a", "id_b", "dot"]].copy()
         out["cos"] = np.round(cos[keep], 6)
-        # Arrow keeps the schema even when every bucket filters to
-        # zero rows (empty pandas blocks come back column-less)
-        return _pa.Table.from_pandas(out, preserve_index=False)
+        return out
 
-    return (
-        pair_parts.map_batches(_bucket_pairs, batch_format="pandas")
-        .groupby("_pbucket")
-        .map_groups(_finalize, batch_format="pandas")
-    )
+    return exchange(
+        pair_parts, ["id_a", "id_b"], _finalize,
+        lambda sch: pa.schema([sch.field("id_a"), sch.field("id_b"),
+                               ("dot", pa.int64()), ("cos", pa.float64())]),
+        num_buckets)

@@ -170,7 +170,7 @@ def normalize_text(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
 def top_tokens(ds, k: int = 50, text_col: str = "text", num_buckets: int = 64):
     """Global top-k whitespace tokens by count (ties broken by token
     asc). Per-batch vectorized counts (explode + value_counts), token
-    totals merged on a coarse hash bucket, per-bucket top-k (each
+    totals merged on one keyed exchange, per-bucket top-k (each
     token's full total lives in one bucket), single final top-k merge
     over the bounded ``buckets x k`` candidates."""
 
@@ -186,13 +186,6 @@ def top_tokens(ds, k: int = 50, text_col: str = "text", num_buckets: int = 64):
         return pd.DataFrame({"token": vc.index.to_numpy(dtype=object),
                              "n": vc.to_numpy()})
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        from .dedup import coarse_bucket
-
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["token"], num_buckets)
-        return df
-
     def _bucket_topk(df: pd.DataFrame) -> pd.DataFrame:
         totals = df.groupby("token", as_index=False)["n"].sum()
         return totals.sort_values(
@@ -202,14 +195,15 @@ def top_tokens(ds, k: int = 50, text_col: str = "text", num_buckets: int = 64):
     def _final(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(["n", "token"], ascending=[False, True]).head(k)
 
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_bucket_topk, batch_format="pandas")
-        .repartition(1)
-        .map_batches(_final, batch_format="pandas")
-    )
+    import pyarrow as pa
+
+    from ..core.exchange import exchange
+
+    return exchange(
+        ds.map_batches(_partial, batch_format="pandas"), "token",
+        _bucket_topk, pa.schema({"token": pa.string(), "n": pa.int64()}),
+        num_buckets,
+    ).repartition(1).map_batches(_final, batch_format="pandas")
 
 
 def gopher_quality(batch: pd.DataFrame, text_col: str = "text",

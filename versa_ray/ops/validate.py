@@ -12,8 +12,8 @@ of a given type must have:
 "excess" (n > max). Conforming entities emit nothing.
 
 Distributed shape: the rule set is schema-sized (a closure constant);
-everything corpus-sized flows through ONE origin-keyed coarse-bucket
-shuffle carrying two tagged row kinds — (origin, cls) type rows and
+everything corpus-sized flows through ONE origin-keyed exchange
+carrying two tagged row kinds — (origin, cls) type rows and
 per-batch pre-aggregated (origin, prop, n) count partials — merged
 and evaluated vectorized inside the bucket. Only properties named by
 some rule are counted, so the shuffle payload is rule-bounded per
@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import exchange
 
 _COLS = ["origin", "cls", "prop", "n", "kind"]
 
@@ -31,8 +34,6 @@ _COLS = ["origin", "cls", "prop", "n", "kind"]
 def validate_shapes(links_ds, rules, type_rel=None, num_buckets=64):
     """Violations Dataset for ``rules`` over ``links_ds`` (quad
     schema). See module docstring for the rule dict shape."""
-    import pyarrow as pa
-
     from ..core import VTYPE_REL
 
     type_rel = str(type_rel or VTYPE_REL)
@@ -44,7 +45,7 @@ def validate_shapes(links_ds, rules, type_rel=None, num_buckets=64):
     checked_types = {r["target_type"] for r in rules}
     checked_props = {r["property"] for r in rules}
 
-    def _tag(df: pd.DataFrame) -> pa.Table:
+    def _rows(df: pd.DataFrame) -> pd.DataFrame:
         t = df[(df["rel"] == type_rel) & df["target"].isin(checked_types)]
         types = pd.DataFrame(
             {"origin": t["origin"].to_numpy(object),
@@ -59,19 +60,14 @@ def validate_shapes(links_ds, rules, type_rel=None, num_buckets=64):
         counts["cls"] = ""
         counts["n"] = counts["n"].astype("int64")
         counts["tag"] = np.int8(1)
-        out = pd.concat(
+        return pd.concat(
             [types, counts[["origin", "cls", "prop", "n", "tag"]]],
             ignore_index=True)
-        out["_cbucket"] = (
-            pd.util.hash_pandas_object(out["origin"], index=False)
-            % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(out, preserve_index=False)
 
     def _evaluate(bucket: pd.DataFrame) -> pd.DataFrame:
         types = bucket[bucket["tag"] == 0][["origin", "cls"]]
         if not len(types):
-            return pd.DataFrame({c: [] for c in _COLS})
+            return None
         counts = (
             bucket[bucket["tag"] == 1]
             .groupby(["origin", "prop"], as_index=False, sort=False)["n"]
@@ -96,15 +92,14 @@ def validate_shapes(links_ds, rules, type_rel=None, num_buckets=64):
                 if len(exc):
                     exc["kind"] = "excess"
                     outs.append(exc[_COLS])
-        if not outs:
-            return pd.DataFrame({c: [] for c in _COLS})
-        return pd.concat(outs, ignore_index=True)
+        return pd.concat(outs, ignore_index=True) if outs else None
 
-    return (
-        links_ds.map_batches(_tag, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_evaluate, batch_format="pandas")
-    )
+    return exchange(
+        links_ds.map_batches(_rows, batch_format="pandas"), "origin",
+        _evaluate,
+        pa.schema({"origin": pa.string(), "cls": pa.string(),
+                   "prop": pa.string(), "n": pa.int64(),
+                   "kind": pa.string()}), num_buckets)
 
 
 def functional_conflicts(links_ds, rels, num_buckets=64):
@@ -122,14 +117,11 @@ def functional_conflicts(links_ds, rels, num_buckets=64):
 
     Distributed shape: the rel filter prunes at the scan (only
     statements of declared-functional rels leave their blocks), then
-    ONE (origin, rel)-keyed coarse-bucket shuffle dedups and counts
+    ONE (origin, rel)-keyed exchange dedups and counts
     vectorized inside each bucket. Nothing origin-cardinality ever
     lands driver-side.
     """
-    import pyarrow as pa
     import pyarrow.compute as pc
-
-    from .dedup import coarse_bucket
 
     rel_set = sorted({str(r) for r in rels})
 
@@ -138,35 +130,17 @@ def functional_conflicts(links_ds, rels, num_buckets=64):
             pc.is_in(tbl["rel"], value_set=pa.array(rel_set)))
         return sub.select(["origin", "rel", "target", "target_is_iri"])
 
-    def _bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_cbucket"] = coarse_bucket(df, ["origin", "rel"], num_buckets)
-        return df
-
     def _conflicts(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "origin": pd.Series([], dtype=object),
-            "rel": pd.Series([], dtype=object),
-            "n_values": pd.Series([], dtype="int64")})
-        if "origin" not in bucket.columns or not len(bucket):
-            return empty
         d = bucket.drop_duplicates(
             ["origin", "rel", "target", "target_is_iri"])
         g = d.groupby(["origin", "rel"], as_index=False, sort=False).size()
-        g = g[g["size"] > 1]
-        if not len(g):
-            return empty
-        return pd.DataFrame({
-            "origin": g["origin"].to_numpy(),
-            "rel": g["rel"].to_numpy(),
-            "n_values": g["size"].to_numpy().astype(np.int64)})
+        return g[g["size"] > 1].rename(columns={"size": "n_values"})
 
-    return (
-        links_ds.map_batches(_filt, batch_format="pyarrow")
-        .map_batches(_bucket, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_conflicts, batch_format="pandas")
-    )
+    return exchange(
+        links_ds.map_batches(_filt, batch_format="pyarrow"),
+        ["origin", "rel"], _conflicts,
+        pa.schema({"origin": pa.string(), "rel": pa.string(),
+                   "n_values": pa.int64()}), num_buckets)
 
 
 def profile_table(ds, columns):

@@ -4,7 +4,7 @@ Ray Data is a batch engine — windows are computed by assigning each
 row its window start (vectorized floor on the timestamp) and
 pre-aggregating per batch BEFORE the groupby, so the shuffle moves one
 row per (key, window) per block instead of one per event. Sliding and
-session windows sort within each key group (groupby.map_groups),
+session windows sort within each key group (the keyed exchange),
 relying on per-key locality, not global order.
 """
 
@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..core.exchange import bucketed_group_apply, distinct_rows, exchange
 
 
 def tumbling_window_agg(ds, ts_col="ts", keys=("event_type",), value_col="value",
@@ -47,20 +50,11 @@ def sliding_window_agg(ds, ts_col="ts", key="user_id", value_col="value",
     groupby pays per-group Python for every distinct key (the
     BASELINE.md per-group-overhead rule), so the final sum runs as one
     vectorized pandas groupby inside each bucket instead."""
-    import pyarrow as pa
-
     win = pd.Timedelta(window)
     sl = pd.Timedelta(slide)
     n_spans = int(win / sl)
-    if num_buckets is None:
-        import ray
 
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_buckets = 32
-
-    def _explode(df: pd.DataFrame) -> pa.Table:
+    def _explode(df: pd.DataFrame) -> pd.DataFrame:
         base = df[ts_col].dt.floor(slide)
         parts = []
         for i in range(n_spans):
@@ -68,26 +62,19 @@ def sliding_window_agg(ds, ts_col="ts", key="user_id", value_col="value",
             p["window_start"] = base - i * sl
             parts.append(p)
         out = pd.concat(parts, ignore_index=True)
-        g = (
+        return (
             out.groupby([key, "window_start"], as_index=False)
             .agg(n=(value_col, "size"), value_sum=(value_col, "sum"))
         )
-        g["_cbucket"] = (
-            pd.util.hash_pandas_object(g[[key, "window_start"]], index=False)
-            % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     def _final(bucket: pd.DataFrame) -> pd.DataFrame:
         return bucket.groupby([key, "window_start"], as_index=False).agg(
             n=("n", "sum"), value_sum=("value_sum", "sum")
         )
 
-    return (
-        ds.map_batches(_explode, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_final, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(_explode, batch_format="pandas"),
+                    [key, "window_start"], _final, lambda sch: sch,
+                    num_buckets)
 
 
 def incremental_tumbling(state_dir, delta_ds, freq="1h", ts_col="ts",
@@ -102,7 +89,7 @@ def incremental_tumbling(state_dir, delta_ds, freq="1h", ts_col="ts",
 
     Ray Data is a batch engine; this is the standard emulation: each
     call is one micro-batch, state is partitioned Parquet, the merge
-    is a coarse-bucket shuffle (near-unique (key, window) keys — same
+    is one keyed exchange (near-unique (key, window) keys — same
     rule as sliding_window_agg), and ``watermark`` is caller-supplied
     event time (deterministic; no wall-clock). Returns
     (finalized_ds, n_open). Late rows for already-finalized windows
@@ -111,59 +98,29 @@ def incremental_tumbling(state_dir, delta_ds, freq="1h", ts_col="ts",
     import os
     import shutil
 
-    import pyarrow as pa
     import ray.data as rd
 
     keys = list(keys)
-    if num_buckets is None:
-        import ray
 
-        try:
-            num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_buckets = 32
-
-    def _partial(df: pd.DataFrame) -> pa.Table:
+    def _partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["window_start"] = df[ts_col].dt.floor(freq)
-        g = df.groupby(keys + ["window_start"], as_index=False).agg(
+        return df.groupby(keys + ["window_start"], as_index=False).agg(
             n=(value_col, "size"), value_sum=(value_col, "sum")
         )
-        g["_cbucket"] = (
-            pd.util.hash_pandas_object(g[keys + ["window_start"]], index=False)
-            % num_buckets
-        ).astype("int32")
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     parts = delta_ds.map_batches(_partial, batch_format="pandas")
     state_file = os.path.join(state_dir, "state")
     if os.path.exists(state_file):
-
-        def _rebucket(df: pd.DataFrame) -> pa.Table:
-            df = df.assign(
-                _cbucket=(
-                    pd.util.hash_pandas_object(
-                        df[keys + ["window_start"]], index=False
-                    ) % num_buckets
-                ).astype("int32")
-            )
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-        parts = parts.union(
-            rd.read_parquet(state_file).map_batches(
-                _rebucket, batch_format="pandas"
-            )
-        )
+        parts = parts.union(rd.read_parquet(state_file))
 
     def _merge(bucket: pd.DataFrame) -> pd.DataFrame:
         return bucket.groupby(keys + ["window_start"], as_index=False).agg(
             n=("n", "sum"), value_sum=("value_sum", "sum")
         )
 
-    merged = (
-        parts.groupby("_cbucket").map_groups(_merge, batch_format="pandas")
-        .materialize()
-    )
+    merged = exchange(parts, keys + ["window_start"], _merge,
+                      lambda sch: sch, num_buckets).materialize()
 
     wm = pd.Timestamp(watermark) if watermark is not None else None
     freq_td = pd.Timedelta(freq)
@@ -199,9 +156,7 @@ def session_windows(ds, ts_col="ts", key="user_id", gap="30min"):
     """Session windows per key: events of one key sort by time inside
     the bucket task, split where the gap exceeds the threshold. The
     shuffle key is a coarse hash bucket of the user key (keys are
-    near-unique at scale — see ops.dedup.bucketed_group_apply)."""
-    from .dedup import bucketed_group_apply
-
+    near-unique at scale — see core.exchange.bucketed_group_apply)."""
     gap_td = pd.Timedelta(gap)
 
     def _sessions(group: pd.DataFrame) -> pd.DataFrame:
@@ -215,7 +170,12 @@ def session_windows(ds, ts_col="ts", key="user_id", gap="30min"):
         out[key] = g[key].iloc[0] if len(g) else None
         return out.reset_index(drop=True)
 
-    return bucketed_group_apply(ds, [key], _sessions)
+    def _schema(sch):
+        ts = sch.field(ts_col).type
+        return pa.schema([("session_start", ts), ("session_end", ts),
+                          ("n_events", pa.int64()), sch.field(key)])
+
+    return bucketed_group_apply(ds, [key], _sessions, _schema)
 
 
 def funnel_counts(ds, steps, ts_col="ts", user_col="user_id",
@@ -233,8 +193,6 @@ def funnel_counts(ds, steps, ts_col="ts", user_col="user_id",
     timestamps — no corpus-wide sort, nothing user-cardinality on the
     driver. Returns one row per step: ``(step_ix, step, n_users)``
     (cumulative-reach counts, so n_users is non-increasing)."""
-    from .dedup import bucketed_group_apply
-
     steps = list(steps)
     if not steps:
         raise ValueError("funnel needs at least one step")
@@ -251,8 +209,6 @@ def funnel_counts(ds, steps, ts_col="ts", user_col="user_id",
         )
 
     def _scan(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame({"step_ix": pd.Series([], dtype="int64")})
         per_step = {
             s: np.sort(g[ts_col].to_numpy())
             for s, g in group.groupby(type_col, sort=False)
@@ -279,8 +235,8 @@ def funnel_counts(ds, steps, ts_col="ts", user_col="user_id",
 
     slim = ds.map_batches(_slim, batch_format="pandas")
     per_user = bucketed_group_apply(
-        slim, [user_col], _scan, num_buckets=num_buckets
-    )
+        slim, [user_col], _scan, pa.schema({"step_ix": pa.int64()}),
+        num_buckets)
 
     def _count(df: pd.DataFrame) -> pd.DataFrame:
         if "step_ix" not in df.columns or not len(df):
@@ -325,7 +281,6 @@ def cohort_retention(ds, ts_col="ts", user_col="user_id", freq="D",
     small-cardinality rollup (periods x periods rows). Nothing
     user-cardinality touches the driver."""
     from .agg import grouped_agg_small
-    from .dedup import bucketed_group_apply, dedup_rows
 
     def _slim(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -335,18 +290,11 @@ def cohort_retention(ds, ts_col="ts", user_col="user_id", freq="D",
             }
         )
 
-    ud = dedup_rows(
+    ud = distinct_rows(
         ds.map_batches(_slim, batch_format="pandas"),
-        [user_col, "_period"],
-        num_buckets=num_buckets,
-    )
+        [user_col, "_period"], lambda sch: sch, num_buckets)
 
     def _offsets(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {"cohort": pd.Series([], dtype="datetime64[ns]"),
-                 "period_offset": pd.Series([], dtype="int64")}
-            )
         p = group["_period"]
         cohort = p.min()
         step = pd.Timedelta(pd.tseries.frequencies.to_offset(freq))
@@ -354,8 +302,10 @@ def cohort_retention(ds, ts_col="ts", user_col="user_id", freq="D",
         return pd.DataFrame({"cohort": cohort, "period_offset": off})
 
     per_user = bucketed_group_apply(
-        ud, [user_col], _offsets, num_buckets=num_buckets
-    )
+        ud, [user_col], _offsets,
+        lambda sch: pa.schema([pa.field("cohort", sch.field("_period").type),
+                               pa.field("period_offset", pa.int64())]),
+        num_buckets)
     return grouped_agg_small(
         per_user, ["cohort", "period_offset"],
         {"n_users": ("period_offset", "size")},
@@ -371,23 +321,9 @@ def inter_event_gaps(ds, ts_col="ts", key="user_id", num_buckets=64):
     sessionization-diagnostics rollup. One coarse-bucket shuffle on the key; gaps diff
     vectorized inside each key group; keys with a single event emit
     ``n_gaps = 0`` and NULL-free sentinel stats (0s)."""
-    from ..ops.dedup import coarse_bucket
-
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[key, ts_col]].copy()
-        out["_cbucket"] = coarse_bucket(out, [key], num_buckets)
-        return out
+    stats = ["n_events", "n_gaps", "min_gap_us", "max_gap_us", "sum_gap_us"]
 
     def _stats(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame({
-                key: pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "n_gaps": pd.Series([], dtype="int64"),
-                "min_gap_us": pd.Series([], dtype="int64"),
-                "max_gap_us": pd.Series([], dtype="int64"),
-                "sum_gap_us": pd.Series([], dtype="int64"),
-            })
         rows = []
         for kv, g in group.groupby(key, sort=False):
             ts = np.sort(g[ts_col].to_numpy().astype("datetime64[us]"))
@@ -400,17 +336,13 @@ def inter_event_gaps(ds, ts_col="ts", key="user_id", num_buckets=64):
                 "max_gap_us": int(gaps.max()) if len(gaps) else 0,
                 "sum_gap_us": int(gaps.sum()) if len(gaps) else 0,
             })
-        out = pd.DataFrame(rows)
-        for c in ["n_events", "n_gaps", "min_gap_us", "max_gap_us",
-                  "sum_gap_us"]:
-            out[c] = out[c].astype("int64")
-        return out
+        return pd.DataFrame(rows)
 
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_stats, batch_format="pandas")
-    )
+    return exchange(
+        ds.select_columns([key, ts_col]), key, _stats,
+        lambda sch: pa.schema([sch.field(key)]
+                              + [pa.field(c, pa.int64()) for c in stats]),
+        num_buckets)
 
 
 def transition_counts(ds, key="user_id", order_cols=("ts", "event_id"),
@@ -421,54 +353,37 @@ def transition_counts(ds, key="user_id", order_cols=("ts", "event_id"),
     ties; adding the unique id makes tie handling deterministic and
     SQL-replayable with ``lag() OVER (ORDER BY ts, event_id)``).
 
-    One coarse key-bucket shuffle; inside a bucket the pair extraction
+    One key exchange; inside a bucket the pair extraction
     is ONE sort + shift over the whole bucket (a same-key mask drops
     cross-key seams — no per-key Python loop); the final rollup merges
     at most ``num_buckets x |types|^2`` partial rows in a single task
     (the transition matrix is types-squared-sized, not data-sized)."""
-    from .dedup import coarse_bucket
-
     cols = [key, *order_cols, type_col]
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[cols].copy()
-        out["_cbucket"] = coarse_bucket(out, [key], num_buckets)
-        return out
-
     def _pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "from_type": pd.Series([], dtype=object),
-            "to_type": pd.Series([], dtype=object),
-            "n": pd.Series([], dtype="int64")})
-        if key not in group.columns or not len(group):
-            return empty
         g = group.sort_values([key, *order_cols], kind="mergesort",
                               ignore_index=True)
         same = g[key].to_numpy()[1:] == g[key].to_numpy()[:-1]
         frm = g[type_col].to_numpy()[:-1][same]
         to = g[type_col].to_numpy()[1:][same]
-        if not len(frm):
-            return empty
-        part = (
+        return (
             pd.DataFrame({"from_type": frm, "to_type": to})
             .groupby(["from_type", "to_type"], as_index=False)
             .size().rename(columns={"size": "n"})
         )
-        part["n"] = part["n"].astype("int64")
-        return part
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby(["from_type", "to_type"], as_index=False)["n"].sum()
         out["n"] = out["n"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_pairs, batch_format="pandas")
-        .repartition(1)
-        .map_batches(_final, batch_format="pandas")
-    )
+    return exchange(
+        ds.select_columns(cols), key, _pairs,
+        lambda sch: pa.schema([("from_type", sch.field(type_col).type),
+                               ("to_type", sch.field(type_col).type),
+                               ("n", pa.int64())]),
+        num_buckets,
+    ).repartition(1).map_batches(_final, batch_format="pandas")
 
 
 def debounce(ds, gap_us, keys=("user_id",), ts_col="ts",
@@ -491,23 +406,10 @@ def debounce(ds, gap_us, keys=("user_id",), ts_col="ts",
     columns, timestamp and id transit the shuffle; rejoin wide
     payloads downstream by id if needed.
     """
-    from ..ops.dedup import coarse_bucket
-
     keys = list(keys)
     cols = keys + [ts_col, id_col]
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[cols].copy()
-        out["_cbucket"] = coarse_bucket(out, keys, num_buckets)
-        return out
-
     def _keep(group: pd.DataFrame) -> pd.DataFrame:
-        if id_col not in group.columns or not len(group):
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                ts_col: pd.Series([], dtype="datetime64[us]"),
-                **{k: pd.Series([], dtype=object) for k in keys},
-            })
         outs = []
         for _, g in group.groupby(keys, sort=False):
             ts = g[ts_col].to_numpy().astype("datetime64[us]").astype(np.int64)
@@ -516,14 +418,13 @@ def debounce(ds, gap_us, keys=("user_id",), ts_col="ts",
             ts, ids = ts[order], ids[order]
             keep = np.ones(len(ts), dtype=bool)
             keep[1:] = np.diff(ts) > gap_us
-            outs.append(g.iloc[order[keep]][[id_col, ts_col] + keys])
+            outs.append(g.iloc[order[keep]])
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_keep, batch_format="pandas")
-    )
+    return exchange(
+        ds.select_columns(cols), keys, _keep,
+        lambda sch: pa.schema([sch.field(c) for c in [id_col, ts_col] + keys]),
+        num_buckets)
 
 
 def daily_trend(ds, key="event_type", ts_col="ts", num_buckets=64):
@@ -537,61 +438,18 @@ def daily_trend(ds, key="event_type", ts_col="ts", num_buckets=64):
     and only days with at least one event participate (both sides of
     the oracle group identically).
 
-    Two coarse-bucket shuffles, both over pre-aggregated partials:
-    per-batch (key, day, partial-count) rows merge on a (key, day)
-    bucket into the daily table (keys × days rows, corpus-independent),
-    then a key bucket computes the five moments vectorized per key.
+    One keyed exchange over pre-aggregated partials: per-batch
+    (key, day, partial-count) rows meet in their key's bucket, merge
+    into the daily table (keys × days rows, corpus-independent), and
+    the five moments are computed vectorized per key.
     Floats never appear, so the result is partition-invariant and
     SQL-replayable bit-exactly.
 
     Returns (key, n_days, slope_num, slope_den) int64.
     """
-    from ..ops.dedup import coarse_bucket
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        if key not in df.columns or not len(df):
-            return pd.DataFrame({
-                key: pd.Series([], dtype=object),
-                "_day": pd.Series([], dtype="int64"),
-                "_y": pd.Series([], dtype="int64"),
-                "_cbucket": pd.Series([], dtype="int32"),
-            })
-        days = (
-            df[ts_col].to_numpy().astype("datetime64[D]").astype(np.int64)
-        )
-        g = (
-            pd.DataFrame({key: df[key], "_day": days})
-            .groupby([key, "_day"], as_index=False, sort=False).size()
-            .rename(columns={"size": "_y"})
-        )
-        g["_y"] = g["_y"].astype("int64")
-        g["_cbucket"] = coarse_bucket(g, [key, "_day"], num_buckets)
-        return g
-
-    def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame({
-                key: pd.Series([], dtype=object),
-                "_day": pd.Series([], dtype="int64"),
-                "_y": pd.Series([], dtype="int64"),
-                "_cbucket": pd.Series([], dtype="int32"),
-            })
-        out = group.groupby([key, "_day"], as_index=False, sort=False)[
-            "_y"].sum()
-        out["_y"] = out["_y"].astype("int64")
-        out["_cbucket"] = coarse_bucket(out, [key], num_buckets)
-        return out
-
     def _moments(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame({
-                key: pd.Series([], dtype=object),
-                "n_days": pd.Series([], dtype="int64"),
-                "slope_num": pd.Series([], dtype="int64"),
-                "slope_den": pd.Series([], dtype="int64"),
-            })
         rows = []
-        for kv, g in group.groupby(key, sort=False):
+        for kv, g in _merge_days(group, key).groupby(key, sort=False):
             x = g["_day"].to_numpy(dtype=np.int64)
             x = x - x.min()
             y = g["_y"].to_numpy(dtype=np.int64)
@@ -601,18 +459,34 @@ def daily_trend(ds, key="event_type", ts_col="ts", num_buckets=64):
             rows.append({key: kv, "n_days": n,
                          "slope_num": n * sxy - sx * sy,
                          "slope_den": n * sxx - sx * sx})
-        out = pd.DataFrame(rows)
-        for c in ["n_days", "slope_num", "slope_den"]:
-            out[c] = out[c].astype("int64")
-        return out
+        return pd.DataFrame(rows)
 
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_moments, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_day_partials(key, ts_col), batch_format="pandas"),
+        key, _moments,
+        lambda sch: pa.schema([sch.field(key)] + [
+            pa.field(c, pa.int64())
+            for c in ("n_days", "slope_num", "slope_den")]),
+        num_buckets)
+
+
+def _day_partials(key, ts_col):
+    """Per-batch ``(key, _day, _y)`` event counts per (key, UTC day)."""
+
+    def _partial(df: pd.DataFrame) -> pd.DataFrame:
+        if key not in df.columns:  # schema-less empty block
+            return pd.DataFrame({key: [], "_day": [], "_y": []})
+        days = df[ts_col].to_numpy().astype("datetime64[D]").astype(np.int64)
+        return (pd.DataFrame({key: df[key], "_day": days})
+                .groupby([key, "_day"], as_index=False, sort=False).size()
+                .rename(columns={"size": "_y"}))
+
+    return _partial
+
+
+def _merge_days(group: pd.DataFrame, key) -> pd.DataFrame:
+    """One row per (key, _day) with the summed count ``_y``."""
+    return group.groupby([key, "_day"], as_index=False, sort=False)["_y"].sum()
 
 
 def ngram_transitions(ds, n=3, key="user_id", order_cols=("ts", "event_id"),
@@ -624,7 +498,7 @@ def ngram_transitions(ds, n=3, key="user_id", order_cols=("ts", "event_id"),
     result is deterministic and replays in SQL as ``lead(type, i)
     OVER (PARTITION BY key ORDER BY ts, id)``).
 
-    One coarse key-bucket shuffle; per bucket the n-gram extraction is
+    One key exchange; per bucket the n-gram extraction is
     ONE sort + n-1 shifted views with a same-key run mask (no per-key
     loop); the final rollup merges at most ``buckets x |types|^n``
     partial rows — types^n-sized, not data-sized (callers with large
@@ -632,24 +506,14 @@ def ngram_transitions(ds, n=3, key="user_id", order_cols=("ts", "event_id"),
 
     Returns (t1..tn, n_occurrences).
     """
-    from .dedup import coarse_bucket
-
     if n < 2:
         raise ValueError("ngram_transitions needs n >= 2")
     cols = [key, *order_cols, type_col]
     tcols = [f"t{i + 1}" for i in range(n)]
 
-    def _bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[cols].copy()
-        out["_cbucket"] = coarse_bucket(out, [key], num_buckets)
-        return out
-
     def _grams(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {**{c: pd.Series([], dtype=object) for c in tcols},
-             "n_occurrences": pd.Series([], dtype="int64")})
-        if key not in group.columns or len(group) < n:
-            return empty
+        if len(group) < n:
+            return None
         g = group.sort_values([key, *order_cols], kind="mergesort",
                               ignore_index=True)
         k = g[key].to_numpy()
@@ -658,26 +522,21 @@ def ngram_transitions(ds, n=3, key="user_id", order_cols=("ts", "event_id"),
         same = np.ones(m, dtype=bool)
         for i in range(1, n):                 # whole window in one key run
             same &= k[i:m + i] == k[:m]
-        if not same.any():
-            return empty
         data = {c: t[i:m + i][same] for i, c in enumerate(tcols)}
-        part = (pd.DataFrame(data).groupby(tcols, as_index=False)
+        return (pd.DataFrame(data).groupby(tcols, as_index=False)
                 .size().rename(columns={"size": "n_occurrences"}))
-        part["n_occurrences"] = part["n_occurrences"].astype("int64")
-        return part
 
     def _final(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby(tcols, as_index=False)["n_occurrences"].sum()
         out["n_occurrences"] = out["n_occurrences"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(_bucketize, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_grams, batch_format="pandas")
-        .repartition(1)
-        .map_batches(_final, batch_format="pandas")
-    )
+    return exchange(
+        ds.select_columns(cols), key, _grams,
+        lambda sch: pa.schema([(c, sch.field(type_col).type) for c in tcols]
+                              + [("n_occurrences", pa.int64())]),
+        num_buckets,
+    ).repartition(1).map_batches(_final, batch_format="pandas")
 
 
 def cumulative_daily_counts(ds, key="event_type", ts_col="ts",
@@ -685,51 +544,14 @@ def cumulative_daily_counts(ds, key="event_type", ts_col="ts",
     """Per-key running daily totals — (key, day, y, cum) where y is
     the day's event count and cum the inclusive running sum in day
     order: the cumulative-metric view (signups to date, errors to
-    date). Same two pre-aggregated coarse-bucket shuffles as
-    :func:`daily_trend` (per-batch (key, day, partial) rows merge on a
-    (key, day) bucket; a key bucket then sorts each key's
-    corpus-independent day series and cumsums vectorized). Exact
+    date). Same single pre-aggregated key exchange as
+    :func:`daily_trend` (per-batch (key, day, partial) rows merge in
+    their key's bucket, which then sorts each key's corpus-independent
+    day series and cumsums vectorized). Exact
     integers throughout; replays as SQL ``SUM() OVER``."""
-    from ..ops.dedup import coarse_bucket
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        if key not in df.columns or not len(df):
-            return pd.DataFrame({
-                key: pd.Series([], dtype=object),
-                "_day": pd.Series([], dtype="int64"),
-                "_y": pd.Series([], dtype="int64"),
-                "_cbucket": pd.Series([], dtype="int32")})
-        days = df[ts_col].to_numpy().astype("datetime64[D]").astype(
-            np.int64)
-        g = (pd.DataFrame({key: df[key], "_day": days})
-             .groupby([key, "_day"], as_index=False, sort=False).size()
-             .rename(columns={"size": "_y"}))
-        g["_y"] = g["_y"].astype("int64")
-        g["_cbucket"] = coarse_bucket(g, [key, "_day"], num_buckets)
-        return g
-
-    def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame({
-                key: pd.Series([], dtype=object),
-                "_day": pd.Series([], dtype="int64"),
-                "_y": pd.Series([], dtype="int64"),
-                "_cbucket": pd.Series([], dtype="int32")})
-        out = group.groupby([key, "_day"], as_index=False, sort=False)[
-            "_y"].sum()
-        out["_y"] = out["_y"].astype("int64")
-        out["_cbucket"] = coarse_bucket(out, [key], num_buckets)
-        return out
-
     def _cum(group: pd.DataFrame) -> pd.DataFrame:
-        if key not in group.columns or not len(group):
-            return pd.DataFrame({
-                key: pd.Series([], dtype=object),
-                "day": pd.Series([], dtype="datetime64[us]"),
-                "y": pd.Series([], dtype="int64"),
-                "cum": pd.Series([], dtype="int64")})
         outs = []
-        for kv, g in group.groupby(key, sort=False):
+        for kv, g in _merge_days(group, key).groupby(key, sort=False):
             g = g.sort_values("_day", kind="mergesort")
             y = g["_y"].to_numpy(dtype=np.int64)
             outs.append(pd.DataFrame({
@@ -741,10 +563,9 @@ def cumulative_daily_counts(ds, key="event_type", ts_col="ts",
             }))
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_merge, batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(_cum, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(_day_partials(key, ts_col), batch_format="pandas"),
+        key, _cum,
+        lambda sch: pa.schema([sch.field(key), ("day", pa.timestamp("us")),
+                               ("y", pa.int64()), ("cum", pa.int64())]),
+        num_buckets)

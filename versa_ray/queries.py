@@ -1181,12 +1181,11 @@ def q_kg_bfs_depth(sf_dir):
         links, seeds, rels=[PLACED_BY, IN_NATION, IN_REGION])
 
 
-def _coorder_edges(sf_dir):
-    """Canonical distinct edges of the parts-co-ordered graph (two
-    parts adjacent when some order contains both)."""
+def _coorder_pairs(sf_dir):
+    """(u, v) part pairs, u < v, once per order containing both."""
     import ray.data as rd
 
-    from .ops.dedup import bucketed_group_apply, dedup_rows
+    from .core.exchange import bucketed_group_apply
 
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -1195,21 +1194,24 @@ def _coorder_edges(sf_dir):
     )
 
     def _pairs(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {"u": pd.Series([], dtype="int64"),
-                 "v": pd.Series([], dtype="int64")}
-            )
         parts = np.unique(group["l_partkey"].to_numpy())
-        if len(parts) < 2:
-            return pd.DataFrame({"u": parts[:0], "v": parts[:0]})
         ia, ib = np.triu_indices(len(parts), k=1)
         return pd.DataFrame({"u": parts[ia], "v": parts[ib]})
 
-    return dedup_rows(
-        bucketed_group_apply(li, ["l_orderkey"], _pairs, min_group_size=2),
-        ["u", "v"],
-    )
+    def _uv(sch):
+        return pa.schema([("u", sch.field("l_partkey").type),
+                          ("v", sch.field("l_partkey").type)])
+
+    return bucketed_group_apply(li, ["l_orderkey"], _pairs, _uv,
+                                min_group_size=2)
+
+
+def _coorder_edges(sf_dir):
+    """Canonical distinct edges of the parts-co-ordered graph (two
+    parts adjacent when some order contains both)."""
+    from .core.exchange import distinct_rows
+
+    return distinct_rows(_coorder_pairs(sf_dir), ["u", "v"], lambda s: s)
 
 
 def _coorder_edges_multi(sf_dir, min_orders=2):
@@ -1219,47 +1221,14 @@ def _coorder_edges_multi(sf_dir, min_orders=2):
     (hub parts co-order with hundreds of others once, but repeat
     co-orders are rare) — the right projection for quadratic-fan-out
     consumers (wedge enumeration, peeling)."""
-    from .ops.dedup import bucketed_group_apply, coarse_bucket
-
-    import ray.data as rd
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey"],
-        override_num_blocks=_blocks_for(),
-    )
-
-    def _pairs(group: pd.DataFrame) -> pd.DataFrame:
-        if not len(group):
-            return pd.DataFrame(
-                {"u": pd.Series([], dtype="int64"),
-                 "v": pd.Series([], dtype="int64")})
-        parts = np.unique(group["l_partkey"].to_numpy())
-        if len(parts) < 2:
-            return pd.DataFrame({"u": parts[:0], "v": parts[:0]})
-        ia, ib = np.triu_indices(len(parts), k=1)
-        return pd.DataFrame({"u": parts[ia], "v": parts[ib]})
-
-    pairs = bucketed_group_apply(
-        li, ["l_orderkey"], _pairs, min_group_size=2)
-
-    def _bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_eb"] = coarse_bucket(df, ["u", "v"], 64)
-        return df
+    from .core.exchange import exchange
 
     def _multi(group: pd.DataFrame) -> pd.DataFrame:
-        if "u" not in group.columns or not len(group):
-            return pd.DataFrame({"u": pd.Series([], dtype="int64"),
-                                 "v": pd.Series([], dtype="int64")})
         g = group.groupby(["u", "v"], as_index=False, sort=False).size()
-        return g.loc[g["size"] >= min_orders, ["u", "v"]]
+        return g[g["size"] >= min_orders]
 
-    return (
-        pairs.map_batches(_bucket, batch_format="pandas")
-        .groupby("_eb")
-        .map_groups(_multi, batch_format="pandas")
-    )
+    return exchange(_coorder_pairs(sf_dir), ["u", "v"], _multi,
+                    lambda s: s, 64)
 
 
 def q_part_kcore(sf_dir):
@@ -1357,7 +1326,7 @@ def q_kg_hits(sf_dir):
     the key spaces."""
     import ray.data as rd
 
-    from .ops.dedup import dedup_rows
+    from .core.exchange import distinct_rows
     from .ops.graph import hits_scores
     from .ops.joins import salted_join
 
@@ -1379,8 +1348,9 @@ def q_kg_hits(sf_dir):
             "u": df["o_custkey"].to_numpy(dtype=np.int64),
             "v": df["l_partkey"].to_numpy(dtype=np.int64) + 10_000_000})
 
-    edges = dedup_rows(
-        joined.map_batches(_edge, batch_format="pandas"), ["u", "v"])
+    edges = distinct_rows(
+        joined.map_batches(_edge, batch_format="pandas"), ["u", "v"],
+        pa.schema({"u": pa.int64(), "v": pa.int64()}))
     return hits_scores(edges, n_rounds=2)
 
 
@@ -2842,7 +2812,7 @@ def q_events_user_hll(sf_dir):
     import ray.data as rd
 
     from .ops.agg import approx_distinct
-    from .ops.dedup import dedup_rows
+    from .core.exchange import distinct_rows
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"],
@@ -2850,7 +2820,7 @@ def q_events_user_hll(sf_dir):
     )
     approx = approx_distinct(ev, "user_id", key="event_type").to_pandas()
     exact = (
-        dedup_rows(ev, ["event_type", "user_id"])
+        distinct_rows(ev, ["event_type", "user_id"], lambda sch: sch)
         .groupby("event_type")
         .count()
         .to_pandas()
@@ -4168,17 +4138,17 @@ def q_kg_functional_conflicts(sf_dir):
 def q_events_user_distinct(sf_dir):
     """EXACT distinct users per event type — the oracle-backed sibling
     of the events_user_hll self-gate: per-batch (type, user) pre-dedup
-    combiner, one coarse-bucket shuffle, count (ops.dedup.dedup_rows +
+    combiner, one keyed exchange, count (core.exchange.distinct_rows +
     a small rollup). Hash-checked against COUNT(DISTINCT)."""
     import ray.data as rd
 
+    from .core.exchange import distinct_rows
     from .ops.agg import grouped_agg_small
-    from .ops.dedup import dedup_rows
 
     ev = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"],
         override_num_blocks=_blocks_for())
-    distinct = dedup_rows(ev, ["event_type", "user_id"])
+    distinct = distinct_rows(ev, ["event_type", "user_id"], lambda sch: sch)
     counted = distinct.map_batches(
         lambda df: df.assign(distinct_users=np.int64(1))[
             ["event_type", "distinct_users"]],
@@ -4270,7 +4240,7 @@ def q_kg_bipartite(sf_dir):
     recursive min-depth + parity replay."""
     import ray.data as rd
 
-    from .ops.dedup import bucketed_group_apply
+    from .core.exchange import bucketed_group_apply
     from .ops.graph import bipartite_check
 
     cust = rd.read_parquet(
@@ -4283,9 +4253,6 @@ def q_kg_bipartite(sf_dir):
 
     def _cycle(group: pd.DataFrame) -> pd.DataFrame:
         ks = np.sort(group["k"].to_numpy(dtype=np.int64))
-        if len(ks) < 2:
-            return pd.DataFrame({"src": np.empty(0, dtype=np.int64),
-                                 "dst": np.empty(0, dtype=np.int64)})
         src, dst = ks[:-1], ks[1:]
         if len(ks) >= 3:  # close the ring
             src = np.append(src, ks[-1])
@@ -4294,7 +4261,7 @@ def q_kg_bipartite(sf_dir):
 
     edges = bucketed_group_apply(
         cust.map_batches(_tag, batch_format="pandas"), ["g"], _cycle,
-        min_group_size=2)
+        pa.schema({"src": pa.int64(), "dst": pa.int64()}), min_group_size=2)
     return bipartite_check(edges)
 
 

@@ -297,8 +297,8 @@ def _match_bindings(model, args, resolved, ds_threshold=None) -> dict:
             for pos, name in var_pos.items():
                 result[name].add(link[pos])
         return result
+    from ..core.exchange import distinct_rows
     from ..model import linkset
-    from ..ops.dedup import dedup_rows
 
     # DS-backed constraints don't prune partitions / scan-filter —
     # they apply AFTER the scan as distributed semi-joins
@@ -352,11 +352,12 @@ def _match_bindings(model, args, resolved, ds_threshold=None) -> dict:
         vals = None
         for pos in positions:
             col = _POS_COLS[pos]
-            v = _rename_col(
-                dedup_rows(matched.select_columns([col]), [col]), col, "v")
+            v = _rename_col(distinct_rows(
+                matched.select_columns([col]), [col], lambda sch: sch),
+                col, "v")
             vals = v if vals is None else vals.union(v)
         if len(positions) > 1:
-            vals = dedup_rows(vals, ["v"])
+            vals = distinct_rows(vals, ["v"], lambda sch: sch)
         vals = vals.materialize()
         result[name] = _maybe_collapse(vals, vals.count(), threshold)
     return result
@@ -394,13 +395,13 @@ def _union(a, b, threshold):
     """Union of two binding sets in any combination."""
     if not isinstance(a, DSBindings) and not isinstance(b, DSBindings):
         return a | b
-    from ..ops.dedup import dedup_rows
+    from ..core.exchange import distinct_rows
 
     a_ds = a.ds if isinstance(a, DSBindings) else _set_to_ds(a)
     b_ds = b.ds if isinstance(b, DSBindings) else _set_to_ds(b)
     # re-normalize after dedup (its empty blocks drop the column)
-    out = _rename_col(
-        dedup_rows(a_ds.union(b_ds), ["v"]), "v", "v").materialize()
+    out = _rename_col(distinct_rows(
+        a_ds.union(b_ds), ["v"], lambda sch: sch), "v", "v").materialize()
     return _maybe_collapse(out, out.count(), threshold)
 
 

@@ -6,6 +6,7 @@ for corpus-scale graphs."""
 from __future__ import annotations
 
 from ..core import I, RDF_TYPE_REL, VTYPE_REL, relativize
+from ..core.exchange import exchange
 from ..model import vutil
 
 __all__ = ["bind", "bind_ds", "write_jsonld_nested_ds"]
@@ -160,17 +161,17 @@ def _embed_child(parent, child_id, child_obj):
 _BSTATE_COLS = ["origin", "node", "refcount", "referrer", "pending"]
 
 
-def _bucketize_on(col, num_buckets):
-    import pandas as pd
+def _schemas():
+    """(refs/phase-A row, node state) schemas of the binder's keyed
+    exchanges."""
+    import pyarrow as pa
 
-    def _fn(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.copy()
-        df["_cbucket"] = (
-            pd.util.hash_pandas_object(df[col], index=False) % num_buckets
-        ).astype("int32")
-        return df
-
-    return _fn
+    rows = pa.schema({"key": pa.string(), "kind": pa.int8(),
+                      "s1": pa.string(), "s2": pa.string(), "n": pa.int64()})
+    state = pa.schema({"origin": pa.string(), "node": pa.string(),
+                       "refcount": pa.int64(), "referrer": pa.string(),
+                       "pending": pa.int64()})
+    return rows, state
 
 
 def _bind_state_fused(links_ds, type_rels, _rel, num_buckets):
@@ -269,15 +270,11 @@ def _bind_state_fused(links_ds, type_rels, _rel, num_buckets):
             )
         return pd.concat(outs, ignore_index=True)
 
-    info = (
-        links_ds.map_batches(_edge_rows, batch_format="pandas")
-        .map_batches(_bucketize_on("key", num_buckets), batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(
-            lambda b: _refs_bucket(b.drop(columns=["_cbucket"])),
-            batch_format="pandas",
-        )
-    )
+    rows_schema, state_schema = _schemas()
+    info = exchange(links_ds.map_batches(_edge_rows, batch_format="pandas"),
+                    "key", _refs_bucket,
+                    rows_schema.remove(rows_schema.get_field_index("s2")),
+                    num_buckets)
 
     # ---- shuffle 2: node build + info merge, keyed by origin ---------
     def _link_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -375,15 +372,7 @@ def _bind_state_fused(links_ds, type_rels, _rel, num_buckets):
     merged = links_ds.map_batches(_link_rows, batch_format="pandas").union(
         info.map_batches(_info_rows, batch_format="pandas")
     )
-    return (
-        merged.map_batches(_bucketize_on("key", num_buckets),
-                           batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(
-            lambda b: _build_bucket(b.drop(columns=["_cbucket"])),
-            batch_format="pandas",
-        )
-    )
+    return exchange(merged, "key", _build_bucket, state_schema, num_buckets)
 
 
 def _bind_inline_rounds(state, max_depth, num_buckets,
@@ -491,13 +480,7 @@ def _bind_inline_rounds(state, max_depth, num_buckets,
             state = routed.map_batches(
                 _absorb_broadcast(_ray.put(cmap)), batch_format="pandas")
             continue
-        state = (
-            routed.map_batches(_bucketize_on("_k", num_buckets),
-                               batch_format="pandas")
-            .groupby("_cbucket")
-            .map_groups(lambda b: _absorb(b.drop(columns=["_cbucket"])),
-                        batch_format="pandas")
-        )
+        state = exchange(routed, "_k", _absorb, _schemas()[1], num_buckets)
 
     def _finalize(df: pd.DataFrame) -> pd.DataFrame:
         origins, nodes = [], []
@@ -680,12 +663,8 @@ def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3,
     if ignore:
         work = work.union(adj.map_batches(_prune_removals, batch_format="pandas"))
 
-    staged = (
-        work.map_batches(_bucketize_on("key", num_buckets), batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(lambda b: _phase_a(b.drop(columns=["_cbucket"])),
-                    batch_format="pandas")
-    )
+    rows_schema, state_schema = _schemas()
+    staged = exchange(work, "key", _phase_a, rows_schema, num_buckets)
 
     # ---- phase B (one bucket shuffle keyed by origin, vectorized
     # merges; JSON is only parsed for nodes that lose refs) -----------
@@ -734,12 +713,7 @@ def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3,
                 df.at[i, "node"] = json.dumps(obj, ensure_ascii=False)
         return df[_STATE_COLS]
 
-    state = (
-        staged.map_batches(_bucketize_on("key", num_buckets), batch_format="pandas")
-        .groupby("_cbucket")
-        .map_groups(lambda b: _phase_b(b.drop(columns=["_cbucket"])),
-                    batch_format="pandas")
-    )
+    state = exchange(staged, "key", _phase_b, state_schema, num_buckets)
 
     return _bind_inline_rounds(
         state, max_depth, num_buckets, inline_broadcast_threshold
