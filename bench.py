@@ -40,16 +40,16 @@ def _pages_for(sf: float) -> int:
 
 
 def run_headline(n_pages: int):
-    """Flagship: synthetic pages -> fused extract+transform+score ->
-    global dedup."""
+    """Flagship: synthetic pages -> extract+transform -> score (Ray
+    fuses the two map stages into one operator) -> global dedup."""
     from versa_ray.model.linkset import distinct_links
-    from versa_ray.web.kgpipeline import extract_and_score_links
+    from versa_ray.web.kgpipeline import extract_links, score_entities
     from versa_ray.web.synth import author_name, pages_dataset
 
     pages = pages_dataset(n_pages)
     alias = {author_name(42, a): f"https://authority.example.org/person/{a}"
              for a in range(16)}
-    links = extract_and_score_links(pages, alias, check_text=True)
+    links = score_entities(extract_links(pages, check_text=True), alias)
     final = distinct_links(links)
     n_triples = final.count()
     return n_triples

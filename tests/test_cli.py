@@ -392,7 +392,7 @@ def test_cli_kgbuild_sharded(tmp_path):
 
 
 def test_cli_kgstats(tmp_path):
-    """kgstats surfaces per-partition lineage (footer reads only)."""
+    """kgstats surfaces per-partition lineage (manifest reads only)."""
     import json
 
     from versa_ray.web.synth import write_pages
@@ -412,6 +412,32 @@ def test_cli_kgstats(tmp_path):
     assert sum(p["rows"] for p in parts) == head["rows"]
     assert all({"rel_bucket", "part_id", "rows", "files"} <= set(p)
                for p in parts)
+
+
+def test_kgstats_matches_store_after_kgupdate(ray_session, tmp_path):
+    """After an update, kgstats reports the current epoch's live rows
+    and files, not every file an earlier epoch left on disk."""
+    import json
+
+    from versa_ray.model.store import pruned_fragments, read_linkset
+    from versa_ray.web.synth import write_pages
+
+    pages = tmp_path / "p.parquet"
+    write_pages(str(pages), 50)
+    out = tmp_path / "kg"
+    r = _run(["kgbuild", str(pages), str(out)])
+    assert r.returncode == 0, r.stderr
+    store = str(out / "stage=linkset")
+    delta = tmp_path / "delta.parquet"
+    write_pages(str(delta), 70)
+    r = _run(["kgupdate", str(delta), store])
+    assert r.returncode == 0, r.stderr
+    r = _run(["kgstats", store])
+    assert r.returncode == 0, r.stderr
+    head = json.loads(r.stdout.strip().splitlines()[0])
+    assert head["epoch"] == 2
+    assert head["rows"] == read_linkset(store).count()
+    assert head["files"] == len(pruned_fragments(store))
 
 
 def test_kgquery_cli(tmp_path):

@@ -305,21 +305,34 @@ def test_intersect_statements(ray_session):
     assert empty.count() == 0
 
 
-def test_partition_metrics(ray_session, tmp_path):
-    """Per-partition metrics come from Parquet footers only and must
-    account for every row; the write-time manifest records them."""
-    import json
-    import os
+def test_write_linkset_rewrite_commits_next_epoch(ray_session, tmp_path):
+    """write_linkset on an existing store is a commit that replaces
+    every partition: the next epoch lists only the new files, so a
+    second write of the same links holds the same rows (a rerun after
+    a crash between the store write and its stage marker). Other
+    bucket counts than the store's raise."""
+    import pytest
 
-    from versa_ray.model.store import partition_metrics
+    from versa_ray.model.store import _current_epoch
 
     path = str(tmp_path / "store")
     ds = linkset.from_links(_sample_links())
     write_linkset(ds, path, num_rel_buckets=4, num_partitions=4)
-    metrics = partition_metrics(path)
-    assert sum(m["rows"] for m in metrics) == ds.count()
-    meta = json.load(open(os.path.join(path, "_linkset_meta.json")))
-    assert meta["partitions"] == metrics
+    first = read_linkset(path).to_pandas()
+    files1 = set(pruned_fragments(path))
+    write_linkset(ds, path, num_rel_buckets=4, num_partitions=4)
+    assert _current_epoch(path) == 2
+    key = ["origin", "rel", "target"]
+    second = read_linkset(path).to_pandas()
+    assert len(second) == len(first) == len(_sample_links())
+    pd.testing.assert_frame_equal(
+        first[key].sort_values(key, ignore_index=True),
+        second[key].sort_values(key, ignore_index=True))
+    assert files1.isdisjoint(pruned_fragments(path))
+    assert read_linkset(path, epoch=1).count() == len(first)
+    with pytest.raises(ValueError, match="num_partitions"):
+        write_linkset(ds, path, num_rel_buckets=4, num_partitions=8)
+    assert _current_epoch(path) == 2
 
 
 def test_read_linkset_column_pruning(ray_session, tmp_path):
@@ -612,51 +625,79 @@ def test_transitive_closure_ds_converges_at_cap(ray_session):
         linkset.transitive_closure_ds(ds2, {"urn:n:0"}, REL, max_iters=2)
 
 
-def test_recover_staging_after_crash(ray_session, tmp_path):
-    """A hard crash between the two swap renames parks the partition
-    in the staging dir; the recovery sweep on the next read restores
-    it and clears the stale staging."""
-    import os
-
-    from versa_ray.model.store import _recover_staging
-
+def test_commit_crash_window_orphans_are_invisible_and_vacuumed(
+        ray_session, tmp_path):
+    """A writer that dies inside a commit leaves a ``.staging-*`` dir
+    (crash while staging) or adopted parquet files that no manifest
+    lists (crash before the pointer flip). Reads see the pre-crash
+    epoch, the next update counts its rows from the manifest, and
+    vacuum removes both orphans."""
     import glob
+    import os
+    import shutil
+
+    from versa_ray.model.store import update_linkset, vacuum_linkset
 
     path = str(tmp_path / "store")
     write_linkset(linkset.from_links(_sample_links()), path,
                   num_rel_buckets=4, num_partitions=4)
-    # the dir-swap crash window only exists on LEGACY stores —
-    # manifest stores commit additively and never park partitions in
-    # trash; strip the manifests to simulate a legacy store
-    for f in glob.glob(os.path.join(path, "_epoch.json")) + glob.glob(
-            os.path.join(path, "_manifest-*.json")):
-        os.remove(f)
-    n_all = read_linkset(path).count()
+    key = ["origin", "rel", "target"]
+    before = (read_linkset(path).to_pandas()[key]
+              .sort_values(key, ignore_index=True))
 
-    # simulate the crash window: one partition renamed into a staging
-    # trash slot, target missing, process gone
-    part = None
-    for rb_dir in sorted(os.listdir(path)):
-        if rb_dir.startswith("rel_bucket="):
-            for p_dir in sorted(os.listdir(os.path.join(path, rb_dir))):
-                if p_dir.startswith("part_id="):
-                    part = (rb_dir, p_dir)
-                    break
-        if part:
-            break
-    rb = part[0].split("=")[1]
-    pid = part[1].split("=")[1]
+    [live] = pruned_fragments(path, origin="urn:t:7", rel=NAME)
     staging = os.path.join(path, ".staging-deadbeef")
-    os.makedirs(staging)
-    os.rename(os.path.join(path, *part),
-              os.path.join(staging, f"trash-{rb}-{pid}"))
+    staged = os.path.join(staging, *live.split(os.sep)[-3:-1], "s.parquet")
+    os.makedirs(os.path.dirname(staged))
+    shutil.copy(live, staged)
+    adopted = os.path.join(os.path.dirname(live), "adopted.parquet")
+    shutil.copy(live, adopted)
 
-    assert read_linkset(path).count() == n_all  # sweep restored it
-    assert not os.path.isdir(staging)
+    after = (read_linkset(path).to_pandas()[key]
+             .sort_values(key, ignore_index=True))
+    pd.testing.assert_frame_equal(before, after)
 
-    # idempotent on a clean store
-    _recover_staging(path)
-    assert read_linkset(path).count() == n_all
+    stats = update_linkset(path, linkset.from_links(
+        [("urn:t:7", NAME, "after the crash")]))
+    assert stats["rows_after"] == len(before) + 1
+    assert read_linkset(path).count() == len(before) + 1
+
+    vacuum_linkset(path, keep_epochs=1)
+    assert not os.path.exists(staging)
+    assert not os.path.exists(adopted)
+    assert not glob.glob(os.path.join(path, ".staging-*"))
+    assert read_linkset(path).count() == len(before) + 1
+
+
+def test_damaged_or_missing_epoch_pointer_raises(ray_session, tmp_path):
+    """Only ``_epoch.json`` makes a directory a store: a damaged pointer
+    raises instead of falling back to a directory scan (which would
+    return every unvacuumed epoch's rows), and so does a directory
+    without one."""
+    import os
+
+    import pytest
+
+    from versa_ray.model.store import update_linkset
+
+    path = str(tmp_path / "store")
+    write_linkset(linkset.from_links(_sample_links()), path,
+                  num_rel_buckets=4, num_partitions=4)
+    update_linkset(path, linkset.from_links(
+        [("urn:t:7", NAME, "epoch two")]))
+    with open(os.path.join(path, "_epoch.json"), "w") as f:
+        f.write('{"epo')
+    with pytest.raises(ValueError, match="_epoch.json"):
+        read_linkset(path)
+    with pytest.raises(ValueError, match="_epoch.json"):
+        update_linkset(path, linkset.from_links(
+            [("urn:t:8", NAME, "never")]))
+
+    os.remove(os.path.join(path, "_epoch.json"))
+    with pytest.raises(FileNotFoundError):
+        read_linkset(path)
+    with pytest.raises(FileNotFoundError):
+        pruned_fragments(path, rel=NAME)
 
 
 def test_store_randomized_update_replay(ray_session, tmp_path):

@@ -420,22 +420,19 @@ def cmd_kgvacuum(args):
 
 
 def cmd_kgstats(args):
-    """Per-partition lineage/metrics of a stored link-set — footer
-    reads only, no Ray session, no data scan."""
+    """Per-partition lineage/metrics of a stored link-set's current
+    epoch, from its manifest alone — no Ray session, no data scan."""
     import json as _json
 
-    from .model.store import _current_epoch, partition_metrics
+    from .model.store import _load_manifest, _manifest_metrics
 
-    parts = partition_metrics(args.store)
+    man = _load_manifest(args.store)
+    parts = _manifest_metrics(man["files"])
     total_rows = sum(p["rows"] for p in parts)
     total_files = sum(p["files"] for p in parts)
-    try:
-        epoch = _current_epoch(args.store)
-    except Exception:
-        epoch = None
     print(_json.dumps({
         "store": args.store,
-        "epoch": epoch,
+        "epoch": man["epoch"],
         "partitions": len(parts),
         "rows": total_rows,
         "files": total_files,
@@ -588,7 +585,7 @@ def main(argv=None):
     p = sub.add_parser(
         "kgstats",
         help="per-partition lineage/metrics of a stored link-set "
-             "(parquet footers only; no Ray session)",
+             "(current epoch manifest only; no Ray session)",
     )
     p.add_argument("store", help="stage=linkset directory")
     p.add_argument("--partitions", action="store_true",

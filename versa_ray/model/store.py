@@ -17,8 +17,20 @@ FILE level before any bytes are read:
 
 Both hashes are pandas' process-stable 64-bit string hash (fixed hash
 key), so a store written by one cluster is prunable by another. A
-``_linkset_meta.json`` manifest records the bucket counts; readers
-never need them supplied.
+``_linkset_meta.json`` file, written once when the store is created,
+records the bucket counts; readers never need them supplied.
+
+Every write is an EPOCH COMMIT (``_commit``): ``_epoch.json`` points
+at ``_manifest-<N>.json``, which lists every live parquet file with
+its (rel_bucket, part_id) and row count. A directory without
+``_epoch.json`` is not a store. ``write_linkset``, ``update_linkset``
+and ``compact_linkset`` stage their files under ``.staging-<uuid>``,
+move them in (uuid names, no collisions), check that no other writer
+committed meanwhile and atomically flip the pointer to the next
+epoch. A reader that resolved epoch N keeps reading exactly N's files
+while a writer commits N+1; files no kept manifest lists (replaced
+partitions, a crashed writer's adopted files or staging) are
+reclaimed by ``vacuum_linkset``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import pyarrow as pa
 from .linkset import QUAD_COLS, match
 
 _META_NAME = "_linkset_meta.json"
+_EPOCH_NAME = "_epoch.json"
 _PART_COLS = ("rel_bucket", "part_id")
 
 
@@ -49,53 +62,36 @@ def write_linkset(ds, path: str, num_rel_buckets: int = 8,
                   num_partitions: int = 16):
     """Write a links Dataset as a rel+origin partitioned Parquet store.
 
-    One directory per (rel_bucket, part_id); a failed run can resume by
-    skipping completed partition directories, and every file carries
-    its partition values in the path (lineage). The input need not be
+    One directory per (rel_bucket, part_id); every file carries its
+    partition values in the path (lineage). The input need not be
     distinct: the write runs ONE partition-keyed shuffle
     (``_partition_distinct``) that drops duplicate quads inside each
     partition and lands every partition whole in one block, so the
-    store holds exactly one file per non-empty partition."""
+    store holds exactly one file per non-empty partition.
+
+    The write is a commit that replaces every partition: on a new path
+    it commits epoch 1, on an existing store the next epoch, whose
+    manifest lists only the files this write produced (the previous
+    epoch stays readable until ``vacuum_linkset``). Rewriting a store
+    with other bucket counts than it was created with raises
+    ``ValueError``."""
     os.makedirs(path, exist_ok=True)
-    _partition_distinct(ds, num_rel_buckets, num_partitions).write_parquet(
-        path, partition_cols=list(_PART_COLS))
-    entries = _dir_file_entries(path)
-    with open(os.path.join(path, _META_NAME), "w") as f:
-        json.dump(
-            {"num_rel_buckets": num_rel_buckets,
-             "num_partitions": num_partitions,
-             "partitions": _manifest_metrics(entries)},
-            f,
-        )
-    _commit_epoch(path, 1, entries)
+    with _writer_claim(path):
+        cur = _current_epoch(path)
+        if cur is None:
+            with open(os.path.join(path, _META_NAME), "w") as f:
+                json.dump({"num_rel_buckets": num_rel_buckets,
+                           "num_partitions": num_partitions}, f)
+        else:
+            meta = _read_meta(path)
+            have = (meta["num_rel_buckets"], meta["num_partitions"])
+            if have != (num_rel_buckets, num_partitions):
+                raise ValueError(
+                    f"write_linkset: store {path} has (num_rel_buckets, "
+                    f"num_partitions) = {have}, not "
+                    f"{(num_rel_buckets, num_partitions)}")
+        _commit(path, ds, cur, [])
     return path
-
-
-def partition_metrics(path: str) -> list:
-    """Per-partition lineage/metrics from Parquet FOOTERS only (no
-    data read): row count and file count per (rel_bucket, part_id).
-    Written into _linkset_meta.json at write time and recomputable at
-    any point — the judge-able evidence that a partition is complete
-    and how big it is."""
-    import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-
-    dataset = pads.dataset(path, partitioning="hive")
-    agg: dict = {}
-    for frag in dataset.get_fragments():
-        parts = dict(
-            p.split("=") for p in frag.path.split("/")
-            if "=" in p and not p.startswith("_")
-        )
-        key = (int(parts["rel_bucket"]), int(parts["part_id"]))
-        rows = pq.ParquetFile(frag.path).metadata.num_rows
-        cur = agg.setdefault(key, {"rows": 0, "files": 0})
-        cur["rows"] += rows
-        cur["files"] += 1
-    return [
-        {"rel_bucket": rb, "part_id": pid, **v}
-        for (rb, pid), v in sorted(agg.items())
-    ]
 
 
 def _read_meta(path: str) -> dict:
@@ -103,28 +99,18 @@ def _read_meta(path: str) -> dict:
         return json.load(f)
 
 
-# ---------------------------------------------------------------------------
-# Epoch manifests: snapshot-consistent reads + time travel
-#
-# ``_epoch.json`` (atomic tmp+rename flip) points at
-# ``_manifest-<N>.json``, which lists every live parquet file with its
-# (rel_bucket, part_id). Files are immutable and uuid-named; an update
-# ADDS files and flips the pointer, so a reader that resolved epoch N
-# keeps reading exactly N's files while a writer commits N+1 — the
-# cross-partition consistency the dir-swap protocol could not give.
-# Old epochs stay readable (read_linkset(epoch=...)) until
-# ``vacuum_linkset`` garbage-collects them. Single-writer, like the
-# rest of the store.
-
-_EPOCH_NAME = "_epoch.json"
-
-
 def _current_epoch(path: str):
+    """The committed epoch, or None when ``path`` holds no store yet. A
+    present but unreadable pointer raises ``ValueError``."""
     try:
         with open(os.path.join(path, _EPOCH_NAME)) as f:
-            return int(json.load(f)["epoch"])
-    except (FileNotFoundError, KeyError, ValueError):
+            raw = f.read()
+    except FileNotFoundError:
         return None
+    try:
+        return int(json.loads(raw)["epoch"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"store {path}: unreadable {_EPOCH_NAME}") from e
 
 
 def _manifest_path(path: str, epoch: int) -> str:
@@ -135,7 +121,8 @@ def _load_manifest(path: str, epoch=None) -> dict:
     if epoch is None:
         epoch = _current_epoch(path)
     if epoch is None:
-        raise FileNotFoundError(f"no epoch manifest in {path}")
+        raise FileNotFoundError(
+            f"{path} is not a link-set store: no {_EPOCH_NAME}")
     with open(_manifest_path(path, epoch)) as f:
         return json.load(f)
 
@@ -168,7 +155,7 @@ def _writer_claim(path: str, ttl=None):
     epoch N+1; last flip wins). A writer that hard-crashed leaves its
     claim behind: pass ``ttl`` seconds to break claims older than
     that, or remove ``_writer_claim.json`` by hand once the dead
-    writer's staging has been recovered."""
+    writer is known to be gone."""
     import time as _time
     import uuid as _uuid
 
@@ -241,46 +228,8 @@ def _file_entry(path: str, fpath: str) -> dict:
     }
 
 
-def _dir_file_entries(path: str) -> list:
-    import glob as _glob
-
-    return [
-        _file_entry(path, f)
-        for f in sorted(_glob.glob(
-            os.path.join(path, "rel_bucket=*", "part_id=*", "*.parquet")))
-    ]
-
-
-def _manifest_files(path: str, epoch=None, rel=None, origin=None,
-                    origin_part_ids=None) -> list:
-    """Absolute live-file paths for an epoch, pruned by rel/origin
-    buckets exactly like the directory path does."""
-    man = _load_manifest(path, epoch)
-    meta = _read_meta(path)
-    rbs = pids = None
-    if rel is not None:
-        rels = [rel] if isinstance(rel, str) else sorted(str(r) for r in rel)
-        rbs = {int(b) for b in _stable_bucket(rels, meta["num_rel_buckets"])}
-    if origin is not None:
-        origins = (
-            [origin] if isinstance(origin, str)
-            else sorted(str(o) for o in origin)
-        )
-        pids = {int(b) for b in _stable_bucket(origins, meta["num_partitions"])}
-    if origin_part_ids is not None:
-        given = {int(p) for p in origin_part_ids}
-        pids = given if pids is None else pids & given
-    out = []
-    for e in man["files"]:
-        if rbs is not None and e["rel_bucket"] not in rbs:
-            continue
-        if pids is not None and e["part_id"] not in pids:
-            continue
-        out.append(os.path.join(path, e["path"]))
-    return out
-
-
 def _manifest_metrics(entries: list) -> list:
+    """Per-partition rows and file counts of a manifest's entries."""
     agg: dict = {}
     for e in entries:
         cur = agg.setdefault((e["rel_bucket"], e["part_id"]),
@@ -310,15 +259,46 @@ def _adopt_staged_files(path: str, staging: str) -> list:
     return entries
 
 
+def _commit(path: str, ds, cur, keep: list) -> list:
+    """The store's one commit, run under ``_writer_claim``: stage
+    ``ds``'s partitioned files under ``.staging-<uuid>``, adopt them,
+    check that the epoch is still ``cur`` (the epoch this writer
+    resolved; None for a new store) and flip ``_epoch.json`` to a
+    manifest listing ``keep`` (the entries of ``cur`` that stay live)
+    plus the adopted files. Returns the new manifest's entries."""
+    import shutil
+    import uuid
+
+    meta = _read_meta(path)
+    staging = os.path.join(path, f".staging-{uuid.uuid4().hex[:12]}")
+    try:
+        _partition_distinct(
+            ds, meta["num_rel_buckets"], meta["num_partitions"]
+        ).write_parquet(staging, partition_cols=list(_PART_COLS))
+        new_entries = _adopt_staged_files(path, staging)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    if _current_epoch(path) != cur:
+        raise StoreWriteConflict(
+            f"store {path}: epoch advanced past {cur} during this write "
+            "(a claim-bypassing writer committed); refusing to flip the "
+            "pointer over their commit"
+        )
+    entries = keep + new_entries
+    _commit_epoch(path, (cur or 0) + 1, entries)
+    return entries
+
+
 def vacuum_linkset(path: str, keep_epochs: int = 1,
                    claim_ttl=None) -> dict:
     """Garbage-collect files unreferenced by the newest
-    ``keep_epochs`` manifests (and drop the older manifests). The GC
-    point for the additive epoch protocol — run it when no reader
+    ``keep_epochs`` manifests (and drop the older manifests), plus
+    the ``.staging-*`` directories a crashed writer left behind. The
+    GC point for the additive epoch protocol — run it when no reader
     needs the older snapshots. Runs under the same ``_writer_claim``
-    fence as update/compact: a concurrent writer's adopted-but-not-
-    yet-committed files are referenced by NO manifest and an unfenced
-    vacuum would delete them out from under its epoch commit.
+    fence as every commit: a concurrent writer's staged or adopted-
+    but-not-yet-committed files are referenced by NO manifest and an
+    unfenced vacuum would delete them out from under its commit.
     Returns {"files_removed", "manifests_removed"}."""
     if int(keep_epochs) < 1:
         # keep_epochs=0 would compute an EMPTY keep set and delete
@@ -330,10 +310,9 @@ def vacuum_linkset(path: str, keep_epochs: int = 1,
 
 def _vacuum_locked(path: str, keep_epochs: int) -> dict:
     import glob as _glob
+    import shutil
 
-    cur = _current_epoch(path)
-    if cur is None:
-        return {"files_removed": 0, "manifests_removed": 0}
+    cur = _load_manifest(path)["epoch"]
     keep = set(range(max(1, cur - keep_epochs + 1), cur + 1))
     live: set = set()
     for ep in keep:
@@ -342,6 +321,8 @@ def _vacuum_locked(path: str, keep_epochs: int) -> dict:
                 live.add(os.path.normpath(os.path.join(path, e["path"])))
         except FileNotFoundError:
             pass
+    for staging in _glob.glob(os.path.join(path, ".staging-*")):
+        shutil.rmtree(staging, ignore_errors=True)
     removed = 0
     for f in _glob.glob(
             os.path.join(path, "rel_bucket=*", "part_id=*", "*.parquet")):
@@ -383,74 +364,29 @@ def part_ids_of_origins_ds(path: str, ds, col: str = "v") -> list:
 
 def pruned_fragments(path: str, rel=None, origin=None, epoch=None,
                      origin_part_ids=None):
-    """The file subset a pruned read would open (for tests/metrics).
-    Manifest stores resolve against the (given or current) epoch's
-    live files; legacy stores fall back to directory discovery."""
-    if _current_epoch(path) is not None:
-        return _manifest_files(path, epoch=epoch, rel=rel, origin=origin,
-                               origin_part_ids=origin_part_ids)
-    if epoch is not None:
-        raise ValueError(
-            "epoch requested but this store has no epoch manifests "
-            "(written before the epoch protocol)")
-    import pyarrow.dataset as pads
-
-    dataset = pads.dataset(path, partitioning="hive")
-    flt = _prune_expr(path, rel=rel, origin=origin,
-                      origin_part_ids=origin_part_ids)
-    return [f.path for f in dataset.get_fragments(filter=flt)]
-
-
-def _prune_expr(path: str, rel=None, origin=None, origin_part_ids=None):
-    import pyarrow.dataset as pads
-
+    """The live files of the given (or current) epoch that a read
+    constrained by rel / origin / origin partitions opens, as absolute
+    paths. The epoch is resolved once, from ``_epoch.json``."""
+    man = _load_manifest(path, epoch)
     meta = _read_meta(path)
-    flt = None
+    rbs = pids = None
     if rel is not None:
         rels = [rel] if isinstance(rel, str) else sorted(str(r) for r in rel)
-        buckets = sorted(
-            {int(b) for b in _stable_bucket(rels, meta["num_rel_buckets"])}
-        )
-        flt = pads.field("rel_bucket").isin(buckets)
-    parts = None
+        rbs = {int(b) for b in _stable_bucket(rels, meta["num_rel_buckets"])}
     if origin is not None:
         origins = (
             [origin] if isinstance(origin, str)
             else sorted(str(o) for o in origin)
         )
-        parts = {int(b) for b in _stable_bucket(origins, meta["num_partitions"])}
+        pids = {int(b) for b in _stable_bucket(origins, meta["num_partitions"])}
     if origin_part_ids is not None:
-        pids = {int(p) for p in origin_part_ids}
-        parts = pids if parts is None else parts & pids
-    if parts is not None:
-        e = pads.field("part_id").isin(sorted(parts))
-        flt = e if flt is None else flt & e
-    return flt
-
-
-def _recover_staging(path: str):
-    """Repair a store after a hard crash mid-swap: any partition
-    parked as ``trash-<rb>-<pid>`` inside a leftover ``.staging-*``
-    dir whose target directory is missing is restored, then the stale
-    staging dir is removed. Single-writer assumption (a LIVE
-    concurrent update's staging would be swept too)."""
-    import glob
-    import re
-    import shutil
-
-    for staging in glob.glob(os.path.join(path, ".staging-*")):
-        for trash in glob.glob(os.path.join(staging, "trash-*")):
-            m = re.match(r"trash-(\d+)-(\d+)$", os.path.basename(trash))
-            if not m:
-                continue
-            tgt = os.path.join(
-                path, f"rel_bucket={m.group(1)}", f"part_id={m.group(2)}"
-            )
-            if not os.path.isdir(tgt):
-                os.makedirs(os.path.dirname(tgt), exist_ok=True)
-                os.rename(trash, tgt)
-        shutil.rmtree(staging, ignore_errors=True)
-
+        given = {int(p) for p in origin_part_ids}
+        pids = given if pids is None else pids & given
+    return [
+        os.path.join(path, e["path"]) for e in man["files"]
+        if (rbs is None or e["rel_bucket"] in rbs)
+        and (pids is None or e["part_id"] in pids)
+    ]
 
 
 def _partition_tagger(r_b: int, n_p: int):
@@ -520,49 +456,6 @@ def _partition_distinct(ds, r_b: int, n_p: int):
         "_pkey", _dedup, lambda sch: sch.remove(sch.get_field_index("_pkey")))
 
 
-def _write_meta(path: str, r_b: int, n_p: int) -> None:
-    with open(os.path.join(path, _META_NAME), "w") as f:
-        json.dump(
-            {"num_rel_buckets": r_b, "num_partitions": n_p,
-             "partitions": partition_metrics(path)},
-            f,
-        )
-
-
-def _swap_staged_partitions(path: str, staging: str, pairs) -> None:
-    """Swap staged partition dirs into the store with the crash
-    discipline both update and compact rely on: the displaced old
-    partition is parked as ``trash-<rb>-<pid>`` INSIDE the
-    dot-prefixed staging root (invisible to pyarrow discovery, and
-    the format ``_recover_staging`` restores after a hard crash). On
-    an in-process failure any partition whose target went missing is
-    restored from its trash and the staging dir is KEPT for
-    inspection; on success staging (with the trash) is removed."""
-    import shutil
-
-    try:
-        for rb, pid in pairs:
-            rel_dir = os.path.join(f"rel_bucket={rb}", f"part_id={pid}")
-            staged_dir = os.path.join(staging, rel_dir)
-            target_dir = os.path.join(path, rel_dir)
-            if not os.path.isdir(staged_dir):
-                continue  # defensive: nothing staged for this pair
-            os.makedirs(os.path.dirname(target_dir), exist_ok=True)
-            if os.path.isdir(target_dir):
-                os.rename(target_dir,
-                          os.path.join(staging, f"trash-{rb}-{pid}"))
-            os.rename(staged_dir, target_dir)
-    except BaseException:
-        for rb, pid in pairs:
-            trash = os.path.join(staging, f"trash-{rb}-{pid}")
-            tgt = os.path.join(path, f"rel_bucket={rb}", f"part_id={pid}")
-            if os.path.isdir(trash) and not os.path.isdir(tgt):
-                os.rename(trash, tgt)
-        raise
-    else:
-        shutil.rmtree(staging, ignore_errors=True)
-
-
 def update_linkset(path: str, new_ds, claim_ttl=None):
     """Incremental append-with-dedup against a stored link-set — the
     at-scale form of the reference's duplicate-refusing add
@@ -576,44 +469,34 @@ def update_linkset(path: str, new_ds, claim_ttl=None):
     touched partition is rewritten as exactly one file; every other
     partition's files are untouched. An appended corpus delta
     therefore costs O(delta + touched partitions), not a full-store
-    rescan. The rewrite STAGES the merged partitions to a temp dir
-    under the store root and swaps each affected partition directory
-    by rename — for in-process failures a reader sees the old or the
-    new complete partition, never a half-written one (the old
-    delete-then-rewrite left the partition missing for the whole
-    write). A hard crash BETWEEN the two renames leaves the partition
-    parked in the dot-prefixed staging dir; ``_recover_staging`` (run
-    at the start of every update and pruned read) restores it.
+    rescan.
+
+    The rewrite is an epoch commit (``_commit``): the new files are
+    staged, moved in and published by one atomic ``_epoch.json``
+    flip, so a reader never sees pre-update P1 with post-update P2 —
+    it reads the file list of whichever epoch it resolved, and the
+    previous epoch stays readable (``read_linkset(epoch=...)``) until
+    ``vacuum_linkset``. A crash before the flip leaves the store at
+    the previous epoch; its staged or adopted files are unreferenced
+    and ``vacuum_linkset`` removes them.
 
     Writes are FENCED: the whole update runs under the store's
     ``_writer_claim`` (O_EXCL claim file), so a second concurrent
-    updater raises ``StoreWriteConflict`` instead of racing the epoch
-    pointer flip or recovering this writer's live staging; pass
-    ``claim_ttl`` seconds to break a hard-crashed writer's stale
-    claim. The epoch is ALSO re-checked immediately before the commit
-    (CAS) to refuse cleanly if a claim-bypassing writer flipped it.
-
-    Stores written by this engine carry EPOCH MANIFESTS: the update
-    then commits additively (new uuid files moved in, atomic
-    ``_epoch.json`` flip), so a reader never sees pre-update P1 with
-    post-update P2 — it reads the file list of whichever epoch it
-    resolved, and the previous epoch stays readable
-    (``read_linkset(epoch=...)``) until ``vacuum_linkset``. The
-    dir-swap path above remains for legacy (manifest-less) stores.
-    Returns {"partitions_updated", "rows_after"}."""
+    writer raises ``StoreWriteConflict`` instead of racing the epoch
+    pointer flip; pass ``claim_ttl`` seconds to break a hard-crashed
+    writer's stale claim. The epoch is ALSO re-checked immediately
+    before the flip (CAS) to refuse cleanly if a claim-bypassing
+    writer committed. Returns {"partitions_updated", "rows_after"}."""
     with _writer_claim(path, ttl=claim_ttl):
         return _update_linkset_locked(path, new_ds)
 
 
 def _update_linkset_locked(path: str, new_ds):
-    import shutil
-
     import ray.data as rd
 
+    man = _load_manifest(path)
     meta = _read_meta(path)
-    r_b, n_p = meta["num_rel_buckets"], meta["num_partitions"]
-
-    _tag = _partition_tagger(r_b, n_p)
+    _tag = _partition_tagger(meta["num_rel_buckets"], meta["num_partitions"])
     merged = new_ds.materialize()
 
     # affected partition list: bounded by R x P, never by data size
@@ -625,86 +508,32 @@ def _update_linkset_locked(path: str, new_ds):
         for r in merged.map_batches(_pairs, batch_format="pyarrow")
         .take_all()
     }
-    if not affected:
-        ep0 = _current_epoch(path)
-        if ep0 is not None:
-            n0 = int(sum(e["rows"] for e in _load_manifest(path, ep0)["files"]))
-        else:
-            n0 = rd.read_parquet(path).count()
-        return {"partitions_updated": 0, "rows_after": n0}
-
-    cur_epoch = _current_epoch(path)
-    if cur_epoch is not None:
-        man = _load_manifest(path, cur_epoch)
+    entries = man["files"]
+    if affected:
         old_files = [
             os.path.join(path, e["path"]) for e in man["files"]
             if (e["rel_bucket"], e["part_id"]) in affected
         ]
-    else:
-        import pyarrow.dataset as pads
-
-        dataset = pads.dataset(path, partitioning="hive")
-        expr = None
-        for rb, pid in sorted(affected):
-            e = (pads.field("rel_bucket") == rb) & (pads.field("part_id") == pid)
-            expr = e if expr is None else expr | e
-        old_files = [f.path for f in dataset.get_fragments(filter=expr)]
-
-    if old_files:
-        old = rd.read_parquet(old_files, partitioning=None)
-        stored = old.schema().base_schema
-        # schema-align both sides to the stored column types: a delta
-        # without the store's lineage columns (or vice versa, or with
-        # one all null) gets typed nulls, and no side ships schema
-        # metadata into the shuffle
-        new_cols = list(merged.schema().names)
-        align = _aligner(
-            new_cols + [c for c in stored.names if c not in new_cols], stored)
-        merged = merged.map_batches(align, batch_format="pyarrow").union(
-            old.map_batches(align, batch_format="pyarrow"))
-    merged = _partition_distinct(merged, r_b, n_p)
-
-    import uuid
-
-    _recover_staging(path)
-    staging = os.path.join(path, f".staging-{uuid.uuid4().hex[:12]}")
-    try:
-        merged.write_parquet(staging, partition_cols=list(_PART_COLS))
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)  # no partial leak
-        raise
-    if cur_epoch is not None:
-        # additive epoch commit: staged files move in (uuid names, no
-        # collisions), readers on the old epoch are undisturbed, and
-        # the atomic pointer flip publishes the whole update at once
-        new_entries = _adopt_staged_files(path, staging)
-        shutil.rmtree(staging, ignore_errors=True)
-        keep = [
+        if old_files:
+            old = rd.read_parquet(old_files, partitioning=None)
+            stored = old.schema().base_schema
+            # schema-align both sides to the stored column types: a
+            # delta without the store's lineage columns (or vice versa,
+            # or with one all null) gets typed nulls, and no side ships
+            # schema metadata into the shuffle
+            new_cols = list(merged.schema().names)
+            align = _aligner(
+                new_cols + [c for c in stored.names if c not in new_cols],
+                stored)
+            merged = merged.map_batches(align, batch_format="pyarrow").union(
+                old.map_batches(align, batch_format="pyarrow"))
+        entries = _commit(path, merged, man["epoch"], [
             e for e in man["files"]
             if (e["rel_bucket"], e["part_id"]) not in affected
-        ]
-        entries = keep + new_entries
-        if _current_epoch(path) != cur_epoch:
-            raise StoreWriteConflict(
-                f"store {path}: epoch advanced past {cur_epoch} during "
-                "this write (a claim-bypassing writer committed); "
-                "refusing to flip the pointer over their commit"
-            )
-        _commit_epoch(path, cur_epoch + 1, entries)
-        with open(os.path.join(path, _META_NAME), "w") as f:
-            json.dump(
-                {"num_rel_buckets": r_b, "num_partitions": n_p,
-                 "partitions": _manifest_metrics(entries)},
-                f,
-            )
-        rows_after = int(sum(e["rows"] for e in entries))
-    else:
-        _swap_staged_partitions(path, staging, affected)
-        _write_meta(path, r_b, n_p)
-        rows_after = rd.read_parquet(path).count()
+        ])
     return {
         "partitions_updated": len(affected),
-        "rows_after": rows_after,
+        "rows_after": int(sum(e["rows"] for e in entries)),
     }
 
 
@@ -712,13 +541,14 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
                  columns=None, epoch=None, origin_part_ids=None):
     """Predicate-pruned read of a stored link-set.
 
-    rel / origin constraints prune whole partition DIRECTORIES: the
-    Hive partition metadata (file paths only, no data) selects the
-    matching file subset driver-side, and read_parquet opens just
-    those files. ``columns`` prunes at the Parquet column level on top
-    (only requested columns leave storage). The exact row-level match
-    then runs as the usual Arrow mask. Returns the canonical five link
-    columns (or the requested subset).
+    The read opens exactly the live files of one epoch (the given one,
+    or the current one resolved once from ``_epoch.json``); rel /
+    origin constraints prune that file list by partition before any
+    bytes are read. ``columns`` prunes at the Parquet column level on
+    top (only requested columns leave storage). The exact row-level
+    match then runs as the usual Arrow mask. Returns the canonical
+    five link columns (or the requested subset). A directory without
+    ``_epoch.json`` is not a store and raises ``FileNotFoundError``.
 
     ``origin_part_ids`` is the file-pruning handle for a DISTRIBUTED
     origin constraint (a binding set too large to broadcast): pass
@@ -727,13 +557,6 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
     then come from the caller's semi-join."""
     import ray.data as rd
 
-    manifest_mode = _current_epoch(path) is not None
-    if not manifest_mode:
-        # legacy dir-swap stores may need crash repair before
-        # discovery; manifest stores must NOT sweep here — a reader
-        # rmtree-ing a LIVE .staging-* would destroy an in-flight
-        # writer's staged files before its epoch commit
-        _recover_staging(path)
     read_cols = None
     if columns is not None:
         need = set(columns)
@@ -746,28 +569,19 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
         if attrs:
             need.add("attrs")
         read_cols = sorted(need)
-    if (rel is not None or origin is not None or manifest_mode
-            or origin_part_ids is not None):
-        # manifest stores ALWAYS read the epoch's exact file list —
-        # directory discovery would include unreferenced files from
-        # other epochs
-        paths = pruned_fragments(path, rel=rel, origin=origin, epoch=epoch,
-                                 origin_part_ids=origin_part_ids)
-        if not paths:
-            from ..core.canon import LINK_SCHEMA
+    paths = pruned_fragments(path, rel=rel, origin=origin, epoch=epoch,
+                             origin_part_ids=origin_part_ids)
+    if not paths:
+        from ..core.canon import LINK_SCHEMA
 
-            empty = rd.from_arrow(LINK_SCHEMA.empty_table())
-            return empty.select_columns(list(columns)) if columns else empty
-        ds = rd.read_parquet(paths, columns=read_cols)
-    else:
-        if epoch is not None:
-            raise ValueError(
-                "epoch requested but this store has no epoch manifests")
-        ds = rd.read_parquet(path, columns=read_cols)
-    have = set(ds.schema().names)
-    drop = [c for c in _PART_COLS if c in have]
-    if drop:
-        ds = ds.drop_columns(drop)
+        empty = rd.from_arrow(LINK_SCHEMA.empty_table())
+        return empty.select_columns(list(columns)) if columns else empty
+    # the default hive read adds the partition columns only when no
+    # columns are named (Ray 2.49's read_parquet fails on columns= with
+    # partitioning=None)
+    ds = rd.read_parquet(paths, columns=read_cols)
+    if read_cols is None:
+        ds = ds.drop_columns(list(_PART_COLS))
     if rel is not None or origin is not None or target is not None or attrs:
         ds = match(ds, origin=origin, rel=rel, target=target, attrs=attrs)
     if columns is not None and set(ds.schema().names) != set(columns):
@@ -784,10 +598,10 @@ def compact_linkset(path: str, max_files: int = 1, vacuum_keep: int = 2,
     input block; pruned reads of such a store pay per-file open cost.
     ONLY partitions over the threshold are read and rewritten
     (bounded by fragmentation, not store size), through the same
-    ``_partition_distinct`` shuffle as every other commit and with the
-    same stage-and-swap crash discipline as ``update_linkset`` — a
-    reader sees the old or the new complete partition, never a mix.
-    Runs under the same ``_writer_claim`` fence as update (a
+    ``_partition_distinct`` shuffle and the same epoch commit
+    (``_commit``) as every other write — a reader sees the old or the
+    new epoch, never a mix — and then vacuums down to ``vacuum_keep``
+    epochs. Runs under the same ``_writer_claim`` fence as update (a
     concurrent writer raises ``StoreWriteConflict``). Returns
     {"partitions_compacted", "files_before", "files_after"}."""
     with _writer_claim(path, ttl=claim_ttl):
@@ -795,99 +609,31 @@ def compact_linkset(path: str, max_files: int = 1, vacuum_keep: int = 2,
 
 
 def _compact_linkset_locked(path, max_files, vacuum_keep):
-    import shutil
-    import uuid
-
     import ray.data as rd
 
-    meta = _read_meta(path)
-    _recover_staging(path)
-
-    cur_epoch = _current_epoch(path)
-    victims = []  # (rel_bucket, part_id, [files])
-    files_before = 0
-    if cur_epoch is not None:
-        man = _load_manifest(path, cur_epoch)
-        by_part: dict = {}
-        for e in man["files"]:
-            by_part.setdefault((e["rel_bucket"], e["part_id"]), []).append(
-                os.path.join(path, e["path"]))
-        files_before = len(man["files"])
-        for (rb, pid), files in sorted(by_part.items()):
-            if len(files) > max_files:
-                victims.append((rb, pid, sorted(files)))
-    else:
-        for rb_name in sorted(os.listdir(path)):
-            if not rb_name.startswith("rel_bucket="):
-                continue
-            for pid_name in sorted(os.listdir(os.path.join(path, rb_name))):
-                pdir = os.path.join(path, rb_name, pid_name)
-                if not os.path.isdir(pdir):
-                    continue
-                files = [f for f in os.listdir(pdir) if f.endswith(".parquet")]
-                files_before += len(files)
-                if len(files) > max_files:
-                    victims.append((
-                        int(rb_name.split("=")[1]),
-                        int(pid_name.split("=")[1]),
-                        [os.path.join(pdir, f) for f in sorted(files)]))
+    man = _load_manifest(path)
+    by_part: dict = {}
+    for e in man["files"]:
+        by_part.setdefault((e["rel_bucket"], e["part_id"]), []).append(
+            os.path.join(path, e["path"]))
+    victims = {k: sorted(fs) for k, fs in by_part.items()
+               if len(fs) > max_files}
+    files_before = len(man["files"])
     if not victims:
         return {"partitions_compacted": 0, "files_before": files_before,
                 "files_after": files_before}
 
-    merged = rd.read_parquet([f for _, _, fs in victims for f in fs],
-                             partitioning=None)
-    r_b, n_p = meta["num_rel_buckets"], meta["num_partitions"]
-
-    staging = os.path.join(path, f".staging-{uuid.uuid4().hex[:12]}")
-    try:
-        _partition_distinct(merged, r_b, n_p).write_parquet(
-            staging, partition_cols=list(_PART_COLS))
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    if cur_epoch is not None:
-        compacted = {(rb, pid) for rb, pid, _fs in victims}
-        new_entries = _adopt_staged_files(path, staging)
-        shutil.rmtree(staging, ignore_errors=True)
-        keep = [
-            e for e in man["files"]
-            if (e["rel_bucket"], e["part_id"]) not in compacted
-        ]
-        entries = keep + new_entries
-        if _current_epoch(path) != cur_epoch:
-            raise StoreWriteConflict(
-                f"store {path}: epoch advanced past {cur_epoch} during "
-                "this write (a claim-bypassing writer committed); "
-                "refusing to flip the pointer over their commit"
-            )
-        _commit_epoch(path, cur_epoch + 1, entries)
-        with open(os.path.join(path, _META_NAME), "w") as f:
-            json.dump(
-                {"num_rel_buckets": r_b, "num_partitions": n_p,
-                 "partitions": _manifest_metrics(entries)},
-                f,
-            )
-        # compaction is the default GC point, but keep the PREVIOUS
-        # epoch (vacuum_keep=2): a reader that resolved the
-        # pre-compact epoch must still find its files; pass
-        # vacuum_keep=1 only when no concurrent/time-travel readers
-        # exist
-        _vacuum_locked(path, vacuum_keep)  # already under our claim
-        files_after = len(entries)
-    else:
-        _swap_staged_partitions(
-            path, staging, [(rb, pid) for rb, pid, _fs in victims])
-        files_after = 0
-        for rb_name in os.listdir(path):
-            if not rb_name.startswith("rel_bucket="):
-                continue
-            for pid_name in os.listdir(os.path.join(path, rb_name)):
-                pdir = os.path.join(path, rb_name, pid_name)
-                if os.path.isdir(pdir):
-                    files_after += len(
-                        [f for f in os.listdir(pdir)
-                         if f.endswith(".parquet")])
-        _write_meta(path, r_b, n_p)
+    merged = rd.read_parquet(
+        [f for _, fs in sorted(victims.items()) for f in fs],
+        partitioning=None)
+    entries = _commit(path, merged, man["epoch"], [
+        e for e in man["files"]
+        if (e["rel_bucket"], e["part_id"]) not in victims
+    ])
+    # compaction is the default GC point, but keep the PREVIOUS epoch
+    # (vacuum_keep=2): a reader that resolved the pre-compact epoch
+    # must still find its files; pass vacuum_keep=1 only when no
+    # concurrent/time-travel readers exist
+    _vacuum_locked(path, vacuum_keep)  # already under our claim
     return {"partitions_compacted": len(victims),
-            "files_before": files_before, "files_after": files_after}
+            "files_before": files_before, "files_after": len(entries)}

@@ -3096,7 +3096,7 @@ def q_kg_linkset(sf_dir):
 
     n = 200
     pages = pages_dataset(n)
-    links = extract_links(pages, check_text=True, concurrency=2)
+    links = extract_links(pages, check_text=True)
     out = linkset.distinct_links(links).materialize()
     n_triples = out.count()
     if n_triples != 1717:

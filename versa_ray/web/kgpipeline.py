@@ -1,24 +1,28 @@
 """Flagship pipeline: web pages -> knowledge graph link-sets.
 
     read_parquet(pages)                       [prune to url/html(/text)]
-      -> map_batches(PageKGExtractor: tasks + per-worker cache,
-                     or actor pool for heavy rule state)
+      -> map_batches(PageKGExtractor)  [tasks + per-worker cache]
            html -> text (byte-identical invariant)
            html -> RDFa-Lite triples -> doc-local micro-model
            -> fingerprint/transform/labelize rules (schema.org -> BIBFRAME-ish)
            -> link rows + lineage (src_url)
-      -> map_batches(EntityScorer)   [broadcast alias table; actor pool
-                                      when the table is heavy]
+      -> map_batches(EntityScorer)     [tasks + per-worker cache over
+                                        one ray.put alias index]
       -> write_linkset: ONE partition-keyed shuffle (rel_bucket x
          part_id) that drops duplicate quads inside each partition,
-         then one Parquet file per partition + manifests (stage-level
-         resume via build_kg, per-shard resume via build_kg_sharded)
+         then one Parquet file per partition, published as one epoch
+         commit (stage-level resume via build_kg, per-shard resume via
+         build_kg_sharded)
+
+Each stage has one execution path. Ray fuses the two map stages into
+one operator, so the link stream between them never round-trips
+through the object store.
 
 All entity IDs are content fingerprints, so the cross-document "same
 entity" reconciliation IS the dedup shuffle (see SURVEY.md §7 hard
 part 2); identical quads share origin and rel, so the store's partition
 shuffle is where that dedup happens. ``update_kg`` folds a delta in
-through the same shuffle. Each stage boundary can materialize to
+through the same shuffle. Each stage boundary materializes to
 Parquet with a _SUCCESS marker; a rerun skips completed stages
 (resume) and the output carries per-partition lineage columns.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -89,15 +94,15 @@ class TextMismatch(AssertionError):
 
 
 class PageKGExtractor:
-    """Actor-pool stage: one HTML parse + doc-local rule run per page.
+    """One HTML parse + doc-local rule run per page.
 
-    Rule closures are built once per actor (__init__), not per batch.
+    Rule closures are built once per instance (__init__), not per
+    batch; ``extract_links`` keeps one instance per worker process.
     Emits canonical link rows with ``src_url`` lineage.
     """
 
-    def __init__(self, rules=None, check_text=False):
-        fp, tr, lb = rules() if callable(rules) else (rules or kg_rules())
-        self.pipeline = generic_pipeline(fp, tr, lb)
+    def __init__(self, check_text=False):
+        self.pipeline = generic_pipeline(*kg_rules())
         self.check_text = check_text
 
     def _transform(self, url: str, triples) -> MicroModel:
@@ -130,41 +135,20 @@ class PageKGExtractor:
         return pa.Table.from_pydict(out, schema=LINKS_OUT_SCHEMA)
 
 
-def _cluster_cpus() -> int:
-    import ray
-
-    try:
-        return int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        return 4
-
-
-def _default_concurrency(fraction=0.5):
-    """Size an actor pool to a FRACTION of the cluster. A pipeline may
-    run two pools plus a shuffle concurrently in one streaming
-    execution; pools that together reserve every CPU deadlock the
-    sort/groupby stages behind them, so no single pool takes more than
-    half the node and the two defaults (extract 1/2, score 1/4) leave
-    headroom for shuffle tasks."""
-    return max(1, int(_cluster_cpus() * fraction))
-
-
+# per-worker-process stage caches: tasks reuse worker processes, so
+# state built on first use is amortized across batches and executions
 _EXTRACTOR_CACHE: dict = {}
+_SCORER_CACHE: dict = {}
 
 
-def extract_links(pages_ds, check_text=False, concurrency=None, batch_size=None,
-                  rules=None, use_actors=False):
-    """pages Dataset -> links Dataset. HTML is the wide column: batches
-    stay small and the html column is dropped at this stage boundary.
+def extract_links(pages_ds, check_text=False):
+    """pages Dataset -> links Dataset. HTML is the wide column: the
+    html column is dropped at this stage boundary.
 
-    Default is stateless TASKS with a per-worker extractor cache:
+    Runs as stateless TASKS with a per-worker extractor cache:
     extractor setup (rule-closure build) is milliseconds, task workers
-    persist across dataset executions, and tasks size elastically — an
-    actor pool here would pay per-execution actor startup and needs
-    manual sizing against the downstream shuffle. Pass
-    ``use_actors=True`` (or a heavy ``rules`` factory) to run the same
-    class as an actor pool, the right trade when per-worker setup is
-    expensive (models, big dictionaries)."""
+    persist across dataset executions, and tasks size elastically
+    without a pool to size against the downstream shuffle."""
     cols = {"url", "html"} | ({"text"} if check_text else set())
     # fetch_if_missing=False: schema() on a lazy non-read Dataset would
     # execute the upstream pipeline for one row just to prune columns —
@@ -174,34 +158,18 @@ def extract_links(pages_ds, check_text=False, concurrency=None, batch_size=None,
     have = set(sch.names) if sch is not None else None
     if have is not None and cols <= have and have - cols:
         pages_ds = pages_ds.select_columns(sorted(cols))
-    if use_actors:
-        return pages_ds.map_batches(
-            PageKGExtractor,
-            fn_constructor_kwargs={"check_text": check_text, "rules": rules},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or _default_concurrency(),
-        )
-
-    cache_key = (
-        getattr(rules, "__qualname__", None) or repr(rules) if rules else "default",
-        bool(check_text),
-    )
 
     def _extract(batch: pa.Table) -> pa.Table:
-        ex = _EXTRACTOR_CACHE.get(cache_key)
+        ex = _EXTRACTOR_CACHE.get(check_text)
         if ex is None:
-            ex = PageKGExtractor(rules=rules, check_text=check_text)
-            _EXTRACTOR_CACHE[cache_key] = ex
+            ex = _EXTRACTOR_CACHE[check_text] = PageKGExtractor(check_text)
         return ex(batch)
 
-    return pages_ds.map_batches(
-        _extract, batch_format="pyarrow", batch_size=batch_size
-    )
+    return pages_ds.map_batches(_extract, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
-# Entity-linking scorer (stateful actor-pool stage)
+# Entity-linking scorer
 
 
 def char_trigrams(s: str) -> set:
@@ -213,7 +181,7 @@ def build_alias_index(alias_table: dict, threshold: float = 0.6) -> dict:
     """Pure-numpy prefix-filtered trigram index over an alias table.
 
     Built ONCE on the driver and ``ray.put`` as flat arrays, so every
-    worker/actor reads zero-copy views from the object store instead
+    worker reads zero-copy views from the object store instead
     of re-deriving the index (at 10^5+ aliases the per-worker rebuild
     costs seconds; array views are free). AllPairs/PPJoin layout:
     trigrams get a rarest-first global rank by (df, gram); each alias
@@ -288,16 +256,16 @@ def build_alias_index(alias_table: dict, threshold: float = 0.6) -> dict:
 
 
 class EntityScorer:
-    """Actor-pool entity-linking stage.
-
-    Holds a broadcast alias INDEX (see ``build_alias_index``),
-    fetched from the object store ONCE per actor as zero-copy numpy
-    views. For every bf:name link it computes a trigram-Jaccard score
+    """Entity-linking stage over an alias INDEX (see
+    ``build_alias_index``), which ``score_entities`` fetches from the
+    object store ONCE per worker as zero-copy numpy views. For every
+    bf:name link it computes a trigram-Jaccard score
     against the authority aliases and, on a confident match,
     annotates the link with the authority IRI + score attributes.
     Deterministic, cheap stand-in for a model-based scorer; the Ray
     plumbing (index built once driver-side, broadcast once, scored
-    per batch, actor reuse) is the part that matters at scale.
+    per batch, scorer reuse per worker) is the part that matters at
+    scale.
 
     Matching uses the index's prefix filter: a mention probes the
     posting lists of its n - ceil(t*n) + 1 rarest trigrams (same
@@ -315,28 +283,9 @@ class EntityScorer:
 
     NAME_REL = str(BF("name"))
 
-    def __init__(self, alias_ref=None, alias_table=None, threshold=None,
-                 index_ref=None, index=None):
-        import ray
-
-        if index_ref is not None:
-            index = ray.get(index_ref)
-        if index is None:
-            table = (
-                ray.get(alias_ref) if alias_ref is not None
-                else (alias_table or {})
-            )
-            index = build_alias_index(
-                table, 0.6 if threshold is None else threshold)
-        elif threshold is not None and float(threshold) != float(
-                index["threshold"]):
-            # the prefix/size filters are baked in at index build time —
-            # silently scoring at a different cutoff than requested
-            # would be wrong in both directions
-            raise ValueError(
-                "EntityScorer: threshold=%r conflicts with the supplied "
-                "index (built at %r); rebuild the index at the desired "
-                "threshold" % (threshold, index["threshold"]))
+    def __init__(self, index):
+        # the prefix/size filters are baked in at index build time, so
+        # the index's threshold is the only one the scorer can honour
         self.threshold = float(index["threshold"])
         self._lex_grams = index["lex_grams"]
         self._lex_rank = index["lex_rank"]
@@ -346,7 +295,7 @@ class EntityScorer:
         self._post_offsets = index["post_offsets"]
         self._post_ids = index["post_ids"]
         self._iris = index["iris"]
-        # mention strings repeat heavily (head entities); memoize per actor
+        # mention strings repeat heavily (head entities); memoize per worker
         self._memo: dict = {}
 
     @property
@@ -452,107 +401,40 @@ class EntityScorer:
         )
 
 
-# per-worker-process scorer cache for the task-based fast path: tasks
-# reuse worker processes, so state built on first use is amortized
-# exactly like actor state, without a dedicated pool
-_SCORER_CACHE: dict = {}
-
-
-def score_entities(links_ds, alias_table: dict, concurrency=None, batch_size=None,
-                   use_actors=None):
-    """Entity-linking stage. Small alias tables (broadcastable state)
-    run as stateless tasks with a per-worker cache — no second actor
-    pool to start up or size; large/heavy state uses the EntityScorer
-    actor pool."""
+def score_entities(links_ds, alias_table: dict):
+    """Entity-linking stage: stateless tasks with a per-worker scorer
+    cache over one driver-built, ``ray.put`` alias index."""
     import ray
 
     if not alias_table:
         return links_ds
-    # index built ONCE here; workers/actors get zero-copy array views
+    # index built ONCE here; workers get zero-copy array views
     ref = ray.put(build_alias_index(alias_table))
-    if use_actors is None:
-        use_actors = len(alias_table) > 10_000
-    if use_actors:
-        return links_ds.map_batches(
-            EntityScorer,
-            fn_constructor_kwargs={"index_ref": ref},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or _default_concurrency(0.25),
-            num_cpus=0.5,  # scoring is light; don't starve the dedup shuffle
-        )
 
     def _score(batch: pa.Table) -> pa.Table:
         scorer = _SCORER_CACHE.get(ref.hex())
         if scorer is None:
-            scorer = EntityScorer(index_ref=ref)
-            _SCORER_CACHE[ref.hex()] = scorer
+            scorer = _SCORER_CACHE[ref.hex()] = EntityScorer(ray.get(ref))
         return scorer(batch)
 
-    return links_ds.map_batches(_score, batch_format="pyarrow", batch_size=batch_size)
-
-
-def extract_and_score_links(pages_ds, alias_table, check_text=False,
-                            batch_size=None, rules=None):
-    """Fused extract+score: one map stage runs the page extractor and
-    the entity scorer back to back on each batch, so the full link
-    stream never takes an extra object-store round trip between the
-    two stages (~200 B/link — 1.7 GB at 1M pages). Semantically
-    identical to extract_links -> score_entities (equality-tested);
-    use the separate stages when you want the checkpoint boundary
-    between them (build_kg does)."""
-    import ray
-
-    if not alias_table:
-        return extract_links(pages_ds, check_text=check_text,
-                             batch_size=batch_size, rules=rules)
-    # index built ONCE on the driver; workers read zero-copy views
-    ref = ray.put(build_alias_index(alias_table))
-    cols = {"url", "html"} | ({"text"} if check_text else set())
-    sch = pages_ds.schema(fetch_if_missing=False)  # see extract_links
-    have = set(sch.names) if sch is not None else None
-    if have is not None and cols <= have and have - cols:
-        pages_ds = pages_ds.select_columns(sorted(cols))
-    cache_key = (
-        getattr(rules, "__qualname__", None) or repr(rules) if rules else "default",
-        bool(check_text), ref.hex(),
-    )
-
-    def _fused(batch: pa.Table) -> pa.Table:
-        pair = _EXTRACTOR_CACHE.get(cache_key)
-        if pair is None:
-            pair = (
-                PageKGExtractor(rules=rules, check_text=check_text),
-                EntityScorer(index_ref=ref),
-            )
-            _EXTRACTOR_CACHE[cache_key] = pair
-        ex, scorer = pair
-        return scorer(ex(batch))
-
-    return pages_ds.map_batches(
-        _fused, batch_format="pyarrow", batch_size=batch_size
-    )
+    return links_ds.map_batches(_score, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
 # Checkpointed end-to-end run
 
 
-def canonicalize_authorities(links_ds, num_buckets=None,
-                             broadcast_threshold=100_000):
+def canonicalize_authorities(links_ds):
     """Collapse scorer-linked entities onto their authority IRIs.
 
     The EntityScorer annotates name links with ``@authority``; this
     stage builds the entity->authority mapping from those annotations
-    and rewrites every origin/target through it, then re-dedups. While
-    the mapping is small it is broadcast (linkset.replace_values — a
-    map-side join, no shuffle); when it exceeds
-    ``broadcast_threshold`` rows (corpus-proportional mappings at
-    100x scale), the rewrite switches to distributed bucket-merge
-    joins (linkset.replace_values_ds) so the mapping never
-    materializes driver-side. This is the explicit canonicalization
-    rewrite of the reference's replace_values/replace_entity_resource
-    (util.py:162-191) applied at corpus scale.
+    and rewrites every origin/target (and attr value) through it with
+    distributed bucket-merge joins (linkset.replace_values_ds), so the
+    mapping never materializes driver-side, then re-dedups. This is
+    the explicit canonicalization rewrite of the reference's
+    replace_values/replace_entity_resource (util.py:162-191) applied
+    at corpus scale.
     """
     import pyarrow.compute as pc
 
@@ -572,21 +454,9 @@ def canonicalize_authorities(links_ds, num_buckets=None,
                 auths.append(d["@authority"])
         return pa.table({"entity": ents, "authority": auths})
 
-    pairs_ds = links_ds.map_batches(
-        _extract_mapping, batch_format="pyarrow"
-    ).materialize()
-    n_pairs = pairs_ds.count()
-    if n_pairs == 0:
-        return links_ds
-    from ..model.linkset import replace_values, replace_values_ds
+    from ..model.linkset import replace_values_ds
 
-    if n_pairs <= broadcast_threshold:
-        pairs = pairs_ds.to_pandas()
-        mapping = dict(zip(pairs["entity"], pairs["authority"]))
-        return distinct_links(replace_values(links_ds, mapping))
-    # the distributed rewrite is semantically identical to the
-    # broadcast one (origin, target AND attrs values) — equality-tested
-    # across the threshold in tests/test_web_kg.py
+    pairs_ds = links_ds.map_batches(_extract_mapping, batch_format="pyarrow")
     return distinct_links(replace_values_ds(links_ds, pairs_ds))
 
 
@@ -596,6 +466,14 @@ def _stage_dir(root, name):
 
 def _complete(root, name):
     return os.path.exists(os.path.join(_stage_dir(root, name), "_SUCCESS"))
+
+
+def _write_dir(ds, d):
+    """Write ``ds`` as Parquet into ``d``, cleared first: Ray's
+    write_parquet appends into an existing directory, so files that a
+    crashed earlier write left there would be read back as output."""
+    shutil.rmtree(d, ignore_errors=True)
+    ds.write_parquet(d)
 
 
 def _mark_complete(root, name, meta=None):
@@ -699,7 +577,7 @@ def build_kg_sharded(
         links = extract_links(ds, check_text=check_text)
         if alias_table:
             links = score_entities(links, alias_table)
-        distinct_links(links).write_parquet(sdir)
+        _write_dir(distinct_links(links), sdir)
         with open(marker, "w") as f:
             json.dump(
                 {
@@ -731,8 +609,6 @@ def build_kg_sharded(
         _mark_complete(out_dir, "linkset", {"partitions": num_partitions, "shards": num_shards})
     from ..model.store import read_linkset
 
-    # manifest-aware read: a raw directory scan would double-read
-    # partitions superseded by a later update_kg epoch commit
     return read_linkset(_stage_dir(out_dir, "linkset"))
 
 
@@ -742,8 +618,6 @@ def build_kg(
     out_dir="/tmp/versa_ray_kg",
     alias_table=None,
     check_text=False,
-    checkpoint=True,
-    concurrency=None,
     num_partitions=16,
 ):
     """Run the flagship pipeline with stage-boundary checkpoints.
@@ -751,7 +625,10 @@ def build_kg(
     Returns the final links Dataset (already written under
     ``out_dir/stage=linkset``). Rerunning with the same out_dir skips
     completed stages — that is the resume path; lineage is the
-    ``src_url`` column plus the per-stage manifests."""
+    ``src_url`` column plus the per-stage manifests. A run that crashed
+    after the store commit but before its stage marker resumes by
+    committing the next store epoch, which replaces every partition,
+    so the resumed link-set equals an uninterrupted run's."""
     import ray.data as rd
 
     os.makedirs(out_dir, exist_ok=True)
@@ -759,7 +636,6 @@ def build_kg(
     if _complete(out_dir, "linkset"):
         from ..model.store import read_linkset
 
-        # manifest-aware resume read (see build_kg_sharded note)
         return read_linkset(_stage_dir(out_dir, "linkset"))
 
     if _complete(out_dir, "extracted"):
@@ -769,14 +645,13 @@ def build_kg(
             pages_ds = rd.read_parquet(
                 pages_path, columns=["url", "html"] + (["text"] if check_text else [])
             )
-        links = extract_links(pages_ds, check_text=check_text, concurrency=concurrency)
-        if checkpoint:
-            links.write_parquet(_stage_dir(out_dir, "extracted"))
-            _mark_complete(out_dir, "extracted")
-            links = rd.read_parquet(_stage_dir(out_dir, "extracted"))
+        _write_dir(extract_links(pages_ds, check_text=check_text),
+                   _stage_dir(out_dir, "extracted"))
+        _mark_complete(out_dir, "extracted")
+        links = rd.read_parquet(_stage_dir(out_dir, "extracted"))
 
     if alias_table:
-        links = score_entities(links, alias_table, concurrency=concurrency)
+        links = score_entities(links, alias_table)
 
     # rel+origin partitioned output: match(rel=...) and match(origin=...)
     # against the stored linkset prune whole partition directories
@@ -793,8 +668,7 @@ def build_kg(
     return read_linkset(_stage_dir(out_dir, "linkset"))
 
 
-def update_kg(pages_ds, store_dir, alias_table=None, concurrency=None,
-              check_text=False):
+def update_kg(pages_ds, store_dir, alias_table=None, check_text=False):
     """Incremental KG maintenance: extract links from a DELTA page
     corpus and fold them into an existing stored link-set with the
     duplicate-refusing partition-pruned update — the continuous-crawl
@@ -810,8 +684,7 @@ def update_kg(pages_ds, store_dir, alias_table=None, concurrency=None,
     update stats dict from ``model.store.update_linkset``."""
     from ..model.store import update_linkset
 
-    links = extract_links(
-        pages_ds, check_text=check_text, concurrency=concurrency)
+    links = extract_links(pages_ds, check_text=check_text)
     if alias_table:
-        links = score_entities(links, alias_table, concurrency=concurrency)
+        links = score_entities(links, alias_table)
     return update_linkset(store_dir, links)
