@@ -143,6 +143,15 @@ def test_kgmatch_cli(tmp_path):
 
     m = _re.search(r"read (\d+)/(\d+) partition files", r.stdout)
     assert m and int(m.group(1)) < int(m.group(2))
+    # with no row limit (--limit 0) the footer's count is the number of
+    # rows printed: both come from one materialized read
+    r = _run(["kgmatch", str(out_dir / "stage=linkset"),
+              "--rel", "http://bibfra.me/vocab/lite/name", "--limit", "0"])
+    assert r.returncode == 0, r.stderr
+    printed = [ln for ln in r.stdout.splitlines()
+               if ln.strip() and not ln.startswith("#")]
+    m = _re.search(r"^# (\d+) links;", r.stdout, _re.M)
+    assert printed and m and int(m.group(1)) == len(printed)
 
 
 def test_validate_cli(tmp_path):

@@ -220,3 +220,17 @@ def test_keyed_shuffles_route_through_exchange():
         if ".map_groups(" in line or '"_cbucket"' in line
     ]
     assert not offenders, offenders
+
+
+def test_store_reads_route_through_manifest_source():
+    """Every read of store files goes through the store's manifest-
+    driven datasource: ``model/store.py`` never calls ``read_parquet(``."""
+    import pathlib
+
+    store = (pathlib.Path(__file__).resolve().parents[1]
+             / "versa_ray" / "model" / "store.py")
+    offenders = [
+        n for n, line in enumerate(store.read_text().splitlines(), 1)
+        if "read_parquet(" in line
+    ]
+    assert not offenders, offenders

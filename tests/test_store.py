@@ -398,6 +398,78 @@ def test_update_linkset_null_lineage_keeps_declared_types(
     assert len(rows) == 122
 
 
+def test_read_linkset_mixed_file_schemas(ray_session, tmp_path):
+    """After a delta that adds a lineage column and an all-null one,
+    the store's files differ in columns. Every read returns the files'
+    unified schema, every non-empty block has exactly that schema, the
+    rows equal a pyarrow read of the manifest's files, and an
+    unconstrained ``count()`` is the manifest's row sum."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from versa_ray.model.store import _load_manifest, update_linkset
+
+    path = str(tmp_path / "store")
+    write_linkset(
+        linkset.from_links(_sample_links(), extra_cols={"stage": "extracted"}),
+        path, num_rel_buckets=4, num_partitions=4)
+    delta = pd.DataFrame({
+        "origin": ["urn:t:7", "urn:t:new"], "rel": [NAME, TYPE_],
+        "target": ["alt name 7", "urn:t:Thing"],
+        "target_is_iri": [False, True], "attrs": ["{}", "{}"],
+        "stage": ["delta", "delta"], "src_url": ["https://s/1", None],
+        "note": [None, None]})
+    update_linkset(path, rd.from_pandas(delta))
+    files = pruned_fragments(path)
+    widths = {len(pq.read_schema(f).names) for f in files}
+    assert widths == {6, 8}  # untouched and rewritten partitions differ
+
+    want = {"origin": pa.string(), "rel": pa.string(),
+            "target": pa.string(), "target_is_iri": pa.bool_(),
+            "attrs": pa.string(), "stage": pa.string(),
+            "src_url": pa.string(), "note": pa.null()}
+    disk = pd.concat(
+        [pq.ParquetFile(f).read().to_pandas() for f in files],
+        ignore_index=True)
+
+    def rows(df, cols):
+        return sorted((
+            tuple(None if pd.isna(v) else v for v in r)
+            for r in df[cols].itertuples(index=False)), key=repr)
+
+    cases = [
+        ({}, disk, list(want)),
+        ({"rel": NAME}, disk[disk.rel == NAME], list(want)),
+        ({"origin": "urn:t:7"}, disk[disk.origin == "urn:t:7"], list(want)),
+        ({"columns": ["origin", "src_url", "note"]}, disk,
+         ["origin", "src_url", "note"]),
+    ]
+    for kw, expect, cols in cases:
+        ds = read_linkset(path, **kw)
+        sch = ds.schema().base_schema
+        assert {n: sch.field(n).type for n in sch.names} == {
+            c: want[c] for c in cols}, kw
+        blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
+                                             batch_size=None) if b.num_rows]
+        assert blocks, kw
+        for b in blocks:
+            assert b.schema == sch and not b.schema.metadata, kw
+        got = pa.concat_tables(blocks).to_pandas()
+        assert rows(got, cols) == rows(expect, cols), kw
+
+    man = _load_manifest(path)
+    assert read_linkset(path).count() == sum(e["rows"] for e in man["files"])
+
+    # a later delta with values in the column stored only as all-null
+    # keeps its own type for it
+    update_linkset(path, rd.from_pandas(delta.iloc[:1].assign(
+        target="third name 7", note="n")))
+    got = read_linkset(path, origin="urn:t:7", rel=NAME).to_pandas()
+    assert dict(zip(got.target, got.note)) == {
+        "name 7": None, "alt name 7": None, "third name 7": "n"}
+
+
 def test_write_ntriples_ds_roundtrip(ray_session, tmp_path):
     """Distributed NT sink round-trips through the NT parser."""
     import glob

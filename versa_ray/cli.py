@@ -271,18 +271,23 @@ def cmd_kgmatch(args):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    from .model.store import pruned_fragments, read_linkset
+    from .model.store import _load_manifest, pruned_fragments, read_linkset
 
+    # one epoch for the file counts and the read, even if a writer
+    # commits meanwhile; the read runs once
+    man = _load_manifest(args.store, args.epoch)
+    epoch = man["epoch"]
     frags = pruned_fragments(
-        args.store, rel=args.rel, origin=args.origin, epoch=args.epoch)
-    total = len(pruned_fragments(args.store, epoch=args.epoch))
+        args.store, rel=args.rel, origin=args.origin, epoch=epoch)
     ds = read_linkset(
-        args.store, rel=args.rel, origin=args.origin, epoch=args.epoch)
+        args.store, rel=args.rel, origin=args.origin, epoch=epoch
+    ).materialize()
     rows = ds.take(args.limit) if args.limit else ds.take_all()
     for r in rows:
         tgt = f"<{r['target']}>" if r["target_is_iri"] else f'"{r["target"]}"'
         print(f"{r['origin']} <{r['rel']}> {tgt}")
-    print(f"# {ds.count()} links; read {len(frags)}/{total} partition files")
+    print(f"# {ds.count()} links; read {len(frags)}/{len(man['files'])} "
+          "partition files")
     ray.shutdown()
 
 

@@ -31,10 +31,19 @@ epoch. A reader that resolved epoch N keeps reading exactly N's files
 while a writer commits N+1; files no kept manifest lists (replaced
 partitions, a crashed writer's adopted files or staging) are
 reclaimed by ``vacuum_linkset``.
+
+Every read of store files (``read_linkset`` and the old-partition reads
+of ``update_linkset`` and ``compact_linkset``) is planned from ONE
+manifest load by ``_read_entries``: the manifest's entries are pruned
+by partition, and a small ``ray.data.Datasource`` builds the read tasks
+from them, with row counts from the manifest and sizes and the unified
+schema from the file footers. No Ray task runs until the Dataset
+executes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import contextmanager as _contextmanager
@@ -362,12 +371,10 @@ def part_ids_of_origins_ds(path: str, ds, col: str = "v") -> list:
     return sorted({int(r["part_id"]) for r in rows_of(out)})
 
 
-def pruned_fragments(path: str, rel=None, origin=None, epoch=None,
-                     origin_part_ids=None):
-    """The live files of the given (or current) epoch that a read
-    constrained by rel / origin / origin partitions opens, as absolute
-    paths. The epoch is resolved once, from ``_epoch.json``."""
-    man = _load_manifest(path, epoch)
+def _pruned_entries(path: str, man: dict, rel=None, origin=None,
+                    origin_part_ids=None) -> list:
+    """The entries of manifest ``man`` whose (rel_bucket, part_id) a
+    read constrained by rel / origin / origin partitions opens."""
     meta = _read_meta(path)
     rbs = pids = None
     if rel is not None:
@@ -383,10 +390,98 @@ def pruned_fragments(path: str, rel=None, origin=None, epoch=None,
         given = {int(p) for p in origin_part_ids}
         pids = given if pids is None else pids & given
     return [
-        os.path.join(path, e["path"]) for e in man["files"]
+        e for e in man["files"]
         if (rbs is None or e["rel_bucket"] in rbs)
         and (pids is None or e["part_id"] in pids)
     ]
+
+
+def pruned_fragments(path: str, rel=None, origin=None, epoch=None,
+                     origin_part_ids=None):
+    """The live files of the given (or current) epoch that a read
+    constrained by rel / origin / origin partitions opens, as absolute
+    paths. The epoch is resolved once, from ``_epoch.json``."""
+    man = _load_manifest(path, epoch)
+    return [
+        os.path.join(path, e["path"])
+        for e in _pruned_entries(path, man, rel, origin, origin_part_ids)
+    ]
+
+
+def _read_store_files(files, schema: pa.Schema) -> list:
+    """One read task: the files read as plain Parquet (no hive
+    partition columns), cast to the read's unified ``schema``, as one
+    block."""
+    import pyarrow.parquet as pq
+
+    align = _aligner(schema.names, schema)
+    tables = []
+    for f in files:
+        pf = pq.ParquetFile(f)
+        have = set(pf.schema_arrow.names)
+        tables.append(align(pf.read([c for c in schema.names if c in have])))
+    return [pa.concat_tables(tables)]
+
+
+@functools.cache
+def _store_source():
+    """The store's ``ray.data.Datasource`` class (built on first use:
+    this module does not import Ray at load time). Read tasks take
+    their rows from the manifest and their size and the unified schema
+    from the footers, read in the driver, so no Ray task runs before
+    execution. Every ``BlockMetadata`` carries ``size_bytes`` and the
+    source answers ``estimate_inmemory_data_size``: with the size
+    unknown, the union with a delta in ``update_linkset`` stalls for
+    seconds on every commit."""
+    from ray.data import Datasource, ReadTask
+    from ray.data.block import BlockMetadata
+
+    class StoreSource(Datasource):
+        def __init__(self, path: str, entries: list, columns=None):
+            import pyarrow.parquet as pq
+
+            self._files = [os.path.join(path, e["path"]) for e in entries]
+            self._rows = [int(e["rows"]) for e in entries]
+            footers = [pq.read_metadata(f) for f in self._files]
+            self._sizes = [
+                sum(m.row_group(i).total_byte_size
+                    for i in range(m.num_row_groups))
+                for m in footers
+            ]
+            schema = pa.unify_schemas(
+                [m.schema.to_arrow_schema() for m in footers]
+            ).remove_metadata()
+            self._schema = (schema if columns is None
+                            else pa.schema([schema.field(c) for c in columns]))
+
+        def estimate_inmemory_data_size(self):
+            return sum(self._sizes)
+
+        def get_read_tasks(self, parallelism: int):
+            return [
+                ReadTask(
+                    functools.partial(_read_store_files,
+                                      [self._files[i] for i in g],
+                                      self._schema),
+                    BlockMetadata(
+                        num_rows=sum(self._rows[i] for i in g),
+                        size_bytes=sum(self._sizes[i] for i in g),
+                        input_files=[self._files[i] for i in g],
+                        exec_stats=None),
+                    schema=self._schema)
+                for g in np.array_split(np.arange(len(self._files)),
+                                        min(parallelism, len(self._files)))
+            ]
+
+    return StoreSource
+
+
+def _read_entries(path: str, entries: list, columns=None):
+    """The store's one read path: a Dataset over the given (non-empty)
+    manifest entries, projected to ``columns`` if given."""
+    import ray.data as rd
+
+    return rd.read_datasource(_store_source()(path, entries, columns))
 
 
 def _partition_tagger(r_b: int, n_p: int):
@@ -412,7 +507,8 @@ def _partition_tagger(r_b: int, n_p: int):
 def _aligner(cols, stored: pa.Schema):
     """Batch map to exactly ``cols``: each column cast to its ``stored``
     type where it has one, missing columns as typed nulls, no schema
-    metadata."""
+    metadata. A column stored only as all-null (type ``null``) has no
+    declared type, so a batch's own type for it is kept."""
 
     def _align(tbl: pa.Table) -> pa.Table:
         out = []
@@ -420,7 +516,7 @@ def _aligner(cols, stored: pa.Schema):
             typ = stored.field(c).type if c in stored.names else None
             if c not in tbl.column_names:
                 out.append(pa.nulls(tbl.num_rows, typ or pa.null()))
-            elif typ is not None and tbl[c].type != typ:
+            elif typ is not None and typ != pa.null() and tbl[c].type != typ:
                 out.append(tbl[c].cast(typ))
             else:
                 out.append(tbl[c])
@@ -492,8 +588,6 @@ def update_linkset(path: str, new_ds, claim_ttl=None):
 
 
 def _update_linkset_locked(path: str, new_ds):
-    import ray.data as rd
-
     man = _load_manifest(path)
     meta = _read_meta(path)
     _tag = _partition_tagger(meta["num_rel_buckets"], meta["num_partitions"])
@@ -510,12 +604,12 @@ def _update_linkset_locked(path: str, new_ds):
     }
     entries = man["files"]
     if affected:
-        old_files = [
-            os.path.join(path, e["path"]) for e in man["files"]
+        old_entries = [
+            e for e in man["files"]
             if (e["rel_bucket"], e["part_id"]) in affected
         ]
-        if old_files:
-            old = rd.read_parquet(old_files, partitioning=None)
+        if old_entries:
+            old = _read_entries(path, old_entries)
             stored = old.schema().base_schema
             # schema-align both sides to the stored column types: a
             # delta without the store's lineage columns (or vice versa,
@@ -541,22 +635,25 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
                  columns=None, epoch=None, origin_part_ids=None):
     """Predicate-pruned read of a stored link-set.
 
-    The read opens exactly the live files of one epoch (the given one,
-    or the current one resolved once from ``_epoch.json``); rel /
-    origin constraints prune that file list by partition before any
-    bytes are read. ``columns`` prunes at the Parquet column level on
-    top (only requested columns leave storage). The exact row-level
-    match then runs as the usual Arrow mask. Returns the canonical
-    five link columns (or the requested subset). A directory without
-    ``_epoch.json`` is not a store and raises ``FileNotFoundError``.
+    The read is planned from one manifest load: the live files of one
+    epoch (the given one, or the current one resolved once from
+    ``_epoch.json``), pruned by the rel / origin partitions before any
+    bytes are read. Each read task's row count comes from the
+    manifest, its size and the schema from the file footers, so
+    building the Dataset runs no Ray task and ``count()`` of an
+    unconstrained read needs no execution. ``columns`` prunes at the
+    Parquet column level on top (only requested columns leave
+    storage). The exact row-level match then runs as the usual Arrow
+    mask. Returns the store's columns (the canonical five link columns
+    plus any lineage columns), unified over the files read, or the
+    requested subset. A directory without ``_epoch.json`` is not a
+    store and raises ``FileNotFoundError``.
 
     ``origin_part_ids`` is the file-pruning handle for a DISTRIBUTED
     origin constraint (a binding set too large to broadcast): pass
     the distinct origin hash-partitions (``part_ids_of_origins_ds``)
     to prune files WITHOUT row-level origin matching — exactness must
     then come from the caller's semi-join."""
-    import ray.data as rd
-
     read_cols = None
     if columns is not None:
         need = set(columns)
@@ -569,22 +666,19 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
         if attrs:
             need.add("attrs")
         read_cols = sorted(need)
-    paths = pruned_fragments(path, rel=rel, origin=origin, epoch=epoch,
-                             origin_part_ids=origin_part_ids)
-    if not paths:
+    entries = _pruned_entries(path, _load_manifest(path, epoch), rel=rel,
+                              origin=origin, origin_part_ids=origin_part_ids)
+    if not entries:
+        import ray.data as rd
+
         from ..core.canon import LINK_SCHEMA
 
         empty = rd.from_arrow(LINK_SCHEMA.empty_table())
         return empty.select_columns(list(columns)) if columns else empty
-    # the default hive read adds the partition columns only when no
-    # columns are named (Ray 2.49's read_parquet fails on columns= with
-    # partitioning=None)
-    ds = rd.read_parquet(paths, columns=read_cols)
-    if read_cols is None:
-        ds = ds.drop_columns(list(_PART_COLS))
+    ds = _read_entries(path, entries, read_cols)
     if rel is not None or origin is not None or target is not None or attrs:
         ds = match(ds, origin=origin, rel=rel, target=target, attrs=attrs)
-    if columns is not None and set(ds.schema().names) != set(columns):
+    if columns is not None and set(read_cols) != set(columns):
         ds = ds.select_columns(list(columns))
     return ds
 
@@ -609,23 +703,19 @@ def compact_linkset(path: str, max_files: int = 1, vacuum_keep: int = 2,
 
 
 def _compact_linkset_locked(path, max_files, vacuum_keep):
-    import ray.data as rd
-
     man = _load_manifest(path)
     by_part: dict = {}
     for e in man["files"]:
-        by_part.setdefault((e["rel_bucket"], e["part_id"]), []).append(
-            os.path.join(path, e["path"]))
-    victims = {k: sorted(fs) for k, fs in by_part.items()
-               if len(fs) > max_files}
+        by_part.setdefault((e["rel_bucket"], e["part_id"]), []).append(e)
+    victims = {k: es for k, es in by_part.items() if len(es) > max_files}
     files_before = len(man["files"])
     if not victims:
         return {"partitions_compacted": 0, "files_before": files_before,
                 "files_after": files_before}
 
-    merged = rd.read_parquet(
-        [f for _, fs in sorted(victims.items()) for f in fs],
-        partitioning=None)
+    merged = _read_entries(path, [
+        e for _, es in sorted(victims.items())
+        for e in sorted(es, key=lambda e: e["path"])])
     entries = _commit(path, merged, man["epoch"], [
         e for e in man["files"]
         if (e["rel_bucket"], e["part_id"]) not in victims

@@ -29,6 +29,7 @@ Parquet with a _SUCCESS marker; a rerun skips completed stages
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -37,6 +38,7 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..core import I, RDF_TYPE_REL, VTYPE_REL
 from ..core.canon import LINK_SCHEMA
@@ -585,7 +587,9 @@ def build_kg_sharded(
                     "page_range": [lo, hi],
                     # footers only: counting the lazy Dataset would
                     # rerun extract + score + dedup
-                    "rows": rd.read_parquet(sdir).count(),
+                    "rows": sum(
+                        pq.ParquetFile(f).metadata.num_rows
+                        for f in glob.glob(os.path.join(sdir, "*.parquet"))),
                     "wall_sec": round(time.time() - t0, 2),
                 },
                 f,
