@@ -26,6 +26,32 @@ def ray_session():
     ray.shutdown()
 
 
+# Checkout of the Versa reference repository. Its test resources and its
+# vendored pymmh3 are not part of this repository; tests that read them
+# carry ``requires_reference`` and run wherever the checkout is present.
+REFERENCE = "/root/reference"
+
+
+def reference_path(relpath):
+    return os.path.join(REFERENCE, relpath)
+
+
+def requires_reference(*relpaths):
+    """Skip marker for a test that reads the given reference files;
+    the reason names each one that is missing."""
+    missing = [p for p in map(reference_path, relpaths) if not os.path.exists(p)]
+    return pytest.mark.skipif(bool(missing), reason=", ".join(missing) + " not present")
+
+
+def read_reference(relpath):
+    """Text of a reference file, or None where it is not present."""
+    path = reference_path(relpath)
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return f.read()
+
+
 SF_SMALL = "/root/testdata/sf0.001"
 SF_MED = "/root/testdata/sf0.01"
 

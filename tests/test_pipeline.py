@@ -5,6 +5,7 @@ dedup-idempotence re-run check.
 """
 
 import pytest
+from conftest import read_reference, requires_reference
 
 from versa_ray.core import I, VTYPE_REL
 from versa_ray.model import MicroModel, vutil
@@ -32,8 +33,12 @@ LABELIZE_RULES = {
     BF("Person"): follow(BF("name")),
 }
 
-CATCHER = open("/root/reference/test/resource/schemaorg/catcherintherye-ugly.md").read()
-BLACKSTAR = open("/root/reference/test/resource/schemaorg/blackstar.md").read()
+CATCHER_MD = "test/resource/schemaorg/catcherintherye-ugly.md"
+BLACKSTAR_MD = "test/resource/schemaorg/blackstar.md"
+CATCHER = read_reference(CATCHER_MD)
+BLACKSTAR = read_reference(BLACKSTAR_MD)
+needs_catcher = requires_reference(CATCHER_MD)
+needs_blackstar = requires_reference(BLACKSTAR_MD)
 
 
 def _author_materialize(**extra_kwargs):
@@ -47,6 +52,7 @@ def _author_materialize(**extra_kwargs):
     )
 
 
+@needs_catcher
 def test_basics_1():
     modin = literate.parse(CATCHER)
     FINGERPRINT_RULES = {
@@ -66,6 +72,7 @@ def test_basics_1():
     assert len(list(modout.match(None, BF("birthDate"), "1919-01-01"))) == 1
 
 
+@needs_catcher
 def test_basics_2_preserve_fprint_and_idempotent_rerun():
     modin = literate.parse(CATCHER)
     FINGERPRINT_RULES = {
@@ -103,6 +110,7 @@ def test_basics_2_preserve_fprint_and_idempotent_rerun():
     assert len(list(modout.match(None, BF("birthDate"), "1919-01-01"))) == 1
 
 
+@needs_catcher
 def test_basics_3_nested_materialize():
     modin = literate.parse(CATCHER)
     FINGERPRINT_RULES = {
@@ -154,6 +162,7 @@ def test_basics_3_nested_materialize():
     assert len(list(modout.match(None, BF("birthDate"), "1919-01-01"))) == 1
 
 
+@needs_catcher
 def test_basics_4_action_template():
     modin = literate.parse(CATCHER)
     new_work = action_template(
@@ -212,6 +221,7 @@ def test_basics_4_action_template():
         assert len(list(vutil.all_origins(modout, only_types={BF(typ)}))) == 1
 
 
+@needs_blackstar
 def test_basics_5_musicbrainz_and_id_anchor():
     MB = I("https://musicbrainz.org/doc/MusicBrainz_Database/Schema/")
     R_TYP, RG_TYP, A_TYP = MB("Release"), MB("ReleaseGroup"), MB("Artist")
@@ -324,6 +334,7 @@ def test_copy_filtering():
     assert len(list(vutil.all_origins(modout, only_types={SCH("Person")}))) == 3
 
 
+@needs_catcher
 def test_new_entity_hook_fires_twice():
     """Hook extras (reference test_pipeline_context_extras.py:44-95)."""
     from versa_ray.pipeline import DUMMY_CONTEXT

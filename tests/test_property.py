@@ -10,32 +10,38 @@
 """
 
 import importlib.util
+import os
 
 import pytest
+from conftest import reference_path, requires_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from versa_ray.core.mmh3 import hash64_signed
 
 
+PYMMH3 = "tools/py/contrib/pymmh3.py"
+needs_pymmh3 = requires_reference(PYMMH3)
+
+
 def _load_pymmh3():
-    spec = importlib.util.spec_from_file_location(
-        "pymmh3", "/root/reference/tools/py/contrib/pymmh3.py"
-    )
+    spec = importlib.util.spec_from_file_location("pymmh3", reference_path(PYMMH3))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-pymmh3 = _load_pymmh3()
+pymmh3 = _load_pymmh3() if os.path.exists(reference_path(PYMMH3)) else None
 
 
+@needs_pymmh3
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=300))
 def test_hash64_differential(s):
     assert hash64_signed(s) == tuple(pymmh3.hash64(s))
 
 
+@needs_pymmh3
 @settings(max_examples=100, deadline=None)
 @given(st.binary(max_size=64))
 def test_hash128_differential_bytes(b):

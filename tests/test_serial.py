@@ -3,6 +3,8 @@ simpleobj, jsonld, mermaid, rdfs."""
 
 import io
 
+from conftest import requires_reference
+
 from versa_ray.core import I, RDF_TYPE_REL, VTYPE_REL
 from versa_ray.model import MicroModel
 from versa_ray.serial import csvrec, jsonld, literate, mermaid, ntriples, rdfs, simpleobj
@@ -193,6 +195,7 @@ def test_atom_feed():
     assert "2013-10-15" in targets
 
 
+@requires_reference("test/resource/doc1.md", "test/resource/doc1.abbr.md")
 def test_doc1_abbreviation_equivalence_reference_fixtures():
     """Full vs abbreviated literate forms parse to the same 6 links
     (reference test_parsemd.py:44-80, same fixture files)."""
