@@ -1,5 +1,5 @@
 """Training-data operators: dedup family, similarity, text stats,
-windows, multimodal plumbing — over the driver testdata tables."""
+windows, joins, sampling — over the driver testdata tables."""
 
 import numpy as np
 import pandas as pd
@@ -599,65 +599,6 @@ def test_session_windows(ray_session):
     out = session_windows(ev, gap="2h").to_pandas()
     assert (out["session_end"] >= out["session_start"]).all()
     assert out["n_events"].sum() == 200
-
-
-def test_multimodal_plumbing(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.multimodal import (
-        DecodeImage,
-        decode_features,
-        sample_frames,
-        synth_media_batch,
-    )
-
-    import pyarrow as pa
-
-    from versa_ray.ops.multimodal import encode_png
-
-    # non-PNG payloads without fake=True refuse at decode time
-    with pytest.raises(NotImplementedError):
-        DecodeImage(fake=False)(synth_media_batch(0, 2))
-
-    # magic-byte dispatch: a mixed batch routes PNGs through the real
-    # codec and opaque bytes through the deterministic stand-in
-    media = rd.from_arrow(synth_media_batch(0, 20))
-    feats = decode_features(media).to_pandas().set_index("media_id")
-    assert len(feats) == 20 and (feats["codec"] == "fake").all()
-    assert (feats["width"] == 4096).all() and (feats["height"] == 1).all()
-    assert (feats["sum_g"] + feats["sum_b"] == feats["sum_r"]).all()
-
-    img = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
-    mixed = synth_media_batch(0, 2).set_column(
-        2, "payload",
-        pa.array([encode_png(img), b"\xff\xd8not-a-png"], type=pa.binary()),
-    )
-    out = DecodeImage(fake=True)(mixed).to_pandas()
-    assert list(out["codec"]) == ["png", "fake"]
-
-    # corrupt PNG body behind a valid signature: fake=True routes it
-    # to the stand-in (one bad crawl payload must not kill the task);
-    # fake=False surfaces the decode error
-    png = encode_png(img)
-    for bad in (png[:8] + b"\x00garbage", png[:-7] + b"\x00" * 7):
-        crupt = synth_media_batch(0, 1).set_column(
-            2, "payload", pa.array([bad], type=pa.binary()))
-        got = DecodeImage(fake=True)(crupt).to_pandas()
-        assert list(got["codec"]) == ["fake"]
-        assert got.iloc[0]["width"] == len(bad)
-        import struct as _struct
-        import zlib as _zlib
-        with pytest.raises((ValueError, IndexError,
-                            _struct.error, _zlib.error)):
-            DecodeImage(fake=False)(crupt)
-    assert out.iloc[0]["width"] == 3 and out.iloc[0]["height"] == 2
-    flat = img.reshape(-1, 3).astype(int)
-    assert out.iloc[0][["sum_r", "sum_g", "sum_b"]].tolist() == \
-        list(flat.sum(axis=0))
-
-    frames = sample_frames(media, n_frames=4).to_pandas()
-    assert len(frames) == 80
-    assert frames["frame"].map(len).eq(256).all()
 
 
 def test_sliding_window(ray_session):
@@ -1643,364 +1584,6 @@ def test_pack_sequences(ray_session):
     assert nothing.count() == 0
 
 
-def test_wav_codec_roundtrip():
-    import numpy as np
-
-    from versa_ray.ops.multimodal import decode_wav, encode_wav
-
-    s = ((np.arange(5000, dtype=np.int64) * 40503 + 7) % 65536 - 32768).astype(
-        np.int16
-    )
-    rate, s2 = decode_wav(encode_wav(s, 8000))
-    assert rate == 8000 and (s2 == s).all()
-    # empty payload round-trips too
-    rate, s3 = decode_wav(encode_wav(np.array([], dtype=np.int16), 44100))
-    assert rate == 44100 and len(s3) == 0
-
-
-def test_png_codec_roundtrip_all_filters():
-    """Every PNG scanline filter (None/Sub/Up/Average/Paeth) must
-    decode back to the source pixels, RGB and grayscale."""
-    import numpy as np
-
-    from versa_ray.ops.multimodal import decode_png, encode_png
-
-    rng = np.random.RandomState(7)
-    rgb = rng.randint(0, 256, (24, 32, 3), dtype=np.uint8)
-    gray = rng.randint(0, 256, (9, 13), dtype=np.uint8)
-    for ft in range(5):
-        assert (decode_png(encode_png(rgb, filter_type=ft)) == rgb).all(), ft
-        assert (
-            decode_png(encode_png(gray, filter_type=ft))[:, :, 0] == gray
-        ).all(), ft
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        decode_png(b"not a png at all")
-    # corrupt a chunk CRC -> must raise, not return garbage
-    blob = bytearray(encode_png(rgb))
-    blob[-5] ^= 0xFF
-    with _pytest.raises(ValueError):
-        decode_png(bytes(blob))
-
-
-def test_jpeg_codec():
-    """Baseline JFIF codec: lossy round-trip within tolerance on
-    arbitrary images, EXACT analytic reconstruction on constant-block
-    mosaics (all 256 values, two qualities), DHT-driven decode, and
-    hard failures on corrupt/unsupported streams."""
-    import math
-
-    import numpy as np
-    import pytest as _pytest
-
-    from versa_ray.ops.jpeg import decode_jpeg, encode_jpeg, quant_table
-
-    rng = np.random.RandomState(3)
-    g = rng.randint(0, 256, (24, 32), dtype=np.uint8)
-    dec = decode_jpeg(encode_jpeg(g, quality=90))
-    assert dec.shape == (24, 32, 1)
-    assert np.abs(dec[:, :, 0].astype(int) - g.astype(int)).max() <= 15
-    # decode is deterministic
-    assert (decode_jpeg(encode_jpeg(g, quality=90)) == dec).all()
-    rgb = rng.randint(0, 256, (16, 16, 3), dtype=np.uint8)
-    dec3 = decode_jpeg(encode_jpeg(rgb, quality=95))
-    assert dec3.shape == (16, 16, 3)
-    assert np.abs(dec3.astype(int) - rgb.astype(int)).max() <= 15
-    # smooth content compresses near-losslessly
-    x = np.linspace(0, 255, 32)
-    smooth = np.clip((x[None, :] + x[:, None]) / 2, 0, 255).astype(np.uint8)
-    d4 = decode_jpeg(encode_jpeg(smooth, quality=90))[:, :, 0]
-    assert np.abs(d4.astype(int) - smooth.astype(int)).max() <= 3
-
-    def analytic(c, q):
-        dcq = math.floor(8 * (c - 128) / q + 0.5 + 1e-9)
-        return min(255, max(0, math.floor(dcq * q / 8 + 0.5 + 1e-9) + 128))
-
-    for quality in (40, 85):
-        q = int(quant_table(quality)[0, 0])
-        img = np.zeros((8, 8 * 256), dtype=np.uint8)
-        for c in range(256):
-            img[:, c * 8:(c + 1) * 8] = c
-        out = decode_jpeg(encode_jpeg(img, quality=quality))[:, :, 0]
-        for c in range(256):
-            assert (out[:, c * 8:(c + 1) * 8] == analytic(c, q)).all(), (
-                quality, c
-            )
-
-    blob = encode_jpeg(g)
-    for bad in (b"junk", blob[:40], blob[:-2]):
-        with _pytest.raises(ValueError):
-            decode_jpeg(bad)
-    with _pytest.raises(ValueError):  # non-multiple-of-8 dims
-        encode_jpeg(np.zeros((10, 16), np.uint8))
-
-
-def test_jpeg_decoder_fuzz():
-    """Malformed JPEG streams must fail with the exception classes
-    DecodeImage's fake-mode fallback catches (ValueError/IndexError/
-    struct.error) — never hang or leak another type."""
-    import struct as _struct
-
-    import numpy as np
-
-    from versa_ray.ops.jpeg import decode_jpeg, encode_jpeg
-
-    rng = np.random.RandomState(6)
-    blob = bytearray(encode_jpeg(rng.randint(0, 256, (8, 8), np.uint8)))
-    ok_types = (ValueError, IndexError, _struct.error)
-    # random tails behind a valid SOI
-    for _ in range(50):
-        n = int(rng.randint(0, 200))
-        payload = b"\xff\xd8" + rng.randint(0, 256, n, np.uint8).tobytes()
-        try:
-            decode_jpeg(payload)
-        except ok_types:
-            pass
-    # single-byte corruptions of a valid stream either decode to a
-    # well-formed array or raise one of the caught types
-    for _ in range(60):
-        i = int(rng.randint(2, len(blob) - 2))
-        mut = bytearray(blob)
-        mut[i] ^= int(rng.randint(1, 256))
-        try:
-            out = decode_jpeg(bytes(mut))
-            assert out.dtype == np.uint8 and out.ndim == 3
-        except ok_types:
-            pass
-
-
-def test_decode_image_jpeg_dispatch():
-    """DecodeImage magic-byte dispatch decodes JPEG payloads through
-    the real codec (codec='jpeg') alongside PNG and fake payloads."""
-    import numpy as np
-    import pyarrow as pa
-
-    from versa_ray.ops.jpeg import decode_jpeg, encode_jpeg
-    from versa_ray.ops.multimodal import DecodeImage, encode_png
-
-    rng = np.random.RandomState(4)
-    g = rng.randint(0, 256, (8, 16), dtype=np.uint8)
-    png_img = rng.randint(0, 256, (6, 7, 3), dtype=np.uint8)
-    jblob = encode_jpeg(g, quality=80)
-    want_sum = int(decode_jpeg(jblob)[:, :, 0].astype(np.int64).sum())
-    tbl = pa.table(
-        {
-            "media_id": pa.array([0, 1, 2], pa.int64()),
-            "payload": pa.array(
-                [jblob, encode_png(png_img), b"\x01\x02\x03" * 50],
-                pa.binary(),
-            ),
-        }
-    )
-    out = DecodeImage(fake=True)(tbl)
-    assert out["codec"].to_pylist() == ["jpeg", "png", "fake"]
-    assert out["width"].to_pylist()[0] == 16
-    assert out["sum_r"].to_pylist()[0] == want_sum
-    # corrupt JPEG body behind a valid magic: fake=True falls back,
-    # fake=False raises
-    corrupt = pa.table(
-        {
-            "media_id": pa.array([9], pa.int64()),
-            "payload": pa.array([b"\xff\xd8" + bytes(64)], pa.binary()),
-        }
-    )
-    fb = DecodeImage(fake=True)(corrupt)
-    assert fb["codec"].to_pylist() == ["fake"]
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        DecodeImage(fake=False)(corrupt)
-
-
-def test_y4m_codec_roundtrip():
-    """Y4M encode/decode round-trips mono and 4:2:0 streams with
-    exact planes, header params, and hard failures on corruption."""
-    import numpy as np
-    import pytest as _pytest
-
-    from versa_ray.ops.multimodal import decode_y4m, encode_y4m
-
-    rng = np.random.RandomState(11)
-    y = rng.randint(0, 256, (5, 6, 8), dtype=np.uint8)
-    u = rng.randint(0, 256, (5, 3, 4), dtype=np.uint8)
-    v = rng.randint(0, 256, (5, 3, 4), dtype=np.uint8)
-    meta, y2, u2, v2 = decode_y4m(encode_y4m(y, fps=(30, 1), chroma=(u, v)))
-    assert meta == {
-        "width": 8, "height": 6, "fps_num": 30, "fps_den": 1,
-        "colorspace": "420jpeg", "n_frames": 5,
-    }
-    assert (y2 == y).all() and (u2 == u).all() and (v2 == v).all()
-    meta_m, ym, um, vm = decode_y4m(encode_y4m(y, fps=(24, 1)))
-    assert meta_m["colorspace"] == "mono" and um is None and vm is None
-    assert (ym == y).all()
-    # zero-frame stream is a valid container
-    meta0, y0, _, _ = decode_y4m(encode_y4m(np.empty((0, 4, 4), np.uint8)))
-    assert meta0["n_frames"] == 0 and y0.shape == (0, 4, 4)
-    blob = encode_y4m(y, chroma=(u, v))
-    for bad in (b"nope", blob[:-7], blob.replace(b"FRAME", b"FRAMX", 1)):
-        with _pytest.raises(ValueError):
-            decode_y4m(bad)
-    with _pytest.raises(ValueError):  # unsupported colorspace
-        decode_y4m(encode_y4m(y).replace(b"Cmono", b"C444 "))
-    with _pytest.raises(ValueError):  # odd dims can't carry 4:2:0 chroma
-        encode_y4m(
-            np.zeros((2, 5, 8), np.uint8),
-            chroma=(np.zeros((2, 2, 4), np.uint8),) * 2,
-        )
-
-
-def test_frame_sample_real_y4m():
-    """FrameSample magic-byte dispatch: Y4M payloads yield ACTUAL
-    evenly strided luma planes; opaque payloads keep the byte-window
-    stand-in under fake=True and raise under fake=False."""
-    import numpy as np
-    import pyarrow as pa
-    import pytest as _pytest
-
-    from versa_ray.ops.multimodal import FrameSample, encode_y4m
-
-    rng = np.random.RandomState(5)
-    y = rng.randint(0, 256, (5, 4, 6), dtype=np.uint8)
-    tbl = pa.table(
-        {
-            "media_id": pa.array([1], pa.int64()),
-            "payload": pa.array([encode_y4m(y)], pa.binary()),
-        }
-    )
-    out = FrameSample(n_frames=2, fake=False)(tbl)
-    assert out.num_rows == 2
-    assert out["frame"][0].as_py() == y[0].tobytes()
-    assert out["frame"][1].as_py() == y[4].tobytes()
-    opaque = pa.table(
-        {
-            "media_id": pa.array([2], pa.int64()),
-            "payload": pa.array([bytes(range(256)) * 4], pa.binary()),
-        }
-    )
-    fake_out = FrameSample(n_frames=4, frame_bytes=64)(opaque)
-    assert fake_out.num_rows == 4
-    assert all(len(f.as_py()) == 64 for f in fake_out["frame"])
-    with _pytest.raises(NotImplementedError):
-        FrameSample(n_frames=2, fake=False)(opaque)
-    # corrupt stream behind a valid Y4M magic: fake=True falls back to
-    # byte windows instead of killing the task; fake=False raises
-    corrupt = pa.table(
-        {
-            "media_id": pa.array([3], pa.int64()),
-            "payload": pa.array(
-                [b"YUV4MPEG2 W4 H4" + bytes(500)], pa.binary()
-            ),
-        }
-    )
-    fb = FrameSample(n_frames=2, frame_bytes=64)(corrupt)
-    assert fb.num_rows == 2 and len(fb["frame"][0].as_py()) == 64
-    with _pytest.raises(ValueError):
-        FrameSample(n_frames=2, fake=False)(corrupt)
-
-
-def test_decode_video_stage(ray_session):
-    """DecodeVideo actor pool over binary Y4M payloads: real container
-    parse inside map_batches, integer-exact features out."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from versa_ray.ops.multimodal import decode_video_features, encode_y4m
-
-    rng = np.random.RandomState(9)
-    rows = []
-    for i in range(6):
-        n = 2 + i % 3
-        y = rng.randint(0, 256, (n, 6, 8), dtype=np.uint8)
-        if i % 2:
-            u = rng.randint(0, 256, (n, 3, 4), dtype=np.uint8)
-            v = rng.randint(0, 256, (n, 3, 4), dtype=np.uint8)
-            payload = encode_y4m(y, fps=(25, 1), chroma=(u, v))
-            want_chroma = int(u.astype(np.int64).sum() + v.astype(np.int64).sum())
-        else:
-            payload = encode_y4m(y, fps=(25, 1))
-            want_chroma = 0
-        rows.append(
-            {
-                "media_id": i, "payload": payload, "_n": n,
-                "_luma": int(y.astype(np.int64).sum()), "_chroma": want_chroma,
-            }
-        )
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "media_id": pa.array([r["media_id"] for r in rows], pa.int64()),
-                "payload": pa.array([r["payload"] for r in rows], pa.binary()),
-            }
-        )
-    )
-    out = decode_video_features(ds, concurrency=2, batch_size=2).to_pandas()
-    out = out.sort_values("media_id", ignore_index=True)
-    assert (out["n_frames"] == [r["_n"] for r in rows]).all()
-    assert (out["sum_luma"] == [r["_luma"] for r in rows]).all()
-    assert (out["sum_chroma"] == [r["_chroma"] for r in rows]).all()
-    assert (out["width"] == 8).all() and (out["height"] == 6).all()
-    assert (out["fps_num"] == 25).all() and (out["fps_den"] == 1).all()
-
-
-def test_decode_actor_stages(ray_session):
-    """DecodeAudio / DecodePng actor-pool stages over binary payload
-    rows: real codecs inside map_batches, integer features out."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from versa_ray.ops.multimodal import (
-        decode_audio_features,
-        decode_png_features,
-        encode_png,
-        encode_wav,
-    )
-
-    wavs = []
-    for i in range(8):
-        s = (np.arange(100 + i, dtype=np.int64) * (i + 1) % 65536 - 32768).astype(
-            np.int16
-        )
-        wavs.append(
-            {"media_id": i, "payload": encode_wav(s, 8000), "_want": int(np.abs(s.astype(np.int64)).sum())}
-        )
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "media_id": pa.array([w["media_id"] for w in wavs], pa.int64()),
-                "payload": pa.array([w["payload"] for w in wavs], pa.binary()),
-            }
-        )
-    )
-    out = decode_audio_features(ds, concurrency=2, batch_size=4).to_pandas()
-    out = out.sort_values("media_id", ignore_index=True)
-    assert (out["sum_abs"] == [w["_want"] for w in wavs]).all()
-    assert (out["sample_rate"] == 8000).all()
-
-    rng = np.random.RandomState(3)
-    imgs = [rng.randint(0, 256, (10, 12, 3), dtype=np.uint8) for _ in range(5)]
-    ds2 = rd.from_arrow(
-        pa.table(
-            {
-                "media_id": pa.array(list(range(5)), pa.int64()),
-                "payload": pa.array(
-                    [encode_png(im, filter_type=i % 5) for i, im in enumerate(imgs)],
-                    pa.binary(),
-                ),
-            }
-        )
-    )
-    out2 = decode_png_features(ds2, concurrency=2, batch_size=2).to_pandas()
-    out2 = out2.sort_values("media_id", ignore_index=True)
-    for i, im in enumerate(imgs):
-        sums = im.reshape(-1, 3).astype(np.int64).sum(axis=0)
-        row = out2.iloc[i]
-        assert (row["sum_r"], row["sum_g"], row["sum_b"]) == tuple(sums)
-        assert row["width"] == 12 and row["height"] == 10
-
-
 def test_incremental_minhash_dedup(ray_session, tmp_path):
     """Online LSH near-dedup across micro-batches: cross-delta
     near-dups assign to the EARLIER kept representative, within-delta
@@ -2611,84 +2194,6 @@ def test_doc_bigram_perplexity_brute(ray_session):
             assert got[d][1] == pytest.approx(-s / n, abs=1e-6)
 
 
-def test_bmp_codec_roundtrip():
-    from versa_ray.ops.multimodal import decode_bmp, encode_bmp
-
-    rng = np.random.RandomState(8)
-    # widths that exercise every row-padding case (w*3 % 4 in 0..3)
-    for h, w in [(1, 1), (3, 2), (5, 3), (4, 4), (9, 7), (6, 33)]:
-        img = rng.randint(0, 256, (h, w, 3), dtype=np.uint8)
-        assert np.array_equal(decode_bmp(encode_bmp(img)), img), (h, w)
-    # top-down variant (negative height) decodes too
-    img = rng.randint(0, 256, (4, 5, 3), dtype=np.uint8)
-    blob = bytearray(encode_bmp(img[::-1]))  # stored bottom-up of flipped
-    import struct as _struct
-
-    _struct.pack_into("<i", blob, 22, -4)    # flip to top-down
-    assert np.array_equal(decode_bmp(bytes(blob)), img[::-1][::-1])
-    # malformed inputs raise cleanly
-    for bad in [b"", b"BM", encode_bmp(img)[:30]]:
-        with pytest.raises(ValueError):
-            decode_bmp(bad)
-
-
-def test_gif_codec_roundtrip():
-    from versa_ray.ops.multimodal import decode_gif, encode_gif
-
-    rng = np.random.RandomState(13)
-    # palette sizes straddling every code-width boundary, plus images
-    # large enough to force LZW code growth and 4096-entry resets
-    for n in [1, 2, 3, 4, 5, 16, 17, 64, 129, 256]:
-        pal = rng.randint(0, 256, (n, 3), dtype=np.uint8)
-        for h, w in [(1, 1), (7, 5), (60, 80)]:
-            idx = rng.randint(0, n, (h, w), dtype=np.uint8)
-            got = decode_gif(encode_gif(idx, pal))
-            assert np.array_equal(got, pal[idx]), (n, h, w)
-    pal = rng.randint(0, 256, (256, 3), dtype=np.uint8)
-    idx = rng.randint(0, 256, (300, 300), dtype=np.uint8)  # table resets
-    assert np.array_equal(decode_gif(encode_gif(idx, pal)), pal[idx])
-    # highly repetitive input (deep LZW strings)
-    idx = np.tile(np.arange(6, dtype=np.uint8), (50, 40))[:50, :200]
-    pal8 = rng.randint(0, 256, (8, 3), dtype=np.uint8)
-    assert np.array_equal(decode_gif(encode_gif(idx, pal8)), pal8[idx])
-    # malformed inputs raise cleanly
-    blob = encode_gif(idx, pal8)
-    for bad in [b"", b"GIF89a", blob[:20], blob[:-5]]:
-        with pytest.raises(ValueError):
-            decode_gif(bad)
-
-
-def test_decode_image_bmp_gif_dispatch():
-    import pyarrow as pa
-
-    from versa_ray.ops.multimodal import DecodeImage, encode_bmp, encode_gif
-
-    rng = np.random.RandomState(21)
-    img = rng.randint(0, 256, (5, 6, 3), dtype=np.uint8)
-    pal = rng.randint(0, 256, (9, 3), dtype=np.uint8)
-    idx = rng.randint(0, 9, (4, 7), dtype=np.uint8)
-    tbl = pa.table({
-        "media_id": pa.array([0, 1], pa.int64()),
-        "payload": pa.array([encode_bmp(img), encode_gif(idx, pal)],
-                            pa.binary()),
-    })
-    out = DecodeImage(fake=False)(tbl)
-    assert out["codec"].to_pylist() == ["bmp", "gif"]
-    assert out["width"].to_pylist() == [6, 7]
-    assert out["height"].to_pylist() == [5, 4]
-    assert out["sum_r"].to_pylist() == [
-        int(img[:, :, 0].astype(np.int64).sum()),
-        int(pal[idx][:, :, 0].astype(np.int64).sum())]
-    # corrupt GIF body behind a valid magic: fake=True falls back
-    corrupt = pa.table({
-        "media_id": pa.array([9], pa.int64()),
-        "payload": pa.array([b"GIF89a" + bytes(40)], pa.binary()),
-    })
-    assert DecodeImage(fake=True)(corrupt)["codec"].to_pylist() == ["fake"]
-    with pytest.raises(ValueError):
-        DecodeImage(fake=False)(corrupt)
-
-
 def test_heavy_hitters(ray_session):
     import ray.data as rd
 
@@ -3188,50 +2693,6 @@ def test_ntile_sql_semantics(ray_session):
                 drop=True)
             pd.testing.assert_frame_equal(
                 got, want, check_dtype=False)
-
-
-def test_tiff_codec_roundtrip():
-    """TIFF encode→decode is the identity for gray and RGB at odd
-    dims; big-endian (MM) files decode; compressed/truncated inputs
-    raise."""
-    import struct
-
-    from versa_ray.ops.multimodal import decode_tiff, encode_tiff
-
-    rng = np.random.RandomState(0)
-    for shape in [(9, 15, 3), (7, 13), (1, 1, 3), (3, 257, 3), (5, 8)]:
-        a = rng.randint(0, 256, size=shape).astype(np.uint8)
-        b = decode_tiff(encode_tiff(a))
-        exp = a if a.ndim == 3 else a[:, :, None]
-        assert b.shape == exp.shape and (b == exp).all(), shape
-
-    # hand-built big-endian fixture (encoder is little-endian only)
-    a = rng.randint(0, 256, size=(3, 4)).astype(np.uint8)
-    data = a.tobytes()
-
-    def tag(tid, ttype, count, value):
-        return struct.pack(">HHI", tid, ttype, count) + struct.pack(
-            ">I", value)
-
-    def tag_short(tid, v):
-        return struct.pack(">HHIHH", tid, 3, 1, v, 0)
-
-    entries = [tag(256, 4, 1, 4), tag(257, 4, 1, 3), tag_short(258, 8),
-               tag_short(259, 1), tag_short(262, 1), tag(273, 4, 1, 8),
-               tag_short(277, 1), tag(278, 4, 1, 3), tag(279, 4, 1, 12)]
-    ifd = struct.pack(">H", len(entries)) + b"".join(entries) + b"\x00" * 4
-    mm = struct.pack(">2sHI", b"MM", 42, 8 + len(data)) + data + ifd
-    assert (decode_tiff(mm)[:, :, 0] == a).all()
-
-    with pytest.raises((ValueError, struct.error)):
-        decode_tiff(b"II*\x00garbage")
-    lzw = encode_tiff(np.zeros((2, 2), dtype=np.uint8))
-    # flip the Compression SHORT (tag 259) to 5 (LZW) -> must raise
-    comp_at = lzw.index(struct.pack("<HHIHH", 259, 3, 1, 1, 0))
-    bad = (lzw[:comp_at] + struct.pack("<HHIHH", 259, 3, 1, 5, 0)
-           + lzw[comp_at + 12:])
-    with pytest.raises(ValueError):
-        decode_tiff(bad)
 
 
 def test_broadcast_join_and_winsorize(ray_session):

@@ -1,6 +1,9 @@
 """Partitioned link-set store: predicate-pruned reads must open only a
 file subset, and pruned results must equal a full-scan match."""
 
+import contextlib
+import logging
+
 import pandas as pd
 
 from versa_ray.model import linkset
@@ -398,6 +401,29 @@ def test_update_linkset_null_lineage_keeps_declared_types(
     assert len(rows) == 122
 
 
+@contextlib.contextmanager
+def _schema_mismatches():
+    """Ray Data's "different schema" records (its logger does not
+    propagate to the root logger) logged while the block runs, between
+    two blocks that both have columns. Ray's sort shuffle also logs
+    one when a reducer that got no rows, as in an exchange with fewer
+    distinct buckets than input blocks, emits a block without columns;
+    that record names an empty new schema and is not counted here."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    mismatches = []
+    try:
+        yield mismatches
+    finally:
+        logger.removeHandler(handler)
+        mismatches.extend(
+            m for m in (r.getMessage() for r in records)
+            if "different schema" in m and "new schema: ." not in m)
+
+
 def test_read_linkset_mixed_file_schemas(ray_session, tmp_path):
     """After a delta that adds a lineage column and an all-null one,
     the store's files differ in columns. Every read returns the files'
@@ -420,7 +446,10 @@ def test_read_linkset_mixed_file_schemas(ray_session, tmp_path):
         "target_is_iri": [False, True], "attrs": ["{}", "{}"],
         "stage": ["delta", "delta"], "src_url": ["https://s/1", None],
         "note": [None, None]})
-    update_linkset(path, rd.from_pandas(delta))
+    with _schema_mismatches() as mismatches:
+        update_linkset(path, rd.from_pandas(delta))
+    # both sides of the commit's union carry one schema
+    assert not mismatches
     files = pruned_fragments(path)
     widths = {len(pq.read_schema(f).names) for f in files}
     assert widths == {6, 8}  # untouched and rewritten partitions differ
@@ -462,12 +491,47 @@ def test_read_linkset_mixed_file_schemas(ray_session, tmp_path):
     assert read_linkset(path).count() == sum(e["rows"] for e in man["files"])
 
     # a later delta with values in the column stored only as all-null
-    # keeps its own type for it
-    update_linkset(path, rd.from_pandas(delta.iloc[:1].assign(
-        target="third name 7", note="n")))
+    # keeps its own type for it, on both sides of the union
+    with _schema_mismatches() as mismatches:
+        update_linkset(path, rd.from_pandas(delta.iloc[:1].assign(
+            target="third name 7", note="n")))
+    assert not mismatches
     got = read_linkset(path, origin="urn:t:7", rel=NAME).to_pandas()
     assert dict(zip(got.target, got.note)) == {
         "name 7": None, "alt name 7": None, "third name 7": "n"}
+
+
+def test_update_linkset_delta_blocks_differ(ray_session, tmp_path):
+    """A delta whose first block has a lineage column all null and a
+    later block has it typed commits under the typed column, with one
+    schema on both sides of the union."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from versa_ray.model.store import update_linkset
+
+    path = str(tmp_path / "store")
+    write_linkset(linkset.from_links(_sample_links()), path,
+                  num_rel_buckets=4, num_partitions=4)
+
+    def block(origin, src_url):
+        return pa.table({
+            "origin": [origin], "rel": [NAME], "target": ["other name"],
+            "target_is_iri": [False], "attrs": ["{}"],
+            "src_url": pa.array([src_url],
+                                pa.null() if src_url is None else pa.string()),
+        })
+
+    delta = rd.from_arrow([block("urn:t:3", None),
+                           block("urn:t:9", "https://s/9")])
+    with _schema_mismatches() as mismatches:
+        update_linkset(path, delta)
+    assert not mismatches
+    got = read_linkset(path, rel=NAME, target="other name")
+    assert got.schema().base_schema.field("src_url").type == pa.string()
+    df = got.to_pandas()
+    assert dict(zip(df.origin, df.src_url)) == {
+        "urn:t:3": None, "urn:t:9": "https://s/9"}
 
 
 def test_write_ntriples_ds_roundtrip(ray_session, tmp_path):

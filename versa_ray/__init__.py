@@ -4,8 +4,10 @@ with the query/data-processing capabilities of the Versa link model.
 The fundamental abstraction is the link quad (origin, rel, target,
 attrs), stored as Arrow rows (see versa_ray.core.canon.LINK_SCHEMA) and
 processed as ray.data.Dataset pipelines of vectorized map_batches
-stages, with groupby shuffles for dedup/canonicalization and actor
-pools for stateful scoring stages.
+stages. Extraction and entity scoring run as tasks with a per-worker
+cache; every keyed shuffle (dedup, canonicalization, the store
+commit) goes through the one exchange primitive in
+versa_ray.core.exchange.
 """
 
 from .core import (

@@ -414,7 +414,7 @@ def _read_store_files(files, schema: pa.Schema) -> list:
     block."""
     import pyarrow.parquet as pq
 
-    align = _aligner(schema.names, schema)
+    align = _aligner(schema)
     tables = []
     for f in files:
         pf = pq.ParquetFile(f)
@@ -504,23 +504,16 @@ def _partition_tagger(r_b: int, n_p: int):
     return _tag
 
 
-def _aligner(cols, stored: pa.Schema):
-    """Batch map to exactly ``cols``: each column cast to its ``stored``
-    type where it has one, missing columns as typed nulls, no schema
-    metadata. A column stored only as all-null (type ``null``) has no
-    declared type, so a batch's own type for it is kept."""
+def _aligner(target: pa.Schema):
+    """Batch map to exactly ``target``: each column cast to its target
+    type, missing columns as typed nulls, no schema metadata."""
 
     def _align(tbl: pa.Table) -> pa.Table:
-        out = []
-        for c in cols:
-            typ = stored.field(c).type if c in stored.names else None
-            if c not in tbl.column_names:
-                out.append(pa.nulls(tbl.num_rows, typ or pa.null()))
-            elif typ is not None and typ != pa.null() and tbl[c].type != typ:
-                out.append(tbl[c].cast(typ))
-            else:
-                out.append(tbl[c])
-        return pa.table(out, names=cols)
+        return pa.table([
+            tbl[f.name].cast(f.type) if f.name in tbl.column_names
+            else pa.nulls(tbl.num_rows, f.type)
+            for f in target
+        ], schema=target)
 
     return _align
 
@@ -593,15 +586,17 @@ def _update_linkset_locked(path: str, new_ds):
     _tag = _partition_tagger(meta["num_rel_buckets"], meta["num_partitions"])
     merged = new_ds.materialize()
 
-    # affected partition list: bounded by R x P, never by data size
+    # one pass over the delta gives the affected partitions (bounded by
+    # R x P, never by data size) and each batch's Arrow schema: the
+    # delta's blocks may differ (a column all null in one, typed in
+    # the next), and a Dataset's schema is its first block's
     def _pairs(tbl: pa.Table) -> pd.DataFrame:
-        return _tag(tbl).select(list(_PART_COLS)).to_pandas().drop_duplicates()
+        pairs = _tag(tbl).select(list(_PART_COLS)).to_pandas()
+        return pairs.drop_duplicates().assign(
+            _schema=tbl.schema.remove_metadata().serialize().to_pybytes())
 
-    affected = {
-        (int(r["rel_bucket"]), int(r["part_id"]))
-        for r in merged.map_batches(_pairs, batch_format="pyarrow")
-        .take_all()
-    }
+    scanned = merged.map_batches(_pairs, batch_format="pyarrow").take_all()
+    affected = {(int(r["rel_bucket"]), int(r["part_id"])) for r in scanned}
     entries = man["files"]
     if affected:
         old_entries = [
@@ -610,15 +605,15 @@ def _update_linkset_locked(path: str, new_ds):
         ]
         if old_entries:
             old = _read_entries(path, old_entries)
-            stored = old.schema().base_schema
-            # schema-align both sides to the stored column types: a
-            # delta without the store's lineage columns (or vice versa,
-            # or with one all null) gets typed nulls, and no side ships
-            # schema metadata into the shuffle
-            new_cols = list(merged.schema().names)
-            align = _aligner(
-                new_cols + [c for c in stored.names if c not in new_cols],
-                stored)
+            # align both sides to one schema, the delta's unified with
+            # the stored one: a column only one side has (or has only
+            # as all-null) becomes typed nulls on the other, so the
+            # union carries one schema and no schema metadata
+            align = _aligner(pa.unify_schemas(
+                [pa.ipc.read_schema(pa.py_buffer(b))
+                 for b in {r["_schema"] for r in scanned}]
+                + [old.schema().base_schema],
+                promote_options="permissive").remove_metadata())
             merged = merged.map_batches(align, batch_format="pyarrow").union(
                 old.map_batches(align, batch_format="pyarrow"))
         entries = _commit(path, merged, man["epoch"], [

@@ -1653,6 +1653,7 @@ def q_edit_distance_pairs(sf_dir):
     oracle rebuilds the same strings and cross-checks with its
     built-in levenshtein()."""
     import pyarrow as pa_
+    import ray.data as rd
 
     from .ops.dedup import edit_distance_pairs
 
@@ -1675,8 +1676,11 @@ def q_edit_distance_pairs(sf_dir):
             }
         )
 
-    corpus = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=64
+    corpus = (
+        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+        .sort("doc_id")
+        .limit(128)
+        .map_batches(_synth, batch_format="pyarrow", batch_size=64)
     )
     return edit_distance_pairs(corpus, "text")
 
@@ -3107,477 +3111,6 @@ def q_kg_linkset(sf_dir):
     return out
 
 
-def q_multimodal_features(sf_dir):
-    """Generic image decode with MAGIC-BYTE dispatch over a MIXED
-    corpus covering every real codec in one actor pool: doc_id % 5
-    routes to real PNG (filter rotating through all five types), real
-    GIF (LZW), real BMP (row padding), real TIFF (IFD walk), or an
-    opaque byte payload
-    (the documented fake stand-in — formats this env cannot decode).
-    The DuckDB oracle replays ALL FIVE feature formulas analytically,
-    so codec dispatch or decode drift on any path hash-mismatches.
-    (The lossy JPEG path has its own query — its oracle needs the
-    constant-block trick.)"""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.multimodal import (encode_bmp, encode_gif, encode_png,
-                                     encode_tiff)
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            ids.append(d)
-            m = d % 5
-            if m == 0:
-                w = 16 + (d % 5) * 4
-                h = 12 + (d % 3) * 4
-                x = np.arange(w, dtype=np.int64)
-                y = np.arange(h, dtype=np.int64)
-                c = np.arange(3, dtype=np.int64)
-                img = (
-                    (d * 31 + x[None, :, None] * 7 + y[:, None, None] * 13
-                     + c[None, None, :] * 5) % 256
-                ).astype(np.uint8)
-                payloads.append(encode_png(img, filter_type=d % 5))
-            elif m == 1:
-                w = 13 + (d % 5) * 5
-                h = 8 + (d % 3) * 3
-                np_ = 2 + (d % 7) * 9
-                x = np.arange(w, dtype=np.int64)
-                y = np.arange(h, dtype=np.int64)
-                idx = ((d * 11 + x[None, :] * 3 + y[:, None] * 5)
-                       % np_).astype(np.uint8)
-                p = np.arange(np_, dtype=np.int64)
-                c = np.arange(3, dtype=np.int64)
-                pal = ((d * 7 + p[:, None] * 17 + c[None, :] * 23)
-                       % 256).astype(np.uint8)
-                payloads.append(encode_gif(idx, pal))
-            elif m == 2:
-                w = 15 + (d % 5) * 3
-                h = 9 + (d % 3) * 2
-                x = np.arange(w, dtype=np.int64)
-                y = np.arange(h, dtype=np.int64)
-                c = np.arange(3, dtype=np.int64)
-                img = (
-                    (d * 19 + x[None, :, None] * 5 + y[:, None, None] * 11
-                     + c[None, None, :] * 7) % 256
-                ).astype(np.uint8)
-                payloads.append(encode_bmp(img))
-            elif m == 3:
-                w = 11 + (d % 5) * 4
-                h = 6 + (d % 4) * 3
-                x = np.arange(w, dtype=np.int64)
-                y = np.arange(h, dtype=np.int64)
-                c = np.arange(3, dtype=np.int64)
-                img = (
-                    (d * 23 + x[None, :, None] * 3 + y[:, None, None] * 13
-                     + c[None, None, :] * 5) % 256
-                ).astype(np.uint8)
-                payloads.append(encode_tiff(img))
-            else:
-                n = 512 + (d % 5) * 64
-                k = np.arange(n, dtype=np.int64)
-                payloads.append(
-                    ((d * 97 + k * 31) % 256).astype(np.uint8).tobytes()
-                )
-        return pa_.table(
-            {
-                "media_id": pa_.array(ids, type=pa_.int64()),
-                "payload": pa_.array(payloads, type=pa_.binary()),
-            }
-        )
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32
-    )
-    return decode_features(media)
-
-
-def _media_doc_ids(sf_dir, limit=128):
-    import ray.data as rd
-
-    return (
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-        .sort("doc_id")
-        .limit(limit)
-    )
-
-
-def q_multimodal_wav_features(sf_dir):
-    """REAL audio codec path: deterministic int16 waveforms derived
-    from doc_id are encoded to WAV bytes (stdlib `wave`) in one map
-    stage, flow through the object store as binary payloads, and are
-    decoded back by the DecodeAudio actor pool into integer-exact
-    features. The DuckDB oracle replays the waveform formula
-    analytically (generate_series), so any codec/feature drift
-    hash-mismatches."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_audio_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.multimodal import encode_wav
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            n = 1000 + (d % 7) * 100
-            rate = 8000 + (d % 3) * 4000
-            k = np.arange(n, dtype=np.int64)
-            s = ((d * 40503 + k * 2654435761) % 65536 - 32768).astype(np.int16)
-            ids.append(d)
-            payloads.append(encode_wav(s, rate))
-        return pa_.table(
-            {
-                "media_id": pa_.array(ids, type=pa_.int64()),
-                "payload": pa_.array(payloads, type=pa_.binary()),
-            }
-        )
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32
-    )
-    return decode_audio_features(media)
-
-
-def q_multimodal_png_features(sf_dir):
-    """REAL image codec path: deterministic RGB images derived from
-    doc_id are encoded to PNG (zlib/struct codec; the scanline filter
-    rotates through all five types via doc_id % 5) and decoded back
-    by the DecodePng actor pool into integer pixel-sum features. The
-    DuckDB oracle computes the same sums analytically from the pixel
-    formula — decode bugs in any filter's inversion hash-mismatch."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_png_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.multimodal import encode_png
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            w = 16 + (d % 5) * 4
-            h = 12 + (d % 3) * 4
-            x = np.arange(w, dtype=np.int64)
-            y = np.arange(h, dtype=np.int64)
-            c = np.arange(3, dtype=np.int64)
-            img = (
-                (d * 31 + x[None, :, None] * 7 + y[:, None, None] * 13
-                 + c[None, None, :] * 5) % 256
-            ).astype(np.uint8)
-            ids.append(d)
-            payloads.append(encode_png(img, filter_type=d % 5))
-        return pa_.table(
-            {
-                "media_id": pa_.array(ids, type=pa_.int64()),
-                "payload": pa_.array(payloads, type=pa_.binary()),
-            }
-        )
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32
-    )
-    return decode_png_features(media)
-
-
-def q_multimodal_bmp_features(sf_dir):
-    """REAL image codec path: deterministic RGB images derived from
-    doc_id are encoded to 24-bit BI_RGB BMP (odd widths exercise the
-    4-byte row padding) and decoded back by the DecodeImage actor
-    pool (magic-byte dispatch -> real BMP parser). The DuckDB oracle
-    computes the sums analytically from the pixel formula."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.multimodal import encode_bmp
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            w = 15 + (d % 4) * 3
-            h = 9 + (d % 3) * 2
-            x = np.arange(w, dtype=np.int64)
-            y = np.arange(h, dtype=np.int64)
-            c = np.arange(3, dtype=np.int64)
-            img = (
-                (d * 19 + x[None, :, None] * 5 + y[:, None, None] * 11
-                 + c[None, None, :] * 7) % 256
-            ).astype(np.uint8)
-            ids.append(d)
-            payloads.append(encode_bmp(img))
-        return pa_.table({
-            "media_id": pa_.array(ids, type=pa_.int64()),
-            "payload": pa_.array(payloads, type=pa_.binary()),
-        })
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32)
-    return decode_features(media, fake=False)
-
-
-def q_multimodal_tiff_features(sf_dir):
-    """REAL image codec path: deterministic images derived from
-    doc_id — RGB for even ids, 8-bit GRAYSCALE for odd ids (both
-    photometric branches of the baseline TIFF parser) — are encoded
-    to uncompressed little-endian TIFF and decoded back by the
-    DecodeImage actor pool (magic-byte dispatch -> real IFD walk).
-    The DuckDB oracle computes the channel sums analytically from the
-    pixel formulas."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.multimodal import encode_tiff
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            w = 11 + (d % 5) * 4
-            h = 6 + (d % 4) * 3
-            x = np.arange(w, dtype=np.int64)
-            y = np.arange(h, dtype=np.int64)
-            base = d * 23 + x[None, :] * 3 + y[:, None] * 13
-            if d % 2 == 0:
-                c = np.arange(3, dtype=np.int64)
-                img = ((base[:, :, None] + c[None, None, :] * 5)
-                       % 256).astype(np.uint8)
-            else:
-                img = (base % 256).astype(np.uint8)
-            ids.append(d)
-            payloads.append(encode_tiff(img))
-        return pa_.table({
-            "media_id": pa_.array(ids, type=pa_.int64()),
-            "payload": pa_.array(payloads, type=pa_.binary()),
-        })
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32)
-    return decode_features(media, fake=False)
-
-
-def q_multimodal_gif_features(sf_dir):
-    """REAL image codec path: deterministic palette images derived
-    from doc_id are encoded to GIF89a (real LZW with code-width
-    growth) and decoded back by the DecodeImage actor pool
-    (magic-byte dispatch -> real LZW decode + palette lookup). The
-    DuckDB oracle replays index and palette formulas analytically —
-    any LZW drift hash-mismatches."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.multimodal import encode_gif
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            w = 13 + (d % 5) * 5
-            h = 8 + (d % 4) * 3
-            np_ = 2 + (d % 7) * 9
-            x = np.arange(w, dtype=np.int64)
-            y = np.arange(h, dtype=np.int64)
-            idx = ((d * 11 + x[None, :] * 3 + y[:, None] * 5)
-                   % np_).astype(np.uint8)
-            p = np.arange(np_, dtype=np.int64)
-            c = np.arange(3, dtype=np.int64)
-            pal = ((d * 7 + p[:, None] * 17 + c[None, :] * 23)
-                   % 256).astype(np.uint8)
-            ids.append(d)
-            payloads.append(encode_gif(idx, pal))
-        return pa_.table({
-            "media_id": pa_.array(ids, type=pa_.int64()),
-            "payload": pa_.array(payloads, type=pa_.binary()),
-        })
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32)
-    return decode_features(media, fake=False)
-
-
-def q_multimodal_jpeg_features(sf_dir):
-    """REAL (lossy!) image codec path: deterministic constant-per-8x8-
-    block grayscale mosaics derived from doc_id are encoded to
-    baseline JFIF at quality 40 (q_dc = 20 — real quantization loss)
-    and decoded back by the DecodeImage pool through the full marker/
-    Huffman/IDCT pipeline. Constant blocks make the lossy
-    reconstruction ANALYTIC (AC coefficients are exactly zero), so
-    the DuckDB oracle replays the quantize→dequantize→round chain
-    bit-exactly: recon = clip(floor(floor(8(c-128)/20 + .5 + 1e-9)
-    * 20/8 + .5 + 1e-9) + 128, 0, 255). Any drift in the entropy
-    coding, zigzag, or DCT scaling hash-mismatches."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import decode_features
-
-    def _synth(tbl: pa_.Table) -> pa_.Table:
-        from .ops.jpeg import encode_jpeg
-
-        ids, payloads = [], []
-        for d in tbl["doc_id"].to_pylist():
-            bw = 2 + d % 3
-            bh = 1 + d % 2
-            img = np.zeros((bh * 8, bw * 8), dtype=np.uint8)
-            for i in range(bw * bh):
-                by, bx = divmod(i, bw)
-                img[by * 8:(by + 1) * 8, bx * 8:(bx + 1) * 8] = (
-                    d * 37 + i * 29
-                ) % 256
-            ids.append(d)
-            payloads.append(encode_jpeg(img, quality=40))
-        return pa_.table(
-            {
-                "media_id": pa_.array(ids, type=pa_.int64()),
-                "payload": pa_.array(payloads, type=pa_.binary()),
-            }
-        )
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth, batch_format="pyarrow", batch_size=32
-    )
-    return decode_features(media, fake=False)
-
-
-def _synth_y4m_batch(tbl):
-    """Deterministic Y4M videos from doc_ids: luma pixel (flat index
-    p) of frame f is ``(d*31 + f*17 + p*7) % 256``; even doc_ids are
-    C420jpeg with chroma planes ``(d*11 + f*5 + q*3 [+128]) % 256``
-    (q flat chroma index), odd doc_ids are Cmono — every formula is
-    analytically replayable by a SQL oracle."""
-    import pyarrow as pa_
-
-    from .ops.multimodal import encode_y4m
-
-    ids, payloads = [], []
-    for d in tbl["doc_id"].to_pylist():
-        n = 3 + d % 3
-        w = 8 + (d % 3) * 4
-        h = 6 + (d % 2) * 4
-        f = np.arange(n, dtype=np.int64)
-        p = np.arange(w * h, dtype=np.int64)
-        y = (
-            ((d * 31 + f[:, None] * 17 + p[None, :] * 7) % 256)
-            .astype(np.uint8)
-            .reshape(n, h, w)
-        )
-        if d % 2 == 0:
-            q = np.arange((w // 2) * (h // 2), dtype=np.int64)
-            base = d * 11 + f[:, None] * 5 + q[None, :] * 3
-            u = ((base % 256).astype(np.uint8)).reshape(n, h // 2, w // 2)
-            v = (((base + 128) % 256).astype(np.uint8)).reshape(
-                n, h // 2, w // 2
-            )
-            payloads.append(encode_y4m(y, fps=(24 + d % 2, 1), chroma=(u, v)))
-        else:
-            payloads.append(encode_y4m(y, fps=(24 + d % 2, 1)))
-        ids.append(d)
-    return pa_.table(
-        {
-            "media_id": pa_.array(ids, type=pa_.int64()),
-            "payload": pa_.array(payloads, type=pa_.binary()),
-        }
-    )
-
-
-def q_multimodal_video_features(sf_dir):
-    """REAL video codec path: deterministic Y4M (YUV4MPEG2) streams
-    derived from doc_id — mono and 4:2:0 colorspaces, varying frame
-    counts / dimensions / frame rates — are container-encoded in one
-    map stage and decoded back by the DecodeVideo actor pool into
-    integer-exact features. The DuckDB oracle computes the same luma/
-    chroma sums analytically from the pixel formulas, so any drift in
-    the container parse (header, FRAME markers, plane geometry)
-    hash-mismatches."""
-    from .ops.multimodal import decode_video_features
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth_y4m_batch, batch_format="pyarrow", batch_size=32
-    )
-    return decode_video_features(media)
-
-
-def q_multimodal_frame_sample(sf_dir):
-    """REAL frame extraction: the FrameSample actor pool pulls 2
-    evenly strided ACTUAL frames (first + last) out of each Y4M
-    payload; a downstream map reduces each sampled luma plane to its
-    integer byte sum. The oracle replays the sampled frame indices
-    (0 and n_frames-1) and the luma formula analytically — sampling
-    the wrong frame or corrupting a plane hash-mismatches."""
-    import pyarrow as pa_
-    import pyarrow.compute as pc_
-
-    from .ops.multimodal import sample_frames
-
-    media = _media_doc_ids(sf_dir).map_batches(
-        _synth_y4m_batch, batch_format="pyarrow", batch_size=32
-    )
-    frames = sample_frames(media, n_frames=2)
-
-    def _sum(batch: pa_.Table) -> pa_.Table:
-        sums = [
-            int(np.frombuffer(b.as_py(), np.uint8).astype(np.int64).sum())
-            for b in batch["frame"]
-        ]
-        return pa_.table(
-            {
-                "media_id": batch["media_id"],
-                "frame_ix": pc_.cast(batch["frame_ix"], pa_.int64()),
-                "luma_sum": pa_.array(sums, type=pa_.int64()),
-            }
-        )
-
-    return frames.map_batches(_sum, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-def _staleness_rotate(queries: dict) -> dict:
-    """Reorder the registry by DRIVER-ROW STALENESS so no query's last
-    CORRECTNESS check ages more than one round: the driver verifies
-    roughly the first ~50 entries per round, so entries that appear in
-    the LATEST repo-root CORRECTNESS_r*.json move to the BACK (they
-    were just checked) and everything else — never-checked or checked
-    in an older round — moves to the FRONT, preserving relative order
-    within each class. Falls back to the static order if the
-    artifacts are unreadable."""
-    import json
-    import re
-    from pathlib import Path
-
-    try:
-        root = Path(__file__).resolve().parents[1]
-        rounds = sorted(
-            (
-                (int(m.group(1)), p)
-                for p in root.glob("CORRECTNESS_r*.json")
-                for m in [re.match(r"CORRECTNESS_r(\d+)\.json$", p.name)]
-                if m
-            )
-        )
-        if not rounds:
-            return queries
-        latest = set(json.loads(rounds[-1][1].read_text()))
-        ever = set()
-        for _, p in rounds:
-            ever |= set(json.loads(p.read_text()))
-    except Exception:
-        return queries
-    # three classes, front to back: NEVER driver-checked anywhere
-    # (new queries must land inside the ~50-row window on their first
-    # eligible round), then stale (checked, but not in the latest
-    # artifact), then just-checked
-    fresh = {k: v for k, v in queries.items() if k not in ever}
-    fresh.update(
-        (k, v) for k, v in queries.items()
-        if k in ever and k not in latest
-    )
-    fresh.update((k, v) for k, v in queries.items() if k in latest)
-    return fresh
-
-
 def q_part_link_prediction(sf_dir):
     """Common-neighbor link prediction over the twice-co-ordered parts
     graph (ops.graph.link_prediction): every NON-edge pair at distance
@@ -4351,12 +3884,7 @@ def q_doc_winnow_pairs(sf_dir):
 
 
 def build_queries():
-    # Registration order matters: the correctness driver checks roughly
-    # the first ~50 entries per round. _staleness_rotate reorders the
-    # static registry below so the least-recently-driver-checked
-    # queries always come first (VERDICT r4 item 3).
-    return _staleness_rotate({
-        # --- never driver-checked before round 4 ---
+    return {
         "doc_langid": q_doc_langid,
         "doc_quality": q_doc_quality,
         "doc_lm_perplexity": q_doc_lm_perplexity,
@@ -4413,15 +3941,6 @@ def build_queries():
         "er_typo_match": q_er_typo_match,
         "lineitem_monthly_top_parts": q_lineitem_monthly_top_parts,
         "kg_linkset": q_kg_linkset,
-        "multimodal_features": q_multimodal_features,
-        "multimodal_wav_features": q_multimodal_wav_features,
-        "multimodal_png_features": q_multimodal_png_features,
-        "multimodal_bmp_features": q_multimodal_bmp_features,
-        "multimodal_gif_features": q_multimodal_gif_features,
-        "multimodal_tiff_features": q_multimodal_tiff_features,
-        "multimodal_jpeg_features": q_multimodal_jpeg_features,
-        "multimodal_video_features": q_multimodal_video_features,
-        "multimodal_frame_sample": q_multimodal_frame_sample,
         "fullquery_negation": q_fullquery_negation,
         "fullquery_disjunction": q_fullquery_disjunction,
         "fullquery_store": q_fullquery_store,
@@ -4430,13 +3949,11 @@ def build_queries():
         "doc_line_dedup": q_doc_line_dedup,
         "doc_dup_spans": q_doc_dup_spans,
         "doc_strip_dup_spans": q_doc_strip_dup_spans,
-        # --- formerly no-oracle; fresh oracles added round 4 ---
         "kg_pagerank": q_kg_pagerank,
         "kg_personalized_pagerank": q_kg_personalized_pagerank,
         "links_jsonld_nested": q_links_jsonld_nested,
         "doc_simhash": q_doc_simhash,
         "doc_simhash_pairs": q_doc_simhash_pairs,
-        # --- green in CORRECTNESS_r03 (rows+schema+hash) ---
         "links_all": q_links_all,
         "links_match_rel": q_links_match_rel,
         "links_multimatch": q_links_multimatch,
@@ -4527,7 +4044,7 @@ def build_queries():
         "part_mis": q_part_mis,
         "events_daily_cumulative": q_events_daily_cumulative,
         "doc_winnow_containment": q_doc_winnow_containment,
-    })
+    }
 
 
 def _pagerank_sql(n_iters=10, damping=0.85, seed_pred=None):
@@ -4655,165 +4172,6 @@ def build_oracles():
             "AND origin IN (SELECT origin FROM links "
             f"WHERE rel = '{TYPE}' AND target IN "
             "('urn:versa:Supplier', 'urn:versa:Customer')) ORDER BY e"
-        ),
-        # analytic replays of the multimodal codec paths: same
-        # integer waveform / pixel formulas the Ray side encodes,
-        # aggregated in SQL — the engine must decode its own bytes
-        # back to exactly these numbers
-        "multimodal_wav_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 1000 + (doc_id % 7) * 100 AS n, "
-            "8000 + (doc_id % 3) * 4000 AS rate FROM ids), "
-            "ks AS (SELECT unnest(generate_series(0, 1599)) AS k), "
-            "samp AS (SELECT p.doc_id, p.n, p.rate, "
-            "((p.doc_id * 40503 + g.k * 2654435761) % 65536) - 32768 AS s "
-            "FROM par p JOIN ks g ON g.k < p.n) "
-            "SELECT doc_id AS media_id, CAST(n AS BIGINT) AS n_samples, "
-            "CAST(rate AS BIGINT) AS sample_rate, "
-            "CAST(MAX(s) AS BIGINT) AS peak, CAST(MIN(s) AS BIGINT) AS trough, "
-            "CAST(SUM(ABS(s)) AS BIGINT) AS sum_abs "
-            "FROM samp GROUP BY doc_id, n, rate ORDER BY media_id"
-        ),
-        "multimodal_png_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 16 + (doc_id % 5) * 4 AS w, "
-            "12 + (doc_id % 3) * 4 AS h FROM ids), "
-            "xs AS (SELECT unnest(generate_series(0, 31)) AS x), "
-            "ys AS (SELECT unnest(generate_series(0, 23)) AS y), "
-            "px AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 31 + x.x * 7 + y.y * 13) % 256 AS r, "
-            "(p.doc_id * 31 + x.x * 7 + y.y * 13 + 5) % 256 AS g, "
-            "(p.doc_id * 31 + x.x * 7 + y.y * 13 + 10) % 256 AS b "
-            "FROM par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h) "
-            "SELECT doc_id AS media_id, CAST(w AS BIGINT) AS width, "
-            "CAST(h AS BIGINT) AS height, CAST(SUM(r) AS BIGINT) AS sum_r, "
-            "CAST(SUM(g) AS BIGINT) AS sum_g, CAST(SUM(b) AS BIGINT) AS sum_b "
-            "FROM px GROUP BY doc_id, w, h ORDER BY media_id"
-        ),
-        "multimodal_bmp_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 15 + (doc_id % 4) * 3 AS w, "
-            "9 + (doc_id % 3) * 2 AS h FROM ids), "
-            "xs AS (SELECT unnest(generate_series(0, 23)) AS x), "
-            "ys AS (SELECT unnest(generate_series(0, 12)) AS y), "
-            "px AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 19 + x.x * 5 + y.y * 11) % 256 AS r, "
-            "(p.doc_id * 19 + x.x * 5 + y.y * 11 + 7) % 256 AS g, "
-            "(p.doc_id * 19 + x.x * 5 + y.y * 11 + 14) % 256 AS b "
-            "FROM par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h) "
-            "SELECT doc_id AS media_id, 'bmp' AS codec, "
-            "CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height, "
-            "CAST(SUM(r) AS BIGINT) AS sum_r, "
-            "CAST(SUM(g) AS BIGINT) AS sum_g, "
-            "CAST(SUM(b) AS BIGINT) AS sum_b "
-            "FROM px GROUP BY doc_id, w, h"
-        ),
-        "multimodal_tiff_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 11 + (doc_id % 5) * 4 AS w, "
-            "6 + (doc_id % 4) * 3 AS h, doc_id % 2 = 0 AS rgb FROM ids), "
-            "xs AS (SELECT unnest(generate_series(0, 26)) AS x), "
-            "ys AS (SELECT unnest(generate_series(0, 14)) AS y), "
-            "px AS (SELECT p.doc_id, p.w, p.h, p.rgb, "
-            "(p.doc_id * 23 + x.x * 3 + y.y * 13) % 256 AS base, "
-            "(p.doc_id * 23 + x.x * 3 + y.y * 13 + 5) % 256 AS g2, "
-            "(p.doc_id * 23 + x.x * 3 + y.y * 13 + 10) % 256 AS b2 "
-            "FROM par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h) "
-            "SELECT doc_id AS media_id, 'tiff' AS codec, "
-            "CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height, "
-            "CAST(SUM(base) AS BIGINT) AS sum_r, "
-            "CAST(SUM(CASE WHEN rgb THEN g2 ELSE base END) AS BIGINT) "
-            "AS sum_g, "
-            "CAST(SUM(CASE WHEN rgb THEN b2 ELSE base END) AS BIGINT) "
-            "AS sum_b FROM px GROUP BY doc_id, w, h"
-        ),
-        "multimodal_gif_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 13 + (doc_id % 5) * 5 AS w, "
-            "8 + (doc_id % 4) * 3 AS h, 2 + (doc_id % 7) * 9 AS np "
-            "FROM ids), "
-            "xs AS (SELECT unnest(generate_series(0, 32)) AS x), "
-            "ys AS (SELECT unnest(generate_series(0, 16)) AS y), "
-            "px AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 11 + x.x * 3 + y.y * 5) % p.np AS idx "
-            "FROM par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h) "
-            "SELECT px.doc_id AS media_id, 'gif' AS codec, "
-            "CAST(px.w AS BIGINT) AS width, CAST(px.h AS BIGINT) AS height, "
-            "CAST(SUM((px.doc_id * 7 + px.idx * 17) % 256) AS BIGINT) "
-            "AS sum_r, "
-            "CAST(SUM((px.doc_id * 7 + px.idx * 17 + 23) % 256) AS BIGINT) "
-            "AS sum_g, "
-            "CAST(SUM((px.doc_id * 7 + px.idx * 17 + 46) % 256) AS BIGINT) "
-            "AS sum_b "
-            "FROM px GROUP BY px.doc_id, px.w, px.h"
-        ),
-        "multimodal_jpeg_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 2 + (doc_id % 3) AS bw, "
-            "1 + (doc_id % 2) AS bh FROM ids), "
-            "bs AS (SELECT unnest(generate_series(0, 7)) AS i), "
-            "px AS (SELECT p.doc_id, p.bw, p.bh, "
-            "(p.doc_id * 37 + b.i * 29) % 256 AS c "
-            "FROM par p JOIN bs b ON b.i < p.bw * p.bh), "
-            "rec AS (SELECT doc_id, bw, bh, "
-            "LEAST(255, GREATEST(0, CAST(floor("
-            "floor(8.0 * (c - 128) / 20 + 0.5 + 0.000000001) * 20 / 8.0 "
-            "+ 0.5 + 0.000000001) AS BIGINT) + 128)) AS r FROM px) "
-            "SELECT doc_id AS media_id, 'jpeg' AS codec, "
-            "CAST(bw * 8 AS BIGINT) AS width, "
-            "CAST(bh * 8 AS BIGINT) AS height, "
-            "CAST(SUM(64 * r) AS BIGINT) AS sum_r, "
-            "CAST(SUM(64 * r) AS BIGINT) AS sum_g, "
-            "CAST(SUM(64 * r) AS BIGINT) AS sum_b "
-            "FROM rec GROUP BY doc_id, bw, bh ORDER BY media_id"
-        ),
-        "multimodal_video_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 3 + (doc_id % 3) AS n, "
-            "8 + (doc_id % 3) * 4 AS w, 6 + (doc_id % 2) * 4 AS h, "
-            "24 + (doc_id % 2) AS fn FROM ids), "
-            "fs AS (SELECT unnest(generate_series(0, 4)) AS f), "
-            "ps AS (SELECT unnest(generate_series(0, 159)) AS p), "
-            "luma AS (SELECT r.doc_id, "
-            "SUM((r.doc_id * 31 + f.f * 17 + p.p * 7) % 256) AS sl "
-            "FROM par r JOIN fs f ON f.f < r.n "
-            "JOIN ps p ON p.p < r.w * r.h GROUP BY r.doc_id), "
-            "qs AS (SELECT unnest(generate_series(0, 39)) AS q), "
-            "chroma AS (SELECT r.doc_id, "
-            "SUM((r.doc_id * 11 + f.f * 5 + q.q * 3) % 256 "
-            "+ (r.doc_id * 11 + f.f * 5 + q.q * 3 + 128) % 256) AS sc "
-            "FROM par r JOIN fs f ON f.f < r.n "
-            "JOIN qs q ON q.q < (r.w // 2) * (r.h // 2) "
-            "WHERE r.doc_id % 2 = 0 GROUP BY r.doc_id) "
-            "SELECT r.doc_id AS media_id, CAST(r.n AS BIGINT) AS n_frames, "
-            "CAST(r.w AS BIGINT) AS width, CAST(r.h AS BIGINT) AS height, "
-            "CAST(r.fn AS BIGINT) AS fps_num, CAST(1 AS BIGINT) AS fps_den, "
-            "CAST(l.sl AS BIGINT) AS sum_luma, "
-            "CAST(COALESCE(c.sc, 0) AS BIGINT) AS sum_chroma "
-            "FROM par r JOIN luma l ON l.doc_id = r.doc_id "
-            "LEFT JOIN chroma c ON c.doc_id = r.doc_id ORDER BY media_id"
-        ),
-        "multimodal_frame_sample": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "par AS (SELECT doc_id, 3 + (doc_id % 3) AS n, "
-            "8 + (doc_id % 3) * 4 AS w, 6 + (doc_id % 2) * 4 AS h FROM ids), "
-            "fr AS (SELECT doc_id, 0 AS frame_ix, 0 AS f, w * h AS px "
-            "FROM par UNION ALL "
-            "SELECT doc_id, 1, n - 1, w * h FROM par), "
-            "ps AS (SELECT unnest(generate_series(0, 159)) AS p) "
-            "SELECT r.doc_id AS media_id, "
-            "CAST(r.frame_ix AS BIGINT) AS frame_ix, "
-            "CAST(SUM((r.doc_id * 31 + r.f * 17 + p.p * 7) % 256) AS BIGINT) "
-            "AS luma_sum FROM fr r JOIN ps p ON p.p < r.px "
-            "GROUP BY r.doc_id, r.frame_ix ORDER BY media_id, frame_ix"
         ),
         "doc_simhash": (
             f"WITH {SIMHASH_CTES} "
@@ -6434,79 +5792,6 @@ def build_oracles():
             "CAST(b.vec_id AS BIGINT) AS id_b "
             "FROM aug a JOIN aug b ON a.vec_id < b.vec_id "
             "WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.9"
-        ),
-        # the generic magic-byte image decode: PNG replay for even
-        # doc_ids + the fake byte-formula replay for odd doc_ids
-        "multimodal_features": (
-            "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
-            "LIMIT 128), "
-            "xs AS (SELECT unnest(generate_series(0, 36)) AS x), "
-            "ys AS (SELECT unnest(generate_series(0, 23)) AS y), "
-            "png_par AS (SELECT doc_id, 16 + (doc_id % 5) * 4 AS w, "
-            "12 + (doc_id % 3) * 4 AS h FROM ids WHERE doc_id % 5 = 0), "
-            "px AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 31 + x.x * 7 + y.y * 13) % 256 AS r, "
-            "(p.doc_id * 31 + x.x * 7 + y.y * 13 + 5) % 256 AS g, "
-            "(p.doc_id * 31 + x.x * 7 + y.y * 13 + 10) % 256 AS b "
-            "FROM png_par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h), "
-            "png AS (SELECT doc_id AS media_id, 'png' AS codec, "
-            "CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height, "
-            "CAST(SUM(r) AS BIGINT) AS sum_r, CAST(SUM(g) AS BIGINT) AS "
-            "sum_g, CAST(SUM(b) AS BIGINT) AS sum_b "
-            "FROM px GROUP BY doc_id, w, h), "
-            "gif_par AS (SELECT doc_id, 13 + (doc_id % 5) * 5 AS w, "
-            "8 + (doc_id % 3) * 3 AS h, 2 + (doc_id % 7) * 9 AS np "
-            "FROM ids WHERE doc_id % 5 = 1), "
-            "gpx AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 11 + x.x * 3 + y.y * 5) % p.np AS idx "
-            "FROM gif_par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h), "
-            "gif AS (SELECT doc_id AS media_id, 'gif' AS codec, "
-            "CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height, "
-            "CAST(SUM((doc_id * 7 + idx * 17) % 256) AS BIGINT) AS sum_r, "
-            "CAST(SUM((doc_id * 7 + idx * 17 + 23) % 256) AS BIGINT) "
-            "AS sum_g, "
-            "CAST(SUM((doc_id * 7 + idx * 17 + 46) % 256) AS BIGINT) "
-            "AS sum_b "
-            "FROM gpx GROUP BY doc_id, w, h), "
-            "bmp_par AS (SELECT doc_id, 15 + (doc_id % 5) * 3 AS w, "
-            "9 + (doc_id % 3) * 2 AS h FROM ids WHERE doc_id % 5 = 2), "
-            "bpx AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 19 + x.x * 5 + y.y * 11) % 256 AS r, "
-            "(p.doc_id * 19 + x.x * 5 + y.y * 11 + 7) % 256 AS g, "
-            "(p.doc_id * 19 + x.x * 5 + y.y * 11 + 14) % 256 AS b "
-            "FROM bmp_par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h), "
-            "bmp AS (SELECT doc_id AS media_id, 'bmp' AS codec, "
-            "CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height, "
-            "CAST(SUM(r) AS BIGINT) AS sum_r, CAST(SUM(g) AS BIGINT) AS "
-            "sum_g, CAST(SUM(b) AS BIGINT) AS sum_b "
-            "FROM bpx GROUP BY doc_id, w, h), "
-            "tiff_par AS (SELECT doc_id, 11 + (doc_id % 5) * 4 AS w, "
-            "6 + (doc_id % 4) * 3 AS h FROM ids WHERE doc_id % 5 = 3), "
-            "tpx AS (SELECT p.doc_id, p.w, p.h, "
-            "(p.doc_id * 23 + x.x * 3 + y.y * 13) % 256 AS r, "
-            "(p.doc_id * 23 + x.x * 3 + y.y * 13 + 5) % 256 AS g, "
-            "(p.doc_id * 23 + x.x * 3 + y.y * 13 + 10) % 256 AS b "
-            "FROM tiff_par p JOIN xs x ON x.x < p.w JOIN ys y ON y.y < p.h), "
-            "tiff AS (SELECT doc_id AS media_id, 'tiff' AS codec, "
-            "CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height, "
-            "CAST(SUM(r) AS BIGINT) AS sum_r, CAST(SUM(g) AS BIGINT) AS "
-            "sum_g, CAST(SUM(b) AS BIGINT) AS sum_b "
-            "FROM tpx GROUP BY doc_id, w, h), "
-            "fake_par AS (SELECT doc_id, 512 + (doc_id % 5) * 64 AS n "
-            "FROM ids WHERE doc_id % 5 = 4), "
-            "ks AS (SELECT unnest(generate_series(0, 767)) AS k), "
-            "bs AS (SELECT p.doc_id, p.n, k.k, "
-            "(p.doc_id * 97 + k.k * 31) % 256 AS b "
-            "FROM fake_par p JOIN ks k ON k.k < p.n), "
-            "fake AS (SELECT doc_id AS media_id, 'fake' AS codec, "
-            "CAST(MAX(n) AS BIGINT) AS width, CAST(1 AS BIGINT) AS height, "
-            "CAST(SUM(b) AS BIGINT) AS sum_r, "
-            "CAST(SUM(CASE WHEN k % 2 = 0 THEN b END) AS BIGINT) AS sum_g, "
-            "CAST(SUM(CASE WHEN k % 2 = 1 THEN b END) AS BIGINT) AS sum_b "
-            "FROM bs GROUP BY doc_id) "
-            "SELECT * FROM png UNION ALL SELECT * FROM gif "
-            "UNION ALL SELECT * FROM bmp UNION ALL SELECT * FROM tiff "
-            "UNION ALL SELECT * FROM fake ORDER BY media_id"
         ),
         # doc_minhash_dedup / doc_simhash / doc_langid / doc_quality /
         # kg_linkset: not SQL-expressible -> rows-only checks

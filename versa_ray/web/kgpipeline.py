@@ -300,11 +300,6 @@ class EntityScorer:
         # mention strings repeat heavily (head entities); memoize per worker
         self._memo: dict = {}
 
-    @property
-    def authorities(self):
-        # compatibility probe: "is the table non-empty"
-        return list(self._iris)
-
     def score(self, name: str):
         import math
 
