@@ -55,39 +55,37 @@ def run_headline(n_pages: int):
     return n_triples
 
 
+# registry names timed by ``run_query_suite``; each must be a
+# ``queries.build_queries()`` key (tests/test_oracle_parity.py checks)
+QUERY_SUITE = (
+    "links_dedup",
+    "doc_minhash_dedup",
+    "doc_near_dup_pairs",
+    "doc_token_stats",
+    "links_jsonld_nested",
+    "doc_simhash_pairs",
+    "doc_curation",
+    "doc_top_tokens",
+    "doc_repetition",
+    "doc_boilerplate",
+    "doc_tfidf",
+    "doc_bm25",
+    "doc_line_dedup",
+    "doc_pack_sequences",
+    "doc_dup_spans",
+    "doc_lm2_perplexity",
+)
+
+
 def run_query_suite(sf_dir: str) -> dict:
-    """Representative operator pipelines, each timed."""
+    """Representative operator pipelines (``QUERY_SUITE``), each timed."""
     import ray.data
 
     from versa_ray import queries as Q
 
-    picks = [
-        "links_dedup",
-        "lineitem_agg",
-        "orders_by_segment",
-        "doc_minhash_dedup",
-        "doc_near_dup_pairs",
-        "doc_token_stats",
-        "knn_cosine",
-        "embedding_near_dups",
-        "events_tumbling",
-        "events_sliding",
-        "links_jsonld_nested",
-        "doc_simhash_pairs",
-        "doc_curation",
-        "doc_top_tokens",
-        "doc_repetition",
-        "doc_boilerplate",
-        "doc_tfidf",
-        "doc_bm25",
-        "doc_line_dedup",
-        "doc_pack_sequences",
-        "doc_dup_spans",
-        "doc_lm2_perplexity",
-    ]
     qmap = Q.build_queries()
     out = {}
-    for name in picks:
+    for name in QUERY_SUITE:
         t0 = time.perf_counter()
         res = qmap[name](sf_dir)
         if isinstance(res, ray.data.Dataset):

@@ -189,6 +189,38 @@ def test_exchange_cogroup_int_widths_colocate(ray_session):
     assert rows == [(k, f"w{k}") for k in keys]
 
 
+def test_exchange_pandas_metadata_hashes_in_reduce(ray_session):
+    """Blocks made from pandas carry pandas schema metadata, which
+    pyarrow cannot hash; Ray's reduce hashes block schemas, so an
+    exchange over such blocks must not log "Failed to hash the
+    schemas" (Ray Data's logger does not propagate to the root)."""
+    import logging
+
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from versa_ray.core.exchange import distinct_rows
+
+    df = pd.DataFrame({"k": [i % 7 for i in range(90)], "v": range(90)})
+    schema = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        out = distinct_rows(
+            rd.from_pandas([df.iloc[:30], df.iloc[30:60], df.iloc[60:]]),
+            ["k"], schema, num_buckets=4).to_pandas()
+    finally:
+        logger.removeHandler(handler)
+    assert sorted(out.k) == list(range(7))
+    assert all(out.v % 7 == out.k)
+    assert not [r for r in records
+                if "Failed to hash the schemas" in r.getMessage()]
+
+
 def test_bucketed_group_apply_min_group_size(ray_session):
     import pandas as pd
     import pyarrow as pa

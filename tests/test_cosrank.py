@@ -9,7 +9,7 @@ import pytest
 import ray.data as rd
 
 from versa_ray.ops.agg import percent_rank
-from versa_ray.ops.similarity import sparse_tf_cosine_pairs
+from versa_ray.ops.dedup import sparse_tf_cosine_pairs
 
 DOCS = [
     "alpha beta gamma delta alpha",
@@ -165,57 +165,3 @@ def test_random_walks_brute(ray_session):
     # the sink must actually have truncated at least one walk
     assert len(want) < len(adj) * (L + 1)
 
-
-def test_transition_counts_brute(ray_session):
-    from collections import Counter
-
-    from versa_ray.ops.windows import transition_counts
-
-    rng = np.random.default_rng(3)
-    n = 400
-    df = pd.DataFrame({
-        "user_id": rng.integers(0, 12, size=n),
-        # coarse timestamps force plenty of ties -> event_id decides
-        "ts": pd.to_datetime(rng.integers(0, 20, size=n), unit="s"),
-        "event_id": np.arange(n),
-        "event_type": rng.choice(["view", "cart", "buy", "quit"], size=n),
-    })
-    got = (
-        transition_counts(rd.from_pandas(df).repartition(5), num_buckets=4)
-        .to_pandas()
-    )
-    want = Counter()
-    for _, g in df.sort_values(["ts", "event_id"]).groupby("user_id"):
-        types = g["event_type"].tolist()
-        for a, b in zip(types, types[1:]):
-            want[(a, b)] += 1
-    assert {(r.from_type, r.to_type): r.n for r in got.itertuples()} == dict(
-        want)
-
-
-@pytest.mark.parametrize("bins", [1, 7, 32])
-def test_histogram_brute(ray_session, bins):
-    from versa_ray.ops.agg import histogram
-
-    rng = np.random.default_rng(9)
-    v = rng.normal(100.0, 15.0, size=2000)
-    got = (
-        histogram(rd.from_pandas(pd.DataFrame({"x": v})).repartition(6),
-                  "x", bins)
-        .to_pandas().sort_values("bin").reset_index(drop=True)
-    )
-    lo, hi = v.min(), v.max()
-    ix = np.minimum(np.floor((v - lo) * bins / (hi - lo)).astype(int),
-                    bins - 1)
-    want = np.bincount(ix, minlength=bins)
-    assert got["bin"].tolist() == list(range(bins))
-    assert got["n"].tolist() == want.tolist()
-    assert got["n"].sum() == len(v)
-
-
-def test_histogram_degenerate_span(ray_session):
-    from versa_ray.ops.agg import histogram
-
-    ds = rd.from_pandas(pd.DataFrame({"x": [5.0] * 10}))
-    out = histogram(ds, "x", 4).to_pandas().sort_values("bin")
-    assert out["n"].tolist() == [10, 0, 0, 0]

@@ -1,5 +1,5 @@
-"""Training-data operators: dedup family, similarity, text stats,
-windows, joins, sampling — over the driver testdata tables."""
+"""Training-data operators: dedup family, text stats, aggregates,
+joins, sampling — over the driver testdata tables."""
 
 import numpy as np
 import pandas as pd
@@ -365,61 +365,6 @@ def test_incremental_exact_dedup(ray_session, tmp_path):
     assert n4 == 0
 
 
-def test_pq_encode_and_search(ray_session):
-    """PQ codes are m uint8s per vector; ADC search recovers planted
-    exact-duplicate neighbors at rank 1."""
-    import ray.data as rd
-
-    from versa_ray.ops.similarity import (
-        knn_pq, pq_encode, train_pq_codebooks)
-
-    rng = np.random.RandomState(5)
-    dim, n = 16, 300
-    base = rng.randn(n, dim)
-    base[1] = base[0]  # planted twin of vector 0
-    rows = pd.DataFrame(
-        {"vec_id": np.arange(n, dtype="int64"), "embedding": list(base)}
-    )
-    ds = rd.from_pandas(rows)
-    books = train_pq_codebooks(ds, dim=dim, m=4, nbits=6, sample_size=n)
-    assert books.shape == (4, 64, 4)
-    codes = pq_encode(ds, books).to_pandas()
-    assert len(codes) == n
-    assert all(len(c) == 4 for c in codes["code"])
-    out = knn_pq(ds, [base[0]], [0], books, k=3).to_pandas()
-    top1 = out[out["rank"] == 1]
-    assert top1["nid"].iloc[0] == 1  # the twin, self excluded
-
-
-def test_ann_index_build_and_search(ray_session, tmp_path):
-    """Persisted IVF-PQ index: codes-only search recovers planted
-    twins at rank 1, reads only probed cell partitions, and survives
-    a fresh load (no raw vectors touched at search time)."""
-    import glob
-    import os
-
-    import ray.data as rd
-
-    from versa_ray.ops.similarity import build_ann_index, search_ann_index
-
-    rng = np.random.RandomState(13)
-    dim, n = 16, 400
-    base = rng.randn(n, dim)
-    base[1] = base[0] + 1e-6 * rng.randn(dim)  # planted twin of vec 0
-    rows = pd.DataFrame(
-        {"vec_id": np.arange(n, dtype="int64"), "embedding": list(base)}
-    )
-    idx = str(tmp_path / "ann")
-    build_ann_index(rd.from_pandas(rows), idx, dim=dim, n_cells=8, m=4,
-                    nbits=6)
-    assert os.path.exists(os.path.join(idx, "quantizers.npz"))
-    cells = glob.glob(os.path.join(idx, "codes", "cell=*"))
-    assert len(cells) >= 2  # corpus actually spread over cells
-
-    out = search_ann_index(idx, [base[0]], [0], k=3, nprobe=4).to_pandas()
-    assert out[out["rank"] == 1]["nid"].iloc[0] == 1
-
-
 def test_salted_join_equals_plain(ray_session):
     """salted_join returns exactly the plain hash join's rows on a
     hot-key workload (one key is half the left side)."""
@@ -451,34 +396,6 @@ def test_salted_join_equals_plain(ray_session):
         plain[sorted(plain.columns)], salted[sorted(salted.columns)]
     )
     assert (plain.k == 7).sum() > n // 3  # the hot key actually dominates
-
-
-def test_bloom_semi_filter(ray_session):
-    """No false negatives (every true match survives the bloom
-    prefilter) and the false-positive rate stays near the design
-    point."""
-    import ray.data as rd
-
-    from versa_ray.ops.joins import bloom_semi_filter, build_bloom
-
-    keys = pd.DataFrame({"k": [f"key-{i}" for i in range(5000)]})
-    big = pd.DataFrame(
-        {"k": [f"key-{i}" if i % 10 == 0 else f"other-{i}"
-               for i in range(50000)],
-         "v": np.arange(50000)}
-    )
-    bloom = build_bloom(rd.from_pandas(keys), "k", num_bits=1 << 20)
-    out = bloom_semi_filter(
-        rd.from_pandas([big.iloc[:25000], big.iloc[25000:]]), bloom, "k"
-    ).to_pandas()
-    true_matches = set(big[big["k"].isin(set(keys["k"]))]["v"])
-    assert true_matches <= set(out["v"])  # no false negatives
-    fpp = (len(out) - len(true_matches)) / (len(big) - len(true_matches))
-    assert fpp < 0.05, fpp
-    # corrupt/mismatched bloom params are rejected, not silently wrong
-    bad = dict(bloom, num_bits=1 << 19)
-    with pytest.raises(ValueError):
-        bloom_semi_filter(rd.from_pandas(big), bad, "k")
 
 
 def test_entail_types(ray_session):
@@ -513,45 +430,6 @@ def test_entail_types(ray_session):
     assert len(got) == len(out)  # distinct
 
 
-def test_knn_bruteforce_matches_numpy(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.similarity import knn_bruteforce
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
-    pdf = emb.to_pandas()
-    mat = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    q = mat[:3]
-    got = knn_bruteforce(emb, q, pdf["vec_id"].to_numpy()[:3], k=5).to_pandas()
-    # reference numpy computation
-    sims = q @ mat.T
-    for qx, qid in enumerate(pdf["vec_id"][:3]):
-        row = sims[qx].copy()
-        row[pdf["vec_id"] == qid] = -np.inf
-        expect = set(pdf["vec_id"].to_numpy()[np.argsort(-row)[:5]])
-        mine = set(got[got.qid == qid].nid)
-        assert mine == expect
-
-
-def test_knn_lsh_recall(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.similarity import knn_bruteforce, knn_lsh
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
-    pdf = emb.to_pandas()
-    mat = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
-    qids = pdf["vec_id"].to_numpy()[:5]
-    exact = knn_bruteforce(emb, mat[:5], qids, k=5).to_pandas()
-    approx = knn_lsh(emb, mat[:5], qids, dim=mat.shape[1], k=5, n_planes=6).to_pandas()
-    # multiprobe LSH should recover a decent fraction of true neighbors
-    recall = len(
-        set(zip(approx.qid, approx.nid)) & set(zip(exact.qid, exact.nid))
-    ) / len(exact)
-    assert recall >= 0.4
-
-
 def test_textstats(ray_session, docs_ds):
     from versa_ray.ops.textstats import LangID, doc_stats_ds, md5_fingerprint
 
@@ -568,55 +446,6 @@ def test_textstats(ray_session, docs_ds):
     import hashlib
 
     assert fp.iloc[0]["fp_md5"] == hashlib.md5(fp.iloc[0]["text"].encode()).hexdigest()
-
-
-def test_tumbling_window(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.windows import tumbling_window_agg
-
-    ev = rd.read_parquet(f"{SF}/events.parquet")
-    out = tumbling_window_agg(ev, freq="1D").to_pandas()
-    pdf = ev.to_pandas()
-    pdf["window_start"] = pdf["ts"].dt.floor("1D")
-    expect = pdf.groupby(["event_type", "window_start"]).agg(
-        n=("value", "size"), value_sum=("value", "sum")
-    )
-    assert len(out) == len(expect)
-    merged = out.set_index(["event_type", "window_start"]).join(
-        expect, rsuffix="_e"
-    )
-    assert (merged["n"] == merged["n_e"]).all()
-    assert np.allclose(merged["value_sum"], merged["value_sum_e"])
-
-
-def test_session_windows(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.windows import session_windows
-
-    ev = rd.read_parquet(f"{SF}/events.parquet").limit(200)
-    out = session_windows(ev, gap="2h").to_pandas()
-    assert (out["session_end"] >= out["session_start"]).all()
-    assert out["n_events"].sum() == 200
-
-
-def test_sliding_window(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.windows import sliding_window_agg
-
-    ev = rd.read_parquet(f"{SF}/events.parquet").limit(300)
-    out = sliding_window_agg(ev, window="2h", slide="1h").to_pandas()
-    pdf = ev.to_pandas()
-    # every event lands in exactly window/slide = 2 windows
-    assert out["n"].sum() == 2 * len(pdf)
-    # spot-check one (user, window)
-    row = out.iloc[0]
-    lo = row["window_start"]
-    hi = lo + pd.Timedelta("2h")
-    expect = pdf[(pdf.user_id == row["user_id"]) & (pdf.ts >= lo) & (pdf.ts < hi)]
-    assert row["n"] == len(expect)
 
 
 def test_verify_pairs_jaccard(ray_session):
@@ -726,80 +555,6 @@ def test_assign_clusters_join_path(ray_session):
     assert m[0] == m[1] == m[2] == 0 and m[5] == m[7] == 5 and m[3] == 3
 
 
-def test_knn_ivf_recall(ray_session):
-    """IVF: planted twin (cosine ~0.999) must be rank-1 for every
-    query; candidate filtering must actually prune."""
-    import ray.data as rd
-
-    from versa_ray.ops.similarity import knn_bruteforce, knn_ivf, train_ivf_centroids
-
-    emb = rd.read_parquet(f"{SF}/embeddings.parquet")
-    pdf = emb.to_pandas()
-    mat = np.stack(pdf["embedding"].to_numpy()).astype(np.float64)
-    # plant twins for the first 5 vectors
-    twin = mat[:5].copy()
-    twin[:, 0] += 0.05
-    aug = pd.concat(
-        [pdf[["vec_id", "embedding"]],
-         pd.DataFrame({"vec_id": pdf["vec_id"][:5] + 1000000,
-                       "embedding": list(twin)})],
-        ignore_index=True,
-    )
-    ds = rd.from_pandas(aug)
-    qids = pdf["vec_id"].to_numpy()[:5]
-    cents = train_ivf_centroids(ds, n_cells=8)
-    got = knn_ivf(ds, mat[:5], qids, cents, k=1, nprobe=3).to_pandas()
-    for qid in qids:
-        assert set(got[got.qid == qid].nid) == {qid + 1000000}
-
-
-def test_incremental_tumbling(ray_session, tmp_path):
-    """Two micro-batches + a late row must converge to the single-batch
-    tumbling result; windows finalize exactly once under the
-    watermark."""
-    import ray.data as rd
-
-    from versa_ray.ops.windows import incremental_tumbling, tumbling_window_agg
-
-    ev = rd.read_parquet(f"{SF}/events.parquet").to_pandas()
-    ev = ev.sort_values("ts", ignore_index=True)
-    cut = len(ev) // 2
-    # hold back an event whose window is still OPEN under the first
-    # watermark (within the 3D lag) so it arrives late but folds in
-    late_ix = cut - 5
-    late = ev.iloc[[late_ix]]
-    first = ev.iloc[:cut].drop(index=late_ix)
-    second = pd.concat([ev.iloc[cut:], late])
-    state = str(tmp_path / "wstate")
-
-    wm1 = ev.iloc[:cut]["ts"].max() - pd.Timedelta("3D")
-    f1, open1 = incremental_tumbling(
-        state, rd.from_pandas(first), freq="1D", watermark=wm1
-    )
-    f1 = f1.to_pandas()
-    assert open1 > 0
-    f2, open2 = incremental_tumbling(
-        state, rd.from_pandas(second), freq="1D",
-        watermark=ev["ts"].max() + pd.Timedelta("1D"),
-    )
-    f2 = f2.to_pandas()
-    assert open2 == 0  # watermark past everything -> all finalized
-
-    got = pd.concat([f1, f2], ignore_index=True)
-    want = tumbling_window_agg(rd.from_pandas(ev), freq="1D").to_pandas()
-    key = ["event_type", "window_start"]
-    got = got.sort_values(key, ignore_index=True)
-    want = want.sort_values(key, ignore_index=True)
-    # no window emitted twice; totals identical to the batch result
-    assert not got.duplicated(subset=key).any()
-    pd.testing.assert_frame_equal(
-        got[key + ["n"]], want[key + ["n"]], check_dtype=False
-    )
-    assert np.allclose(
-        got["value_sum"].to_numpy(), want["value_sum"].to_numpy()
-    )
-
-
 def test_simhash_batch_matches_per_doc():
     """Vectorized batch simhash is bit-identical to the per-doc form."""
     import numpy as np
@@ -845,33 +600,6 @@ def test_verify_pairs_threshold_switch(ray_session):
     key = lambda ps: sorted((p["id_a"], p["id_b"], round(p["jaccard"], 9)) for p in ps)
     assert key(via_broadcast) == key(via_distributed)
     assert {(p["id_a"], p["id_b"]) for p in via_broadcast} >= {(1, 2)}
-
-
-def test_embedding_near_dups_payload_paths_equal(ray_session):
-    """inline (payload x n_tables, one shuffle) and attach (id-only
-    LSH + one corpus attach pass) give identical pairs."""
-    import numpy as np
-    import ray.data as rd
-
-    from versa_ray.ops.dedup import embedding_near_dups
-
-    rng = np.random.RandomState(5)
-    base = rng.randn(30, 16)
-    rows = []
-    for i, v in enumerate(base):
-        rows.append({"vec_id": i, "embedding": list(v)})
-        if i < 6:  # planted twins
-            rows.append(
-                {"vec_id": 100 + i,
-                 "embedding": list(v + rng.randn(16) * 1e-4)}
-            )
-    ds = rd.from_items(rows)
-    kw = dict(dim=16, threshold=0.98, seed=3)
-    a = embedding_near_dups(ds, payload="inline", **kw).to_pandas()
-    b = embedding_near_dups(ds, payload="attach", **kw).to_pandas()
-    key = lambda df: sorted(zip(df["id_a"], df["id_b"], df["cosine"].round(9)))
-    assert key(a) == key(b)
-    assert {(r, r + 100) for r in range(6)} <= {(x, y) for x, y, _ in key(a)}
 
 
 def test_stratified_sample_deterministic(ray_session):
@@ -942,94 +670,6 @@ def test_edit_distance_pairs(ray_session):
     assert len(dup) == 1 and int(dup["dist"].iloc[0]) == 0
 
 
-def test_funnel_counts(ray_session):
-    """Funnel semantics: earliest qualifying event per step, strictly
-    ordered, optional anchor window; cumulative-reach counts."""
-    import ray.data as rd
-
-    from versa_ray.ops.windows import funnel_counts
-
-    rows = []
-
-    def ev(u, t, ty):
-        rows.append(
-            {"user_id": u, "event_type": ty,
-             "ts": pd.Timestamp("2024-01-01") + pd.Timedelta(minutes=t)}
-        )
-
-    ev(1, 0, "view"); ev(1, 10, "click"); ev(1, 20, "purchase")  # full
-    ev(2, 0, "view"); ev(2, 5, "click")                          # 2 steps
-    ev(3, 0, "click"); ev(3, 5, "view")      # click precedes view -> 1
-    ev(4, 0, "purchase")                                         # 0 steps
-    ev(5, 0, "view"); ev(5, 200, "click"); ev(5, 210, "purchase")
-    df = pd.DataFrame(rows)
-    ds = rd.from_pandas(df).repartition(3)
-    out = funnel_counts(ds, ["view", "click", "purchase"])
-    assert out["step"].tolist() == ["view", "click", "purchase"]
-    assert out["n_users"].tolist() == [4, 3, 2]
-    # 1h anchor window cuts user 5's late click/purchase
-    outw = funnel_counts(ds, ["view", "click", "purchase"], within="1h")
-    assert outw["n_users"].tolist() == [4, 2, 1]
-    # no qualifying events at all -> explicit zero rows
-    none = funnel_counts(ds, ["signup", "view"])
-    assert none["n_users"].tolist() == [0, 0]
-
-
-def test_cohort_retention(ray_session):
-    """Cohort table: first-activity day buckets, per-day return
-    counts, duplicate events within a day collapse."""
-    import ray.data as rd
-
-    from versa_ray.ops.windows import cohort_retention
-
-    rows = []
-
-    def ev(u, day):
-        rows.append(
-            {"user_id": u,
-             "ts": pd.Timestamp("2024-01-01")
-             + pd.Timedelta(days=day, hours=3)}
-        )
-
-    ev(1, 0); ev(1, 0); ev(1, 1); ev(1, 5)
-    ev(2, 0); ev(2, 5)
-    ev(3, 1); ev(3, 2)
-    out = (
-        cohort_retention(rd.from_pandas(pd.DataFrame(rows)).repartition(3))
-        .to_pandas()
-        .sort_values(["cohort", "period_offset"], ignore_index=True)
-    )
-    got = [
-        (str(r.cohort.date()), int(r.period_offset), int(r.n_users))
-        for r in out.itertuples()
-    ]
-    assert got == [
-        ("2024-01-01", 0, 2), ("2024-01-01", 1, 1), ("2024-01-01", 5, 2),
-        ("2024-01-02", 0, 1), ("2024-01-02", 1, 1),
-    ]
-    # digit-prefixed freq: "2D" buckets must divide by 2 days, not 12
-    out2 = (
-        cohort_retention(
-            rd.from_pandas(pd.DataFrame(rows)), freq="2D"
-        )
-        .to_pandas()
-        .sort_values(["cohort", "period_offset"], ignore_index=True)
-    )
-    got2 = [
-        (str(r.cohort.date()), int(r.period_offset), int(r.n_users))
-        for r in out2.itertuples()
-    ]
-    # floor("2D") is epoch-anchored: 2024-01-01 (odd day number)
-    # floors to 2023-12-31. u1 periods {12-31, 01-02, 01-06} = offsets
-    # 0,1,3; u2 {12-31, 01-06} = 0,3; u3 {01-02, 01-03->01-02} = {0}.
-    # The point under test: offsets divide by 2 DAYS (the "2D" freq),
-    # not the string-concatenation bug's 12 days.
-    assert got2 == [
-        ("2023-12-31", 0, 2), ("2023-12-31", 1, 1), ("2023-12-31", 3, 2),
-        ("2024-01-02", 0, 1),
-    ]
-
-
 def test_triangle_count(ray_session):
     """Distributed node-iterator triangle count equals brute-force
     enumeration on a random graph; empty and triangle-free graphs
@@ -1062,46 +702,6 @@ def test_triangle_count(ray_session):
     ).astype("int64")
     got0 = triangle_count(rd.from_pandas(path))
     assert int(got0["n_triangles"].iloc[0]) == 0
-
-
-def test_approx_distinct_hll(ray_session):
-    """HyperLogLog distinct count: within 5% of exact at several
-    cardinalities, partition-invariant (register merge is exact max),
-    global and per-key modes agree with pandas nunique."""
-    import numpy as np
-    import ray.data as rd
-
-    from versa_ray.ops.agg import approx_distinct
-
-    rng = np.random.RandomState(8)
-    df = pd.DataFrame(
-        {
-            "k": np.repeat(["a", "b", "c"], [20000, 3000, 50]),
-            "v": np.concatenate(
-                [
-                    rng.randint(0, 12000, 20000),   # ~10.6k distinct
-                    np.arange(3000) * 17,           # 3000 distinct
-                    np.arange(50),                  # 50 distinct
-                ]
-            ),
-        }
-    )
-    truth = df.groupby("k")["v"].nunique()
-    ds = rd.from_pandas(df).repartition(7)
-    est = approx_distinct(ds, "v", key="k").to_pandas().set_index("k")
-    for k in ("a", "b", "c"):
-        rel = abs(est.loc[k, "approx_distinct"] - truth[k]) / truth[k]
-        assert rel < 0.05, (k, est.loc[k, "approx_distinct"], truth[k])
-    # partition invariance: registers merge by max, so the estimate is
-    # bit-identical across block layouts
-    est2 = approx_distinct(
-        rd.from_pandas(df).repartition(2), "v", key="k"
-    ).to_pandas().set_index("k")
-    assert (est["approx_distinct"] == est2["approx_distinct"]).all()
-    # global mode
-    g = approx_distinct(ds, "v")
-    g_truth = df["v"].nunique()
-    assert abs(g - g_truth) / g_truth < 0.05
 
 
 def test_near_dup_keep_best(ray_session):
@@ -1285,42 +885,6 @@ def test_verify_pairs_drops_phantom_endpoints(ray_session):
                                 broadcast_threshold=100) == []
     out = verify_pairs_jaccard(ds, cand, threshold=0.0, broadcast_threshold=0)
     assert out == []
-
-
-def test_asof_join_directions(ray_session):
-    """asof_join matches pandas merge_asof semantics across partitions
-    and directions; inner=False keeps unmatched left rows."""
-    import ray.data as rd
-
-    from versa_ray.ops.joins import asof_join
-
-    left = pd.DataFrame(
-        {"event_id": [1, 2, 3, 4], "ts": pd.to_datetime(
-            ["2024-01-01 10:00", "2024-01-01 12:00",
-             "2024-01-02 09:00", "2024-01-01 08:00"]),
-         "user_id": [1, 1, 2, 3]}
-    )
-    right = pd.DataFrame(
-        {"event_id": [10, 11, 12], "ts": pd.to_datetime(
-            ["2024-01-01 09:00", "2024-01-01 11:00", "2024-01-02 08:00"]),
-         "user_id": [1, 1, 2]}
-    )
-    lds = rd.from_pandas(left).repartition(3)
-    rds = rd.from_pandas(right).repartition(2)
-
-    out = asof_join(lds, rds, right_cols=["event_id"]).to_pandas()
-    got = {(r.event_id, r.event_id_r) for r in out.itertuples()}
-    assert got == {(1, 10), (2, 11), (3, 12)}  # user 3 dropped (inner)
-
-    outer = asof_join(lds, rds, right_cols=["event_id"], inner=False).to_pandas()
-    assert len(outer) == 4
-    assert outer.loc[outer.event_id == 4, "ts_r"].isna().all()
-
-    fwd = asof_join(lds, rds, right_cols=["event_id"],
-                    direction="forward").to_pandas()
-    got_f = {(r.event_id, int(r.event_id_r)) for r in fwd.itertuples()}
-    # only event 1 has a same-user right row at-or-after its ts
-    assert got_f == {(1, 11)}
 
 
 def test_pii_scrub_kinds_and_order():
@@ -1695,175 +1259,6 @@ def test_incremental_minhash_dedup(ray_session, tmp_path):
     assert sorted(a3r.to_pandas()["cluster"]) == [0, 1, 2]
 
 
-def test_append_ann_index(ray_session, tmp_path):
-    """Frozen-quantizer append: appended codes are byte-identical to
-    encoding the delta with the index's own quantizers; search after
-    append returns appended ids; a crash-interrupted append (files
-    still staged) is completed by the next append/search."""
-    import glob
-    import os
-    import shutil
-
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from versa_ray.ops import similarity
-
-    rng = np.random.default_rng(7)
-    dim = 16
-    base = rng.normal(size=(60, dim))
-    rows = [{"vec_id": i, "embedding": base[i].tolist()} for i in range(60)]
-    # delta: near-twin of vec 5 plus fresh vectors
-    delta_rows = [{"vec_id": 100, "embedding": (base[5] + 0.01).tolist()}] + [
-        {"vec_id": 101 + j, "embedding": rng.normal(size=dim).tolist()}
-        for j in range(9)
-    ]
-    idx = str(tmp_path / "ann")
-    similarity.build_ann_index(
-        rd.from_pandas(pd.DataFrame(rows)), idx, dim=dim, n_cells=8, m=8,
-        nbits=6)
-    n = similarity.append_ann_index(
-        idx, rd.from_pandas(pd.DataFrame(delta_rows)))
-    assert n == 10
-
-    # search with the twin of vec 5 as the query: the appended twin
-    # (id 100) must be the top neighbor
-    res = similarity.search_ann_index(
-        idx, [base[5].tolist()], [999], k=3, nprobe=4).to_pandas()
-    top = res[res["rank"] == 1]["nid"].iloc[0]
-    assert top in (100, 5)  # twin and original are ADC-equal up to code
-    assert set(res["nid"]) & {100, 5}
-
-    # appended codes == one-shot encode with the same frozen quantizers
-    qz = np.load(os.path.join(idx, "quantizers.npz"))
-    import ray
-
-    files = glob.glob(os.path.join(idx, "codes", "cell=*", "*.parquet"))
-    allc = pd.concat([pd.read_parquet(f) for f in files])
-    # re-encode delta driver-side
-    mat = similarity._normalize(np.stack(
-        [np.asarray(r["embedding"]) for r in delta_rows]).astype(np.float64))
-    codes = similarity._pq_assign_codes(mat, qz["codebooks"])
-    for i, r in enumerate(delta_rows):
-        got = allc[allc["vec_id"] == r["vec_id"]]
-        assert len(got) == 1
-        assert np.array_equal(
-            np.asarray(got["code"].iloc[0]).astype(np.uint8),
-            codes[i].astype(np.uint8))
-
-    # crash windows:
-    stage = os.path.join(idx, "codes_stage.tmp")
-    # (a) UNCOMMITTED stage (crash mid-write): search leaves it alone,
-    # never moves its possibly-truncated files
-    os.makedirs(os.path.join(stage, "cell=0"), exist_ok=True)
-    src = files[0]
-    staged = os.path.join(stage, "cell=0", "zz_staged.parquet")
-    shutil.copy(src, staged)
-    similarity.search_ann_index(idx, [base[5].tolist()], [999], k=1)
-    assert os.path.exists(staged)  # untouched by the reader
-    assert not os.path.exists(
-        os.path.join(idx, "codes", "cell=0", "zz_staged.parquet"))
-    # (b) COMMITTED stage (crash mid-move): search completes the move
-    with open(os.path.join(stage, similarity._APPEND_COMMIT), "w") as f:
-        f.write("x")
-    similarity.search_ann_index(idx, [base[5].tolist()], [999], k=1)
-    assert not os.path.isdir(stage)
-    assert os.path.exists(
-        os.path.join(idx, "codes", "cell=0", "zz_staged.parquet"))
-    meta = __import__("json").load(
-        open(os.path.join(idx, "_ann_meta.json")))
-    assert meta["rows_appended"] == 10
-
-    # (c) replayed append (same delta retried after its moves already
-    # completed) is detected via the fingerprint history and skipped
-    again = similarity.append_ann_index(
-        idx, rd.from_pandas(pd.DataFrame(delta_rows)))
-    assert again == 0
-    meta = __import__("json").load(
-        open(os.path.join(idx, "_ann_meta.json")))
-    assert meta["rows_appended"] == 10  # unchanged
-
-    # (d) empty delta is a no-op
-    assert similarity.append_ann_index(
-        idx, rd.from_pandas(pd.DataFrame(
-            {"vec_id": pd.array([], dtype="int64"),
-             "embedding": pd.array([], dtype=object)}))) == 0
-
-    # (e) crash AFTER the moves but BEFORE the meta record: the stage
-    # survives with its fp-bearing marker and no files; the next call
-    # folds the fp into the meta, so retrying that delta is a no-op
-    import json
-
-    d2 = [{"vec_id": 200 + j, "embedding": rng.normal(size=dim).tolist()}
-          for j in range(5)]
-    assert similarity.append_ann_index(
-        idx, rd.from_pandas(pd.DataFrame(d2))) == 5
-    meta = json.load(open(os.path.join(idx, "_ann_meta.json")))
-    fp2 = meta["applied_appends"][-1]
-    # simulate the window: forget the record, leave the marker behind
-    meta["applied_appends"] = [
-        f for f in meta["applied_appends"] if f != fp2]
-    meta["rows_appended"] -= 5
-    json.dump(meta, open(os.path.join(idx, "_ann_meta.json"), "w"))
-    os.makedirs(stage, exist_ok=True)
-    with open(os.path.join(stage, similarity._APPEND_COMMIT), "w") as f:
-        json.dump({"fp": fp2, "n": 5}, f)
-    assert similarity.append_ann_index(
-        idx, rd.from_pandas(pd.DataFrame(d2))) == 0  # recovered, not dup
-    meta = json.load(open(os.path.join(idx, "_ann_meta.json")))
-    assert fp2 in meta["applied_appends"]
-    assert meta["rows_appended"] == 15  # 10 (first delta) + 5 (d2), once
-
-    # (f) a DIFFERENT delta spanning the SAME id range (re-encoded
-    # vectors) is appended, not false-positive-skipped: the content
-    # hash distinguishes it from the recorded fingerprint
-    d2b = [{"vec_id": 200 + j,
-            "embedding": (np.asarray(r["embedding"]) + 1.5).tolist()}
-           for j, r in enumerate(d2)]
-    assert similarity.append_ann_index(
-        idx, rd.from_pandas(pd.DataFrame(d2b))) == 5
-
-
-def test_compact_ann_index(ray_session, tmp_path):
-    """Compaction merges append-accumulated files to one set per cell
-    without changing a single search result."""
-    import glob
-    import os
-
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from versa_ray.ops import similarity
-
-    rng = np.random.default_rng(3)
-    dim = 12
-    base = rng.normal(size=(80, dim))
-    mk = lambda lo, hi: rd.from_pandas(pd.DataFrame(
-        [{"vec_id": i, "embedding": base[i].tolist()} for i in range(lo, hi)]))
-    idx = str(tmp_path / "ann")
-    similarity.build_ann_index(mk(0, 40), idx, dim=dim, n_cells=4, m=6,
-                               nbits=6)
-    similarity.append_ann_index(idx, mk(40, 60))
-    similarity.append_ann_index(idx, mk(60, 80))
-
-    q = [base[10].tolist(), base[70].tolist()]
-    before = similarity.search_ann_index(idx, q, [0, 1], k=5, nprobe=4)
-    before = before.to_pandas().sort_values(["qid", "rank"], ignore_index=True)
-
-    n = similarity.compact_ann_index(idx)
-    assert n >= 1
-    for d in glob.glob(os.path.join(idx, "codes", "cell=*")):
-        assert len(glob.glob(os.path.join(d, "*.parquet"))) == 1
-
-    after = similarity.search_ann_index(idx, q, [0, 1], k=5, nprobe=4)
-    after = after.to_pandas().sort_values(["qid", "rank"], ignore_index=True)
-    pd.testing.assert_frame_equal(before, after)
-    # idempotent: nothing left to compact
-    assert similarity.compact_ann_index(idx) == 0
-
-
 def test_incremental_minhash_empty_delta(ray_session, tmp_path):
     """An empty micro-batch is a no-op: empty typed assignment, zero
     kept, state untouched."""
@@ -1996,99 +1391,6 @@ def test_semi_join_keys_exact_and_tiny_right(ray_session):
         assert len(semi) + len(anti) == len(left)
 
 
-def test_range_join_overlap_equals_pandas(ray_session):
-    """Overlapping per-key intervals: the time-bucket-replication join
-    must return EVERY (event, containing-interval) pair exactly once,
-    matching a pandas cross-merge reference; the replication guard
-    refuses an interval too wide for the grain."""
-    import ray.data as rd
-
-    from versa_ray.ops.joins import range_join_overlap
-
-    rng = np.random.RandomState(11)
-    n = 600
-    ev = pd.DataFrame(
-        {
-            "event_id": np.arange(n),
-            "user_id": rng.randint(0, 12, n).astype("int64"),
-            "ts": pd.Timestamp("2026-01-01")
-            + pd.to_timedelta(rng.randint(0, 72 * 3600, n), unit="s"),
-        }
-    )
-    k = 200
-    wins = pd.DataFrame(
-        {
-            "user_id": rng.randint(0, 12, k).astype("int64"),
-            "win_id": np.arange(k),
-            "win_start": pd.Timestamp("2026-01-01")
-            + pd.to_timedelta(rng.randint(0, 70 * 3600, k), unit="s"),
-        }
-    )
-    # spans 2h-12h: heavily overlapping per user, multi-bucket at 1h grain
-    wins["win_end"] = wins.win_start + pd.to_timedelta(
-        rng.randint(2 * 3600, 12 * 3600, k), unit="s")
-
-    got = range_join_overlap(
-        rd.from_pandas(ev).repartition(6), rd.from_pandas(wins),
-        on="ts", by="user_id", start_col="win_start", end_col="win_end",
-        right_cols=["win_id"], grain="1h",
-    ).to_pandas()
-
-    want = ev.merge(wins, on="user_id")
-    want = want[(want.win_start <= want.ts) & (want.ts <= want.win_end)]
-    assert len(got) == len(want)
-    # overlap genuinely exercised: some event matched several windows
-    assert want.duplicated(subset=["event_id"]).any()
-    a = set(zip(got.event_id.astype(int), got.win_id_r.astype(int)))
-    b = set(zip(want.event_id, want.win_id))
-    assert a == b
-    assert not got.duplicated(["event_id", "win_id_r"]).any()
-
-    with pytest.raises(Exception, match="raise grain"):
-        range_join_overlap(
-            rd.from_pandas(ev), rd.from_pandas(wins), on="ts", by="user_id",
-            start_col="win_start", end_col="win_end", grain="1s",
-            max_replication=100,
-        ).materialize()
-
-
-def test_range_join_overlap_tz_aware(ray_session):
-    """tz-aware timestamp columns must bucket correctly (pandas 2.x
-    forbids astype() from tz-aware to naive — the bucketizer converts
-    via UTC instead), matching the same pandas reference join."""
-    import ray.data as rd
-
-    from versa_ray.ops.joins import range_join_overlap
-
-    rng = np.random.RandomState(7)
-    n, k = 200, 60
-    ev = pd.DataFrame({
-        "event_id": np.arange(n),
-        "user_id": rng.randint(0, 6, n).astype("int64"),
-        "ts": pd.Timestamp("2026-01-01", tz="UTC")
-        + pd.to_timedelta(rng.randint(0, 48 * 3600, n), unit="s"),
-    })
-    wins = pd.DataFrame({
-        "user_id": rng.randint(0, 6, k).astype("int64"),
-        "win_id": np.arange(k),
-        "win_start": pd.Timestamp("2026-01-01", tz="UTC")
-        + pd.to_timedelta(rng.randint(0, 46 * 3600, k), unit="s"),
-    })
-    wins["win_end"] = wins.win_start + pd.to_timedelta(
-        rng.randint(2 * 3600, 8 * 3600, k), unit="s")
-
-    got = range_join_overlap(
-        rd.from_pandas(ev).repartition(4), rd.from_pandas(wins),
-        on="ts", by="user_id", start_col="win_start", end_col="win_end",
-        right_cols=["win_id"], grain="1h",
-    ).to_pandas()
-    want = ev.merge(wins, on="user_id")
-    want = want[(want.win_start <= want.ts) & (want.ts <= want.win_end)]
-    a = set(zip(got.event_id.astype(int), got.win_id_r.astype(int)))
-    assert a == set(zip(want.event_id, want.win_id))
-    assert not got.duplicated(["event_id", "win_id_r"]).any()
-
-
 def _brute_dup_spans(docs, k=3, min_docs=2):
     """Reference: brute-force duplicated-gram run detection."""
     from collections import defaultdict
@@ -2194,43 +1496,6 @@ def test_doc_bigram_perplexity_brute(ray_session):
             assert got[d][1] == pytest.approx(-s / n, abs=1e-6)
 
 
-def test_heavy_hitters(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.agg import heavy_hitters
-
-    rng = np.random.RandomState(17)
-    # 3 planted hitters in a long tail of singletons
-    vals = (["hot-a"] * 300 + ["hot-b"] * 150 + ["hot-c"] * 60
-            + [f"tail-{i}" for i in range(490)])
-    rng.shuffle(vals)
-    df = pd.DataFrame({"v": vals})
-    total = len(df)
-
-    out = heavy_hitters(
-        rd.from_pandas(df).repartition(5), "v", threshold_frac=0.05,
-        width=256, depth=3,
-    ).to_pandas()
-    got = dict(zip(out.v, out.n))
-    # threshold = ceil(0.05 * 1000) = 50 -> all three planted hitters
-    assert got == {"hot-a": 300, "hot-b": 150, "hot-c": 60}
-
-    # a threshold nothing clears returns an empty frame, not an error
-    out2 = heavy_hitters(
-        rd.from_pandas(df).repartition(5), "v", threshold_frac=0.9,
-        width=64, depth=2,
-    ).to_pandas()
-    assert len(out2) == 0
-
-    # tiny sketch (massive collisions) still yields EXACT answers —
-    # collisions only widen the candidate set
-    out3 = heavy_hitters(
-        rd.from_pandas(df).repartition(5), "v", threshold_frac=0.05,
-        width=8, depth=1,
-    ).to_pandas()
-    assert dict(zip(out3.v, out3.n)) == got
-
-
 def test_grouped_quantile_disc_and_filter(ray_session):
     import ray.data as rd
 
@@ -2286,38 +1551,6 @@ def test_zip_with_index(ray_session):
     one = zip_with_index(
         rd.from_pandas(pd.DataFrame({"k": [42]})), "k").to_pandas()
     assert one.to_dict("records") == [{"k": 42, "_index": 0}]
-
-
-def test_inter_event_gaps(ray_session):
-    import ray.data as rd
-
-    from versa_ray.ops.windows import inter_event_gaps
-
-    rng = np.random.RandomState(41)
-    n = 300
-    ev = pd.DataFrame({
-        "user_id": rng.randint(0, 9, n).astype("int64"),
-        "ts": pd.Timestamp("2026-01-01")
-        + pd.to_timedelta(rng.randint(0, 10**9, n), unit="us"),
-    })
-    ev = pd.concat(  # a single-event user exercises the 0-gap row
-        [ev, pd.DataFrame({"user_id": [99],
-                           "ts": [pd.Timestamp("2026-01-02")]})],
-        ignore_index=True)
-    out = inter_event_gaps(
-        rd.from_pandas(ev).repartition(5), num_buckets=4).to_pandas()
-    got = {int(r.user_id): (r.n_events, r.n_gaps, r.min_gap_us,
-                            r.max_gap_us, r.sum_gap_us)
-           for r in out.itertuples()}
-    for uid, g in ev.groupby("user_id"):
-        ts = np.sort(g["ts"].to_numpy().astype("datetime64[us]"))
-        gaps = np.diff(ts).astype(np.int64)
-        want = (len(ts), len(gaps),
-                int(gaps.min()) if len(gaps) else 0,
-                int(gaps.max()) if len(gaps) else 0,
-                int(gaps.sum()) if len(gaps) else 0)
-        assert got[int(uid)] == want, uid
-    assert got[99] == (1, 0, 0, 0, 0)
 
 
 def test_inverted_index_build_and_lookup(ray_session, docs_ds, tmp_path):
@@ -2586,87 +1819,6 @@ def test_mad_outliers_brute_force(ray_session):
     assert sum(1 for *_, o in want.values() if o) == 6  # all plants flagged
 
 
-def test_debounce_brute_force(ray_session):
-    """debounce equals a sequential lag-rule reference, including
-    equal-timestamp ties (ordered by id) and multi-column keys."""
-    import random
-
-    import ray.data as rd
-
-    from versa_ray.ops.windows import debounce
-
-    rng = random.Random(11)
-    base = np.datetime64("2024-01-01T00:00:00", "us")
-    rows = []
-    eid = 0
-    for u in range(6):
-        t = base
-        for _ in range(rng.randrange(1, 25)):
-            t = t + np.timedelta64(rng.randrange(0, 100), "us")
-            rows.append((eid, t, u, "ab"[rng.randrange(2)]))
-            eid += 1
-    # duplicate timestamps across ids for the tie rule
-    rows.append((eid, rows[0][1], rows[0][2], rows[0][3])); eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "etype"])
-
-    for keys in [("user_id",), ("user_id", "etype")]:
-        gap = 30
-        want = set()
-        for _, g in df.groupby(list(keys)):
-            g = g.sort_values(["ts", "event_id"], kind="mergesort")
-            prev = None
-            for r in g.itertuples():
-                t = np.datetime64(r.ts, "us").astype(np.int64)
-                if prev is None or t - prev > gap:
-                    want.add(int(r.event_id))
-                prev = t
-        out = debounce(rd.from_pandas(df).repartition(5), gap_us=gap,
-                       keys=keys, num_buckets=4).to_pandas()
-        assert set(out.event_id.astype(int)) == want
-        assert list(out.columns) == ["event_id", "ts"] + list(keys)
-
-
-def test_daily_trend_brute_force(ray_session):
-    """daily_trend equals an integer-moment reference with centered
-    day indices, is partition-invariant, and den==0 for single-day
-    keys."""
-    import random
-
-    import ray.data as rd
-
-    from versa_ray.ops.windows import daily_trend
-
-    rng = random.Random(3)
-    base = np.datetime64("2024-03-01T00:00:00", "us")
-    rows = []
-    for k, ndays in [("up", 10), ("flat", 6), ("one", 1)]:
-        for d in range(ndays):
-            n = (d + 1) * 3 if k == "up" else 4
-            for _ in range(n):
-                rows.append((k, base + np.timedelta64(d, "D")
-                             + np.timedelta64(rng.randrange(86400), "s")))
-    df = pd.DataFrame(rows, columns=["k", "ts"])
-
-    want = {}
-    for k, g in df.groupby("k"):
-        days = g.ts.to_numpy().astype("datetime64[D]").astype(np.int64)
-        uniq, cnt = np.unique(days, return_counts=True)
-        x = uniq - uniq.min()
-        y = cnt
-        n = len(x)
-        want[k] = (n, int(n * (x * y).sum() - x.sum() * y.sum()),
-                   int(n * (x * x).sum() - x.sum() * x.sum()))
-
-    for nblocks in (1, 9):
-        out = daily_trend(rd.from_pandas(df).repartition(nblocks),
-                          key="k", num_buckets=5).to_pandas()
-        got = {r.k: (int(r.n_days), int(r.slope_num), int(r.slope_den))
-               for r in out.itertuples()}
-        assert got == want
-    assert want["one"][2] == 0 and want["flat"][1] == 0
-    assert want["up"][1] > 0
-
-
 def test_ntile_sql_semantics(ray_session):
     """ntile matches SQL NTILE (first N%B buckets take ceil(N/B)) on
     uneven N, N < B, duplicate values (tie-broken by id), and is
@@ -2695,25 +1847,12 @@ def test_ntile_sql_semantics(ray_session):
                 got, want, check_dtype=False)
 
 
-def test_broadcast_join_and_winsorize(ray_session):
-    """broadcast_join: left keeps misses (NULL-filled), inner drops
-    them, dup dim keys collapse to one row. winsorize: thresholds
-    equal quantile_disc semantics and the clip flag is exact."""
+def test_winsorize(ray_session):
+    """winsorize: thresholds equal quantile_disc semantics and the clip
+    flag is exact."""
     import ray.data as rd
 
     from versa_ray.ops.agg import winsorize
-    from versa_ray.ops.joins import broadcast_join
-
-    facts = pd.DataFrame({"k": [1, 2, 3, 2, 9], "v": [10, 20, 30, 40, 50]})
-    dim = pd.DataFrame({"dk": [1, 2, 3, 3], "name": ["a", "b", "c", "dup"]})
-
-    left = broadcast_join(rd.from_pandas(facts), dim, on="k",
-                          right_on="dk").to_pandas()
-    assert len(left) == 5 and left[left.k == 9]["name"].isna().all()
-    inner = broadcast_join(rd.from_pandas(facts), dim, on="k",
-                           right_on="dk", how="inner").to_pandas()
-    assert len(inner) == 4 and set(inner.k) == {1, 2, 3}
-    assert (left[left.k == 3]["name"] == "c").all()  # first dup wins
 
     rng = np.random.RandomState(2)
     df = pd.DataFrame({"rid": np.arange(200, dtype=np.int64),
@@ -2730,42 +1869,6 @@ def test_broadcast_join_and_winsorize(ray_session):
     assert (out.x_wins.to_numpy() == want).all()
     assert (out.clipped.to_numpy() == (want != df.x.to_numpy())).all()
     assert out.clipped.any() and not out.clipped.all()
-
-
-def test_ngram_transitions_brute_force(ray_session):
-    """ngram_transitions equals a sequential reference at n=2 (where
-    it must match transition_counts' semantics) and n=3, including ts
-    ties broken by id and users shorter than n."""
-    import random
-    from collections import Counter
-
-    import ray.data as rd
-
-    from versa_ray.ops.windows import ngram_transitions
-
-    rng = random.Random(13)
-    base = np.datetime64("2024-01-01", "us")
-    rows, eid = [], 0
-    for u in range(8):
-        for _ in range(rng.randrange(1, 15)):
-            rows.append((eid, u, base + np.timedelta64(
-                rng.randrange(0, 50), "s"), "abcd"[rng.randrange(4)]))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "user_id", "ts", "etype"])
-
-    for n in (2, 3):
-        want = Counter()
-        for _, g in df.groupby("user_id"):
-            seq = g.sort_values(["ts", "event_id"]).etype.tolist()
-            for i in range(len(seq) - n + 1):
-                want[tuple(seq[i:i + n])] += 1
-        out = ngram_transitions(
-            rd.from_pandas(df).repartition(5), n=n, key="user_id",
-            type_col="etype", num_buckets=4).to_pandas()
-        tcols = [f"t{i + 1}" for i in range(n)]
-        got = {tuple(r[c] for c in tcols): int(r["n_occurrences"])
-               for _, r in out.iterrows()}
-        assert got == dict(want)
 
 
 def test_profile_table_native_merge(ray_session):
@@ -2850,31 +1953,6 @@ def test_grouped_percent_rank_brute_force(ray_session):
             drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
     assert float(got[got.rid == 999].pct_rank.iloc[0]) == 0.0
-
-
-def test_skyline2d_brute_force(ray_session):
-    """skyline2d equals the O(n^2) dominance definition on random
-    integer pairs with duplicates, at two block layouts."""
-    import ray.data as rd
-
-    from versa_ray.ops.agg import skyline2d
-
-    rng = np.random.RandomState(6)
-    df = pd.DataFrame({
-        "x": rng.randint(0, 30, 300).astype(np.int64),
-        "y": rng.randint(0, 30, 300).astype(np.int64),
-    })
-    pairs = set(zip(df.x, df.y))
-    want = {
-        (a, b) for a, b in pairs
-        if not any((c >= a and d >= b and (c > a or d > b))
-                   for c, d in pairs)
-    }
-    for nblocks in (1, 9):
-        out = skyline2d(rd.from_pandas(df).repartition(nblocks),
-                        "x", "y").to_pandas()
-        got = set(zip(out.x.astype(int), out.y.astype(int)))
-        assert got == want
 
 
 def test_winnow_poly_hasher_fast_path(ray_session):

@@ -11,7 +11,7 @@ import pytest
 import __ray_entry__ as entrymod
 
 SF = __import__("os").environ.get("PARITY_SF", "/root/testdata/sf0.001")
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = "region nation customer supplier part orders lineitem documents".split()
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,13 @@ def test_oracle_parity(ray_session, con, name):
 def test_rows_only_queries_run(ray_session, name):
     got = _to_pandas(QUERIES[name](SF))
     assert len(got) >= 0
+
+
+def test_bench_query_suite_names_registered():
+    import bench
+
+    assert set(bench.QUERY_SUITE) <= set(QUERIES), (
+        sorted(set(bench.QUERY_SUITE) - set(QUERIES)))
 
 
 def test_entry_smoke(ray_session):

@@ -487,6 +487,16 @@ def test_read_linkset_mixed_file_schemas(ray_session, tmp_path):
         got = pa.concat_tables(blocks).to_pandas()
         assert rows(got, cols) == rows(expect, cols), kw
 
+    # an origin= read whose columns leave out origin: every block,
+    # empty ones included, leaves with the requested columns only
+    with _schema_mismatches() as mismatches:
+        got = read_linkset(path, origin="urn:t:7",
+                           columns=["rel", "target"]).to_pandas()
+    assert not mismatches
+    assert list(got.columns) == ["rel", "target"]
+    assert rows(got, ["rel", "target"]) == rows(
+        disk[disk.origin == "urn:t:7"], ["rel", "target"])
+
     man = _load_manifest(path)
     assert read_linkset(path).count() == sum(e["rows"] for e in man["files"])
 

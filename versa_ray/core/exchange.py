@@ -166,7 +166,11 @@ def exchange(inputs, keys, fn, out_schema, num_buckets=None):
                  else np.empty(0, dtype=np.int32))
             if multi:
                 return _pack(tbl, b, side, n)
-            return tbl.append_column(_BUCKET, pa.array(b, type=pa.int32()))
+            # Ray's reduce hashes block schemas to dedup them, and a
+            # pyarrow schema with metadata (pandas') is unhashable:
+            # "Failed to hash the schemas". The rows do not need it.
+            return tbl.replace_schema_metadata(None).append_column(
+                _BUCKET, pa.array(b, type=pa.int32()))
 
         return _tag
 

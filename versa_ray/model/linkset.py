@@ -67,10 +67,10 @@ def _mask_eq(tbl, col, value):
     return pc.equal(tbl[col], str(value))
 
 
-def match(ds, origin=None, rel=None, target=None, attrs=None):
-    """Pattern scan: exact origin/rel/target equality (None = wildcard;
-    sets allowed -> multimatch) and attr-subset constraint."""
-    attrs_json = attrs_to_json(attrs) if attrs else None
+def match_filter(origin=None, rel=None, target=None, attrs=None):
+    """The Arrow table filter behind ``match``: ``tbl -> tbl`` keeping
+    the rows that meet the pattern, for callers that fuse it with
+    another step of the same batch map."""
     attr_items = sorted((str(k), str(v)) for k, v in (attrs or {}).items())
 
     def _filter(tbl: pa.Table) -> pa.Table:
@@ -103,7 +103,15 @@ def match(ds, origin=None, rel=None, target=None, attrs=None):
             tbl = cand
         return tbl
 
-    return ds.map_batches(_filter, batch_format="pyarrow")
+    return _filter
+
+
+def match(ds, origin=None, rel=None, target=None, attrs=None):
+    """Pattern scan: exact origin/rel/target equality (None = wildcard;
+    sets allowed -> multimatch) and attr-subset constraint."""
+    return ds.map_batches(
+        match_filter(origin=origin, rel=rel, target=target, attrs=attrs),
+        batch_format="pyarrow")
 
 
 multimatch = match  # sets are accepted directly by match

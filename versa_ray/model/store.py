@@ -52,7 +52,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .linkset import QUAD_COLS, match
+from .linkset import QUAD_COLS, match_filter
 
 _META_NAME = "_linkset_meta.json"
 _EPOCH_NAME = "_epoch.json"
@@ -639,9 +639,10 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
     unconstrained read needs no execution. ``columns`` prunes at the
     Parquet column level on top (only requested columns leave
     storage). The exact row-level match then runs as the usual Arrow
-    mask. Returns the store's columns (the canonical five link columns
-    plus any lineage columns), unified over the files read, or the
-    requested subset. A directory without ``_epoch.json`` is not a
+    mask, in the same batch map as the projection to ``columns`` when
+    the predicates needed extra columns. Returns the store's columns
+    (the canonical five link columns plus any lineage columns),
+    unified over the files read, or the requested subset. A directory without ``_epoch.json`` is not a
     store and raises ``FileNotFoundError``.
 
     ``origin_part_ids`` is the file-pruning handle for a DISTRIBUTED
@@ -672,9 +673,19 @@ def read_linkset(path: str, rel=None, origin=None, target=None, attrs=None,
         return empty.select_columns(list(columns)) if columns else empty
     ds = _read_entries(path, entries, read_cols)
     if rel is not None or origin is not None or target is not None or attrs:
-        ds = match(ds, origin=origin, rel=rel, target=target, attrs=attrs)
-    if columns is not None and set(read_cols) != set(columns):
-        ds = ds.select_columns(list(columns))
+        keep = match_filter(origin=origin, rel=rel, target=target,
+                            attrs=attrs)
+        # filter and projection share one batch map: with a separate
+        # select_columns step, some blocks still left carrying the
+        # predicate columns and Ray logged a different-schema warning
+        out_cols = (list(columns) if columns is not None
+                    and set(read_cols) != set(columns) else None)
+
+        def _match(tbl: pa.Table) -> pa.Table:
+            tbl = keep(tbl)
+            return tbl.select(out_cols) if out_cols else tbl
+
+        ds = ds.map_batches(_match, batch_format="pyarrow")
     return ds
 
 

@@ -1,3 +1,8 @@
+"""Operators over link-sets and document corpora: graph analytics and
+validation over the link-set and the parts graph, entity resolution,
+document dedup, curation, retrieval, sampling and tokenization, and
+the aggregates and joins they use."""
+
 from . import (
     agg,
     boilerplate,
@@ -12,9 +17,7 @@ from . import (
     mentions,
     retrieval,
     sample,
-    similarity,
     textstats,
     urltools,
     validate,
-    windows,
 )

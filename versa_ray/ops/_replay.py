@@ -1,13 +1,10 @@
-"""Shared replay-safety bookkeeping for incremental state stores.
+"""Replay-safety bookkeeping for an incremental state store.
 
-Both the incremental-minhash state (``ops/dedup.py``) and the
-persisted ANN index (``ops/similarity.py``) detect replayed deltas by
-recording a content fingerprint of every applied delta into a small
-JSON meta file next to the state. The record/read discipline is
-identical — atomic tmp+``os.replace`` write, a capped history window,
-an idempotent short-circuit when the fp is already present — so it
-lives here once; keeping two copies in lockstep (history cap, rows
-counter, atomicity) was an invitation to divergence.
+The incremental-minhash state (``ops/dedup.py``) detects replayed
+deltas by recording a content fingerprint of every applied delta into
+a small JSON meta file next to the state: atomic tmp+``os.replace``
+write, a capped history window, and an idempotent short-circuit when
+the fp is already present.
 """
 
 import json
@@ -19,20 +16,20 @@ import numpy as np
 
 # how many applied-delta fingerprints the meta retains: bounds the
 # replay-detection window (a delta older than the window re-applies)
-# while keeping the meta file O(1) — raise here, both stores follow
+# while keeping the meta file O(1)
 REPLAY_HISTORY = 16
 
 
 @contextmanager
 def _meta_lock(meta_path, timeout=30.0, stale_after=60.0):
     """O_EXCL lock file serializing the meta read-modify-write: a
-    writer recording its own delta can race a reader completing a
-    crashed writer's pending append (``_complete_pending_append``
-    explicitly tolerates concurrent completers) — unserialized, the
-    later ``os.replace`` drops the other's fingerprint and a replay
-    of that delta re-applies as duplicate rows. The hold is ms-scale
-    (one small JSON rewrite); ``stale_after`` breaks a lock orphaned
-    by a crash inside the window."""
+    writer recording its own delta can race another caller completing
+    a crashed writer's pending delta (``_recover_pending_delta``
+    tolerates concurrent recoverers) — unserialized, the later
+    ``os.replace`` drops the other's fingerprint and a replay of that
+    delta re-applies as duplicate rows. The hold is ms-scale (one
+    small JSON rewrite); ``stale_after`` breaks a lock orphaned by a
+    crash inside the window."""
     lock = meta_path + ".lock"
     deadline = time.time() + timeout
     while True:
@@ -60,23 +57,17 @@ def _meta_lock(meta_path, timeout=30.0, stale_after=60.0):
             pass
 
 
-def record_applied_fp(meta_path, fp, applied_key, counter_key, n=0,
-                      require_meta=False):
+def record_applied_fp(meta_path, fp, applied_key, counter_key, n=0):
     """Idempotently fold ``fp`` into ``meta[applied_key]`` (capped at
     ``REPLAY_HISTORY``) and add ``n`` to ``meta[counter_key]``, via
     atomic tmp+``os.replace`` under ``_meta_lock`` (concurrent
     recorders serialize; the idempotence check re-reads inside the
-    lock, so the same fp recorded twice counts once).
-    ``require_meta=True`` raises if the meta file is missing (the ANN
-    index always creates it at build time; its absence means a
-    corrupt index)."""
+    lock, so the same fp recorded twice counts once)."""
     with _meta_lock(meta_path):
         meta = {}
         if os.path.exists(meta_path):
             with open(meta_path) as f:
                 meta = json.load(f)
-        elif require_meta:
-            raise FileNotFoundError(meta_path)
         applied = meta.get(applied_key, [])
         if fp in applied:
             return
@@ -94,7 +85,8 @@ def content_hash_part(ids_hashed, payload):
     row (columns of the ``uint64`` matrix ``payload``) XORed with the
     row's pre-hashed id, summed mod 2^64 — blocks' partial sums add
     commutatively, so the total is identical whatever the block order
-    or split. Both incremental stores fingerprint deltas with this."""
+    or split. The incremental-minhash state fingerprints deltas with
+    this."""
     mult = np.uint64(0x9E3779B97F4A7C15)
     h = np.zeros(len(payload), dtype=np.uint64)
     with np.errstate(over="ignore"):

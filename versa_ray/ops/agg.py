@@ -1,14 +1,21 @@
-"""Grouped aggregation for SMALL group cardinality.
+"""Aggregates, quantiles and ranks over document and graph tables.
 
-Ray's ``Dataset.groupby().aggregate()`` runs a sort-based all-to-all
-shuffle whose fixed cost (~1.5 s at 32 cpus) dwarfs rollup-style
-aggregates whose group count is tiny (TPC-H Q1 has 6 groups). For
-those, a per-batch pandas combine followed by ONE single-block
-repartition and a final combine is both faster and shuffle-free: the
-repartitioned intermediate is ``groups x blocks`` rows (bounded —
-at 10k blocks and 6 groups it is 60k rows), so the single final task
-is never the bottleneck. NOT for high-cardinality keys: use
-``Dataset.groupby`` or ``bucketed_group_apply`` there.
+``grouped_agg_small`` is a grouped aggregation for SMALL group
+cardinality. Ray's ``Dataset.groupby().aggregate()`` runs a
+sort-based all-to-all shuffle whose fixed cost (~1.5 s at 32 cpus)
+dwarfs rollup-style aggregates whose group count is tiny (five
+languages in ``doc_lang_counts``). For those, a per-batch pandas
+combine followed by ONE single-block repartition and a final combine
+is both faster and shuffle-free: the repartitioned intermediate is
+``groups x blocks`` rows (bounded — at 10k blocks and 6 groups it is
+60k rows), so the single final task is never the bottleneck. NOT for
+high-cardinality keys: use ``Dataset.groupby`` or
+``bucketed_group_apply`` there.
+
+The rest are exact or mergeable order statistics, each one or a few
+keyed exchanges: grouped top-k, approximate and exact quantiles,
+grouped discrete quantiles, global row indices, percent ranks,
+NTILE, MAD outliers and winsorization.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ from ..core.exchange import bucketed_group_apply, exchange
 
 __all__ = [
     "grouped_agg_small", "grouped_topk", "approx_quantiles",
-    "exact_quantiles", "approx_distinct", "heavy_hitters",
-    "grouped_quantile_disc", "filter_above_group_quantile",
-    "zip_with_index",
+    "exact_quantiles", "grouped_quantile_disc",
+    "filter_above_group_quantile", "zip_with_index", "percent_rank",
+    "mad_outliers", "ntile", "winsorize", "grouped_percent_rank",
 ]
 
 _FINAL_HOW = {"sum": "sum", "size": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -381,190 +388,6 @@ def exact_quantiles(ds, col, qs, grid=4096, max_collect=2_000_000,
     return out
 
 
-# ---------------------------------------------------------------------------
-# HyperLogLog approximate distinct count
-
-
-def _hll_registers(values: "pd.Series", precision: int) -> np.ndarray:
-    """Vectorized HLL register array (length 2^precision) for one
-    batch of values: deterministic 64-bit hashes (the fixed-key
-    pandas siphash — identical across processes/workers), bucket =
-    top ``precision`` bits, register value = leading-zero count of
-    the remaining bits + 1."""
-    m = 1 << precision
-    regs = np.zeros(m, dtype=np.uint8)
-    if not len(values):
-        return regs
-    h = pd.util.hash_pandas_object(values, index=False).to_numpy()
-    bucket = (h >> np.uint64(64 - precision)).astype(np.int64)
-    rest = (h << np.uint64(precision)) | np.uint64((1 << precision) - 1)
-    # leading zeros of the top (64 - precision) bits, +1; the OR above
-    # seeds the low bits so lzcount never exceeds 64 - precision
-    width = np.uint64(64)
-    lz = np.zeros(len(h), dtype=np.uint8)
-    cur = rest.copy()
-    # branch-free binary leading-zero count
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask_hi = cur < (np.uint64(1) << (width - np.uint64(shift)))
-        lz[mask_hi] += np.uint8(shift)
-        cur[mask_hi] = cur[mask_hi] << np.uint64(shift)
-    np.maximum.at(regs, bucket, lz + 1)
-    return regs
-
-
-def _hll_estimate(regs: np.ndarray) -> float:
-    """Standard HLL estimator with the small-range (linear counting)
-    correction; 64-bit hashes make the large-range correction moot."""
-    m = len(regs)
-    alpha = {16: 0.673, 32: 0.697, 64: 0.709}.get(
-        m, 0.7213 / (1 + 1.079 / m)
-    )
-    est = alpha * m * m / np.sum(np.float64(2.0) ** -regs.astype(np.float64))
-    zeros = int(np.count_nonzero(regs == 0))
-    if est <= 2.5 * m and zeros:
-        return float(m * np.log(m / zeros))
-    return float(est)
-
-
-def approx_distinct(ds, col, key=None, precision=12):
-    """HyperLogLog distinct count of ``col`` — global (``key=None``,
-    returns a float) or per ``key`` group (returns a Dataset of
-    ``(key, approx_distinct)``). Relative error ~1.04/sqrt(2^p)
-    (~1.6% at the default p=12).
-
-    Decomposable at any scale: each batch reduces to a 2^p-byte
-    register array (per key), merged by elementwise MAX — the global
-    merge ships ``blocks x 2^p`` bytes to the driver, never value
-    cardinality; the per-key merge is one coarse-bucket shuffle of
-    ``groups x 2^p``-byte rows. Per-key mode sizes for MODERATE key
-    cardinality (each key carries a 4 KiB register payload at p=12;
-    drop ``precision`` for very wide key spaces)."""
-    if key is None:
-        def _partial(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"regs": [_hll_registers(df[col], precision).tobytes()]}
-            )
-
-        merged = np.zeros(1 << precision, dtype=np.uint8)
-        for row in ds.map_batches(
-                _partial, batch_format="pandas").to_pandas()["regs"]:
-            merged = np.maximum(merged, np.frombuffer(row, dtype=np.uint8))
-        return _hll_estimate(merged)
-
-    def _partial_k(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for kv, grp in df.groupby(key, sort=False):
-            rows.append(
-                {key: kv,
-                 "regs": _hll_registers(grp[col], precision).tobytes()}
-            )
-        return pd.DataFrame(rows, columns=[key, "regs"])
-
-    def _final_k(group: pd.DataFrame) -> pd.DataFrame:
-        merged = np.zeros(1 << precision, dtype=np.uint8)
-        for row in group["regs"]:
-            merged = np.maximum(merged, np.frombuffer(row, dtype=np.uint8))
-        return pd.DataFrame(
-            {key: group[key].iloc[:1],
-             "approx_distinct": [_hll_estimate(merged)]}
-        )
-
-    partials = ds.map_batches(_partial_k, batch_format="pandas")
-    return bucketed_group_apply(
-        partials, [key], _final_k,
-        lambda sch: pa.schema([sch.field(key),
-                               pa.field("approx_distinct", pa.float64())]))
-
-
-def _cms_rows(vals: "pd.Series", depth: int, width: int) -> np.ndarray:
-    """(depth, len) column indices for a count-min sketch: row k uses
-    pandas' siphash with a distinct 16-byte key — deterministic and
-    replayable at probe time."""
-    out = np.empty((depth, len(vals)), dtype=np.int64)
-    for k in range(depth):
-        h = pd.util.hash_pandas_object(
-            vals, index=False, hash_key=f"{k:016d}")
-        out[k] = (h % np.uint64(width)).to_numpy().astype(np.int64)
-    return out
-
-
-def heavy_hitters(ds, col, threshold_frac=0.01, width=2048, depth=4):
-    """Values of ``col`` occurring in at least ``threshold_frac`` of
-    all rows, with EXACT counts — ``(col, n)`` rows.
-
-    Count-min sketch as a PRUNER, exactness from a verify pass (the
-    same discipline as ``bloom_semi_filter``: the sketch changes
-    cost, never the answer):
-
-    1. per-batch CMS partials (depth x width int64 + a row-count
-       scalar) merged by elementwise SUM driver-side — blocks x
-       ``depth*width*8`` bytes, never value cardinality;
-    2. candidate harvest: each batch probes its DISTINCT values
-       against the broadcast sketch; CMS only over-estimates, so
-       every true heavy hitter survives and the candidate set stays
-       near ``1/threshold_frac`` values (plus bounded collision
-       noise) — small enough to broadcast;
-    3. exact verify: rows are semi-filtered by the broadcast
-       candidate set and counted on one keyed exchange; the
-       threshold cut uses the EXACT counts.
-    """
-    import ray
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        sketch = np.zeros((depth, width), dtype=np.int64)
-        if len(df):
-            vals = df[col]
-            idx = _cms_rows(vals, depth, width)
-            for k in range(depth):
-                np.add.at(sketch[k], idx[k], 1)
-        return pd.DataFrame({"sketch": [sketch.tobytes()],
-                             "n": [len(df)]})
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    sketch = np.zeros((depth, width), dtype=np.int64)
-    for blob in parts["sketch"]:
-        sketch += np.frombuffer(blob, dtype=np.int64).reshape(depth, width)
-    total = int(parts["n"].sum())
-    threshold = int(np.ceil(threshold_frac * total))
-    sk_ref = ray.put(sketch)
-
-    def _candidates(df: pd.DataFrame) -> pd.DataFrame:
-        vals = df[col].drop_duplicates()
-        if not len(vals):
-            return pd.DataFrame({col: vals})
-        sk = ray.get(sk_ref)
-        idx = _cms_rows(vals, depth, width)
-        est = sk[np.arange(depth)[:, None], idx].min(axis=0)
-        return pd.DataFrame({col: vals[est >= threshold]})
-
-    cdf = ds.map_batches(_candidates, batch_format="pandas").to_pandas()
-    # all-empty candidate batches concatenate to a 0-column frame
-    cand = set(cdf[col].drop_duplicates()) if col in cdf.columns else set()
-    if not cand:
-        import ray.data as rd
-
-        return rd.from_pandas(pd.DataFrame(
-            {col: pd.Series([], dtype=object),
-             "n": pd.Series([], dtype="int64")}))
-    cand_ref = ray.put(cand)
-
-    def _count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if col not in df.columns:  # schema-less empty block
-            return pd.DataFrame({col: [], "n": []})
-        vc = df[col][df[col].isin(ray.get(cand_ref))].value_counts()
-        return pd.DataFrame({col: vc.index.to_numpy(),
-                             "n": vc.to_numpy().astype("int64")})
-
-    def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(col, as_index=False, sort=False)["n"].sum()
-        return g[g["n"] >= threshold]
-
-    return exchange(
-        ds.map_batches(_count_partial, batch_format="pandas"),
-        col, _merge,
-        lambda sch: pa.schema([sch.field(col), pa.field("n", pa.int64())]))
-
-
 def grouped_quantile_disc(ds, key, col, q, num_buckets=64):
     """EXACT per-group discrete quantile (SQL ``quantile_disc``
     semantics: the element at 0-indexed rank ``ceil(q*N) - 1`` within
@@ -788,51 +611,6 @@ def _replace_tag(tag, out_col, out_type):
         pa.field(out_col, out_type))
 
 
-def histogram(ds, col, bins, lo=None, hi=None):
-    """Exact equi-width histogram ``(bin, n)`` over a numeric column:
-    per-batch ``np.bincount`` partials (one shuffle-free pass), merged
-    in a single bounded task (``bins`` rows per batch partial). Bin
-    rule, shared verbatim with the SQL replay: ``min(bins - 1,
-    floor((v - lo) * bins / (hi - lo)))`` as one double expression —
-    the right edge closes into the last bin. ``lo``/``hi`` default to
-    the exact distributed min/max (a degenerate span puts everything
-    in bin 0 — engine-side contract only; the SQL form divides by
-    zero there). Empty bins are emitted with n = 0."""
-    if lo is None:
-        lo = ds.min(col)
-    if hi is None:
-        hi = ds.max(col)
-    lo_f, hi_f = float(lo), float(hi)
-    span = hi_f - lo_f
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        if col not in df.columns or not len(df):
-            return pd.DataFrame({"bin": pd.Series([], dtype="int64"),
-                                 "n": pd.Series([], dtype="int64")})
-        v = df[col].to_numpy().astype("float64")
-        if span == 0:
-            ix = np.zeros(len(v), dtype=np.int64)
-        else:
-            ix = np.floor((v - lo_f) * float(bins) / span).astype(np.int64)
-            ix = np.minimum(ix, bins - 1)
-        counts = np.bincount(ix, minlength=bins)
-        return pd.DataFrame({"bin": np.arange(bins, dtype=np.int64),
-                             "n": counts.astype("int64")})
-
-    def _final(df: pd.DataFrame) -> pd.DataFrame:
-        base = pd.DataFrame({"bin": np.arange(bins, dtype=np.int64)})
-        out = df.groupby("bin", as_index=False)["n"].sum()
-        out = base.merge(out, on="bin", how="left").fillna({"n": 0})
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    return (
-        ds.map_batches(_partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(_final, batch_format="pandas")
-    )
-
-
 def mad_outliers(ds, key, col, k=3, num_buckets=64):
     """Robust per-group outlier flags via median absolute deviation:
     a row is an outlier when ``|x - median(group)| > k * MAD(group)``
@@ -989,47 +767,3 @@ def grouped_percent_rank(ds, key, col, out_col="pct_rank",
         ds, [key], _rank,
         lambda sch: sch.append(pa.field(out_col, pa.float64())), num_buckets)
 
-
-def skyline2d(ds, x, y, num_final_blocks=1):
-    """2-D Pareto skyline, both dimensions MAXIMIZED (negate a column
-    upstream to minimize): the distinct (x, y) pairs no other pair
-    dominates (>= in both, > in at least one) — the
-    best-tradeoff-frontier operator (quality vs length, price vs
-    quantity).
-
-    Classic two-level shape: the global skyline is a subset of the
-    union of per-block skylines, so each batch reduces to its LOCAL
-    skyline first (distinct pairs + one descending sort + a running
-    strictly-preceding max scan — O(n log n), no pairwise loop), and
-    only those candidates reach the final single-task merge, which
-    runs the identical scan. Candidate volume is the sum of local
-    skyline sizes — for correlated data a handful of rows; the
-    anti-correlated worst case (skyline ~ distinct values) is the
-    documented limit, as with any skyline algorithm.
-
-    The scan rule (on distinct pairs sorted by (x DESC, y DESC): keep
-    iff y exceeds the running max of all strictly-preceding rows)
-    replays exactly in SQL as a window MAX, so oracles need no
-    quadratic NOT EXISTS.
-    """
-
-    def _local(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({x: pd.Series([], dtype="float64"),
-                              y: pd.Series([], dtype="float64")})
-        if x not in df.columns or not len(df):
-            return empty
-        d = df[[x, y]].drop_duplicates()
-        d = d.sort_values([x, y], ascending=False, kind="mergesort",
-                          ignore_index=True)
-        yv = d[y].to_numpy()
-        run = np.maximum.accumulate(yv)
-        keep = np.empty(len(yv), dtype=bool)
-        keep[0] = True
-        keep[1:] = yv[1:] > run[:-1]
-        return d[keep]
-
-    return (
-        ds.map_batches(_local, batch_format="pandas")
-        .repartition(num_final_blocks)
-        .map_batches(_local, batch_format="pandas")
-    )

@@ -1,5 +1,5 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram
-Jaccard, embedding-cosine near-dup.
+Jaccard, sparse term-frequency cosine pairs.
 
 Shuffle discipline (the part that matters at 100 TB): every wide
 step is one ``core.exchange`` — rows hash to a small int bucket of
@@ -18,9 +18,9 @@ vectorized pandas pass (or a local groupby loop) inside the bucket.
 * simhash      — 64-bit signature, banded into 4×16-bit chunks for
                  bucketing (Hamming ≤3 guaranteed to collide in ≥1
                  chunk by pigeonhole).
-* embedding    — random-hyperplane LSH buckets, in-bucket cosine
-                 verify (the scale path for ANN; brute force lives in
-                 ops.similarity).
+* tf-cosine    — term-at-a-time candidate pairs from a term-keyed
+                 exchange, integer dot products summed in a pair-keyed
+                 exchange (``sparse_tf_cosine_pairs``).
 
 The incremental dedup state is Hive-partitioned on disk by
 ``_stable_int_bucket`` (and the exact path by fingerprint mod N);
@@ -176,18 +176,6 @@ def _minhash_params(num_perm: int, seed: int = 7):
     a = rng.randint(1, _MERSENNE, size=num_perm, dtype=np.uint64)
     b = rng.randint(0, _MERSENNE, size=num_perm, dtype=np.uint64)
     return a, b
-
-
-def minhash_signature(text: str, a, b, k: int = 3) -> np.ndarray:
-    hv = _shingle_hashes(text, k)
-    if not len(hv):
-        return np.full(len(a), _MERSENNE, dtype=np.uint64)
-    hv = hv % _MERSENNE
-    # (num_perm, n_shingles) permuted hashes -> row-wise min
-    vals = (
-        np.multiply.outer(a, hv, dtype=np.uint64) + b[:, None]
-    ) % _MERSENNE
-    return vals.min(axis=1)
 
 
 def _batch_shingle_hashes(texts, k):
@@ -1027,121 +1015,128 @@ def verify_pairs_jaccard(ds, pairs, text_col="text", id_col="doc_id", k=3,
 
 
 # ---------------------------------------------------------------------------
-# Embedding near-dup (random-hyperplane LSH + in-bucket cosine verify)
+# Sparse term-frequency cosine pairs
 
 
-def embedding_near_dups(ds, dim: int, vec_col="embedding", id_col="vec_id",
-                        n_planes=12, n_tables=6, threshold=0.95, seed=11,
-                        num_buckets=64, payload="auto"):
-    """Random-hyperplane LSH with OR-amplification: ``n_tables``
-    independent plane sets; a pair is a candidate if it collides in ANY
-    table (miss probability (1-p^n_planes)^n_tables, p = 1 - theta/pi),
-    then exact cosine verification.
+def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
+                           max_df_frac: float = 0.02, min_df: int = 2,
+                           max_df: int | None = None, ngram_n: int = 1,
+                           text_col: str = "text", id_col: str = "doc_id",
+                           num_buckets: int = 64):
+    """Sparse term-frequency cosine similarity between documents:
+    pairs whose raw-tf vectors have cosine >= ``threshold``, with the
+    candidate set generated TERM-AT-A-TIME (the classic sparse-index
+    approach) — never all document pairs.
 
-    ``payload`` picks how vectors reach the verifier:
+    Exactness discipline: per-doc tf and norm^2 are exact integers
+    computed per batch (a document never spans input rows); per-pair
+    dot products are INTEGER sums through the shuffle, so they are
+    associativity-proof; the only float op is the final
+    ``dot / sqrt(n2a * n2b)`` — a single IEEE expression on identical
+    exact integers, so the engine and a SQL replay agree bit-for-bit
+    on the comparison and (after round-to-6) on the emitted value.
 
-    * ``"inline"`` — each LSH row carries its vector; verification is
-      in-bucket, one shuffle total. Payload is duplicated x n_tables
-      through the shuffle, but the pipeline is 3 stages — fastest for
-      narrow vectors (the two designs' crossover measured ~3x wall at
-      dim=64 / sf0.1 in the inline path's favor).
-    * ``"attach"`` — LSH rows carry (table, code, id) only; candidate
-      pairs dedup pair-sized, then vectors attach to pair endpoints
-      in one corpus bucket-merge pass (verify_pairs_cosine_ds). More
-      stages, but shuffle bytes are O(corpus + pairs) instead of
-      O(corpus x n_tables) — the scale path for wide embeddings.
-    * ``"auto"`` — attach when dim * n_tables exceeds 2048 floats per
-      row, else inline.
+    Scale/skew guard: terms with document frequency above
+    ``floor(max_df_frac * N)`` are EXCLUDED from candidate generation
+    (stop-word-like terms explode C(df,2) and contribute little
+    cosine mass). That makes this operator "cosine restricted to the
+    df-pruned term space" — the dot is over pruned terms while norms
+    cover the full vector, so reported cosine is a LOWER BOUND of the
+    unpruned cosine; the pruning rule is part of the operator contract
+    and the oracle replays it. Per-term pair emission is bounded by
+    C(max_df, 2); the pair-keyed reduce is an integer sum.
 
-    Both paths are equality-tested in pytest."""
-    if payload == "auto":
-        payload = "attach" if dim * n_tables > 2048 else "inline"
-    rng = np.random.RandomState(seed)
-    planes = rng.randn(dim, n_planes * n_tables)
-    import ray
+    ``ngram_n``: terms are word n-grams (space-joined runs of n
+    consecutive tokens) instead of single words — the right setting
+    for low-vocabulary corpora where every unigram is stopword-dense.
+    ``max_df``: absolute cap overriding the fraction — pass it on
+    large corpora, where ``frac * N`` grows the per-term C(df, 2)
+    candidate emission quadratically.
 
-    planes_ref = ray.put(planes)
-    inline = payload == "inline"
+    Returns ``(id_a, id_b, dot, cos)`` with id_a < id_b.
+    """
+    from .retrieval import _TOKEN_RUN  # shared [a-z0-9]+ contract
 
-    def _bucket(df: pd.DataFrame) -> pd.DataFrame:
-        pl = ray.get(planes_ref)
-        mat = np.stack(df[vec_col].to_numpy()).astype(np.float64)
-        bits = (mat @ pl) > 0
-        ids = df[id_col].to_numpy().astype(np.int64)
-        out = []
-        for t in range(n_tables):
-            sub = bits[:, t * n_planes:(t + 1) * n_planes]
-            codes = (sub * (1 << np.arange(n_planes))).sum(axis=1)
-            cols = {"table": np.full(len(ids), t, dtype=np.int8),
-                    "bucket": codes.astype("int64"), id_col: ids}
-            if inline:
-                cols[vec_col] = list(mat)
-            out.append(pd.DataFrame(cols))
-        return pd.concat(out, ignore_index=True)
+    if max_df is None:
+        n_docs = ds.count()
+        max_df = max(min_df, int(np.floor(max_df_frac * n_docs)))
 
-    def _pairs_inline(group: pd.DataFrame) -> pd.DataFrame:
-        ids = group[id_col].to_numpy()
-        if len(ids) < 2:
-            return _empty_pairs("cosine")
-        _, uix = np.unique(ids, return_index=True)
-        ids = ids[uix]
-        mat = np.stack(group[vec_col].to_numpy()[uix])
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        mat = mat / norms
-        sims = mat @ mat.T
-        a_ix, b_ix = np.triu_indices(len(ids), k=1)
-        cs = sims[a_ix, b_ix]
-        keep = cs >= threshold
-        lo = np.minimum(ids[a_ix[keep]], ids[b_ix[keep]])
-        hi = np.maximum(ids[a_ix[keep]], ids[b_ix[keep]])
-        return pd.DataFrame({"id_a": lo, "id_b": hi, "cosine": cs[keep]})
-
-    def _cand_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(group[id_col].to_numpy())
-        a_ix, b_ix = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"id_a": ids[a_ix], "id_b": ids[b_ix]})
-
-    bucketed = ds.map_batches(_bucket, batch_format="pandas")
-    if inline:
-        pairs = bucketed_group_apply(
-            bucketed, ["table", "bucket"], _pairs_inline,
-            _pair_schema("cosine"), min_group_size=2
+    def _tf(df: pd.DataFrame) -> pd.DataFrame:
+        # vectorized: explode via repeat, per-(doc, term) tf is exact
+        # per batch because a document never spans input rows; n2 is
+        # the doc's full-vector squared norm, attached to every tf row
+        # so the pair stage never needs a separate norm join
+        empty = pd.DataFrame({
+            id_col: df[id_col].iloc[0:0],
+            "term": pd.Series([], dtype=object),
+            "tf": pd.Series([], dtype="int64"),
+            "n2": pd.Series([], dtype="int64")})
+        if not len(df):
+            return empty
+        toks = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RUN)
+        if ngram_n > 1:
+            toks = toks.map(lambda ws: [
+                " ".join(ws[i:i + ngram_n])
+                for i in range(len(ws) - ngram_n + 1)])
+        n = toks.str.len().to_numpy()
+        flat = pd.DataFrame({
+            id_col: df[id_col].to_numpy().repeat(n),
+            "term": np.concatenate(
+                [np.asarray(t, dtype=object) for t in toks]
+                + [np.array([], dtype=object)]),
+        })
+        if not len(flat):
+            return empty
+        out = (
+            flat.groupby([id_col, "term"], sort=False)
+            .size().rename("tf").reset_index()
         )
-        return _distinct_pairs(pairs, "cosine")
-    cand = _distinct_pairs(bucketed_group_apply(
-        bucketed, ["table", "bucket"], _cand_pairs, _PAIRS, min_group_size=2
-    ))
-    return verify_pairs_cosine_ds(
-        ds, cand, threshold=threshold, vec_col=vec_col, id_col=id_col,
-        num_buckets=num_buckets,
-    )
+        out["tf"] = out["tf"].astype("int64")
+        out["n2"] = (
+            (out["tf"] ** 2).groupby(out[id_col]).transform("sum")
+        ).astype("int64")
+        return out[[id_col, "term", "tf", "n2"]]
 
+    def _term_pairs(group: pd.DataFrame) -> pd.DataFrame:
+        dfreq = len(group)
+        if dfreq < min_df or dfreq > max_df:
+            return None
+        g = group.sort_values(id_col)
+        ids = g[id_col].to_numpy()
+        tf = g["tf"].to_numpy()
+        n2 = g["n2"].to_numpy()
+        ia, ib = np.triu_indices(dfreq, k=1)
+        return pd.DataFrame({
+            "id_a": ids[ia], "id_b": ids[ib],
+            "prod": (tf[ia] * tf[ib]).astype("int64"),
+            "n2a": n2[ia], "n2b": n2[ib]})
 
-def verify_pairs_cosine_ds(ds, pairs, threshold=0.95, vec_col="embedding",
-                           id_col="vec_id", num_buckets=64):
-    """Distributed exact-cosine verification of a candidate-pair
-    Dataset (integer ids): vectors (float64 bytes payload) attach to
-    pair endpoints in ONE corpus bucket-merge pass, then a pair-sized
-    shuffle joins both vectors and computes the exact cosine. Output:
-    (id_a, id_b, cosine) with id_a < id_b."""
+    def _pair_schema(sch):
+        ids = sch.field(id_col).type
+        return pa.schema([("id_a", ids), ("id_b", ids),
+                          ("prod", pa.int64()), ("n2a", pa.int64()),
+                          ("n2b", pa.int64())])
 
-    def _vectors(corpus: pd.DataFrame):
-        mat = np.stack(corpus[vec_col].to_numpy()).astype(np.float64)
-        return [m.tobytes() for m in mat]
+    tf_rows = ds.map_batches(_tf, batch_format="pandas")
+    pair_parts = bucketed_group_apply(
+        tf_rows, ["term"], _term_pairs, _pair_schema,
+        num_buckets, min_group_size=min_df)
 
-    def _cosine(pa_, pb_):
-        va = np.stack([np.frombuffer(b, dtype=np.float64) for b in pa_])
-        vb = np.stack([np.frombuffer(b, dtype=np.float64) for b in pb_])
-        na = np.linalg.norm(va, axis=1)
-        nb = np.linalg.norm(vb, axis=1)
-        na[na == 0] = 1.0
-        nb[nb == 0] = 1.0
-        return (va * vb).sum(axis=1) / (na * nb)
+    def _finalize(df: pd.DataFrame) -> pd.DataFrame:
+        agg = df.groupby(["id_a", "id_b"], as_index=False).agg(
+            dot=("prod", "sum"), n2a=("n2a", "first"), n2b=("n2b", "first"))
+        cos = agg["dot"].to_numpy() / np.sqrt(
+            (agg["n2a"] * agg["n2b"]).to_numpy().astype("float64"))
+        keep = cos >= threshold
+        out = agg.loc[keep, ["id_a", "id_b", "dot"]].copy()
+        out["cos"] = np.round(cos[keep], 6)
+        return out
 
-    attached = _attach_endpoints(ds.select_columns([id_col, vec_col]), pairs,
-                                 id_col, _vectors, pa.binary(), num_buckets)
-    return _verify_pairs(attached, _cosine, "cosine", threshold, num_buckets)
+    return exchange(
+        pair_parts, ["id_a", "id_b"], _finalize,
+        lambda sch: pa.schema([sch.field("id_a"), sch.field("id_b"),
+                               ("dot", pa.int64()), ("cos", pa.float64())]),
+        num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -1288,8 +1283,7 @@ _STATE_META = "_state_meta.json"
 
 def _record_applied_delta(state_dir, fp, n_kept=0):
     """Idempotently fold a delta fingerprint into ``_state_meta.json``
-    (atomic tmp+replace) — shared discipline with the ANN index's
-    append history (``ops/_replay.py``)."""
+    (atomic tmp+replace, ``ops/_replay.py``)."""
     import os
 
     from ._replay import record_applied_fp
@@ -1797,65 +1791,6 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
 
     return final.select_columns([id_col, "cluster"]), (
         0 if replay else n_kept)
-
-
-def semantic_dedup(ds, threshold=0.95, k=16, n_iters=3,
-                   vec_col="embedding", id_col="vec_id", num_buckets=32):
-    """SemDeDup-shaped semantic deduplication over an embedding
-    column: k-means clusters co-locate semantically close vectors,
-    then WITHIN each cluster any vector whose cosine to a lower-id
-    kept vector exceeds ``threshold`` is dropped (min id wins —
-    deterministic). Returns ``(vec_id, cluster, keep)`` rows.
-
-    Scale shape: the only all-to-all is the cluster-keyed bucket
-    shuffle (k-means itself is fused assign+reduce passes); the
-    quadratic cosine check runs per cluster, so its cost is bounded
-    by the largest cluster, not the corpus — the reason SemDeDup
-    clusters first instead of running all-pairs. Duplicates that
-    straddle a cluster boundary are NOT caught (inherent to the
-    method; the near-threshold planted-twin gate in queries() shows
-    twins co-cluster in practice)."""
-    from . import similarity as _sim
-
-    ds = ds.materialize()  # consumed by k-means iterations + the tag pass
-    cents, _hist = _sim.kmeans_embeddings(
-        ds, k=k, n_iters=n_iters, vec_col=vec_col, id_col=id_col)
-
-    import ray
-
-    ref = ray.put(_sim._normalize(np.asarray(cents, dtype=np.float64)))
-
-    def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        c = ray.get(ref)
-        mat = _sim._normalize(
-            np.stack(df[vec_col].to_numpy()).astype(np.float64))
-        out = pd.DataFrame({
-            id_col: df[id_col].to_numpy(),
-            "cluster": np.argmax(mat @ c.T, axis=1).astype(np.int64),
-        })
-        out["vec"] = list(mat)
-        return out
-
-    tagged = ds.map_batches(_tag, batch_format="pandas")
-
-    def _cluster_dedup(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        mat = np.stack(g["vec"].to_numpy())
-        keep = np.ones(len(ids), dtype=bool)
-        sims = mat @ mat.T
-        for i in range(1, len(ids)):
-            if (sims[i, :i][keep[:i]] > threshold).any():
-                keep[i] = False
-        return pd.DataFrame(
-            {id_col: ids, "cluster": g["cluster"].to_numpy(), "keep": keep})
-
-    return bucketed_group_apply(
-        tagged, ["cluster"], _cluster_dedup,
-        lambda sch: pa.schema([sch.field(id_col),
-                               pa.field("cluster", pa.int64()),
-                               pa.field("keep", pa.bool_())]),
-        num_buckets)
 
 
 # ---------------------------------------------------------------------------

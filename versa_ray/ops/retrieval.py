@@ -1,9 +1,7 @@
 """Sparse (lexical) retrieval over a text corpus: BM25 top-k search.
 
-The dense side of similarity search lives in ``ops.similarity``
-(brute-force / LSH / IVF cosine over embeddings); this module is the
-sparse sibling a training-data pipeline needs for keyword retrieval
-and benchmark-query mining.
+A training-data pipeline needs it for keyword retrieval and
+benchmark-query mining.
 
 Design (Ray-Data-first, no inverted index materialized):
 

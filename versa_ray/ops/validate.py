@@ -211,32 +211,3 @@ def profile_table(ds, columns):
     out["n_null"] = out["n_null"].astype("int64")
     return out
 
-
-def fk_violations(child, parent, fk, pk=None, child_cols=None,
-                  num_buckets=64):
-    """Referential-integrity check: child rows whose foreign key has
-    NO matching parent key — the cross-table ingest QA step (orphaned
-    facts after a partial dim load, dangling graph references).
-
-    Exact distributed anti-join via :func:`ops.joins.semi_join_keys`
-    (tagged coarse-bucket shuffle; the parent side ships only its
-    deduped key column, so a wide parent costs nothing). Pass
-    ``child_cols`` so empty buckets keep the child schema. Callers
-    wanting cheap pre-pruning on a huge child can bloom-filter first
-    (``ops.joins.build_bloom`` + ``bloom_semi_filter``) — the bloom
-    can only shrink the anti-join's left side after inversion, never
-    change the answer.
-    """
-    from .joins import semi_join_keys
-
-    pk = pk or fk
-
-    def _keys(df: pd.DataFrame) -> pd.DataFrame:
-        if pk not in df.columns:
-            return pd.DataFrame({pk: pd.Series([], dtype="object")})
-        return df[[pk]].drop_duplicates()
-
-    parent_keys = parent.map_batches(_keys, batch_format="pandas")
-    return semi_join_keys(child, parent_keys, on=fk, keys_on=pk,
-                          anti=True, num_buckets=num_buckets,
-                          left_cols=child_cols)

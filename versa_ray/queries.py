@@ -5,7 +5,7 @@ The KG/link-model operators run over a links Dataset derived
 deterministically from the TPC-H-ish tables (region/nation/customer/
 supplier -> ``urn:versa:`` linkset), so the SQL oracle can rebuild the
 identical linkset with UNION ALL and apply the equivalent relational
-form. Training-data ops run over documents/embeddings/events.
+form. Training-data ops run over documents.
 
 Column names match between the Ray results and the oracle SQL —
 the driver sorts columns by name and value-hashes.
@@ -20,7 +20,7 @@ import pyarrow as pa
 from .core import VTYPE_REL
 from .model import linkset
 from .ops import dedup as dd
-from .ops import similarity, textstats, windows
+from .ops import textstats
 
 URN = "urn:versa:"
 NAME = "http://bibfra.me/vocab/lite/name"
@@ -1561,7 +1561,7 @@ def q_doc_cos_pairs(sf_dir):
     (never all pairs), df-pruned (the pruning rule is part of the
     operator contract and the oracle replays it). Integer dot
     products through the shuffle; hash-exact vs the SQL join replay."""
-    from .ops.similarity import sparse_tf_cosine_pairs
+    from .ops.dedup import sparse_tf_cosine_pairs
 
     return sparse_tf_cosine_pairs(
         _docs_with(sf_dir, ["doc_id", "text"]),
@@ -1979,261 +1979,6 @@ def q_doc_boilerplate(sf_dir):
     return remove_boilerplate(_docs_lines(sf_dir), min_docs=10)
 
 
-# -- embeddings -------------------------------------------------------------
-
-
-def _query_vectors(sf_dir, n=8):
-    import pyarrow.parquet as pq
-
-    df = pq.read_table(f"{sf_dir}/embeddings.parquet").to_pandas()
-    df = df.sort_values("vec_id").head(n)
-    return np.stack(df["embedding"].to_numpy()).astype(np.float64), df["vec_id"].to_numpy()
-
-def q_knn_cosine(sf_dir):
-    import ray.data as rd
-
-    vecs, ids = _query_vectors(sf_dir, 8)
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", override_num_blocks=_blocks_for()
-    )
-    out = similarity.knn_bruteforce(emb, vecs, ids, k=5).to_pandas()
-    return out[["qid", "nid", "rank"]]
-
-
-def q_knn_lsh_recall(sf_dir):
-    """Driver-visible recall gate for the approximate kNN path: over
-    the planted-near-dup augmented corpus (each query's true nearest
-    neighbor is its planted twin at cosine ~0.999), run knn_lsh and
-    exact knn_bruteforce on the same 8 queries and emit per-query
-    recall@1 and recall@5 vs exact. HARD-FAILS (raises) if mean
-    recall@1 < 0.8 — on near-uniform random embeddings ranks 2-5 sit
-    near cosine ~0.3 where no hyperplane LSH can recall them, so
-    recall@1 on real near neighbors is the meaningful gate; recall@5
-    is reported for visibility. Only queries x k rows reach the
-    driver."""
-    vecs, ids = _query_vectors(sf_dir, 8)
-    aug = _augmented_embeddings(sf_dir)
-    exact = similarity.knn_bruteforce(aug, vecs, ids, k=5).to_pandas()
-    lsh = similarity.knn_lsh(aug, vecs, ids, dim=vecs.shape[1], k=5).to_pandas()
-    ex1 = exact[exact["rank"] == 1].groupby("qid")["nid"].apply(set)
-    ls1 = lsh[lsh["rank"] == 1].groupby("qid")["nid"].apply(set)
-    ex5 = exact.groupby("qid")["nid"].apply(set)
-    ls5 = lsh.groupby("qid")["nid"].apply(set)
-    df = pd.DataFrame(
-        {
-            "qid": ex5.index.to_numpy(),
-            "recall_at_1": [
-                len(ex1[q] & ls1.get(q, set())) / len(ex1[q]) for q in ex5.index
-            ],
-            "recall_at_5": [
-                len(ex5[q] & ls5.get(q, set())) / len(ex5[q]) for q in ex5.index
-            ],
-        }
-    ).sort_values("qid", ignore_index=True)
-    mean_r1 = float(df["recall_at_1"].mean())
-    if mean_r1 < 0.8:
-        raise AssertionError(
-            f"knn_lsh mean recall@1 {mean_r1:.3f} < 0.8 vs exact kNN"
-        )
-    return df
-
-
-def q_knn_ivf_recall(sf_dir):
-    """Same recall gate as knn_lsh_recall for the IVF scale path:
-    sampled-k-means coarse quantizer, nprobe cell filter, exact
-    rerank. HARD-FAILS if mean recall@1 vs exact kNN drops below
-    0.8 over the planted-twin corpus."""
-    vecs, ids = _query_vectors(sf_dir, 8)
-    aug = _augmented_embeddings(sf_dir)
-    cents = similarity.train_ivf_centroids(aug, n_cells=16)
-    exact = similarity.knn_bruteforce(aug, vecs, ids, k=5).to_pandas()
-    ivf = similarity.knn_ivf(aug, vecs, ids, cents, k=5, nprobe=4).to_pandas()
-    ex1 = exact[exact["rank"] == 1].groupby("qid")["nid"].apply(set)
-    iv1 = ivf[ivf["rank"] == 1].groupby("qid")["nid"].apply(set)
-    df = pd.DataFrame(
-        {
-            "qid": ex1.index.to_numpy(),
-            "recall_at_1": [
-                len(ex1[q] & iv1.get(q, set())) / len(ex1[q]) for q in ex1.index
-            ],
-        }
-    ).sort_values("qid", ignore_index=True)
-    mean_r1 = float(df["recall_at_1"].mean())
-    if mean_r1 < 0.8:
-        raise AssertionError(
-            f"knn_ivf mean recall@1 {mean_r1:.3f} < 0.8 vs exact kNN"
-        )
-    return df
-
-
-def q_knn_pq_recall(sf_dir):
-    """Recall gate for the product-quantization path: sampled
-    per-subspace codebooks, ADC table-lookup scan, no full-dimension
-    math against the corpus. HARD-FAILS if mean recall@1 vs exact kNN
-    drops below 0.8 over the planted-twin corpus (the same bar as the
-    LSH and IVF paths)."""
-    vecs, ids = _query_vectors(sf_dir, 8)
-    aug = _augmented_embeddings(sf_dir)
-    dim = len(vecs[0])
-    books = similarity.train_pq_codebooks(aug, dim=dim, m=8, nbits=6)
-    exact = similarity.knn_bruteforce(aug, vecs, ids, k=5).to_pandas()
-    pq = similarity.knn_pq(aug, vecs, ids, books, k=5).to_pandas()
-    ex1 = exact[exact["rank"] == 1].groupby("qid")["nid"].apply(set)
-    pq1 = pq[pq["rank"] == 1].groupby("qid")["nid"].apply(set)
-    df = pd.DataFrame(
-        {
-            "qid": ex1.index.to_numpy(),
-            "recall_at_1": [
-                len(ex1[q] & pq1.get(q, set())) / len(ex1[q]) for q in ex1.index
-            ],
-        }
-    ).sort_values("qid", ignore_index=True)
-    mean_r1 = float(df["recall_at_1"].mean())
-    if mean_r1 < 0.8:
-        raise AssertionError(
-            f"knn_pq mean recall@1 {mean_r1:.3f} < 0.8 vs exact kNN"
-        )
-    return df
-
-
-def q_emb_kmeans(sf_dir):
-    """Full-corpus distributed k-means (fused assign+reduce per
-    iteration; driver sees blocks x k partials only). SELF-GATED:
-    inertia must be non-increasing across iterations (up to 1e-9
-    noise), every cluster non-empty on this corpus, and the final
-    assignment must total the corpus exactly. Returns per-cluster
-    sizes."""
-    import ray.data as rd
-
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", override_num_blocks=_blocks_for()
-    )
-    cents, hist = similarity.kmeans_embeddings(emb, k=8, n_iters=5)
-    for a, b in zip(hist, hist[1:]):
-        if b > a + 1e-9:
-            raise AssertionError(f"k-means inertia increased: {hist}")
-    sizes = (
-        similarity.kmeans_assign(emb, cents).to_pandas()
-        .groupby("cluster").size().rename("n_members").reset_index()
-    )
-    if len(sizes) != 8 or int(sizes["n_members"].sum()) != emb.count():
-        raise AssertionError("k-means assignment drift")
-    return sizes.sort_values("cluster", ignore_index=True)
-
-
-def q_emb_group_centroids(sf_dir):
-    """Element-wise mean embedding per (vec_id % 16) group, flattened
-    to (grp, dim_idx, mean_val) — combiner partials, one bucket
-    shuffle, vectors never shuffle row-per-vector. Hash-checked
-    against an unnest-with-ordinality SQL oracle (values rounded to 6
-    decimals on both sides)."""
-    import ray.data as rd
-
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", override_num_blocks=_blocks_for()
-    ).map_batches(
-        lambda df: df.assign(grp=(df["vec_id"] % 16).astype("int64")),
-        batch_format="pandas",
-    )
-    out = similarity.group_centroids(emb, "grp")
-    return out.map_batches(
-        lambda df: df.rename(columns={"group": "grp"}).astype(
-            {"grp": "int64"}),
-        batch_format="pandas",
-    )
-
-
-def q_knn_ann_index_recall(sf_dir):
-    """Recall gate for the PERSISTED IVF-PQ index: build once to
-    parquet codes + saved quantizers, search from codes alone (probed
-    cells' files only, ADC lookups, raw vectors never reloaded).
-    HARD-FAILS below mean recall@1 of 0.8 vs exact kNN on the
-    planted-twin corpus — the same bar as the in-memory approximate
-    paths."""
-    import shutil
-    import tempfile
-
-    vecs, ids = _query_vectors(sf_dir, 8)
-    aug = _augmented_embeddings(sf_dir)
-    dim = len(vecs[0])
-    exact = similarity.knn_bruteforce(aug, vecs, ids, k=5).to_pandas()
-    idx = tempfile.mkdtemp(prefix="vr_ann_")
-    try:
-        similarity.build_ann_index(aug, idx, dim=dim, n_cells=16, m=8,
-                                   nbits=6)
-        ann = similarity.search_ann_index(
-            idx, vecs, ids, k=5, nprobe=6).to_pandas()
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
-    ex1 = exact[exact["rank"] == 1].groupby("qid")["nid"].apply(set)
-    an1 = ann[ann["rank"] == 1].groupby("qid")["nid"].apply(set)
-    df = pd.DataFrame(
-        {
-            "qid": ex1.index.to_numpy(),
-            "recall_at_1": [
-                len(ex1[q] & an1.get(q, set())) / len(ex1[q]) for q in ex1.index
-            ],
-        }
-    ).sort_values("qid", ignore_index=True)
-    mean_r1 = float(df["recall_at_1"].mean())
-    if mean_r1 < 0.8:
-        raise AssertionError(
-            f"ann index mean recall@1 {mean_r1:.3f} < 0.8 vs exact kNN"
-        )
-    return df
-
-
-def q_knn_ann_append_recall(sf_dir):
-    """Recall gate for INCREMENTAL index growth: build the IVF-PQ
-    index on half the corpus, append the other half with frozen
-    quantizers (ops.similarity.append_ann_index — the
-    continuous-crawl path), then search from codes alone. HARD-FAILS
-    below mean recall@1 of 0.8 vs exact kNN over the FULL corpus —
-    i.e. the planted twins that arrived via append must be found."""
-    import shutil
-    import tempfile
-
-    vecs, ids = _query_vectors(sf_dir, 8)
-    aug = _augmented_embeddings(sf_dir).materialize()
-    # id column only — never the embedding matrix — for the split point
-    mid = int(aug.select_columns(["vec_id"]).to_pandas()["vec_id"].median())
-    dim = len(vecs[0])
-    exact = similarity.knn_bruteforce(aug, vecs, ids, k=5).to_pandas()
-    idx = tempfile.mkdtemp(prefix="vr_ann_app_")
-    try:
-        similarity.build_ann_index(
-            aug.map_batches(lambda df: df[df["vec_id"] <= mid],
-                            batch_format="pandas"),
-            idx, dim=dim, n_cells=16, m=8, nbits=6)
-        n = similarity.append_ann_index(
-            idx, aug.map_batches(lambda df: df[df["vec_id"] > mid],
-                                 batch_format="pandas"))
-        if n == 0:
-            raise AssertionError("append delta was empty")
-        ann = similarity.search_ann_index(
-            idx, vecs, ids, k=5, nprobe=6).to_pandas()
-    finally:
-        shutil.rmtree(idx, ignore_errors=True)
-    ex1 = exact[exact["rank"] == 1].groupby("qid")["nid"].apply(set)
-    an1 = ann[ann["rank"] == 1].groupby("qid")["nid"].apply(set)
-    df = pd.DataFrame(
-        {
-            "qid": ex1.index.to_numpy(),
-            "recall_at_1": [
-                len(ex1[q] & an1.get(q, set())) / len(ex1[q]) for q in ex1.index
-            ],
-        }
-    ).sort_values("qid", ignore_index=True)
-    mean_r1 = float(df["recall_at_1"].mean())
-    if mean_r1 < 0.8:
-        raise AssertionError(
-            f"appended ann index mean recall@1 {mean_r1:.3f} < 0.8"
-        )
-    return df
-
-
-_PLANT_K = 16  # planted near-dup copies: vec_id < K -> vec_id + 1000000
-
 _STOPWORD_SQL = "[%s]" % ", ".join(
     "'%s'" % w for w in sorted(textstats.STOPWORDS)
 )
@@ -2260,466 +2005,6 @@ _PII_DOCS_SQL = (
 )
 
 
-def _augmented_embeddings(sf_dir):
-    """Embeddings corpus plus deterministic planted near-duplicates:
-    a copy of each vec_id < _PLANT_K as vec_id + 1000000 with the
-    first component nudged by +0.05 (cosine ~0.999 to the original).
-    The synthetic corpus has no natural pairs at cosine >= 0.9, so the
-    planted twins are the ground truth for near-dup recall checks."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        override_num_blocks=_blocks_for(),
-    )
-
-    def _plant(tbl: pa.Table) -> pa.Table:
-        sub = tbl.filter(pac.less(tbl["vec_id"], _PLANT_K))
-        arrs = sub["embedding"].to_pylist()
-        for a in arrs:
-            # float32 round-trip matches the oracle's CAST(... AS FLOAT)
-            a[0] = float(np.float32(np.float64(a[0]) + 0.05))
-        return pa.table(
-            {
-                "vec_id": pac.add(sub["vec_id"], 1000000).cast(pa.int64()),
-                "embedding": pa.array(arrs, type=pa.list_(pa.float32())),
-            }
-        )
-
-    return emb.union(emb.map_batches(_plant, batch_format="pyarrow"))
-
-
-def q_semantic_dedup(sf_dir):
-    """SemDeDup-shaped cluster-partitioned embedding dedup. SELF-
-    GATED on the planted-twin corpus: for every planted pair (cosine
-    ~0.999, far above the 0.95 threshold) exactly ONE member survives
-    — dropping both or keeping both raises; non-duplicate vectors
-    must overwhelmingly survive. Returns (vec_id, cluster, keep)."""
-    aug = _augmented_embeddings(sf_dir)
-    out = dd.semantic_dedup(aug, threshold=0.95, k=8).to_pandas()
-    keep = dict(zip(out["vec_id"], out["keep"]))
-    for a in range(_PLANT_K):
-        b = a + 1000000
-        if keep.get(a, False) == keep.get(b, False):
-            raise AssertionError(
-                f"planted twin pair ({a},{b}) not deduped exactly once: "
-                f"{keep.get(a)}, {keep.get(b)}")
-    survivors = out[out["keep"]]
-    if len(survivors) < 0.9 * (len(out) - _PLANT_K):
-        raise AssertionError("semantic dedup dropped non-duplicates")
-    return out.sort_values("vec_id", ignore_index=True)
-
-
-def q_embedding_near_dups(sf_dir):
-    """Embedding near-dup detection made falsifiable: recover the
-    planted near-dup pairs (see _augmented_embeddings) and hash-check
-    the pair set against a DuckDB exact all-pairs cosine oracle over
-    the same augmented corpus. Multi-table LSH (OR-amplification)
-    makes recall 1.0 at this separation."""
-    aug = _augmented_embeddings(sf_dir)
-    dim = len(aug.take(1)[0]["embedding"])
-    out = dd.embedding_near_dups(aug, dim=dim, threshold=0.9)
-    return out.map_batches(
-        lambda df: pd.DataFrame(
-            {"id_a": df["id_a"].astype("int64"), "id_b": df["id_b"].astype("int64")}
-        ),
-        batch_format="pandas",
-    )
-
-
-# -- events -----------------------------------------------------------------
-
-
-def q_events_tumbling(sf_dir):
-    import ray.data as rd
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
-    )
-    out = windows.tumbling_window_agg(ev, freq="1D")
-    return out.map_batches(
-        lambda df: df.assign(
-            value_sum=df.value_sum.round(2),
-            window_start=df.window_start.astype("datetime64[us]"),
-        ),
-        batch_format="pandas",
-    )
-
-
-def q_events_incremental_tumbling(sf_dir):
-    """Streaming-window emulation, hash-checked: the events table is
-    replayed as two event-time micro-batches through the incremental
-    tumbling operator (persistent state store + watermark); the union
-    of finalized windows must equal the single-batch tumbling result
-    (same SQL oracle as events_tumbling)."""
-    import shutil
-
-    import ray.data as rd
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
-    )
-    lo, hi = ev.min("ts"), ev.max("ts")
-    cutoff = pd.Timestamp(lo) + (pd.Timestamp(hi) - pd.Timestamp(lo)) / 2
-
-    first = ev.map_batches(
-        lambda df: df[df.ts < cutoff], batch_format="pandas"
-    )
-    second = ev.map_batches(
-        lambda df: df[df.ts >= cutoff], batch_format="pandas"
-    )
-
-    from .ops.windows import incremental_tumbling
-
-    state = "/tmp/versa_ray_wstate_q"
-    shutil.rmtree(state, ignore_errors=True)
-    f1, _ = incremental_tumbling(state, first, freq="1D", watermark=cutoff)
-    f2, n_open = incremental_tumbling(
-        state, second, freq="1D",
-        watermark=pd.Timestamp(hi) + pd.Timedelta("1D"),
-    )
-    assert n_open == 0
-    out = f1.union(f2)
-    return out.map_batches(
-        lambda df: df.assign(
-            value_sum=df.value_sum.round(2),
-            window_start=df.window_start.astype("datetime64[us]"),
-        ),
-        batch_format="pandas",
-    )
-
-
-def q_events_sliding(sf_dir):
-    import ray.data as rd
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
-    )
-    out = windows.sliding_window_agg(ev, window="2h", slide="1h")
-    return out.map_batches(
-        lambda df: df.assign(
-            value_sum=df.value_sum.round(2),
-            window_start=df.window_start.astype("datetime64[us]"),
-        ),
-        batch_format="pandas",
-    )
-
-
-def q_events_sessions(sf_dir):
-    import ray.data as rd
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
-    )
-    out = windows.session_windows(ev, gap="2h")
-    return out.map_batches(
-        lambda df: df.assign(
-            session_start=df.session_start.astype("datetime64[us]"),
-            session_end=df.session_end.astype("datetime64[us]"),
-        )[["user_id", "session_start", "session_end", "n_events"]],
-        batch_format="pandas",
-    )
-
-
-# -- classic aggregates / joins --------------------------------------------
-
-
-def q_events_asof_join(sf_dir):
-    """Distributed AS-OF join (each purchase matched to the user's
-    most recent prior 'view' event): coarse user-bucket shuffle +
-    in-bucket sorted merge_asof; hash-checked against DuckDB's native
-    ASOF JOIN."""
-    import ray.data as rd
-
-    from .ops.joins import asof_join
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-        override_num_blocks=_blocks_for(),
-    )
-
-    def _typed(t):
-        return lambda df: df.loc[
-            df["event_type"] == t, ["event_id", "ts", "user_id"]
-        ]
-
-    left = ev.map_batches(_typed("purchase"), batch_format="pandas")
-    right = ev.map_batches(_typed("view"), batch_format="pandas")
-    out = asof_join(left, right, on="ts", by="user_id",
-                    right_cols=["event_id"])
-    return out.map_batches(
-        lambda df: df.assign(
-            # the tagged union null-fills each side's exclusive
-            # columns, floating integer dtypes — cast back
-            event_id=df.event_id.astype("int64"),
-            user_id=df.user_id.astype("int64"),
-            event_id_r=df.event_id_r.astype("int64"),
-            ts=df.ts.astype("datetime64[us]"),
-            ts_r=df.ts_r.astype("datetime64[us]"),
-        ),
-        batch_format="pandas",
-    )
-
-
-def q_events_range_join(sf_dir):
-    """Distributed range (interval) join: every event joined to the
-    session window containing it (sessions are non-overlapping per
-    user, so the join is one as-of pass + end filter, no per-key
-    cartesian). Hash-checked against a SQL BETWEEN join over the
-    window-function session oracle; every event falls in exactly one
-    session, so row count == event count."""
-    import ray.data as rd
-
-    from .ops.joins import range_join
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"],
-        override_num_blocks=_blocks_for(),
-    )
-    sess = windows.session_windows(
-        rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
-            override_num_blocks=_blocks_for(),
-        ),
-        gap="2h",
-    )
-    out = range_join(ev, sess, on="ts", by="user_id")
-    return out.map_batches(
-        lambda df: df.assign(
-            # the tagged union null-fills schema differences, which
-            # floats integer left columns — cast back
-            event_id=df.event_id.astype("int64"),
-            user_id=df.user_id.astype("int64"),
-            ts=df.ts.astype("datetime64[us]"),
-            session_start=df.session_start_r.astype("datetime64[us]"),
-            session_end=df.session_end_r.astype("datetime64[us]"),
-        )[["event_id", "user_id", "ts", "session_start", "session_end"]],
-        batch_format="pandas",
-    )
-
-
-def q_events_range_overlap(sf_dir):
-    """OVERLAPPING-interval range join (range_join_overlap — the
-    time-bucket-replication variant; range_join's as-of fast path
-    requires disjoint intervals): every seventh event anchors a
-    ±1 hour window per user, windows overlap freely, and every event
-    joins to EVERY containing window (1:N). Hash-checked against the
-    SQL BETWEEN join."""
-    import ray.data as rd
-
-    from .ops.joins import range_join_overlap
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"],
-        override_num_blocks=_blocks_for(),
-    )
-
-    def _wins(df: pd.DataFrame) -> pd.DataFrame:
-        w = df[df.event_id % 7 == 0]
-        return pd.DataFrame(
-            {
-                "user_id": w.user_id,
-                "win_id": w.event_id,
-                "win_start": w.ts - pd.Timedelta("1h"),
-                "win_end": w.ts + pd.Timedelta("1h"),
-            }
-        )
-
-    wins = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"],
-        override_num_blocks=_blocks_for(),
-    ).map_batches(_wins, batch_format="pandas")
-    out = range_join_overlap(
-        ev, wins, on="ts", by="user_id", start_col="win_start",
-        end_col="win_end", right_cols=["win_id"], grain="1h",
-    )
-    return out.map_batches(
-        lambda df: df.assign(
-            event_id=df.event_id.astype("int64"),
-            user_id=df.user_id.astype("int64"),
-            ts=df.ts.astype("datetime64[us]"),
-            win_id=df.win_id_r.astype("int64"),
-            win_start=df.win_start_r.astype("datetime64[us]"),
-            win_end=df.win_end_r.astype("datetime64[us]"),
-        )[["event_id", "user_id", "ts", "win_id", "win_start", "win_end"]],
-        batch_format="pandas",
-    )
-
-
-def q_lineitem_quantiles(sf_dir):
-    """Approximate quantiles of l_extendedprice from the mergeable
-    per-batch summary (driver merge is blocks x samples, never the
-    column). SELF-GATED: raises unless every approx quantile is
-    within 2% relative error of the exact driver-computed quantile —
-    the exact side is test-scale-only truth, the operator itself
-    never materializes the column."""
-    import ray.data as rd
-
-    from .ops.agg import approx_quantiles
-
-    qs = [0.25, 0.5, 0.75, 0.95]
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"],
-        override_num_blocks=_blocks_for(),
-    )
-    approx = approx_quantiles(ds, "l_extendedprice", qs)
-    exact = (
-        ds.to_pandas()["l_extendedprice"].astype(float)
-        .quantile(qs, interpolation="linear").to_numpy()
-    )
-    rel = [abs(a - e) / max(abs(e), 1e-12) for a, e in zip(approx, exact)]
-    if max(rel) > 0.02:
-        raise AssertionError(
-            f"approx_quantiles rel error {max(rel):.4f} > 0.02 "
-            f"(approx={approx}, exact={list(exact)})"
-        )
-    return pd.DataFrame(
-        {"q": qs, "approx": [round(a, 2) for a in approx],
-         "rel_err_ok": [r <= 0.02 for r in rel]}
-    )
-
-
-def q_lineitem_quantiles_exact(sf_dir):
-    """EXACT discrete quantiles of l_extendedprice via the bounded
-    histogram-refinement operator (ops/agg.exact_quantiles): one
-    stats pass + sparse-histogram rounds + one targeted-bucket
-    collect — the driver never sees more than ``max_collect`` values
-    per quantile, so the same plan holds on a 100 TB column. Matches
-    SQL quantile_disc (inverted-CDF rank ceil(q*N)-1) bit-exactly."""
-    import ray.data as rd
-
-    from .ops.agg import exact_quantiles
-
-    qs = [0.25, 0.5, 0.75, 0.95]
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"],
-        override_num_blocks=_blocks_for(),
-    )
-    vals = exact_quantiles(ds, "l_extendedprice", qs)
-    return pd.DataFrame({"q": qs, "value": vals})
-
-
-def q_lineitem_agg(sf_dir):
-    """TPC-H Q1-style grouped aggregate: per-batch partial combine +
-    single-block final combine (grouped_agg_small) — the 6-group
-    rollup never needs Ray's sort-based groupby shuffle and its
-    ~1.5 s fixed cost."""
-    import ray.data as rd
-
-    from .ops.agg import grouped_agg_small
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
-        override_num_blocks=_blocks_for(),
-    )
-    out = grouped_agg_small(
-        ds,
-        ["l_returnflag", "l_linestatus"],
-        {
-            "sum_qty": ("l_quantity", "sum"),
-            "sum_base_price": ("l_extendedprice", "sum"),
-            "n": ("l_quantity", "size"),
-        },
-    )
-    return out.map_batches(
-        lambda df: df.assign(
-            sum_qty=df.sum_qty.round(2), sum_base_price=df.sum_base_price.round(2)
-        ),
-        batch_format="pandas",
-    )
-
-
-def q_order_priority_revenue(sf_dir):
-    """Big x big fact join on the skew-salted path: lineitem ⋈ orders
-    on orderkey (left side salted, right side replicated per salt),
-    then revenue per order priority. Revenue is EXACT integer 1e-4
-    currency units — cents x (100 - discount%) — so the distributed
-    sum is associativity-proof and the DuckDB oracle hash-exact (a
-    float SUM over a big fact table diverges from a serial SUM in the
-    last bits)."""
-    import ray.data as rd
-
-    from .ops.agg import grouped_agg_small
-    from .ops.joins import salted_join
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-        override_num_blocks=_blocks_for(),
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority"],
-        override_num_blocks=_blocks_for(),
-    )
-
-    def _rev(df: pd.DataFrame) -> pd.DataFrame:
-        cents = (df["l_extendedprice"] * 100).round().astype("int64")
-        disc = (df["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame(
-            {"l_orderkey": df["l_orderkey"], "rev_e4": cents * (100 - disc)}
-        )
-
-    joined = salted_join(
-        li.map_batches(_rev, batch_format="pandas"), orders,
-        on="l_orderkey", right_on="o_orderkey", salt=4,
-    )
-    return grouped_agg_small(
-        joined, ["o_orderpriority"], {"revenue_e4": ("rev_e4", "sum")}
-    )
-
-
-def q_lineitem_urgent_semi(sf_dir):
-    """Bloom-pushdown semi-join, exact semantics: lineitem rows whose
-    orderkey belongs to a 1-URGENT order. The bloom (distributed
-    bitmap build, broadcast probe) prunes the fact table first — its
-    false positives are then removed by the exact distributed
-    semi-join, so the bloom stage changes cost, never the answer —
-    and the DuckDB IN-subquery oracle hash-checks the final rollup
-    per linestatus (exact integer quantity-cents sum)."""
-    import ray.data as rd
-
-    from .ops.agg import grouped_agg_small
-    from .ops.joins import bloom_semi_filter, build_bloom, semi_join_keys
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linestatus", "l_quantity"],
-        override_num_blocks=_blocks_for(),
-    )
-    keys = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority"],
-        override_num_blocks=_blocks_for(),
-    ).filter(expr="o_orderpriority == '1-URGENT'").materialize()
-    # materialized: the key set feeds BOTH the bloom build and the
-    # exact semi-join — lazy, the scan+filter would run twice
-
-    bloom = build_bloom(keys, "o_orderkey")
-    pruned = bloom_semi_filter(li, bloom, "l_orderkey")
-    exact = semi_join_keys(
-        pruned, keys, on="l_orderkey", keys_on="o_orderkey",
-        left_cols=["l_orderkey", "l_linestatus", "l_quantity"],
-    )
-
-    def _q100(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "l_linestatus": df["l_linestatus"],
-                "qty100": (df["l_quantity"] * 100).round().astype("int64"),
-            }
-        )
-
-    return grouped_agg_small(
-        exact.map_batches(_q100, batch_format="pandas"),
-        ["l_linestatus"],
-        {"n_items": ("l_linestatus", "size"), "sum_qty100": ("qty100", "sum")},
-    )
-
-
 def q_doc_above_median_chars(sf_dir):
     """'Keep the best half per language' curation primitive: exact
     per-group discrete median from ONE coarse-bucket shuffle of
@@ -2734,117 +2019,6 @@ def q_doc_above_median_chars(sf_dir):
         key="lang", col="n_chars", q=0.5)
 
 
-def q_events_transitions(sf_dir):
-    """Per-user event-type transition counts (the Markov-chain /
-    clickstream primitive) under the TOTAL order (ts, event_id), so
-    timestamp ties are deterministic: one user-bucket shuffle, one
-    sort+shift per bucket (no per-user loop), types^2-bounded final
-    merge. Hash-exact vs the DuckDB LAG window replay."""
-    import ray.data as rd
-
-    from .ops.windows import transition_counts
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
-        override_num_blocks=_blocks_for(),
-    )
-    return transition_counts(ev)
-
-
-def q_lineitem_price_hist(sf_dir):
-    """Exact 32-bin equi-width histogram of l_extendedprice (bounds =
-    exact distributed min/max): shuffle-free np.bincount partials +
-    one bounded merge. The bin rule is one shared double expression,
-    so DuckDB replays it bit-exactly, empty bins included."""
-    import ray.data as rd
-
-    from .ops.agg import histogram
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"],
-        override_num_blocks=_blocks_for(),
-    )
-    return histogram(li, "l_extendedprice", 32)
-
-
-def q_events_gap_stats(sf_dir):
-    """Per-user inter-event gap rollup in exact microseconds
-    (ops.windows.inter_event_gaps): one coarse-bucket shuffle on the
-    user key, vectorized diff over sorted timestamps per group.
-    Hash-checked against a DuckDB LAG window replay."""
-    import ray.data as rd
-
-    from .ops.windows import inter_event_gaps
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
-        override_num_blocks=_blocks_for(),
-    )
-    return inter_event_gaps(ev, ts_col="ts", key="user_id")
-
-
-def q_events_heavy_hitters(sf_dir):
-    """Heavy hitters with EXACT counts: a count-min sketch prunes the
-    candidate set (per-batch depth x width partials summed
-    driver-side, distinct values probed against the broadcast
-    sketch), then an exact coarse-bucket count verifies — the sketch
-    changes cost, never the answer (ops.agg.heavy_hitters, same
-    discipline as the bloom semi-join). Hash-checked against the
-    plain GROUP BY / HAVING oracle."""
-    import ray.data as rd
-
-    from .ops.agg import heavy_hitters
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"],
-        override_num_blocks=_blocks_for(),
-    )
-    return heavy_hitters(ev, "user_id", threshold_frac=0.007)
-
-
-def q_events_user_hll(sf_dir):
-    """HyperLogLog approximate distinct users per event type —
-    the classic decomposable distinct-count sketch (per-batch 4 KiB
-    register arrays merged by elementwise max; value cardinality
-    never ships). No SQL oracle by nature (the estimate depends on
-    the register hash); instead the query HARD-FAILS (raises) if any
-    group's estimate drifts more than 5% from the exact distributed
-    distinct count computed alongside it — self-gating like the ANN
-    recall gates. Emits (event_type, approx_distinct, exact_distinct,
-    rel_err) rows."""
-    import ray.data as rd
-
-    from .ops.agg import approx_distinct
-    from .core.exchange import distinct_rows
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"],
-        override_num_blocks=_blocks_for(),
-    )
-    approx = approx_distinct(ev, "user_id", key="event_type").to_pandas()
-    exact = (
-        distinct_rows(ev, ["event_type", "user_id"], lambda sch: sch)
-        .groupby("event_type")
-        .count()
-        .to_pandas()
-        .rename(columns={"count()": "exact_distinct"})
-    )
-    out = approx.merge(exact, on="event_type")
-    out["rel_err"] = (
-        (out["approx_distinct"] - out["exact_distinct"]).abs()
-        / out["exact_distinct"].clip(lower=1)
-    )
-    if (out["rel_err"] > 0.05).any():
-        raise AssertionError(
-            "HLL distinct drifted >5%% from exact: %s"
-            % out.to_dict("records")
-        )
-    out["approx_distinct"] = out["approx_distinct"].round(2)
-    out["rel_err"] = out["rel_err"].round(4)
-    return out.sort_values("event_type", ignore_index=True)
-
-
 def q_part_triangles(sf_dir):
     """Exact triangle count of the parts-co-ordered graph (two parts
     are adjacent when some order contains both): per-order pair
@@ -2855,41 +2029,6 @@ def q_part_triangles(sf_dir):
     from .ops.graph import triangle_count
 
     return triangle_count(_coorder_edges(sf_dir))
-
-
-def q_events_funnel(sf_dir):
-    """Ordered funnel (view → click → purchase): users counted at each
-    step they reach, where every step's event must be STRICTLY later
-    than the previous step's earliest qualifying event. One user-key
-    bucket shuffle; per-user scan is a few searchsorted probes. The
-    DuckDB oracle replays the same chained MIN(ts) recurrence."""
-    import ray.data as rd
-
-    from .ops.windows import funnel_counts
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_type", "ts"],
-        override_num_blocks=_blocks_for(),
-    )
-    return funnel_counts(ev, ["view", "click", "purchase"])
-
-
-def q_events_cohort_retention(sf_dir):
-    """Daily cohort retention over the events stream: users bucketed
-    by first-activity day, counted in every later day they return.
-    Two coarse-bucket shuffles (distinct (user, day), then per-user
-    min-day offsets) + a small rollup. The DuckDB oracle replays it
-    with date_trunc + a min-day self-join."""
-    import ray.data as rd
-
-    from .ops.windows import cohort_retention
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
-        override_num_blocks=_blocks_for(),
-    )
-    return cohort_retention(ev, freq="D")
 
 
 def q_links_intersect(sf_dir):
@@ -3001,86 +2140,6 @@ def _walks_sql(walk_len):
         "w0 AS MATERIALIZED (SELECT DISTINCT src AS walk_id, src AS node "
         "FROM ed), "
         + ", ".join(steps) + " " + union
-    )
-
-
-def q_lineitem_monthly_top_parts(sf_dir):
-    """Windowed grouped top-k by composition: month tumbling windows
-    (vectorized timestamp floor) × per-month part-quantity rollup ×
-    grouped_topk(k=3) — the 'trending items per window' shape.
-    Quantities sum in integer centiunits; DuckDB replays with
-    date_trunc + a row_number window."""
-    import ray.data as rd
-
-    from .ops.agg import grouped_agg_small, grouped_topk
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_shipdate", "l_partkey", "l_quantity"],
-        override_num_blocks=_blocks_for(),
-    )
-
-    def _month(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "month": pd.to_datetime(df["l_shipdate"])
-                .dt.to_period("M").dt.start_time,
-                "l_partkey": df["l_partkey"],
-                "qty100": (df["l_quantity"] * 100).round().astype("int64"),
-            }
-        )
-
-    per_part = grouped_agg_small(
-        li.map_batches(_month, batch_format="pandas"),
-        ["month", "l_partkey"], {"qty100": ("qty100", "sum")},
-    )
-    return grouped_topk(
-        per_part, ["month"], "qty100", k=3, ascending=False,
-        tie_cols=["l_partkey"],
-    )
-
-
-def q_orders_by_segment(sf_dir):
-    """Broadcast join: orders ⋈ customer (small side broadcast via
-    ray.put), revenue per market segment. Join + partial combine are
-    fused into one stage; the 5-segment rollup finishes with a
-    single-block combine (grouped_agg_small pattern) instead of a
-    sort-based groupby shuffle."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    seg_map = dict(
-        zip(cust["c_custkey"].to_pylist(), cust["c_mktsegment"].to_pylist())
-    )
-    ref = ray.put(seg_map)
-
-    def _join_partial(df: pd.DataFrame) -> pd.DataFrame:
-        mp = ray.get(ref)
-        df["c_mktsegment"] = df["o_custkey"].map(mp)
-        return df.groupby("c_mktsegment", as_index=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
-        )
-
-    def _final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("c_mktsegment", as_index=False).agg(
-            revenue=("revenue", "sum"), n_orders=("n_orders", "sum")
-        )
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"],
-        override_num_blocks=_blocks_for(),
-    )
-    out = (
-        orders.map_batches(_join_partial, batch_format="pandas")
-        .repartition(1)
-        .map_batches(_final, batch_format="pandas")
-    )
-    return out.map_batches(
-        lambda df: df.assign(revenue=df.revenue.round(2)), batch_format="pandas"
     )
 
 
@@ -3312,49 +2371,6 @@ def q_part_closeness(sf_dir):
         edges.map_batches(_bidir, batch_format="pandas"), seeds)
 
 
-def q_lineitem_skyline(sf_dir):
-    """Pareto frontier of (l_extendedprice, l_quantity), both
-    maximized — ops.agg.skyline2d: per-block local skylines (sort +
-    running-max scan, no pairwise loop) feed one skyline-sized final
-    merge. Hash-checked against a window-MAX SQL replay of the same
-    scan rule (no quadratic NOT EXISTS needed)."""
-    import ray.data as rd
-
-    from .ops.agg import skyline2d
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_quantity"],
-        override_num_blocks=_blocks_for())
-    return skyline2d(li, "l_extendedprice", "l_quantity")
-
-
-def q_orders_fk_violations(sf_dir):
-    """Referential-integrity QA (ops.validate.fk_violations): orders
-    whose o_custkey has no surviving parent after a planted partial
-    dim load (customers with c_custkey % 7 == 0 withheld) — an exact
-    distributed anti-join; the parent ships only its deduped key
-    column. Hash-checked against the NOT IN oracle."""
-    import ray.data as rd
-
-    from .ops.validate import fk_violations
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
-        override_num_blocks=_blocks_for())
-    parents = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    ).map_batches(
-        lambda df: df[df.c_custkey % 7 != 0], batch_format="pandas")
-    out = fk_violations(orders, parents, fk="o_custkey", pk="c_custkey",
-                        child_cols=["o_orderkey", "o_custkey"])
-    # surviving rows are all real child rows — undo the null-fill
-    # float upcast the key rows forced on o_orderkey
-    return out.map_batches(
-        lambda df: df.assign(o_orderkey=df.o_orderkey.astype("int64")),
-        batch_format="pandas")
-
-
 def q_doc_jsonl_roundtrip(sf_dir):
     """JSONL sink -> source identity: the corpus shard-writes as JSON
     Lines (ops.io.write_jsonl_ds, one resolved target filesystem) and
@@ -3424,38 +2440,6 @@ def q_doc_profile(sf_dir):
 
     return profile_table(
         _docs(sf_dir), ["doc_id", "lang", "n_chars", "source"])
-
-
-def q_events_daily_cumulative(sf_dir):
-    """Per-type running daily totals (ops.windows.cumulative_daily_counts
-    — the daily_trend shuffle shape plus a vectorized per-key cumsum
-    over the corpus-independent day series). Exact integers;
-    hash-checked against a SQL SUM() OVER replay."""
-    import ray.data as rd
-
-    from .ops.windows import cumulative_daily_counts
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"],
-        override_num_blocks=_blocks_for())
-    return cumulative_daily_counts(ev, key="event_type")
-
-
-def q_events_trigrams(sf_dir):
-    """Per-user consecutive event-type trigram counts (session path
-    mining) — ops.windows.ngram_transitions: one user-bucket shuffle,
-    windowed extraction as shifted views with a same-key run mask,
-    types^3-sized rollup. Hash-checked against a DuckDB lead()
-    window replay."""
-    import ray.data as rd
-
-    from .ops.windows import ngram_transitions
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"],
-        override_num_blocks=_blocks_for())
-    return ngram_transitions(ev, n=3)
 
 
 def q_part_ktruss(sf_dir):
@@ -3668,69 +2652,6 @@ def q_kg_functional_conflicts(sf_dir):
     return functional_conflicts(links, [IN_NATION, IN_REGION])
 
 
-def q_events_user_distinct(sf_dir):
-    """EXACT distinct users per event type — the oracle-backed sibling
-    of the events_user_hll self-gate: per-batch (type, user) pre-dedup
-    combiner, one keyed exchange, count (core.exchange.distinct_rows +
-    a small rollup). Hash-checked against COUNT(DISTINCT)."""
-    import ray.data as rd
-
-    from .core.exchange import distinct_rows
-    from .ops.agg import grouped_agg_small
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"],
-        override_num_blocks=_blocks_for())
-    distinct = distinct_rows(ev, ["event_type", "user_id"], lambda sch: sch)
-    counted = distinct.map_batches(
-        lambda df: df.assign(distinct_users=np.int64(1))[
-            ["event_type", "distinct_users"]],
-        batch_format="pandas")
-    return grouped_agg_small(
-        counted, ["event_type"], {"distinct_users": ("distinct_users",
-                                                     "sum")})
-
-
-def q_customer_region_rollup(sf_dir):
-    """Star-schema denormalization via map-side BROADCAST joins
-    (ops.joins.broadcast_join): the nation and region dims ship once
-    via ray.put and every customer batch merges locally — the fact
-    stream never shuffles; only the region-cardinality rollup does.
-    Account balances sum as exact integer cents. Hash-checked against
-    the two-dim SQL join."""
-    import ray.data as rd
-
-    from .ops.agg import grouped_agg_small
-    from .ops.joins import broadcast_join
-
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey", "c_acctbal"],
-        override_num_blocks=_blocks_for())
-    nation = rd.read_parquet(
-        f"{sf_dir}/nation.parquet",
-        columns=["n_nationkey", "n_regionkey"]).to_pandas()
-    region = rd.read_parquet(f"{sf_dir}/region.parquet").to_pandas()
-
-    joined = broadcast_join(
-        broadcast_join(cust, nation, on="c_nationkey",
-                       right_on="n_nationkey", how="inner"),
-        region, on="n_regionkey", right_on="r_regionkey", how="inner")
-
-    def _prep(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "r_name": df["r_name"],
-            "n_customers": np.ones(len(df), dtype=np.int64),
-            "acctbal_cents": (df["c_acctbal"] * 100).round().astype(
-                "int64"),
-        })
-
-    return grouped_agg_small(
-        joined.map_batches(_prep, batch_format="pandas"), ["r_name"],
-        {"n_customers": ("n_customers", "sum"),
-         "acctbal_cents": ("acctbal_cents", "sum")})
-
-
 def q_doc_len_winsorize(sf_dir):
     """Exact-quantile winsorization: n_chars clipped to its discrete
     [P10, P90] (ops.agg.winsorize — thresholds from the bounded
@@ -3796,36 +2717,6 @@ def q_kg_bipartite(sf_dir):
         cust.map_batches(_tag, batch_format="pandas"), ["g"], _cycle,
         pa.schema({"src": pa.int64(), "dst": pa.int64()}), min_group_size=2)
     return bipartite_check(edges)
-
-
-def q_events_debounce(sf_dir):
-    """Duplicate-burst suppression: keep an event iff >4h since the
-    user's previous event, ordered (ts, event_id) — ops.windows.debounce,
-    one user-keyed coarse-bucket shuffle, vectorized lexsort+diff in
-    exact microseconds. Hash-checked against a DuckDB lag() replay."""
-    import ray.data as rd
-
-    from .ops.windows import debounce
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id"])
-    return debounce(ev, gap_us=4 * 3600 * 1_000_000, keys=("user_id",))
-
-
-def q_events_daily_trend(sf_dir):
-    """Per-event-type daily-volume OLS slope as EXACT integers
-    (slope_num/slope_den, day index centered per key) —
-    ops.windows.daily_trend, two pre-aggregated coarse-bucket
-    shuffles, no floats anywhere. Hash-checked against a DuckDB
-    integer-moment replay."""
-    import ray.data as rd
-
-    from .ops.windows import daily_trend
-
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return daily_trend(ev, key="event_type")
 
 
 def q_doc_winnow_containment(sf_dir):
@@ -3895,38 +2786,8 @@ def build_queries():
         "doc_repetition": q_doc_repetition,
         "doc_compression": q_doc_compression,
         "doc_boilerplate": q_doc_boilerplate,
-        "knn_cosine": q_knn_cosine,
-        "knn_lsh_recall": q_knn_lsh_recall,
-        "knn_ivf_recall": q_knn_ivf_recall,
-        "knn_pq_recall": q_knn_pq_recall,
-        "knn_ann_index_recall": q_knn_ann_index_recall,
-        "knn_ann_append_recall": q_knn_ann_append_recall,
-        "emb_group_centroids": q_emb_group_centroids,
-        "emb_kmeans": q_emb_kmeans,
-        "embedding_near_dups": q_embedding_near_dups,
-        "semantic_dedup": q_semantic_dedup,
-        "events_asof_join": q_events_asof_join,
-        "events_range_join": q_events_range_join,
-        "events_range_overlap": q_events_range_overlap,
-        "events_tumbling": q_events_tumbling,
-        "events_incremental_tumbling": q_events_incremental_tumbling,
-        "events_sliding": q_events_sliding,
-        "events_sessions": q_events_sessions,
-        "lineitem_agg": q_lineitem_agg,
-        "lineitem_quantiles": q_lineitem_quantiles,
-        "lineitem_quantiles_exact": q_lineitem_quantiles_exact,
-        "orders_by_segment": q_orders_by_segment,
-        "order_priority_revenue": q_order_priority_revenue,
-        "lineitem_urgent_semi": q_lineitem_urgent_semi,
-        "events_user_hll": q_events_user_hll,
-        "events_heavy_hitters": q_events_heavy_hitters,
-        "events_gap_stats": q_events_gap_stats,
-        "events_transitions": q_events_transitions,
-        "lineitem_price_hist": q_lineitem_price_hist,
         "doc_above_median_chars": q_doc_above_median_chars,
         "part_triangles": q_part_triangles,
-        "events_funnel": q_events_funnel,
-        "events_cohort_retention": q_events_cohort_retention,
         "links_intersect": q_links_intersect,
         "links_diff": q_links_diff,
         "kg_random_walks": q_kg_random_walks,
@@ -3939,7 +2800,6 @@ def build_queries():
         "part_closeness": q_part_closeness,
         "kg_scc": q_kg_scc,
         "er_typo_match": q_er_typo_match,
-        "lineitem_monthly_top_parts": q_lineitem_monthly_top_parts,
         "kg_linkset": q_kg_linkset,
         "fullquery_negation": q_fullquery_negation,
         "fullquery_disjunction": q_fullquery_disjunction,
@@ -4025,24 +2885,16 @@ def build_queries():
         "doc_winnow": q_doc_winnow,
         "doc_winnow_pairs": q_doc_winnow_pairs,
         "doc_len_outliers": q_doc_len_outliers,
-        "events_debounce": q_events_debounce,
-        "events_daily_trend": q_events_daily_trend,
         "kg_bipartite": q_kg_bipartite,
         "doc_len_ntile": q_doc_len_ntile,
-        "events_user_distinct": q_events_user_distinct,
-        "customer_region_rollup": q_customer_region_rollup,
         "doc_len_winsorize": q_doc_len_winsorize,
         "part_harmonic": q_part_harmonic,
-        "events_trigrams": q_events_trigrams,
         "doc_profile": q_doc_profile,
         "doc_weighted_sample": q_doc_weighted_sample,
         "doc_len_pct_by_source": q_doc_len_pct_by_source,
         "doc_jsonl_roundtrip": q_doc_jsonl_roundtrip,
-        "orders_fk_violations": q_orders_fk_violations,
-        "lineitem_skyline": q_lineitem_skyline,
         "part_ktruss": q_part_ktruss,
         "part_mis": q_part_mis,
-        "events_daily_cumulative": q_events_daily_cumulative,
         "doc_winnow_containment": q_doc_winnow_containment,
     }
 
@@ -4236,27 +3088,6 @@ def build_oracles():
             "FROM documents d JOIN med m USING (source) "
             "JOIN mad a ON a.source = d.source ORDER BY d.doc_id"
         ),
-        "events_debounce": (
-            "SELECT event_id, ts, user_id FROM ("
-            "SELECT event_id, ts, user_id, lag(ts) OVER ("
-            "PARTITION BY user_id ORDER BY ts, event_id) AS pts "
-            "FROM events) WHERE pts IS NULL "
-            "OR date_diff('microsecond', pts, ts) > 14400000000 "
-            "ORDER BY event_id"
-        ),
-        "events_daily_trend": (
-            "WITH daily AS (SELECT event_type, date_trunc('day', ts) AS d, "
-            "CAST(COUNT(*) AS BIGINT) AS y FROM events GROUP BY 1, 2), "
-            "ctr AS (SELECT event_type, MIN(d) AS d0 FROM daily GROUP BY 1), "
-            "ix AS (SELECT daily.event_type, "
-            "date_diff('day', ctr.d0, daily.d) AS x, y "
-            "FROM daily JOIN ctr USING (event_type)) "
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_days, "
-            "CAST(COUNT(*) * SUM(x * y) - SUM(x) * SUM(y) AS BIGINT) "
-            "AS slope_num, "
-            "CAST(COUNT(*) * SUM(x * x) - SUM(x) * SUM(x) AS BIGINT) "
-            "AS slope_den FROM ix GROUP BY event_type ORDER BY event_type"
-        ),
         # bipartiteness replay: same ring fixture (customers mod G,
         # G = max(23, n//40)), min depth from each ring's min node via
         # the capped recursive walk (UNION dedups states; rings stay
@@ -4304,19 +3135,6 @@ def build_oracles():
             "SELECT doc_id, CAST(n_chars AS BIGINT) AS n_chars, "
             "CAST(NTILE(7) OVER (ORDER BY n_chars, doc_id) AS BIGINT) "
             "AS tile FROM documents ORDER BY doc_id"
-        ),
-        "events_user_distinct": (
-            "SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) "
-            "AS distinct_users FROM events GROUP BY event_type "
-            "ORDER BY event_type"
-        ),
-        "customer_region_rollup": (
-            "SELECT r_name, CAST(COUNT(*) AS BIGINT) AS n_customers, "
-            "CAST(SUM(CAST(round(c_acctbal * 100) AS BIGINT)) AS BIGINT) "
-            "AS acctbal_cents FROM customer "
-            "JOIN nation ON c_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey "
-            "GROUP BY r_name ORDER BY r_name"
         ),
         "doc_len_winsorize": (
             "WITH th AS (SELECT quantile_disc(n_chars, 0.1) AS lo, "
@@ -4539,46 +3357,6 @@ def build_oracles():
             "FROM res1 r CROSS JOIN nn JOIN idx e2 "
             "ON e2.ix = (r.raw + 1) % nn.n WHERE r.ent = r.target"
         ),
-        # Markov transition counts under the total order (ts, event_id)
-        "events_transitions": (
-            "SELECT prev AS from_type, event_type AS to_type, "
-            "CAST(count(*) AS BIGINT) AS n FROM ("
-            "SELECT event_type, lag(event_type) OVER ("
-            "PARTITION BY user_id ORDER BY ts, event_id) AS prev "
-            "FROM events) WHERE prev IS NOT NULL "
-            "GROUP BY prev, event_type"
-        ),
-        # exact 32-bin equi-width histogram; the bin expression is the
-        # engine's verbatim: least(31, floor((v - lo) * 32.0 / span))
-        "lineitem_price_hist": (
-            "WITH mm AS (SELECT min(l_extendedprice) AS lo, "
-            "max(l_extendedprice) AS hi FROM lineitem), "
-            "b AS (SELECT least(31, CAST(floor((l_extendedprice - mm.lo) "
-            "* 32.0 / (mm.hi - mm.lo)) AS BIGINT)) AS bin "
-            "FROM lineitem, mm), "
-            "c AS (SELECT bin, CAST(count(*) AS BIGINT) AS n FROM b "
-            "GROUP BY bin) "
-            "SELECT g.bin, CAST(coalesce(c.n, 0) AS BIGINT) AS n FROM ("
-            "SELECT unnest(range(0, 32)) AS bin) g "
-            "LEFT JOIN c USING (bin)"
-        ),
-        "events_gap_stats": (
-            "WITH g AS (SELECT user_id, "
-            "epoch_us(ts) - lag(epoch_us(ts)) OVER "
-            "(PARTITION BY user_id ORDER BY ts) AS gap "
-            "FROM events) "
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(count(gap) AS BIGINT) AS n_gaps, "
-            "CAST(coalesce(min(gap), 0) AS BIGINT) AS min_gap_us, "
-            "CAST(coalesce(max(gap), 0) AS BIGINT) AS max_gap_us, "
-            "CAST(coalesce(sum(gap), 0) AS BIGINT) AS sum_gap_us "
-            "FROM g GROUP BY user_id"
-        ),
-        "events_heavy_hitters": (
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n FROM events "
-            "GROUP BY user_id HAVING count(*) >= CAST(ceil(0.007 * "
-            "(SELECT count(*) FROM events)) AS BIGINT)"
-        ),
         "kg_bfs_depth": (
             "WITH RECURSIVE edges AS ("
             "SELECT 'urn:versa:order:' || CAST(o_orderkey AS VARCHAR) AS a, "
@@ -4708,37 +3486,6 @@ def build_oracles():
             "SELECT d.doc_id, CAST(count(*) AS BIGINT) AS n_hits "
             "FROM documents d JOIN snips ON position(snips.s IN d.text) > 0 "
             "GROUP BY d.doc_id"
-        ),
-        "events_asof_join": (
-            "SELECT l.event_id, l.ts, l.user_id, r.ts AS ts_r, "
-            "r.event_id AS event_id_r "
-            "FROM (SELECT event_id, ts, user_id FROM events "
-            "WHERE event_type = 'purchase') l "
-            "ASOF JOIN (SELECT event_id, ts, user_id FROM events "
-            "WHERE event_type = 'view') r "
-            "ON l.user_id = r.user_id AND l.ts >= r.ts"
-        ),
-        "events_range_join": (
-            "WITH marked AS (SELECT user_id, ts, event_id, CASE WHEN lag(ts) OVER w IS NULL "
-            "OR ts - lag(ts) OVER w > INTERVAL 2 HOUR THEN 1 ELSE 0 END AS new_s "
-            "FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)), "
-            "sessed AS (SELECT user_id, ts, sum(new_s) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS UNBOUNDED PRECEDING) AS sess FROM marked), "
-            "s AS (SELECT user_id, min(ts) AS session_start, "
-            "max(ts) AS session_end FROM sessed GROUP BY user_id, sess) "
-            "SELECT e.event_id, e.user_id, e.ts, s.session_start, "
-            "s.session_end FROM events e JOIN s ON e.user_id = s.user_id "
-            "AND e.ts BETWEEN s.session_start AND s.session_end"
-        ),
-        "events_range_overlap": (
-            "WITH w AS (SELECT user_id, event_id AS win_id, "
-            "ts - INTERVAL 1 HOUR AS win_start, "
-            "ts + INTERVAL 1 HOUR AS win_end "
-            "FROM events WHERE event_id % 7 = 0) "
-            "SELECT e.event_id, e.user_id, e.ts, w.win_id, w.win_start, "
-            "w.win_end FROM events e JOIN w ON e.user_id = w.user_id "
-            "AND e.ts BETWEEN w.win_start AND w.win_end"
         ),
         "doc_gopher_quality": (
             "WITH t AS (SELECT doc_id, "
@@ -5027,50 +3774,6 @@ def build_oracles():
             "SELECT id_a, id_b, round(jac, 6) AS jaccard FROM j "
             "WHERE jac >= 0.5"
         ),
-        "events_tumbling": (
-            "SELECT event_type, date_trunc('day', ts) AS window_start, "
-            "count(*) AS n, round(sum(value), 2) AS value_sum "
-            "FROM events GROUP BY 1, 2"
-        ),
-        # the replayed micro-batches must converge to the batch result
-        "events_incremental_tumbling": (
-            "SELECT event_type, date_trunc('day', ts) AS window_start, "
-            "count(*) AS n, round(sum(value), 2) AS value_sum "
-            "FROM events GROUP BY 1, 2"
-        ),
-        "events_sliding": (
-            "SELECT user_id, window_start, count(*) AS n, "
-            "round(sum(value), 2) AS value_sum FROM ("
-            "SELECT user_id, value, date_trunc('hour', ts) AS window_start FROM events "
-            "UNION ALL "
-            "SELECT user_id, value, date_trunc('hour', ts) - INTERVAL 1 HOUR FROM events"
-            ") GROUP BY 1, 2"
-        ),
-        "events_sessions": (
-            "WITH marked AS (SELECT user_id, ts, event_id, CASE WHEN lag(ts) OVER w IS NULL "
-            "OR ts - lag(ts) OVER w > INTERVAL 2 HOUR THEN 1 ELSE 0 END AS new_s "
-            "FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)), "
-            "sessed AS (SELECT user_id, ts, sum(new_s) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS UNBOUNDED PRECEDING) AS sess FROM marked) "
-            "SELECT user_id, min(ts) AS session_start, max(ts) AS session_end, "
-            "count(*) AS n_events FROM sessed GROUP BY user_id, sess"
-        ),
-        "lineitem_agg": (
-            "SELECT l_returnflag, l_linestatus, round(sum(l_quantity), 2) AS sum_qty, "
-            "round(sum(l_extendedprice), 2) AS sum_base_price, count(*) AS n "
-            "FROM lineitem GROUP BY 1, 2"
-        ),
-        "lineitem_quantiles_exact": (
-            "SELECT CAST(0.25 AS DOUBLE) AS q, quantile_disc(CAST("
-            "l_extendedprice AS DOUBLE), 0.25) AS value FROM lineitem"
-            " UNION ALL SELECT 0.5, quantile_disc(CAST(l_extendedprice"
-            " AS DOUBLE), 0.5) FROM lineitem"
-            " UNION ALL SELECT 0.75, quantile_disc(CAST(l_extendedprice"
-            " AS DOUBLE), 0.75) FROM lineitem"
-            " UNION ALL SELECT 0.95, quantile_disc(CAST(l_extendedprice"
-            " AS DOUBLE), 0.95) FROM lineitem"
-        ),
         "edit_distance_pairs": (
             "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
             "LIMIT 128), "
@@ -5087,43 +3790,6 @@ def build_oracles():
             "CAST(levenshtein(a.s, b.s) AS BIGINT) AS dist "
             "FROM allr a JOIN allr b ON a.id < b.id "
             "WHERE levenshtein(a.s, b.s) <= 1 ORDER BY id_a, id_b"
-        ),
-        "lineitem_monthly_top_parts": (
-            "WITH m AS (SELECT date_trunc('month', l_shipdate) AS month, "
-            "l_partkey, SUM(CAST(round(l_quantity * 100) AS BIGINT)) "
-            "AS qty100 FROM lineitem GROUP BY 1, 2), "
-            "r AS (SELECT month, l_partkey, qty100, row_number() OVER ("
-            "PARTITION BY month ORDER BY qty100 DESC, l_partkey) AS rank "
-            "FROM m) SELECT month, l_partkey, CAST(qty100 AS BIGINT) "
-            "AS qty100, CAST(rank AS BIGINT) AS rank FROM r "
-            "WHERE rank <= 3 ORDER BY month, rank"
-        ),
-        "events_cohort_retention": (
-            "WITH ud AS (SELECT DISTINCT user_id, "
-            "date_trunc('day', ts) AS d FROM events), "
-            "c AS (SELECT user_id, MIN(d) AS cohort FROM ud "
-            "GROUP BY user_id) "
-            "SELECT c.cohort, "
-            "CAST(date_diff('day', c.cohort, ud.d) AS BIGINT) "
-            "AS period_offset, CAST(COUNT(*) AS BIGINT) AS n_users "
-            "FROM ud JOIN c ON ud.user_id = c.user_id "
-            "GROUP BY c.cohort, period_offset ORDER BY cohort, period_offset"
-        ),
-        "events_funnel": (
-            "WITH s1 AS (SELECT user_id, MIN(ts) AS t1 FROM events "
-            "WHERE event_type = 'view' GROUP BY user_id), "
-            "s2 AS (SELECT e.user_id, MIN(e.ts) AS t2 FROM events e "
-            "JOIN s1 ON e.user_id = s1.user_id AND e.ts > s1.t1 "
-            "WHERE e.event_type = 'click' GROUP BY e.user_id), "
-            "s3 AS (SELECT e.user_id, MIN(e.ts) AS t3 FROM events e "
-            "JOIN s2 ON e.user_id = s2.user_id AND e.ts > s2.t2 "
-            "WHERE e.event_type = 'purchase' GROUP BY e.user_id) "
-            "SELECT * FROM ("
-            "SELECT 0 AS step_ix, 'view' AS step, "
-            "CAST(COUNT(*) AS BIGINT) AS n_users FROM s1 "
-            "UNION ALL SELECT 1, 'click', CAST(COUNT(*) AS BIGINT) FROM s2 "
-            "UNION ALL SELECT 2, 'purchase', CAST(COUNT(*) AS BIGINT) "
-            "FROM s3) ORDER BY step_ix"
         ),
         "part_kcore": 'WITH e0 AS MATERIALIZED (SELECT u, v FROM (SELECT a.l_partkey AS u, b.l_partkey AS v, count(DISTINCT a.l_orderkey) AS m FROM lineitem a JOIN lineitem b ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey GROUP BY 1, 2) WHERE m >= 2), d1 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e0 UNION ALL SELECT v FROM e0) GROUP BY node), e1 AS MATERIALIZED (SELECT e.u, e.v FROM e0 e JOIN d1 du ON du.node = e.u JOIN d1 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d2 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e1 UNION ALL SELECT v FROM e1) GROUP BY node), e2 AS MATERIALIZED (SELECT e.u, e.v FROM e1 e JOIN d2 du ON du.node = e.u JOIN d2 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d3 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e2 UNION ALL SELECT v FROM e2) GROUP BY node), e3 AS MATERIALIZED (SELECT e.u, e.v FROM e2 e JOIN d3 du ON du.node = e.u JOIN d3 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d4 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e3 UNION ALL SELECT v FROM e3) GROUP BY node), e4 AS MATERIALIZED (SELECT e.u, e.v FROM e3 e JOIN d4 du ON du.node = e.u JOIN d4 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d5 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e4 UNION ALL SELECT v FROM e4) GROUP BY node), e5 AS MATERIALIZED (SELECT e.u, e.v FROM e4 e JOIN d5 du ON du.node = e.u JOIN d5 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d6 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e5 UNION ALL SELECT v FROM e5) GROUP BY node), e6 AS MATERIALIZED (SELECT e.u, e.v FROM e5 e JOIN d6 du ON du.node = e.u JOIN d6 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d7 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e6 UNION ALL SELECT v FROM e6) GROUP BY node), e7 AS MATERIALIZED (SELECT e.u, e.v FROM e6 e JOIN d7 du ON du.node = e.u JOIN d7 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d8 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e7 UNION ALL SELECT v FROM e7) GROUP BY node), e8 AS MATERIALIZED (SELECT e.u, e.v FROM e7 e JOIN d8 du ON du.node = e.u JOIN d8 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d9 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e8 UNION ALL SELECT v FROM e8) GROUP BY node), e9 AS MATERIALIZED (SELECT e.u, e.v FROM e8 e JOIN d9 du ON du.node = e.u JOIN d9 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d10 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e9 UNION ALL SELECT v FROM e9) GROUP BY node), e10 AS MATERIALIZED (SELECT e.u, e.v FROM e9 e JOIN d10 du ON du.node = e.u JOIN d10 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d11 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e10 UNION ALL SELECT v FROM e10) GROUP BY node), e11 AS MATERIALIZED (SELECT e.u, e.v FROM e10 e JOIN d11 du ON du.node = e.u JOIN d11 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d12 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e11 UNION ALL SELECT v FROM e11) GROUP BY node), e12 AS MATERIALIZED (SELECT e.u, e.v FROM e11 e JOIN d12 du ON du.node = e.u JOIN d12 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d13 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e12 UNION ALL SELECT v FROM e12) GROUP BY node), e13 AS MATERIALIZED (SELECT e.u, e.v FROM e12 e JOIN d13 du ON du.node = e.u JOIN d13 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d14 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e13 UNION ALL SELECT v FROM e13) GROUP BY node), e14 AS MATERIALIZED (SELECT e.u, e.v FROM e13 e JOIN d14 du ON du.node = e.u JOIN d14 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d15 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e14 UNION ALL SELECT v FROM e14) GROUP BY node), e15 AS MATERIALIZED (SELECT e.u, e.v FROM e14 e JOIN d15 du ON du.node = e.u JOIN d15 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d16 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e15 UNION ALL SELECT v FROM e15) GROUP BY node), e16 AS MATERIALIZED (SELECT e.u, e.v FROM e15 e JOIN d16 du ON du.node = e.u JOIN d16 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d17 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e16 UNION ALL SELECT v FROM e16) GROUP BY node), e17 AS MATERIALIZED (SELECT e.u, e.v FROM e16 e JOIN d17 du ON du.node = e.u JOIN d17 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d18 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e17 UNION ALL SELECT v FROM e17) GROUP BY node), e18 AS MATERIALIZED (SELECT e.u, e.v FROM e17 e JOIN d18 du ON du.node = e.u JOIN d18 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d19 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e18 UNION ALL SELECT v FROM e18) GROUP BY node), e19 AS MATERIALIZED (SELECT e.u, e.v FROM e18 e JOIN d19 du ON du.node = e.u JOIN d19 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d20 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e19 UNION ALL SELECT v FROM e19) GROUP BY node), e20 AS MATERIALIZED (SELECT e.u, e.v FROM e19 e JOIN d20 du ON du.node = e.u JOIN d20 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d21 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e20 UNION ALL SELECT v FROM e20) GROUP BY node), e21 AS MATERIALIZED (SELECT e.u, e.v FROM e20 e JOIN d21 du ON du.node = e.u JOIN d21 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d22 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e21 UNION ALL SELECT v FROM e21) GROUP BY node), e22 AS MATERIALIZED (SELECT e.u, e.v FROM e21 e JOIN d22 du ON du.node = e.u JOIN d22 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d23 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e22 UNION ALL SELECT v FROM e22) GROUP BY node), e23 AS MATERIALIZED (SELECT e.u, e.v FROM e22 e JOIN d23 du ON du.node = e.u JOIN d23 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d24 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e23 UNION ALL SELECT v FROM e23) GROUP BY node), e24 AS MATERIALIZED (SELECT e.u, e.v FROM e23 e JOIN d24 du ON du.node = e.u JOIN d24 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3) SELECT DISTINCT node FROM (SELECT u AS node FROM e24 UNION ALL SELECT v FROM e24)',
         "part_communities": _lpa_sql(n_rounds=4),
@@ -5323,46 +3989,12 @@ def build_oracles():
             "CAST(sum(CASE WHEN d > 0 THEN 1000000000 // d ELSE 0 END) "
             "AS BIGINT) AS harmonic_e9 FROM md GROUP BY node"
         ),
-        "events_daily_cumulative": (
-            "WITH daily AS (SELECT event_type, "
-            "CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS y FROM events GROUP BY 1, 2) "
-            "SELECT event_type, day, y, "
-            "CAST(SUM(y) OVER (PARTITION BY event_type ORDER BY day) "
-            "AS BIGINT) AS cum FROM daily ORDER BY event_type, day"
-        ),
-        "events_trigrams": (
-            "SELECT t1, t2, t3, CAST(COUNT(*) AS BIGINT) "
-            "AS n_occurrences FROM ("
-            "SELECT event_type AS t1, "
-            "lead(event_type, 1) OVER w AS t2, "
-            "lead(event_type, 2) OVER w AS t3 FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)) "
-            "WHERE t2 IS NOT NULL AND t3 IS NOT NULL "
-            "GROUP BY t1, t2, t3 ORDER BY t1, t2, t3"
-        ),
         "doc_jsonl_roundtrip": (
             "SELECT doc_id, text, lang, CAST(n_chars AS BIGINT) AS "
             "n_chars FROM documents ORDER BY doc_id"
         ),
-        "orders_fk_violations": (
-            "SELECT o_orderkey, o_custkey FROM orders "
-            "WHERE o_custkey NOT IN (SELECT c_custkey FROM customer "
-            "WHERE c_custkey % 7 != 0) ORDER BY o_orderkey"
-        ),
         "part_ktruss": _ktruss_sql(rounds=8),
         "part_mis": _mis_sql(rounds=10),
-        "lineitem_skyline": (
-            "WITH d AS (SELECT DISTINCT l_extendedprice, l_quantity "
-            "FROM lineitem), "
-            "s AS (SELECT l_extendedprice, l_quantity, "
-            "MAX(l_quantity) OVER (ORDER BY l_extendedprice DESC, "
-            "l_quantity DESC ROWS BETWEEN UNBOUNDED PRECEDING AND "
-            "1 PRECEDING) AS my FROM d) "
-            "SELECT l_extendedprice, l_quantity FROM s "
-            "WHERE my IS NULL OR l_quantity > my "
-            "ORDER BY l_extendedprice, l_quantity"
-        ),
         "doc_len_pct_by_source": (
             "SELECT doc_id, source, CAST(n_chars AS BIGINT) AS n_chars, "
             "percent_rank() OVER (PARTITION BY source ORDER BY n_chars) "
@@ -5484,37 +4116,6 @@ def build_oracles():
             "SELECT CAST(COUNT(*) AS BIGINT) AS n_triangles "
             "FROM e e1 JOIN e e2 ON e2.u = e1.u AND e2.v > e1.v "
             "JOIN e e3 ON e3.u = e1.v AND e3.v = e2.v"
-        ),
-        "lineitem_urgent_semi": (
-            "SELECT l_linestatus, CAST(count(*) AS BIGINT) AS n_items, "
-            "CAST(SUM(CAST(round(l_quantity * 100) AS BIGINT)) AS BIGINT) "
-            "AS sum_qty100 FROM lineitem WHERE l_orderkey IN "
-            "(SELECT o_orderkey FROM orders "
-            "WHERE o_orderpriority = '1-URGENT') "
-            "GROUP BY l_linestatus ORDER BY l_linestatus"
-        ),
-        "order_priority_revenue": (
-            "SELECT o_orderpriority, CAST(SUM("
-            "CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) AS BIGINT) "
-            "AS revenue_e4 FROM lineitem JOIN orders "
-            "ON l_orderkey = o_orderkey GROUP BY o_orderpriority "
-            "ORDER BY o_orderpriority"
-        ),
-        "orders_by_segment": (
-            "SELECT c_mktsegment, round(sum(o_totalprice), 2) AS revenue, "
-            "count(*) AS n_orders FROM orders JOIN customer ON o_custkey = c_custkey "
-            "GROUP BY 1"
-        ),
-        "knn_cosine": (
-            "WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings "
-            "WHERE vec_id IN (SELECT vec_id FROM embeddings ORDER BY vec_id LIMIT 8)), "
-            "sims AS (SELECT q.qid, e.vec_id AS nid, "
-            "list_cosine_similarity(q.qe, e.embedding) AS sim "
-            "FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.qid), "
-            "ranked AS (SELECT qid, nid, row_number() OVER "
-            "(PARTITION BY qid ORDER BY sim DESC, nid) AS rank FROM sims) "
-            "SELECT qid, nid, rank FROM ranked WHERE rank <= 5"
         ),
         # near-dup clustering as SQL: exact-Jaccard edges (the LSH
         # signature-estimate pair set equals the exact >=0.5 set on
@@ -5769,29 +4370,6 @@ def build_oracles():
             "ORDER BY k.pos), '') AS clean_text "
             "FROM lndocs d LEFT JOIN kept k ON d.doc_id = k.doc_id "
             "GROUP BY d.doc_id"
-        ),
-        # exact all-pairs cosine >= 0.9 over the augmented (planted)
-        # corpus; LSH recall is 1.0 at this separation so the sets match
-        # element-wise mean embedding per (vec_id % 16) group: unnest
-        # with ordinality -> avg per (grp, dim) -> round(6) both sides
-        "emb_group_centroids": (
-            "SELECT grp, dim_idx, round(avg(v), 6) AS mean_val FROM ("
-            "SELECT vec_id % 16 AS grp, "
-            "unnest(range(len(embedding))) AS dim_idx, "
-            "unnest(embedding) AS v FROM embeddings) "
-            "GROUP BY grp, dim_idx ORDER BY grp, dim_idx"
-        ),
-        "embedding_near_dups": (
-            "WITH aug AS ("
-            "SELECT vec_id, embedding FROM embeddings "
-            "UNION ALL "
-            "SELECT vec_id + 1000000, "
-            "list_prepend(CAST(embedding[1] + 0.05 AS FLOAT), embedding[2:]) "
-            f"FROM embeddings WHERE vec_id < {_PLANT_K}) "
-            "SELECT CAST(a.vec_id AS BIGINT) AS id_a, "
-            "CAST(b.vec_id AS BIGINT) AS id_b "
-            "FROM aug a JOIN aug b ON a.vec_id < b.vec_id "
-            "WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.9"
         ),
         # doc_minhash_dedup / doc_simhash / doc_langid / doc_quality /
         # kg_linkset: not SQL-expressible -> rows-only checks
