@@ -62,6 +62,8 @@ QUERY_SUITE = (
     "doc_minhash_dedup",
     "doc_near_dup_pairs",
     "doc_token_stats",
+    "events_tumbling",
+    "events_sliding",
     "links_jsonld_nested",
     "doc_simhash_pairs",
     "doc_curation",

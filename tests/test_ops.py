@@ -448,6 +448,55 @@ def test_textstats(ray_session, docs_ds):
     assert fp.iloc[0]["fp_md5"] == hashlib.md5(fp.iloc[0]["text"].encode()).hexdigest()
 
 
+def test_tumbling_window(ray_session):
+    import ray.data as rd
+
+    from versa_ray.ops.windows import tumbling_window_agg
+
+    ev = rd.read_parquet(f"{SF}/events.parquet")
+    out = tumbling_window_agg(ev, freq="1D").to_pandas()
+    pdf = ev.to_pandas()
+    pdf["window_start"] = pdf["ts"].dt.floor("1D")
+    expect = pdf.groupby(["event_type", "window_start"]).agg(
+        n=("value", "size"), value_sum=("value", "sum")
+    )
+    assert len(out) == len(expect)
+    merged = out.set_index(["event_type", "window_start"]).join(
+        expect, rsuffix="_e"
+    )
+    assert (merged["n"] == merged["n_e"]).all()
+    assert np.allclose(merged["value_sum"], merged["value_sum_e"])
+
+
+def test_session_windows(ray_session):
+    import ray.data as rd
+
+    from versa_ray.ops.windows import session_windows
+
+    ev = rd.read_parquet(f"{SF}/events.parquet").limit(200)
+    out = session_windows(ev, gap="2h").to_pandas()
+    assert (out["session_end"] >= out["session_start"]).all()
+    assert out["n_events"].sum() == 200
+
+
+def test_sliding_window(ray_session):
+    import ray.data as rd
+
+    from versa_ray.ops.windows import sliding_window_agg
+
+    ev = rd.read_parquet(f"{SF}/events.parquet").limit(300)
+    out = sliding_window_agg(ev, window="2h", slide="1h").to_pandas()
+    pdf = ev.to_pandas()
+    # every event lands in exactly window/slide = 2 windows
+    assert out["n"].sum() == 2 * len(pdf)
+    # spot-check one (user, window)
+    row = out.iloc[0]
+    lo = row["window_start"]
+    hi = lo + pd.Timedelta("2h")
+    expect = pdf[(pdf.user_id == row["user_id"]) & (pdf.ts >= lo) & (pdf.ts < hi)]
+    assert row["n"] == len(expect)
+
+
 def test_verify_pairs_jaccard(ray_session):
     import ray.data as rd
 
@@ -553,6 +602,53 @@ def test_assign_clusters_join_path(ray_session):
     assert list(fast["cluster"]) == list(slow["cluster"])
     m = dict(zip(fast["doc_id"], fast["cluster"]))
     assert m[0] == m[1] == m[2] == 0 and m[5] == m[7] == 5 and m[3] == 3
+
+
+def test_incremental_tumbling(ray_session, tmp_path):
+    """Two micro-batches + a late row must converge to the single-batch
+    tumbling result; windows finalize exactly once under the
+    watermark."""
+    import ray.data as rd
+
+    from versa_ray.ops.windows import incremental_tumbling, tumbling_window_agg
+
+    ev = rd.read_parquet(f"{SF}/events.parquet").to_pandas()
+    ev = ev.sort_values("ts", ignore_index=True)
+    cut = len(ev) // 2
+    # hold back an event whose window is still OPEN under the first
+    # watermark (within the 3D lag) so it arrives late but folds in
+    late_ix = cut - 5
+    late = ev.iloc[[late_ix]]
+    first = ev.iloc[:cut].drop(index=late_ix)
+    second = pd.concat([ev.iloc[cut:], late])
+    state = str(tmp_path / "wstate")
+
+    wm1 = ev.iloc[:cut]["ts"].max() - pd.Timedelta("3D")
+    f1, open1 = incremental_tumbling(
+        state, rd.from_pandas(first), freq="1D", watermark=wm1
+    )
+    f1 = f1.to_pandas()
+    assert open1 > 0
+    f2, open2 = incremental_tumbling(
+        state, rd.from_pandas(second), freq="1D",
+        watermark=ev["ts"].max() + pd.Timedelta("1D"),
+    )
+    f2 = f2.to_pandas()
+    assert open2 == 0  # watermark past everything -> all finalized
+
+    got = pd.concat([f1, f2], ignore_index=True)
+    want = tumbling_window_agg(rd.from_pandas(ev), freq="1D").to_pandas()
+    key = ["event_type", "window_start"]
+    got = got.sort_values(key, ignore_index=True)
+    want = want.sort_values(key, ignore_index=True)
+    # no window emitted twice; totals identical to the batch result
+    assert not got.duplicated(subset=key).any()
+    pd.testing.assert_frame_equal(
+        got[key + ["n"]], want[key + ["n"]], check_dtype=False
+    )
+    assert np.allclose(
+        got["value_sum"].to_numpy(), want["value_sum"].to_numpy()
+    )
 
 
 def test_simhash_batch_matches_per_doc():
@@ -670,6 +766,94 @@ def test_edit_distance_pairs(ray_session):
     assert len(dup) == 1 and int(dup["dist"].iloc[0]) == 0
 
 
+def test_funnel_counts(ray_session):
+    """Funnel semantics: earliest qualifying event per step, strictly
+    ordered, optional anchor window; cumulative-reach counts."""
+    import ray.data as rd
+
+    from versa_ray.ops.windows import funnel_counts
+
+    rows = []
+
+    def ev(u, t, ty):
+        rows.append(
+            {"user_id": u, "event_type": ty,
+             "ts": pd.Timestamp("2024-01-01") + pd.Timedelta(minutes=t)}
+        )
+
+    ev(1, 0, "view"); ev(1, 10, "click"); ev(1, 20, "purchase")  # full
+    ev(2, 0, "view"); ev(2, 5, "click")                          # 2 steps
+    ev(3, 0, "click"); ev(3, 5, "view")      # click precedes view -> 1
+    ev(4, 0, "purchase")                                         # 0 steps
+    ev(5, 0, "view"); ev(5, 200, "click"); ev(5, 210, "purchase")
+    df = pd.DataFrame(rows)
+    ds = rd.from_pandas(df).repartition(3)
+    out = funnel_counts(ds, ["view", "click", "purchase"])
+    assert out["step"].tolist() == ["view", "click", "purchase"]
+    assert out["n_users"].tolist() == [4, 3, 2]
+    # 1h anchor window cuts user 5's late click/purchase
+    outw = funnel_counts(ds, ["view", "click", "purchase"], within="1h")
+    assert outw["n_users"].tolist() == [4, 2, 1]
+    # no qualifying events at all -> explicit zero rows
+    none = funnel_counts(ds, ["signup", "view"])
+    assert none["n_users"].tolist() == [0, 0]
+
+
+def test_cohort_retention(ray_session):
+    """Cohort table: first-activity day buckets, per-day return
+    counts, duplicate events within a day collapse."""
+    import ray.data as rd
+
+    from versa_ray.ops.windows import cohort_retention
+
+    rows = []
+
+    def ev(u, day):
+        rows.append(
+            {"user_id": u,
+             "ts": pd.Timestamp("2024-01-01")
+             + pd.Timedelta(days=day, hours=3)}
+        )
+
+    ev(1, 0); ev(1, 0); ev(1, 1); ev(1, 5)
+    ev(2, 0); ev(2, 5)
+    ev(3, 1); ev(3, 2)
+    out = (
+        cohort_retention(rd.from_pandas(pd.DataFrame(rows)).repartition(3))
+        .to_pandas()
+        .sort_values(["cohort", "period_offset"], ignore_index=True)
+    )
+    got = [
+        (str(r.cohort.date()), int(r.period_offset), int(r.n_users))
+        for r in out.itertuples()
+    ]
+    assert got == [
+        ("2024-01-01", 0, 2), ("2024-01-01", 1, 1), ("2024-01-01", 5, 2),
+        ("2024-01-02", 0, 1), ("2024-01-02", 1, 1),
+    ]
+    # digit-prefixed freq: "2D" buckets must divide by 2 days, not 12
+    out2 = (
+        cohort_retention(
+            rd.from_pandas(pd.DataFrame(rows)), freq="2D"
+        )
+        .to_pandas()
+        .sort_values(["cohort", "period_offset"], ignore_index=True)
+    )
+    got2 = [
+        (str(r.cohort.date()), int(r.period_offset), int(r.n_users))
+        for r in out2.itertuples()
+    ]
+    # floor("2D") is epoch-anchored: 2024-01-01 (odd day number)
+    # floors to 2023-12-31. u1 periods {12-31, 01-02, 01-06} = offsets
+    # 0,1,3; u2 {12-31, 01-06} = 0,3; u3 {01-02, 01-03->01-02} = {0}.
+    # The point under test: offsets divide by 2 DAYS (the "2D" freq),
+    # not the string-concatenation bug's 12 days.
+    assert got2 == [
+        ("2023-12-31", 0, 2), ("2023-12-31", 1, 1), ("2023-12-31", 3, 2),
+        ("2024-01-02", 0, 1),
+    ]
+
+
 def test_triangle_count(ray_session):
     """Distributed node-iterator triangle count equals brute-force
     enumeration on a random graph; empty and triangle-free graphs
@@ -702,6 +886,46 @@ def test_triangle_count(ray_session):
     ).astype("int64")
     got0 = triangle_count(rd.from_pandas(path))
     assert int(got0["n_triangles"].iloc[0]) == 0
+
+
+def test_approx_distinct_hll(ray_session):
+    """HyperLogLog distinct count: within 5% of exact at several
+    cardinalities, partition-invariant (register merge is exact max),
+    global and per-key modes agree with pandas nunique."""
+    import numpy as np
+    import ray.data as rd
+
+    from versa_ray.ops.agg import approx_distinct
+
+    rng = np.random.RandomState(8)
+    df = pd.DataFrame(
+        {
+            "k": np.repeat(["a", "b", "c"], [20000, 3000, 50]),
+            "v": np.concatenate(
+                [
+                    rng.randint(0, 12000, 20000),   # ~10.6k distinct
+                    np.arange(3000) * 17,           # 3000 distinct
+                    np.arange(50),                  # 50 distinct
+                ]
+            ),
+        }
+    )
+    truth = df.groupby("k")["v"].nunique()
+    ds = rd.from_pandas(df).repartition(7)
+    est = approx_distinct(ds, "v", key="k").to_pandas().set_index("k")
+    for k in ("a", "b", "c"):
+        rel = abs(est.loc[k, "approx_distinct"] - truth[k]) / truth[k]
+        assert rel < 0.05, (k, est.loc[k, "approx_distinct"], truth[k])
+    # partition invariance: registers merge by max, so the estimate is
+    # bit-identical across block layouts
+    est2 = approx_distinct(
+        rd.from_pandas(df).repartition(2), "v", key="k"
+    ).to_pandas().set_index("k")
+    assert (est["approx_distinct"] == est2["approx_distinct"]).all()
+    # global mode
+    g = approx_distinct(ds, "v")
+    g_truth = df["v"].nunique()
+    assert abs(g - g_truth) / g_truth < 0.05
 
 
 def test_near_dup_keep_best(ray_session):
@@ -885,6 +1109,42 @@ def test_verify_pairs_drops_phantom_endpoints(ray_session):
                                 broadcast_threshold=100) == []
     out = verify_pairs_jaccard(ds, cand, threshold=0.0, broadcast_threshold=0)
     assert out == []
+
+
+def test_asof_join_directions(ray_session):
+    """asof_join matches pandas merge_asof semantics across partitions
+    and directions; inner=False keeps unmatched left rows."""
+    import ray.data as rd
+
+    from versa_ray.ops.joins import asof_join
+
+    left = pd.DataFrame(
+        {"event_id": [1, 2, 3, 4], "ts": pd.to_datetime(
+            ["2024-01-01 10:00", "2024-01-01 12:00",
+             "2024-01-02 09:00", "2024-01-01 08:00"]),
+         "user_id": [1, 1, 2, 3]}
+    )
+    right = pd.DataFrame(
+        {"event_id": [10, 11, 12], "ts": pd.to_datetime(
+            ["2024-01-01 09:00", "2024-01-01 11:00", "2024-01-02 08:00"]),
+         "user_id": [1, 1, 2]}
+    )
+    lds = rd.from_pandas(left).repartition(3)
+    rds = rd.from_pandas(right).repartition(2)
+
+    out = asof_join(lds, rds, right_cols=["event_id"]).to_pandas()
+    got = {(r.event_id, r.event_id_r) for r in out.itertuples()}
+    assert got == {(1, 10), (2, 11), (3, 12)}  # user 3 dropped (inner)
+
+    outer = asof_join(lds, rds, right_cols=["event_id"], inner=False).to_pandas()
+    assert len(outer) == 4
+    assert outer.loc[outer.event_id == 4, "ts_r"].isna().all()
+
+    fwd = asof_join(lds, rds, right_cols=["event_id"],
+                    direction="forward").to_pandas()
+    got_f = {(r.event_id, int(r.event_id_r)) for r in fwd.itertuples()}
+    # only event 1 has a same-user right row at-or-after its ts
+    assert got_f == {(1, 11)}
 
 
 def test_pii_scrub_kinds_and_order():
@@ -1391,6 +1651,99 @@ def test_semi_join_keys_exact_and_tiny_right(ray_session):
         assert len(semi) + len(anti) == len(left)
 
 
+def test_range_join_overlap_equals_pandas(ray_session):
+    """Overlapping per-key intervals: the time-bucket-replication join
+    must return EVERY (event, containing-interval) pair exactly once,
+    matching a pandas cross-merge reference; the replication guard
+    refuses an interval too wide for the grain."""
+    import ray.data as rd
+
+    from versa_ray.ops.joins import range_join_overlap
+
+    rng = np.random.RandomState(11)
+    n = 600
+    ev = pd.DataFrame(
+        {
+            "event_id": np.arange(n),
+            "user_id": rng.randint(0, 12, n).astype("int64"),
+            "ts": pd.Timestamp("2026-01-01")
+            + pd.to_timedelta(rng.randint(0, 72 * 3600, n), unit="s"),
+        }
+    )
+    k = 200
+    wins = pd.DataFrame(
+        {
+            "user_id": rng.randint(0, 12, k).astype("int64"),
+            "win_id": np.arange(k),
+            "win_start": pd.Timestamp("2026-01-01")
+            + pd.to_timedelta(rng.randint(0, 70 * 3600, k), unit="s"),
+        }
+    )
+    # spans 2h-12h: heavily overlapping per user, multi-bucket at 1h grain
+    wins["win_end"] = wins.win_start + pd.to_timedelta(
+        rng.randint(2 * 3600, 12 * 3600, k), unit="s")
+
+    got = range_join_overlap(
+        rd.from_pandas(ev).repartition(6), rd.from_pandas(wins),
+        on="ts", by="user_id", start_col="win_start", end_col="win_end",
+        right_cols=["win_id"], grain="1h",
+    ).to_pandas()
+
+    want = ev.merge(wins, on="user_id")
+    want = want[(want.win_start <= want.ts) & (want.ts <= want.win_end)]
+    assert len(got) == len(want)
+    # overlap genuinely exercised: some event matched several windows
+    assert want.duplicated(subset=["event_id"]).any()
+    a = set(zip(got.event_id.astype(int), got.win_id_r.astype(int)))
+    b = set(zip(want.event_id, want.win_id))
+    assert a == b
+    assert not got.duplicated(["event_id", "win_id_r"]).any()
+
+    with pytest.raises(Exception, match="raise grain"):
+        range_join_overlap(
+            rd.from_pandas(ev), rd.from_pandas(wins), on="ts", by="user_id",
+            start_col="win_start", end_col="win_end", grain="1s",
+            max_replication=100,
+        ).materialize()
+
+
+def test_range_join_overlap_tz_aware(ray_session):
+    """tz-aware timestamp columns must bucket correctly (pandas 2.x
+    forbids astype() from tz-aware to naive — the bucketizer converts
+    via UTC instead), matching the same pandas reference join."""
+    import ray.data as rd
+
+    from versa_ray.ops.joins import range_join_overlap
+
+    rng = np.random.RandomState(7)
+    n, k = 200, 60
+    ev = pd.DataFrame({
+        "event_id": np.arange(n),
+        "user_id": rng.randint(0, 6, n).astype("int64"),
+        "ts": pd.Timestamp("2026-01-01", tz="UTC")
+        + pd.to_timedelta(rng.randint(0, 48 * 3600, n), unit="s"),
+    })
+    wins = pd.DataFrame({
+        "user_id": rng.randint(0, 6, k).astype("int64"),
+        "win_id": np.arange(k),
+        "win_start": pd.Timestamp("2026-01-01", tz="UTC")
+        + pd.to_timedelta(rng.randint(0, 46 * 3600, k), unit="s"),
+    })
+    wins["win_end"] = wins.win_start + pd.to_timedelta(
+        rng.randint(2 * 3600, 8 * 3600, k), unit="s")
+
+    got = range_join_overlap(
+        rd.from_pandas(ev).repartition(4), rd.from_pandas(wins),
+        on="ts", by="user_id", start_col="win_start", end_col="win_end",
+        right_cols=["win_id"], grain="1h",
+    ).to_pandas()
+    want = ev.merge(wins, on="user_id")
+    want = want[(want.win_start <= want.ts) & (want.ts <= want.win_end)]
+    a = set(zip(got.event_id.astype(int), got.win_id_r.astype(int)))
+    assert a == set(zip(want.event_id, want.win_id))
+    assert not got.duplicated(["event_id", "win_id_r"]).any()
+
+
 def _brute_dup_spans(docs, k=3, min_docs=2):
     """Reference: brute-force duplicated-gram run detection."""
     from collections import defaultdict
@@ -1496,6 +1849,43 @@ def test_doc_bigram_perplexity_brute(ray_session):
             assert got[d][1] == pytest.approx(-s / n, abs=1e-6)
 
 
+def test_heavy_hitters(ray_session):
+    import ray.data as rd
+
+    from versa_ray.ops.agg import heavy_hitters
+
+    rng = np.random.RandomState(17)
+    # 3 planted hitters in a long tail of singletons
+    vals = (["hot-a"] * 300 + ["hot-b"] * 150 + ["hot-c"] * 60
+            + [f"tail-{i}" for i in range(490)])
+    rng.shuffle(vals)
+    df = pd.DataFrame({"v": vals})
+    total = len(df)
+
+    out = heavy_hitters(
+        rd.from_pandas(df).repartition(5), "v", threshold_frac=0.05,
+        width=256, depth=3,
+    ).to_pandas()
+    got = dict(zip(out.v, out.n))
+    # threshold = ceil(0.05 * 1000) = 50 -> all three planted hitters
+    assert got == {"hot-a": 300, "hot-b": 150, "hot-c": 60}
+
+    # a threshold nothing clears returns an empty frame, not an error
+    out2 = heavy_hitters(
+        rd.from_pandas(df).repartition(5), "v", threshold_frac=0.9,
+        width=64, depth=2,
+    ).to_pandas()
+    assert len(out2) == 0
+
+    # tiny sketch (massive collisions) still yields EXACT answers —
+    # collisions only widen the candidate set
+    out3 = heavy_hitters(
+        rd.from_pandas(df).repartition(5), "v", threshold_frac=0.05,
+        width=8, depth=1,
+    ).to_pandas()
+    assert dict(zip(out3.v, out3.n)) == got
+
+
 def test_grouped_quantile_disc_and_filter(ray_session):
     import ray.data as rd
 
@@ -1551,6 +1941,38 @@ def test_zip_with_index(ray_session):
     one = zip_with_index(
         rd.from_pandas(pd.DataFrame({"k": [42]})), "k").to_pandas()
     assert one.to_dict("records") == [{"k": 42, "_index": 0}]
+
+
+def test_inter_event_gaps(ray_session):
+    import ray.data as rd
+
+    from versa_ray.ops.windows import inter_event_gaps
+
+    rng = np.random.RandomState(41)
+    n = 300
+    ev = pd.DataFrame({
+        "user_id": rng.randint(0, 9, n).astype("int64"),
+        "ts": pd.Timestamp("2026-01-01")
+        + pd.to_timedelta(rng.randint(0, 10**9, n), unit="us"),
+    })
+    ev = pd.concat(  # a single-event user exercises the 0-gap row
+        [ev, pd.DataFrame({"user_id": [99],
+                           "ts": [pd.Timestamp("2026-01-02")]})],
+        ignore_index=True)
+    out = inter_event_gaps(
+        rd.from_pandas(ev).repartition(5), num_buckets=4).to_pandas()
+    got = {int(r.user_id): (r.n_events, r.n_gaps, r.min_gap_us,
+                            r.max_gap_us, r.sum_gap_us)
+           for r in out.itertuples()}
+    for uid, g in ev.groupby("user_id"):
+        ts = np.sort(g["ts"].to_numpy().astype("datetime64[us]"))
+        gaps = np.diff(ts).astype(np.int64)
+        want = (len(ts), len(gaps),
+                int(gaps.min()) if len(gaps) else 0,
+                int(gaps.max()) if len(gaps) else 0,
+                int(gaps.sum()) if len(gaps) else 0)
+        assert got[int(uid)] == want, uid
+    assert got[99] == (1, 0, 0, 0, 0)
 
 
 def test_inverted_index_build_and_lookup(ray_session, docs_ds, tmp_path):
@@ -1819,6 +2241,87 @@ def test_mad_outliers_brute_force(ray_session):
     assert sum(1 for *_, o in want.values() if o) == 6  # all plants flagged
 
 
+def test_debounce_brute_force(ray_session):
+    """debounce equals a sequential lag-rule reference, including
+    equal-timestamp ties (ordered by id) and multi-column keys."""
+    import random
+
+    import ray.data as rd
+
+    from versa_ray.ops.windows import debounce
+
+    rng = random.Random(11)
+    base = np.datetime64("2024-01-01T00:00:00", "us")
+    rows = []
+    eid = 0
+    for u in range(6):
+        t = base
+        for _ in range(rng.randrange(1, 25)):
+            t = t + np.timedelta64(rng.randrange(0, 100), "us")
+            rows.append((eid, t, u, "ab"[rng.randrange(2)]))
+            eid += 1
+    # duplicate timestamps across ids for the tie rule
+    rows.append((eid, rows[0][1], rows[0][2], rows[0][3])); eid += 1
+    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "etype"])
+
+    for keys in [("user_id",), ("user_id", "etype")]:
+        gap = 30
+        want = set()
+        for _, g in df.groupby(list(keys)):
+            g = g.sort_values(["ts", "event_id"], kind="mergesort")
+            prev = None
+            for r in g.itertuples():
+                t = np.datetime64(r.ts, "us").astype(np.int64)
+                if prev is None or t - prev > gap:
+                    want.add(int(r.event_id))
+                prev = t
+        out = debounce(rd.from_pandas(df).repartition(5), gap_us=gap,
+                       keys=keys, num_buckets=4).to_pandas()
+        assert set(out.event_id.astype(int)) == want
+        assert list(out.columns) == ["event_id", "ts"] + list(keys)
+
+
+def test_daily_trend_brute_force(ray_session):
+    """daily_trend equals an integer-moment reference with centered
+    day indices, is partition-invariant, and den==0 for single-day
+    keys."""
+    import random
+
+    import ray.data as rd
+
+    from versa_ray.ops.windows import daily_trend
+
+    rng = random.Random(3)
+    base = np.datetime64("2024-03-01T00:00:00", "us")
+    rows = []
+    for k, ndays in [("up", 10), ("flat", 6), ("one", 1)]:
+        for d in range(ndays):
+            n = (d + 1) * 3 if k == "up" else 4
+            for _ in range(n):
+                rows.append((k, base + np.timedelta64(d, "D")
+                             + np.timedelta64(rng.randrange(86400), "s")))
+    df = pd.DataFrame(rows, columns=["k", "ts"])
+
+    want = {}
+    for k, g in df.groupby("k"):
+        days = g.ts.to_numpy().astype("datetime64[D]").astype(np.int64)
+        uniq, cnt = np.unique(days, return_counts=True)
+        x = uniq - uniq.min()
+        y = cnt
+        n = len(x)
+        want[k] = (n, int(n * (x * y).sum() - x.sum() * y.sum()),
+                   int(n * (x * x).sum() - x.sum() * x.sum()))
+
+    for nblocks in (1, 9):
+        out = daily_trend(rd.from_pandas(df).repartition(nblocks),
+                          key="k", num_buckets=5).to_pandas()
+        got = {r.k: (int(r.n_days), int(r.slope_num), int(r.slope_den))
+               for r in out.itertuples()}
+        assert got == want
+    assert want["one"][2] == 0 and want["flat"][1] == 0
+    assert want["up"][1] > 0
+
+
 def test_ntile_sql_semantics(ray_session):
     """ntile matches SQL NTILE (first N%B buckets take ceil(N/B)) on
     uneven N, N < B, duplicate values (tie-broken by id), and is
@@ -1845,6 +2348,42 @@ def test_ntile_sql_semantics(ray_session):
                 drop=True)
             pd.testing.assert_frame_equal(
                 got, want, check_dtype=False)
+
+
+def test_ngram_transitions_brute_force(ray_session):
+    """ngram_transitions equals a sequential reference at n=2 (where
+    it must match transition_counts' semantics) and n=3, including ts
+    ties broken by id and users shorter than n."""
+    import random
+    from collections import Counter
+
+    import ray.data as rd
+
+    from versa_ray.ops.windows import ngram_transitions
+
+    rng = random.Random(13)
+    base = np.datetime64("2024-01-01", "us")
+    rows, eid = [], 0
+    for u in range(8):
+        for _ in range(rng.randrange(1, 15)):
+            rows.append((eid, u, base + np.timedelta64(
+                rng.randrange(0, 50), "s"), "abcd"[rng.randrange(4)]))
+            eid += 1
+    df = pd.DataFrame(rows, columns=["event_id", "user_id", "ts", "etype"])
+
+    for n in (2, 3):
+        want = Counter()
+        for _, g in df.groupby("user_id"):
+            seq = g.sort_values(["ts", "event_id"]).etype.tolist()
+            for i in range(len(seq) - n + 1):
+                want[tuple(seq[i:i + n])] += 1
+        out = ngram_transitions(
+            rd.from_pandas(df).repartition(5), n=n, key="user_id",
+            type_col="etype", num_buckets=4).to_pandas()
+        tcols = [f"t{i + 1}" for i in range(n)]
+        got = {tuple(r[c] for c in tcols): int(r["n_occurrences"])
+               for _, r in out.iterrows()}
+        assert got == dict(want)
 
 
 def test_winsorize(ray_session):

@@ -11,7 +11,7 @@ import pytest
 import __ray_entry__ as entrymod
 
 SF = __import__("os").environ.get("PARITY_SF", "/root/testdata/sf0.001")
-TABLES = "region nation customer supplier part orders lineitem documents".split()
+TABLES = "region nation customer supplier part orders lineitem events documents".split()
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,8 @@
 """Operators over link-sets and document corpora: graph analytics and
 validation over the link-set and the parts graph, entity resolution,
-document dedup, curation, retrieval, sampling and tokenization, and
-the aggregates and joins they use."""
+document dedup, curation, retrieval, sampling and tokenization, the
+aggregates and joins they use, and the clickstream windows over the
+synthetic ``events`` table (``windows``)."""
 
 from . import (
     agg,
@@ -20,4 +21,5 @@ from . import (
     textstats,
     urltools,
     validate,
+    windows,
 )

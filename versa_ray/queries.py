@@ -5,7 +5,7 @@ The KG/link-model operators run over a links Dataset derived
 deterministically from the TPC-H-ish tables (region/nation/customer/
 supplier -> ``urn:versa:`` linkset), so the SQL oracle can rebuild the
 identical linkset with UNION ALL and apply the equivalent relational
-form. Training-data ops run over documents.
+form. Training-data ops run over documents/events.
 
 Column names match between the Ray results and the oracle SQL —
 the driver sorts columns by name and value-hashes.
@@ -20,7 +20,7 @@ import pyarrow as pa
 from .core import VTYPE_REL
 from .model import linkset
 from .ops import dedup as dd
-from .ops import textstats
+from .ops import textstats, windows
 
 URN = "urn:versa:"
 NAME = "http://bibfra.me/vocab/lite/name"
@@ -1979,6 +1979,226 @@ def q_doc_boilerplate(sf_dir):
     return remove_boilerplate(_docs_lines(sf_dir), min_docs=10)
 
 
+# -- events -----------------------------------------------------------------
+
+
+def q_events_tumbling(sf_dir):
+    import ray.data as rd
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
+    )
+    out = windows.tumbling_window_agg(ev, freq="1D")
+    return out.map_batches(
+        lambda df: df.assign(
+            value_sum=df.value_sum.round(2),
+            window_start=df.window_start.astype("datetime64[us]"),
+        ),
+        batch_format="pandas",
+    )
+
+
+def q_events_incremental_tumbling(sf_dir):
+    """Streaming-window emulation, hash-checked: the events table is
+    replayed as two event-time micro-batches through the incremental
+    tumbling operator (persistent state store + watermark); the union
+    of finalized windows must equal the single-batch tumbling result
+    (same SQL oracle as events_tumbling)."""
+    import shutil
+
+    import ray.data as rd
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
+    )
+    lo, hi = ev.min("ts"), ev.max("ts")
+    cutoff = pd.Timestamp(lo) + (pd.Timestamp(hi) - pd.Timestamp(lo)) / 2
+
+    first = ev.map_batches(
+        lambda df: df[df.ts < cutoff], batch_format="pandas"
+    )
+    second = ev.map_batches(
+        lambda df: df[df.ts >= cutoff], batch_format="pandas"
+    )
+
+    from .ops.windows import incremental_tumbling
+
+    state = "/tmp/versa_ray_wstate_q"
+    shutil.rmtree(state, ignore_errors=True)
+    f1, _ = incremental_tumbling(state, first, freq="1D", watermark=cutoff)
+    f2, n_open = incremental_tumbling(
+        state, second, freq="1D",
+        watermark=pd.Timestamp(hi) + pd.Timedelta("1D"),
+    )
+    assert n_open == 0
+    out = f1.union(f2)
+    return out.map_batches(
+        lambda df: df.assign(
+            value_sum=df.value_sum.round(2),
+            window_start=df.window_start.astype("datetime64[us]"),
+        ),
+        batch_format="pandas",
+    )
+
+
+def q_events_sliding(sf_dir):
+    import ray.data as rd
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
+    )
+    out = windows.sliding_window_agg(ev, window="2h", slide="1h")
+    return out.map_batches(
+        lambda df: df.assign(
+            value_sum=df.value_sum.round(2),
+            window_start=df.window_start.astype("datetime64[us]"),
+        ),
+        batch_format="pandas",
+    )
+
+
+def q_events_sessions(sf_dir):
+    import ray.data as rd
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", override_num_blocks=_blocks_for()
+    )
+    out = windows.session_windows(ev, gap="2h")
+    return out.map_batches(
+        lambda df: df.assign(
+            session_start=df.session_start.astype("datetime64[us]"),
+            session_end=df.session_end.astype("datetime64[us]"),
+        )[["user_id", "session_start", "session_end", "n_events"]],
+        batch_format="pandas",
+    )
+
+
+# -- classic aggregates / joins --------------------------------------------
+
+
+def q_events_asof_join(sf_dir):
+    """Distributed AS-OF join (each purchase matched to the user's
+    most recent prior 'view' event): coarse user-bucket shuffle +
+    in-bucket sorted merge_asof; hash-checked against DuckDB's native
+    ASOF JOIN."""
+    import ray.data as rd
+
+    from .ops.joins import asof_join
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["event_id", "ts", "user_id", "event_type"],
+        override_num_blocks=_blocks_for(),
+    )
+
+    def _typed(t):
+        return lambda df: df.loc[
+            df["event_type"] == t, ["event_id", "ts", "user_id"]
+        ]
+
+    left = ev.map_batches(_typed("purchase"), batch_format="pandas")
+    right = ev.map_batches(_typed("view"), batch_format="pandas")
+    out = asof_join(left, right, on="ts", by="user_id",
+                    right_cols=["event_id"])
+    return out.map_batches(
+        lambda df: df.assign(
+            # the tagged union null-fills each side's exclusive
+            # columns, floating integer dtypes — cast back
+            event_id=df.event_id.astype("int64"),
+            user_id=df.user_id.astype("int64"),
+            event_id_r=df.event_id_r.astype("int64"),
+            ts=df.ts.astype("datetime64[us]"),
+            ts_r=df.ts_r.astype("datetime64[us]"),
+        ),
+        batch_format="pandas",
+    )
+
+
+def q_events_range_join(sf_dir):
+    """Distributed range (interval) join: every event joined to the
+    session window containing it (sessions are non-overlapping per
+    user, so the join is one as-of pass + end filter, no per-key
+    cartesian). Hash-checked against a SQL BETWEEN join over the
+    window-function session oracle; every event falls in exactly one
+    session, so row count == event count."""
+    import ray.data as rd
+
+    from .ops.joins import range_join
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"],
+        override_num_blocks=_blocks_for(),
+    )
+    sess = windows.session_windows(
+        rd.read_parquet(
+            f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
+            override_num_blocks=_blocks_for(),
+        ),
+        gap="2h",
+    )
+    out = range_join(ev, sess, on="ts", by="user_id")
+    return out.map_batches(
+        lambda df: df.assign(
+            # the tagged union null-fills schema differences, which
+            # floats integer left columns — cast back
+            event_id=df.event_id.astype("int64"),
+            user_id=df.user_id.astype("int64"),
+            ts=df.ts.astype("datetime64[us]"),
+            session_start=df.session_start_r.astype("datetime64[us]"),
+            session_end=df.session_end_r.astype("datetime64[us]"),
+        )[["event_id", "user_id", "ts", "session_start", "session_end"]],
+        batch_format="pandas",
+    )
+
+
+def q_events_range_overlap(sf_dir):
+    """OVERLAPPING-interval range join (range_join_overlap — the
+    time-bucket-replication variant; range_join's as-of fast path
+    requires disjoint intervals): every seventh event anchors a
+    ±1 hour window per user, windows overlap freely, and every event
+    joins to EVERY containing window (1:N). Hash-checked against the
+    SQL BETWEEN join."""
+    import ray.data as rd
+
+    from .ops.joins import range_join_overlap
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"],
+        override_num_blocks=_blocks_for(),
+    )
+
+    def _wins(df: pd.DataFrame) -> pd.DataFrame:
+        w = df[df.event_id % 7 == 0]
+        return pd.DataFrame(
+            {
+                "user_id": w.user_id,
+                "win_id": w.event_id,
+                "win_start": w.ts - pd.Timedelta("1h"),
+                "win_end": w.ts + pd.Timedelta("1h"),
+            }
+        )
+
+    wins = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"],
+        override_num_blocks=_blocks_for(),
+    ).map_batches(_wins, batch_format="pandas")
+    out = range_join_overlap(
+        ev, wins, on="ts", by="user_id", start_col="win_start",
+        end_col="win_end", right_cols=["win_id"], grain="1h",
+    )
+    return out.map_batches(
+        lambda df: df.assign(
+            event_id=df.event_id.astype("int64"),
+            user_id=df.user_id.astype("int64"),
+            ts=df.ts.astype("datetime64[us]"),
+            win_id=df.win_id_r.astype("int64"),
+            win_start=df.win_start_r.astype("datetime64[us]"),
+            win_end=df.win_end_r.astype("datetime64[us]"),
+        )[["event_id", "user_id", "ts", "win_id", "win_start", "win_end"]],
+        batch_format="pandas",
+    )
+
+
 _STOPWORD_SQL = "[%s]" % ", ".join(
     "'%s'" % w for w in sorted(textstats.STOPWORDS)
 )
@@ -2019,6 +2239,101 @@ def q_doc_above_median_chars(sf_dir):
         key="lang", col="n_chars", q=0.5)
 
 
+def q_events_transitions(sf_dir):
+    """Per-user event-type transition counts (the Markov-chain /
+    clickstream primitive) under the TOTAL order (ts, event_id), so
+    timestamp ties are deterministic: one user-bucket shuffle, one
+    sort+shift per bucket (no per-user loop), types^2-bounded final
+    merge. Hash-exact vs the DuckDB LAG window replay."""
+    import ray.data as rd
+
+    from .ops.windows import transition_counts
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["user_id", "ts", "event_id", "event_type"],
+        override_num_blocks=_blocks_for(),
+    )
+    return transition_counts(ev)
+
+
+def q_events_gap_stats(sf_dir):
+    """Per-user inter-event gap rollup in exact microseconds
+    (ops.windows.inter_event_gaps): one coarse-bucket shuffle on the
+    user key, vectorized diff over sorted timestamps per group.
+    Hash-checked against a DuckDB LAG window replay."""
+    import ray.data as rd
+
+    from .ops.windows import inter_event_gaps
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
+        override_num_blocks=_blocks_for(),
+    )
+    return inter_event_gaps(ev, ts_col="ts", key="user_id")
+
+
+def q_events_heavy_hitters(sf_dir):
+    """Heavy hitters with EXACT counts: a count-min sketch prunes the
+    candidate set (per-batch depth x width partials summed
+    driver-side, distinct values probed against the broadcast
+    sketch), then an exact coarse-bucket count verifies — the sketch
+    changes cost, never the answer (ops.agg.heavy_hitters, same
+    discipline as the bloom semi-join). Hash-checked against the
+    plain GROUP BY / HAVING oracle."""
+    import ray.data as rd
+
+    from .ops.agg import heavy_hitters
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id"],
+        override_num_blocks=_blocks_for(),
+    )
+    return heavy_hitters(ev, "user_id", threshold_frac=0.007)
+
+
+def q_events_user_hll(sf_dir):
+    """HyperLogLog approximate distinct users per event type —
+    the classic decomposable distinct-count sketch (per-batch 4 KiB
+    register arrays merged by elementwise max; value cardinality
+    never ships). No SQL oracle by nature (the estimate depends on
+    the register hash); instead the query HARD-FAILS (raises) if any
+    group's estimate drifts more than 5% from the exact distributed
+    distinct count computed alongside it — self-gating like the ANN
+    recall gates. Emits (event_type, approx_distinct, exact_distinct,
+    rel_err) rows."""
+    import ray.data as rd
+
+    from .ops.agg import approx_distinct
+    from .core.exchange import distinct_rows
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"],
+        override_num_blocks=_blocks_for(),
+    )
+    approx = approx_distinct(ev, "user_id", key="event_type").to_pandas()
+    exact = (
+        distinct_rows(ev, ["event_type", "user_id"], lambda sch: sch)
+        .groupby("event_type")
+        .count()
+        .to_pandas()
+        .rename(columns={"count()": "exact_distinct"})
+    )
+    out = approx.merge(exact, on="event_type")
+    out["rel_err"] = (
+        (out["approx_distinct"] - out["exact_distinct"]).abs()
+        / out["exact_distinct"].clip(lower=1)
+    )
+    if (out["rel_err"] > 0.05).any():
+        raise AssertionError(
+            "HLL distinct drifted >5%% from exact: %s"
+            % out.to_dict("records")
+        )
+    out["approx_distinct"] = out["approx_distinct"].round(2)
+    out["rel_err"] = out["rel_err"].round(4)
+    return out.sort_values("event_type", ignore_index=True)
+
+
 def q_part_triangles(sf_dir):
     """Exact triangle count of the parts-co-ordered graph (two parts
     are adjacent when some order contains both): per-order pair
@@ -2029,6 +2344,41 @@ def q_part_triangles(sf_dir):
     from .ops.graph import triangle_count
 
     return triangle_count(_coorder_edges(sf_dir))
+
+
+def q_events_funnel(sf_dir):
+    """Ordered funnel (view → click → purchase): users counted at each
+    step they reach, where every step's event must be STRICTLY later
+    than the previous step's earliest qualifying event. One user-key
+    bucket shuffle; per-user scan is a few searchsorted probes. The
+    DuckDB oracle replays the same chained MIN(ts) recurrence."""
+    import ray.data as rd
+
+    from .ops.windows import funnel_counts
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["user_id", "event_type", "ts"],
+        override_num_blocks=_blocks_for(),
+    )
+    return funnel_counts(ev, ["view", "click", "purchase"])
+
+
+def q_events_cohort_retention(sf_dir):
+    """Daily cohort retention over the events stream: users bucketed
+    by first-activity day, counted in every later day they return.
+    Two coarse-bucket shuffles (distinct (user, day), then per-user
+    min-day offsets) + a small rollup. The DuckDB oracle replays it
+    with date_trunc + a min-day self-join."""
+    import ray.data as rd
+
+    from .ops.windows import cohort_retention
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["user_id", "ts"],
+        override_num_blocks=_blocks_for(),
+    )
+    return cohort_retention(ev, freq="D")
 
 
 def q_links_intersect(sf_dir):
@@ -2442,6 +2792,38 @@ def q_doc_profile(sf_dir):
         _docs(sf_dir), ["doc_id", "lang", "n_chars", "source"])
 
 
+def q_events_daily_cumulative(sf_dir):
+    """Per-type running daily totals (ops.windows.cumulative_daily_counts
+    — the daily_trend shuffle shape plus a vectorized per-key cumsum
+    over the corpus-independent day series). Exact integers;
+    hash-checked against a SQL SUM() OVER replay."""
+    import ray.data as rd
+
+    from .ops.windows import cumulative_daily_counts
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["ts", "event_type"],
+        override_num_blocks=_blocks_for())
+    return cumulative_daily_counts(ev, key="event_type")
+
+
+def q_events_trigrams(sf_dir):
+    """Per-user consecutive event-type trigram counts (session path
+    mining) — ops.windows.ngram_transitions: one user-bucket shuffle,
+    windowed extraction as shifted views with a same-key run mask,
+    types^3-sized rollup. Hash-checked against a DuckDB lead()
+    window replay."""
+    import ray.data as rd
+
+    from .ops.windows import ngram_transitions
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["user_id", "ts", "event_id", "event_type"],
+        override_num_blocks=_blocks_for())
+    return ngram_transitions(ev, n=3)
+
+
 def q_part_ktruss(sf_dir):
     """3-truss of the twice-co-ordered parts graph — every surviving
     edge in >= 1 triangle after iterative peeling
@@ -2652,6 +3034,29 @@ def q_kg_functional_conflicts(sf_dir):
     return functional_conflicts(links, [IN_NATION, IN_REGION])
 
 
+def q_events_user_distinct(sf_dir):
+    """EXACT distinct users per event type — the oracle-backed sibling
+    of the events_user_hll self-gate: per-batch (type, user) pre-dedup
+    combiner, one keyed exchange, count (core.exchange.distinct_rows +
+    a small rollup). Hash-checked against COUNT(DISTINCT)."""
+    import ray.data as rd
+
+    from .core.exchange import distinct_rows
+    from .ops.agg import grouped_agg_small
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"],
+        override_num_blocks=_blocks_for())
+    distinct = distinct_rows(ev, ["event_type", "user_id"], lambda sch: sch)
+    counted = distinct.map_batches(
+        lambda df: df.assign(distinct_users=np.int64(1))[
+            ["event_type", "distinct_users"]],
+        batch_format="pandas")
+    return grouped_agg_small(
+        counted, ["event_type"], {"distinct_users": ("distinct_users",
+                                                     "sum")})
+
+
 def q_doc_len_winsorize(sf_dir):
     """Exact-quantile winsorization: n_chars clipped to its discrete
     [P10, P90] (ops.agg.winsorize — thresholds from the bounded
@@ -2717,6 +3122,36 @@ def q_kg_bipartite(sf_dir):
         cust.map_batches(_tag, batch_format="pandas"), ["g"], _cycle,
         pa.schema({"src": pa.int64(), "dst": pa.int64()}), min_group_size=2)
     return bipartite_check(edges)
+
+
+def q_events_debounce(sf_dir):
+    """Duplicate-burst suppression: keep an event iff >4h since the
+    user's previous event, ordered (ts, event_id) — ops.windows.debounce,
+    one user-keyed coarse-bucket shuffle, vectorized lexsort+diff in
+    exact microseconds. Hash-checked against a DuckDB lag() replay."""
+    import ray.data as rd
+
+    from .ops.windows import debounce
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet",
+        columns=["event_id", "ts", "user_id"])
+    return debounce(ev, gap_us=4 * 3600 * 1_000_000, keys=("user_id",))
+
+
+def q_events_daily_trend(sf_dir):
+    """Per-event-type daily-volume OLS slope as EXACT integers
+    (slope_num/slope_den, day index centered per key) —
+    ops.windows.daily_trend, two pre-aggregated coarse-bucket
+    shuffles, no floats anywhere. Hash-checked against a DuckDB
+    integer-moment replay."""
+    import ray.data as rd
+
+    from .ops.windows import daily_trend
+
+    ev = rd.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
+    return daily_trend(ev, key="event_type")
 
 
 def q_doc_winnow_containment(sf_dir):
@@ -2786,8 +3221,21 @@ def build_queries():
         "doc_repetition": q_doc_repetition,
         "doc_compression": q_doc_compression,
         "doc_boilerplate": q_doc_boilerplate,
+        "events_asof_join": q_events_asof_join,
+        "events_range_join": q_events_range_join,
+        "events_range_overlap": q_events_range_overlap,
+        "events_tumbling": q_events_tumbling,
+        "events_incremental_tumbling": q_events_incremental_tumbling,
+        "events_sliding": q_events_sliding,
+        "events_sessions": q_events_sessions,
+        "events_user_hll": q_events_user_hll,
+        "events_heavy_hitters": q_events_heavy_hitters,
+        "events_gap_stats": q_events_gap_stats,
+        "events_transitions": q_events_transitions,
         "doc_above_median_chars": q_doc_above_median_chars,
         "part_triangles": q_part_triangles,
+        "events_funnel": q_events_funnel,
+        "events_cohort_retention": q_events_cohort_retention,
         "links_intersect": q_links_intersect,
         "links_diff": q_links_diff,
         "kg_random_walks": q_kg_random_walks,
@@ -2885,16 +3333,21 @@ def build_queries():
         "doc_winnow": q_doc_winnow,
         "doc_winnow_pairs": q_doc_winnow_pairs,
         "doc_len_outliers": q_doc_len_outliers,
+        "events_debounce": q_events_debounce,
+        "events_daily_trend": q_events_daily_trend,
         "kg_bipartite": q_kg_bipartite,
         "doc_len_ntile": q_doc_len_ntile,
+        "events_user_distinct": q_events_user_distinct,
         "doc_len_winsorize": q_doc_len_winsorize,
         "part_harmonic": q_part_harmonic,
+        "events_trigrams": q_events_trigrams,
         "doc_profile": q_doc_profile,
         "doc_weighted_sample": q_doc_weighted_sample,
         "doc_len_pct_by_source": q_doc_len_pct_by_source,
         "doc_jsonl_roundtrip": q_doc_jsonl_roundtrip,
         "part_ktruss": q_part_ktruss,
         "part_mis": q_part_mis,
+        "events_daily_cumulative": q_events_daily_cumulative,
         "doc_winnow_containment": q_doc_winnow_containment,
     }
 
@@ -3093,6 +3546,32 @@ def build_oracles():
         # the capped recursive walk (UNION dedups states; rings stay
         # ~40 nodes so min depth < 40), odd edge = endpoints with
         # equal depth parity
+        "events_debounce": (
+            "SELECT event_id, ts, user_id FROM ("
+            "SELECT event_id, ts, user_id, lag(ts) OVER ("
+            "PARTITION BY user_id ORDER BY ts, event_id) AS pts "
+            "FROM events) WHERE pts IS NULL "
+            "OR date_diff('microsecond', pts, ts) > 14400000000 "
+            "ORDER BY event_id"
+        ),
+        "events_daily_trend": (
+            "WITH daily AS (SELECT event_type, date_trunc('day', ts) AS d, "
+            "CAST(COUNT(*) AS BIGINT) AS y FROM events GROUP BY 1, 2), "
+            "ctr AS (SELECT event_type, MIN(d) AS d0 FROM daily GROUP BY 1), "
+            "ix AS (SELECT daily.event_type, "
+            "date_diff('day', ctr.d0, daily.d) AS x, y "
+            "FROM daily JOIN ctr USING (event_type)) "
+            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_days, "
+            "CAST(COUNT(*) * SUM(x * y) - SUM(x) * SUM(y) AS BIGINT) "
+            "AS slope_num, "
+            "CAST(COUNT(*) * SUM(x * x) - SUM(x) * SUM(x) AS BIGINT) "
+            "AS slope_den FROM ix GROUP BY event_type ORDER BY event_type"
+        ),
+        # bipartiteness replay: same ring fixture (customers mod G,
+        # G = max(23, n//40)), min depth from each ring's min node via
+        # the capped recursive walk (UNION dedups states; rings stay
+        # ~40 nodes so min depth < 40), odd edge = endpoints with
+        # equal depth parity
         "kg_bipartite": (
             "WITH RECURSIVE gsz AS (SELECT GREATEST(23, COUNT(*) // 40) "
             "AS g FROM customer), "
@@ -3135,6 +3614,11 @@ def build_oracles():
             "SELECT doc_id, CAST(n_chars AS BIGINT) AS n_chars, "
             "CAST(NTILE(7) OVER (ORDER BY n_chars, doc_id) AS BIGINT) "
             "AS tile FROM documents ORDER BY doc_id"
+        ),
+        "events_user_distinct": (
+            "SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) "
+            "AS distinct_users FROM events GROUP BY event_type "
+            "ORDER BY event_type"
         ),
         "doc_len_winsorize": (
             "WITH th AS (SELECT quantile_disc(n_chars, 0.1) AS lo, "
@@ -3357,6 +3841,33 @@ def build_oracles():
             "FROM res1 r CROSS JOIN nn JOIN idx e2 "
             "ON e2.ix = (r.raw + 1) % nn.n WHERE r.ent = r.target"
         ),
+        "events_transitions": (
+            "SELECT prev AS from_type, event_type AS to_type, "
+            "CAST(count(*) AS BIGINT) AS n FROM ("
+            "SELECT event_type, lag(event_type) OVER ("
+            "PARTITION BY user_id ORDER BY ts, event_id) AS prev "
+            "FROM events) WHERE prev IS NOT NULL "
+            "GROUP BY prev, event_type"
+        ),
+        # exact 32-bin equi-width histogram; the bin expression is the
+        # engine's verbatim: least(31, floor((v - lo) * 32.0 / span))
+        "events_gap_stats": (
+            "WITH g AS (SELECT user_id, "
+            "epoch_us(ts) - lag(epoch_us(ts)) OVER "
+            "(PARTITION BY user_id ORDER BY ts) AS gap "
+            "FROM events) "
+            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_events, "
+            "CAST(count(gap) AS BIGINT) AS n_gaps, "
+            "CAST(coalesce(min(gap), 0) AS BIGINT) AS min_gap_us, "
+            "CAST(coalesce(max(gap), 0) AS BIGINT) AS max_gap_us, "
+            "CAST(coalesce(sum(gap), 0) AS BIGINT) AS sum_gap_us "
+            "FROM g GROUP BY user_id"
+        ),
+        "events_heavy_hitters": (
+            "SELECT user_id, CAST(count(*) AS BIGINT) AS n FROM events "
+            "GROUP BY user_id HAVING count(*) >= CAST(ceil(0.007 * "
+            "(SELECT count(*) FROM events)) AS BIGINT)"
+        ),
         "kg_bfs_depth": (
             "WITH RECURSIVE edges AS ("
             "SELECT 'urn:versa:order:' || CAST(o_orderkey AS VARCHAR) AS a, "
@@ -3486,6 +3997,37 @@ def build_oracles():
             "SELECT d.doc_id, CAST(count(*) AS BIGINT) AS n_hits "
             "FROM documents d JOIN snips ON position(snips.s IN d.text) > 0 "
             "GROUP BY d.doc_id"
+        ),
+        "events_asof_join": (
+            "SELECT l.event_id, l.ts, l.user_id, r.ts AS ts_r, "
+            "r.event_id AS event_id_r "
+            "FROM (SELECT event_id, ts, user_id FROM events "
+            "WHERE event_type = 'purchase') l "
+            "ASOF JOIN (SELECT event_id, ts, user_id FROM events "
+            "WHERE event_type = 'view') r "
+            "ON l.user_id = r.user_id AND l.ts >= r.ts"
+        ),
+        "events_range_join": (
+            "WITH marked AS (SELECT user_id, ts, event_id, CASE WHEN lag(ts) OVER w IS NULL "
+            "OR ts - lag(ts) OVER w > INTERVAL 2 HOUR THEN 1 ELSE 0 END AS new_s "
+            "FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)), "
+            "sessed AS (SELECT user_id, ts, sum(new_s) OVER "
+            "(PARTITION BY user_id ORDER BY ts, event_id "
+            "ROWS UNBOUNDED PRECEDING) AS sess FROM marked), "
+            "s AS (SELECT user_id, min(ts) AS session_start, "
+            "max(ts) AS session_end FROM sessed GROUP BY user_id, sess) "
+            "SELECT e.event_id, e.user_id, e.ts, s.session_start, "
+            "s.session_end FROM events e JOIN s ON e.user_id = s.user_id "
+            "AND e.ts BETWEEN s.session_start AND s.session_end"
+        ),
+        "events_range_overlap": (
+            "WITH w AS (SELECT user_id, event_id AS win_id, "
+            "ts - INTERVAL 1 HOUR AS win_start, "
+            "ts + INTERVAL 1 HOUR AS win_end "
+            "FROM events WHERE event_id % 7 = 0) "
+            "SELECT e.event_id, e.user_id, e.ts, w.win_id, w.win_start, "
+            "w.win_end FROM events e JOIN w ON e.user_id = w.user_id "
+            "AND e.ts BETWEEN w.win_start AND w.win_end"
         ),
         "doc_gopher_quality": (
             "WITH t AS (SELECT doc_id, "
@@ -3774,6 +4316,35 @@ def build_oracles():
             "SELECT id_a, id_b, round(jac, 6) AS jaccard FROM j "
             "WHERE jac >= 0.5"
         ),
+        "events_tumbling": (
+            "SELECT event_type, date_trunc('day', ts) AS window_start, "
+            "count(*) AS n, round(sum(value), 2) AS value_sum "
+            "FROM events GROUP BY 1, 2"
+        ),
+        # the replayed micro-batches must converge to the batch result
+        "events_incremental_tumbling": (
+            "SELECT event_type, date_trunc('day', ts) AS window_start, "
+            "count(*) AS n, round(sum(value), 2) AS value_sum "
+            "FROM events GROUP BY 1, 2"
+        ),
+        "events_sliding": (
+            "SELECT user_id, window_start, count(*) AS n, "
+            "round(sum(value), 2) AS value_sum FROM ("
+            "SELECT user_id, value, date_trunc('hour', ts) AS window_start FROM events "
+            "UNION ALL "
+            "SELECT user_id, value, date_trunc('hour', ts) - INTERVAL 1 HOUR FROM events"
+            ") GROUP BY 1, 2"
+        ),
+        "events_sessions": (
+            "WITH marked AS (SELECT user_id, ts, event_id, CASE WHEN lag(ts) OVER w IS NULL "
+            "OR ts - lag(ts) OVER w > INTERVAL 2 HOUR THEN 1 ELSE 0 END AS new_s "
+            "FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)), "
+            "sessed AS (SELECT user_id, ts, sum(new_s) OVER "
+            "(PARTITION BY user_id ORDER BY ts, event_id "
+            "ROWS UNBOUNDED PRECEDING) AS sess FROM marked) "
+            "SELECT user_id, min(ts) AS session_start, max(ts) AS session_end, "
+            "count(*) AS n_events FROM sessed GROUP BY user_id, sess"
+        ),
         "edit_distance_pairs": (
             "WITH ids AS (SELECT doc_id FROM documents ORDER BY doc_id "
             "LIMIT 128), "
@@ -3790,6 +4361,33 @@ def build_oracles():
             "CAST(levenshtein(a.s, b.s) AS BIGINT) AS dist "
             "FROM allr a JOIN allr b ON a.id < b.id "
             "WHERE levenshtein(a.s, b.s) <= 1 ORDER BY id_a, id_b"
+        ),
+        "events_cohort_retention": (
+            "WITH ud AS (SELECT DISTINCT user_id, "
+            "date_trunc('day', ts) AS d FROM events), "
+            "c AS (SELECT user_id, MIN(d) AS cohort FROM ud "
+            "GROUP BY user_id) "
+            "SELECT c.cohort, "
+            "CAST(date_diff('day', c.cohort, ud.d) AS BIGINT) "
+            "AS period_offset, CAST(COUNT(*) AS BIGINT) AS n_users "
+            "FROM ud JOIN c ON ud.user_id = c.user_id "
+            "GROUP BY c.cohort, period_offset ORDER BY cohort, period_offset"
+        ),
+        "events_funnel": (
+            "WITH s1 AS (SELECT user_id, MIN(ts) AS t1 FROM events "
+            "WHERE event_type = 'view' GROUP BY user_id), "
+            "s2 AS (SELECT e.user_id, MIN(e.ts) AS t2 FROM events e "
+            "JOIN s1 ON e.user_id = s1.user_id AND e.ts > s1.t1 "
+            "WHERE e.event_type = 'click' GROUP BY e.user_id), "
+            "s3 AS (SELECT e.user_id, MIN(e.ts) AS t3 FROM events e "
+            "JOIN s2 ON e.user_id = s2.user_id AND e.ts > s2.t2 "
+            "WHERE e.event_type = 'purchase' GROUP BY e.user_id) "
+            "SELECT * FROM ("
+            "SELECT 0 AS step_ix, 'view' AS step, "
+            "CAST(COUNT(*) AS BIGINT) AS n_users FROM s1 "
+            "UNION ALL SELECT 1, 'click', CAST(COUNT(*) AS BIGINT) FROM s2 "
+            "UNION ALL SELECT 2, 'purchase', CAST(COUNT(*) AS BIGINT) "
+            "FROM s3) ORDER BY step_ix"
         ),
         "part_kcore": 'WITH e0 AS MATERIALIZED (SELECT u, v FROM (SELECT a.l_partkey AS u, b.l_partkey AS v, count(DISTINCT a.l_orderkey) AS m FROM lineitem a JOIN lineitem b ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey GROUP BY 1, 2) WHERE m >= 2), d1 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e0 UNION ALL SELECT v FROM e0) GROUP BY node), e1 AS MATERIALIZED (SELECT e.u, e.v FROM e0 e JOIN d1 du ON du.node = e.u JOIN d1 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d2 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e1 UNION ALL SELECT v FROM e1) GROUP BY node), e2 AS MATERIALIZED (SELECT e.u, e.v FROM e1 e JOIN d2 du ON du.node = e.u JOIN d2 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d3 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e2 UNION ALL SELECT v FROM e2) GROUP BY node), e3 AS MATERIALIZED (SELECT e.u, e.v FROM e2 e JOIN d3 du ON du.node = e.u JOIN d3 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d4 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e3 UNION ALL SELECT v FROM e3) GROUP BY node), e4 AS MATERIALIZED (SELECT e.u, e.v FROM e3 e JOIN d4 du ON du.node = e.u JOIN d4 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d5 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e4 UNION ALL SELECT v FROM e4) GROUP BY node), e5 AS MATERIALIZED (SELECT e.u, e.v FROM e4 e JOIN d5 du ON du.node = e.u JOIN d5 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d6 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e5 UNION ALL SELECT v FROM e5) GROUP BY node), e6 AS MATERIALIZED (SELECT e.u, e.v FROM e5 e JOIN d6 du ON du.node = e.u JOIN d6 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d7 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e6 UNION ALL SELECT v FROM e6) GROUP BY node), e7 AS MATERIALIZED (SELECT e.u, e.v FROM e6 e JOIN d7 du ON du.node = e.u JOIN d7 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d8 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e7 UNION ALL SELECT v FROM e7) GROUP BY node), e8 AS MATERIALIZED (SELECT e.u, e.v FROM e7 e JOIN d8 du ON du.node = e.u JOIN d8 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d9 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e8 UNION ALL SELECT v FROM e8) GROUP BY node), e9 AS MATERIALIZED (SELECT e.u, e.v FROM e8 e JOIN d9 du ON du.node = e.u JOIN d9 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d10 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e9 UNION ALL SELECT v FROM e9) GROUP BY node), e10 AS MATERIALIZED (SELECT e.u, e.v FROM e9 e JOIN d10 du ON du.node = e.u JOIN d10 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d11 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e10 UNION ALL SELECT v FROM e10) GROUP BY node), e11 AS MATERIALIZED (SELECT e.u, e.v FROM e10 e JOIN d11 du ON du.node = e.u JOIN d11 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d12 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e11 UNION ALL SELECT v FROM e11) GROUP BY node), e12 AS MATERIALIZED (SELECT e.u, e.v FROM e11 e JOIN d12 du ON du.node = e.u JOIN d12 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d13 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e12 UNION ALL SELECT v FROM e12) GROUP BY node), e13 AS MATERIALIZED (SELECT e.u, e.v FROM e12 e JOIN d13 du ON du.node = e.u JOIN d13 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d14 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e13 UNION ALL SELECT v FROM e13) GROUP BY node), e14 AS MATERIALIZED (SELECT e.u, e.v FROM e13 e JOIN d14 du ON du.node = e.u JOIN d14 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d15 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e14 UNION ALL SELECT v FROM e14) GROUP BY node), e15 AS MATERIALIZED (SELECT e.u, e.v FROM e14 e JOIN d15 du ON du.node = e.u JOIN d15 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d16 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e15 UNION ALL SELECT v FROM e15) GROUP BY node), e16 AS MATERIALIZED (SELECT e.u, e.v FROM e15 e JOIN d16 du ON du.node = e.u JOIN d16 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d17 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e16 UNION ALL SELECT v FROM e16) GROUP BY node), e17 AS MATERIALIZED (SELECT e.u, e.v FROM e16 e JOIN d17 du ON du.node = e.u JOIN d17 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d18 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e17 UNION ALL SELECT v FROM e17) GROUP BY node), e18 AS MATERIALIZED (SELECT e.u, e.v FROM e17 e JOIN d18 du ON du.node = e.u JOIN d18 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d19 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e18 UNION ALL SELECT v FROM e18) GROUP BY node), e19 AS MATERIALIZED (SELECT e.u, e.v FROM e18 e JOIN d19 du ON du.node = e.u JOIN d19 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d20 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e19 UNION ALL SELECT v FROM e19) GROUP BY node), e20 AS MATERIALIZED (SELECT e.u, e.v FROM e19 e JOIN d20 du ON du.node = e.u JOIN d20 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d21 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e20 UNION ALL SELECT v FROM e20) GROUP BY node), e21 AS MATERIALIZED (SELECT e.u, e.v FROM e20 e JOIN d21 du ON du.node = e.u JOIN d21 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d22 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e21 UNION ALL SELECT v FROM e21) GROUP BY node), e22 AS MATERIALIZED (SELECT e.u, e.v FROM e21 e JOIN d22 du ON du.node = e.u JOIN d22 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d23 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e22 UNION ALL SELECT v FROM e22) GROUP BY node), e23 AS MATERIALIZED (SELECT e.u, e.v FROM e22 e JOIN d23 du ON du.node = e.u JOIN d23 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3), d24 AS MATERIALIZED (SELECT node, count(*) AS d FROM (SELECT u AS node FROM e23 UNION ALL SELECT v FROM e23) GROUP BY node), e24 AS MATERIALIZED (SELECT e.u, e.v FROM e23 e JOIN d24 du ON du.node = e.u JOIN d24 dv ON dv.node = e.v WHERE du.d >= 3 AND dv.d >= 3) SELECT DISTINCT node FROM (SELECT u AS node FROM e24 UNION ALL SELECT v FROM e24)',
         "part_communities": _lpa_sql(n_rounds=4),
@@ -3988,6 +4586,24 @@ def build_oracles():
             "SELECT node, CAST(count(*) AS BIGINT) AS n_reached, "
             "CAST(sum(CASE WHEN d > 0 THEN 1000000000 // d ELSE 0 END) "
             "AS BIGINT) AS harmonic_e9 FROM md GROUP BY node"
+        ),
+        "events_daily_cumulative": (
+            "WITH daily AS (SELECT event_type, "
+            "CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, "
+            "CAST(COUNT(*) AS BIGINT) AS y FROM events GROUP BY 1, 2) "
+            "SELECT event_type, day, y, "
+            "CAST(SUM(y) OVER (PARTITION BY event_type ORDER BY day) "
+            "AS BIGINT) AS cum FROM daily ORDER BY event_type, day"
+        ),
+        "events_trigrams": (
+            "SELECT t1, t2, t3, CAST(COUNT(*) AS BIGINT) "
+            "AS n_occurrences FROM ("
+            "SELECT event_type AS t1, "
+            "lead(event_type, 1) OVER w AS t2, "
+            "lead(event_type, 2) OVER w AS t3 FROM events "
+            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)) "
+            "WHERE t2 IS NOT NULL AND t3 IS NOT NULL "
+            "GROUP BY t1, t2, t3 ORDER BY t1, t2, t3"
         ),
         "doc_jsonl_roundtrip": (
             "SELECT doc_id, text, lang, CAST(n_chars AS BIGINT) AS "
