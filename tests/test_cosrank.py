@@ -165,30 +165,3 @@ def test_random_walks_brute(ray_session):
     # the sink must actually have truncated at least one walk
     assert len(want) < len(adj) * (L + 1)
 
-
-def test_transition_counts_brute(ray_session):
-    from collections import Counter
-
-    from versa_ray.ops.windows import transition_counts
-
-    rng = np.random.default_rng(3)
-    n = 400
-    df = pd.DataFrame({
-        "user_id": rng.integers(0, 12, size=n),
-        # coarse timestamps force plenty of ties -> event_id decides
-        "ts": pd.to_datetime(rng.integers(0, 20, size=n), unit="s"),
-        "event_id": np.arange(n),
-        "event_type": rng.choice(["view", "cart", "buy", "quit"], size=n),
-    })
-    got = (
-        transition_counts(rd.from_pandas(df).repartition(5), num_buckets=4)
-        .to_pandas()
-    )
-    want = Counter()
-    for _, g in df.sort_values(["ts", "event_id"]).groupby("user_id"):
-        types = g["event_type"].tolist()
-        for a, b in zip(types, types[1:]):
-            want[(a, b)] += 1
-    assert {(r.from_type, r.to_type): r.n for r in got.itertuples()} == dict(
-        want)
-

@@ -1,8 +1,7 @@
 """Operators over link-sets and document corpora: graph analytics and
 validation over the link-set and the parts graph, entity resolution,
-document dedup, curation, retrieval, sampling and tokenization, the
-aggregates and joins they use, and the clickstream windows over the
-synthetic ``events`` table (``windows``)."""
+document dedup, curation, retrieval, sampling and tokenization, and
+the aggregates and joins they use."""
 
 from . import (
     agg,
@@ -21,5 +20,4 @@ from . import (
     textstats,
     urltools,
     validate,
-    windows,
 )

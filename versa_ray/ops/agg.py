@@ -14,9 +14,8 @@ high-cardinality keys: use ``Dataset.groupby`` or
 
 The rest are exact or mergeable order statistics, each one or a few
 keyed exchanges: grouped top-k, approximate and exact quantiles,
-HyperLogLog distinct counts, count-min heavy hitters (both over the
-``events`` clickstream), grouped discrete quantiles, global row
-indices, percent ranks, NTILE, MAD outliers and winsorization.
+grouped discrete quantiles, global row indices, percent ranks,
+NTILE, MAD outliers and winsorization.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from ..core.exchange import bucketed_group_apply, exchange
 
 __all__ = [
     "grouped_agg_small", "grouped_topk", "approx_quantiles",
-    "exact_quantiles", "approx_distinct", "heavy_hitters",
-    "grouped_quantile_disc",
+    "exact_quantiles", "grouped_quantile_disc",
     "filter_above_group_quantile", "zip_with_index", "percent_rank",
     "mad_outliers", "ntile", "winsorize", "grouped_percent_rank",
 ]
@@ -388,189 +386,6 @@ def exact_quantiles(ds, col, qs, grid=4096, max_collect=2_000_000,
     if pending:
         raise RuntimeError(f"unresolved quantile ranks: {sorted(pending)}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# HyperLogLog approximate distinct count
-
-
-def _hll_registers(values: "pd.Series", precision: int) -> np.ndarray:
-    """Vectorized HLL register array (length 2^precision) for one
-    batch of values: deterministic 64-bit hashes (the fixed-key
-    pandas siphash — identical across processes/workers), bucket =
-    top ``precision`` bits, register value = leading-zero count of
-    the remaining bits + 1."""
-    m = 1 << precision
-    regs = np.zeros(m, dtype=np.uint8)
-    if not len(values):
-        return regs
-    h = pd.util.hash_pandas_object(values, index=False).to_numpy()
-    bucket = (h >> np.uint64(64 - precision)).astype(np.int64)
-    rest = (h << np.uint64(precision)) | np.uint64((1 << precision) - 1)
-    # leading zeros of the top (64 - precision) bits, +1; the OR above
-    # seeds the low bits so lzcount never exceeds 64 - precision
-    width = np.uint64(64)
-    lz = np.zeros(len(h), dtype=np.uint8)
-    cur = rest.copy()
-    # branch-free binary leading-zero count
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask_hi = cur < (np.uint64(1) << (width - np.uint64(shift)))
-        lz[mask_hi] += np.uint8(shift)
-        cur[mask_hi] = cur[mask_hi] << np.uint64(shift)
-    np.maximum.at(regs, bucket, lz + 1)
-    return regs
-
-
-def _hll_estimate(regs: np.ndarray) -> float:
-    """Standard HLL estimator with the small-range (linear counting)
-    correction; 64-bit hashes make the large-range correction moot."""
-    m = len(regs)
-    alpha = {16: 0.673, 32: 0.697, 64: 0.709}.get(
-        m, 0.7213 / (1 + 1.079 / m)
-    )
-    est = alpha * m * m / np.sum(np.float64(2.0) ** -regs.astype(np.float64))
-    zeros = int(np.count_nonzero(regs == 0))
-    if est <= 2.5 * m and zeros:
-        return float(m * np.log(m / zeros))
-    return float(est)
-
-
-def approx_distinct(ds, col, key=None, precision=12):
-    """HyperLogLog distinct count of ``col`` — global (``key=None``,
-    returns a float) or per ``key`` group (returns a Dataset of
-    ``(key, approx_distinct)``). Relative error ~1.04/sqrt(2^p)
-    (~1.6% at the default p=12).
-
-    Decomposable at any scale: each batch reduces to a 2^p-byte
-    register array (per key), merged by elementwise MAX — the global
-    merge ships ``blocks x 2^p`` bytes to the driver, never value
-    cardinality; the per-key merge is one coarse-bucket shuffle of
-    ``groups x 2^p``-byte rows. Per-key mode sizes for MODERATE key
-    cardinality (each key carries a 4 KiB register payload at p=12;
-    drop ``precision`` for very wide key spaces)."""
-    if key is None:
-        def _partial(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"regs": [_hll_registers(df[col], precision).tobytes()]}
-            )
-
-        merged = np.zeros(1 << precision, dtype=np.uint8)
-        for row in ds.map_batches(
-                _partial, batch_format="pandas").to_pandas()["regs"]:
-            merged = np.maximum(merged, np.frombuffer(row, dtype=np.uint8))
-        return _hll_estimate(merged)
-
-    def _partial_k(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for kv, grp in df.groupby(key, sort=False):
-            rows.append(
-                {key: kv,
-                 "regs": _hll_registers(grp[col], precision).tobytes()}
-            )
-        return pd.DataFrame(rows, columns=[key, "regs"])
-
-    def _final_k(group: pd.DataFrame) -> pd.DataFrame:
-        merged = np.zeros(1 << precision, dtype=np.uint8)
-        for row in group["regs"]:
-            merged = np.maximum(merged, np.frombuffer(row, dtype=np.uint8))
-        return pd.DataFrame(
-            {key: group[key].iloc[:1],
-             "approx_distinct": [_hll_estimate(merged)]}
-        )
-
-    partials = ds.map_batches(_partial_k, batch_format="pandas")
-    return bucketed_group_apply(
-        partials, [key], _final_k,
-        lambda sch: pa.schema([sch.field(key),
-                               pa.field("approx_distinct", pa.float64())]))
-
-
-def _cms_rows(vals: "pd.Series", depth: int, width: int) -> np.ndarray:
-    """(depth, len) column indices for a count-min sketch: row k uses
-    pandas' siphash with a distinct 16-byte key — deterministic and
-    replayable at probe time."""
-    out = np.empty((depth, len(vals)), dtype=np.int64)
-    for k in range(depth):
-        h = pd.util.hash_pandas_object(
-            vals, index=False, hash_key=f"{k:016d}")
-        out[k] = (h % np.uint64(width)).to_numpy().astype(np.int64)
-    return out
-
-
-def heavy_hitters(ds, col, threshold_frac=0.01, width=2048, depth=4):
-    """Values of ``col`` occurring in at least ``threshold_frac`` of
-    all rows, with EXACT counts — ``(col, n)`` rows.
-
-    Count-min sketch as a PRUNER, exactness from a verify pass (the
-    sketch changes cost, never the answer):
-
-    1. per-batch CMS partials (depth x width int64 + a row-count
-       scalar) merged by elementwise SUM driver-side — blocks x
-       ``depth*width*8`` bytes, never value cardinality;
-    2. candidate harvest: each batch probes its DISTINCT values
-       against the broadcast sketch; CMS only over-estimates, so
-       every true heavy hitter survives and the candidate set stays
-       near ``1/threshold_frac`` values (plus bounded collision
-       noise) — small enough to broadcast;
-    3. exact verify: rows are semi-filtered by the broadcast
-       candidate set and counted on one keyed exchange; the
-       threshold cut uses the EXACT counts.
-    """
-    import ray
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        sketch = np.zeros((depth, width), dtype=np.int64)
-        if len(df):
-            vals = df[col]
-            idx = _cms_rows(vals, depth, width)
-            for k in range(depth):
-                np.add.at(sketch[k], idx[k], 1)
-        return pd.DataFrame({"sketch": [sketch.tobytes()],
-                             "n": [len(df)]})
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    sketch = np.zeros((depth, width), dtype=np.int64)
-    for blob in parts["sketch"]:
-        sketch += np.frombuffer(blob, dtype=np.int64).reshape(depth, width)
-    total = int(parts["n"].sum())
-    threshold = int(np.ceil(threshold_frac * total))
-    sk_ref = ray.put(sketch)
-
-    def _candidates(df: pd.DataFrame) -> pd.DataFrame:
-        vals = df[col].drop_duplicates()
-        if not len(vals):
-            return pd.DataFrame({col: vals})
-        sk = ray.get(sk_ref)
-        idx = _cms_rows(vals, depth, width)
-        est = sk[np.arange(depth)[:, None], idx].min(axis=0)
-        return pd.DataFrame({col: vals[est >= threshold]})
-
-    cdf = ds.map_batches(_candidates, batch_format="pandas").to_pandas()
-    # all-empty candidate batches concatenate to a 0-column frame
-    cand = set(cdf[col].drop_duplicates()) if col in cdf.columns else set()
-    if not cand:
-        import ray.data as rd
-
-        return rd.from_pandas(pd.DataFrame(
-            {col: pd.Series([], dtype=object),
-             "n": pd.Series([], dtype="int64")}))
-    cand_ref = ray.put(cand)
-
-    def _count_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if col not in df.columns:  # schema-less empty block
-            return pd.DataFrame({col: [], "n": []})
-        vc = df[col][df[col].isin(ray.get(cand_ref))].value_counts()
-        return pd.DataFrame({col: vc.index.to_numpy(),
-                             "n": vc.to_numpy().astype("int64")})
-
-    def _merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.groupby(col, as_index=False, sort=False)["n"].sum()
-        return g[g["n"] >= threshold]
-
-    return exchange(
-        ds.map_batches(_count_partial, batch_format="pandas"),
-        col, _merge,
-        lambda sch: pa.schema([sch.field(col), pa.field("n", pa.int64())]))
 
 
 def grouped_quantile_disc(ds, key, col, q, num_buckets=64):

@@ -40,6 +40,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..core.dsutil import write_parquet_plain
 from ..core.exchange import bucketed_group_apply, distinct_rows, exchange
 
 _MERSENNE = (1 << 61) - 1
@@ -1431,7 +1432,7 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
             ),
             batch_format="pandas",
         )
-        upd.write_parquet(stage, partition_cols=["bucket"])
+        write_parquet_plain(upd, stage, ["bucket"])
         _swap_partitions(state_dir, stage, touched)
 
     return new_docs.select_columns([id_col, key]), n_new
@@ -1751,7 +1752,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                         batch_format="pandas",
                     )
                 )
-            supd.write_parquet(sstage, partition_cols=["bucket"])
+            write_parquet_plain(supd, sstage, ["bucket"])
 
         stage = os.path.join(bands_dir, "_stage.tmp")
         shutil.rmtree(stage, ignore_errors=True)
@@ -1770,7 +1771,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                     batch_format="pandas",
                 )
             )
-        upd.write_parquet(stage, partition_cols=["bucket"])
+        write_parquet_plain(upd, stage, ["bucket"])
 
         marker = os.path.join(state_dir, _DELTA_COMMIT)
         tmpm = marker + ".tmp"

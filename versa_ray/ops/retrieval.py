@@ -36,6 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..core.dsutil import write_parquet_plain
 from ..core.exchange import bucketed_group_apply
 
 _TOKEN_RUN = r"[a-z0-9]+"
@@ -306,9 +307,8 @@ def build_inverted_index(ds, index_dir, num_term_buckets=64,
             out["term"], num_term_buckets)
         return out
 
-    ds.map_batches(_postings, batch_format="pandas").write_parquet(
-        index_dir, partition_cols=["term_bucket"]
-    )
+    write_parquet_plain(ds.map_batches(_postings, batch_format="pandas"),
+                        index_dir, ["term_bucket"])
     with open(os.path.join(index_dir, "_invidx_meta.json"), "w") as f:
         json.dump({"num_term_buckets": int(num_term_buckets),
                    "id_col": id_col}, f)
