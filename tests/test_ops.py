@@ -1978,6 +1978,7 @@ def test_winnow_poly_hasher_fast_path(ray_session):
     w+k-1 shared-substring guarantee; it is substantially faster than
     the md5 oracle hasher on a long document."""
     import time
+    import warnings
 
     import ray.data as rd
 
@@ -1987,7 +1988,10 @@ def test_winnow_poly_hasher_fast_path(ray_session):
     k, w = 8, 8
     text = "the quick brown fox jumps over the lazy dog " * 40
     m = len(text) - k + 1
-    h = _winnow_hash_poly(text, k, m)
+    # the uint64 wraparound is intended and must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h = _winnow_hash_poly(text, k, m)
     B = 0x100000001B3
     MASK = (1 << 64) - 1
     data = text.encode()

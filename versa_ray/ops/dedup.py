@@ -2003,12 +2003,13 @@ def _winnow_hash_poly(text: str, k: int, m: int) -> "np.ndarray":
 
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     kk = min(k, len(data))
-    B = np.uint64(0x100000001B3)
     powers = np.empty(kk, dtype=np.uint64)
-    acc = np.uint64(1)
+    acc = 1
     for i in range(kk - 1, -1, -1):
         powers[i] = acc
-        acc = acc * B  # uint64 wraparound is the modulus
+        # masked Python ints: the 2**64 wraparound is the modulus, and
+        # a numpy scalar multiply would warn on every wrap
+        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     win = sliding_window_view(data, kk).astype(np.uint64)
     h = (win * powers).sum(axis=1, dtype=np.uint64)
     return h[:m]

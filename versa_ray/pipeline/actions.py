@@ -41,8 +41,13 @@ def _run(val, ctx):
     return val(ctx) if is_pipeline_action(val) else val
 
 
-def _mark(f):
+def _mark(f, args=None):
+    """Tag ``f`` as an action. ``args`` records the constructor's own
+    arguments so ``pipeline.plan`` can read a rule set without
+    running it."""
     f.is_pipeline_action = True
+    if args is not None:
+        f.action_args = args
     return f
 
 
@@ -116,6 +121,8 @@ def link(origin=None, rel=None, target=None, value=None, attributes=None, source
     """Emit link(s) built from the context's current link with any
     components overridden; list-valued components multiply out
     (link_materialize_actions.py:20-77)."""
+    args = dict(origin=origin, rel=rel, target=target, value=value,
+                attributes=attributes, source=source)
     origin = _DEFAULT if origin is None else origin
     rel = _DEFAULT if rel is None else rel
     if target is None:
@@ -146,7 +153,7 @@ def link(origin=None, rel=None, target=None, value=None, attributes=None, source
                         continue
                     ctx.output_model.add(o, r, t, _attrs)
 
-    return _mark(_link)
+    return _mark(_link, args)
 
 
 class COPY:
@@ -192,6 +199,9 @@ def materialize(typ, rel=None, origin=None, unique=None, fprint=None, links=None
     optionally a VFPRINT link, and the nested ``links`` with stem/vein
     context chaining; multi-valued targets split on ``split``.
     """
+    args = dict(typ=typ, rel=rel, origin=origin, unique=unique, fprint=fprint,
+                links=links, split=split, attributes=attributes,
+                attach=attach, preserve_fprint=preserve_fprint, vars=vars)
     links = links or []
 
     def _materialize(ctx):
@@ -366,7 +376,7 @@ def materialize(typ, rel=None, origin=None, unique=None, fprint=None, links=None
                     func(objid)
         return objids
 
-    return _mark(_materialize)
+    return _mark(_materialize, args)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +569,7 @@ def follow(*rels, origin=None, action=None):
             return results
         return [ft for (ft, fa) in frontier]
 
-    return _mark(_follow)
+    return _mark(_follow, dict(rels=rels, origin=origin, action=action))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +626,7 @@ def lookup(mapping, key=None, onmiss=None):
             _key = next(iter(_key), None)
         return _mapping.get(_key, _onmiss)
 
-    return _mark(_lookup)
+    return _mark(_lookup, dict(mapping=mapping, key=key, onmiss=onmiss))
 
 
 def regex_match_modify(pattern, group_or_func, value=None):

@@ -6,9 +6,14 @@ stage maps input resources to output entities by type rules, a
 transform stage matches each outbound input link against rel (or
 (rel, Type...)-tuple) rules, and a labelize stage derives labels for
 typed output resources. All of it runs against one document's
-micro-models inside a single ``map_batches`` task; the engine-level
-wrapper (versa_ray.stages) fans documents out and merges outputs with
-a dedup shuffle.
+micro-models.
+
+Where this interpreter runs: the CLI ``transform`` command and every
+rule set outside the compiled subset of ``pipeline/plan.py``. The web
+flagship (``web/kgpipeline.PageKGExtractor``) runs its rules as the
+compiled plan and calls this interpreter only for the pages the plan
+hands back; the interpreter is also the reference the plan is tested
+against row for row (tests/test_plan.py).
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
     read_parquet(pages)                       [prune to url/html(/text)]
       -> map_batches(PageKGExtractor)  [tasks + per-worker cache]
            html -> text (byte-identical invariant)
-           html -> RDFa-Lite triples -> doc-local micro-model
-           -> fingerprint/transform/labelize rules (schema.org -> BIBFRAME-ish)
-           -> link rows + lineage (src_url)
+           html -> RDFa-Lite triples
+           -> fingerprint/transform/labelize rules (schema.org ->
+              BIBFRAME-ish), compiled once per worker into one
+              per-batch plan (pipeline/plan.py); a page the plan
+              cannot reproduce runs on the action interpreter
+           -> link columns + lineage (src_url)
       -> map_batches(EntityScorer)     [tasks + per-worker cache over
                                         one ray.put alias index]
       -> write_linkset: ONE partition-keyed shuffle (rel_bucket x
@@ -45,6 +48,7 @@ from ..core.canon import LINK_SCHEMA
 from ..model.linkset import distinct_links
 from ..model.micro import MicroModel
 from ..pipeline import follow, generic_pipeline, link, lookup, materialize
+from ..pipeline.plan import compile_plan
 from .extract import extract_both, extract_rdfa
 
 SCH = I("https://schema.org/")
@@ -96,15 +100,21 @@ class TextMismatch(AssertionError):
 
 
 class PageKGExtractor:
-    """One HTML parse + doc-local rule run per page.
+    """One HTML parse per page, then the compiled rule plan over the
+    whole batch.
 
-    Rule closures are built once per instance (__init__), not per
+    The rules are compiled once per instance (__init__), not per
     batch; ``extract_links`` keeps one instance per worker process.
-    Emits canonical link rows with ``src_url`` lineage.
+    A page the plan cannot reproduce exactly runs through the
+    interpreter (``self.pipeline``), which yields the same rows for
+    every other page (tests/test_plan.py). Emits canonical link rows
+    with ``src_url`` lineage.
     """
 
     def __init__(self, check_text=False):
-        self.pipeline = generic_pipeline(*kg_rules())
+        rules = kg_rules()
+        self.pipeline = generic_pipeline(*rules)
+        self.plan = compile_plan(*rules)
         self.check_text = check_text
 
     def _transform(self, url: str, triples) -> MicroModel:
@@ -120,21 +130,23 @@ class PageKGExtractor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         htmls = batch["html"].to_pylist()
-        golden = batch["text"].to_pylist() if (
-            self.check_text and "text" in batch.column_names
-        ) else None
-        out = {name: [] for name in LINKS_OUT_SCHEMA.names}
+        golden = None
+        if self.check_text:
+            if "text" not in batch.column_names:
+                raise ValueError(
+                    "check_text=True needs a 'text' column to check the "
+                    f"extracted text against; the batch has {batch.column_names}")
+            golden = batch["text"].to_pylist()
+        docs = []
         for i, (url, html) in enumerate(zip(urls, htmls)):
             # one HTML parse serves both text and triples
             text, triples = extract_both(html, url)
             if golden is not None and text != golden[i]:
                 raise TextMismatch(f"text extraction drift for {url}")
-            modout = self._transform(url, triples)
-            for row in modout.to_rows():
-                for k, v in row.items():
-                    out[k].append(v)
-                out["src_url"].append(url)
-        return pa.Table.from_pydict(out, schema=LINKS_OUT_SCHEMA)
+            docs.append((url, triples))
+        cols = self.plan.run(docs, fallback=self._transform)
+        cols["src_url"] = cols.pop("doc")
+        return pa.Table.from_pydict(cols, schema=LINKS_OUT_SCHEMA)
 
 
 # per-worker-process stage caches: tasks reuse worker processes, so
