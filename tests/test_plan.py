@@ -55,7 +55,7 @@ EDGE_PAGES = {
         '<div resource="https://example.org/o/2" typeof="Organization">'
         '<span property="name">   </span></div>'), False),
     "duplicated-lines": (VOCAB % (
-        '<article resource="https://example.org/b/4" typeof="Book">'
+        '<article resource="https://example.org/b/4" typeof="Book Book">'
         '<meta property="isbn" content="789">'
         '<meta property="isbn" content="789">'
         '<meta property="inLanguage" content="en">'

@@ -13,8 +13,9 @@ Anything else compiles to ``None`` and runs on the interpreter.
 
 A plan runs a whole batch of documents at once, without a
 ``MicroModel``, a context or an action call per link: it groups each
-document's triples by subject (with the input model's duplicate
-refusal and the rdf:type -> ``VTYPE_REL`` rename), hashes every new
+document's triples by subject (with the rdf:type -> ``VTYPE_REL``
+rename; the input model's duplicate refusal is applied to the output
+links, where it has the same effect), hashes every new
 fingerprint of the batch in one ``hash64_batch`` call, then applies
 the rel map, the ``@resource`` lookup and the labels, emitting
 canonical link columns directly. The output equals the interpreter's
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import base64
 
-from ..core import I, RDF_TYPE_REL, VLABEL_REL, VTYPE_REL
+from ..core import I, RDF_TYPE_REL, VLABEL_REL, VTYPE_REL, matches_uri_ref_syntax
 from ..core.canon import EMPTY_ATTRS
 from ..core.hashing import fingerprint_text
 from .context import is_pipeline_action
@@ -51,14 +52,6 @@ def _args(action, kind):
     if not is_pipeline_action(action) or action.__name__ != "_" + kind:
         return None
     return getattr(action, "action_args", None)
-
-
-def _is_iri(s) -> bool:
-    try:
-        I(s)
-    except (TypeError, ValueError):
-        return False
-    return True
 
 
 def _follow_rel(action):
@@ -78,8 +71,8 @@ def _fingerprint_rule(rule):
     if a is None:
         return None
     typ, fprint = a["typ"], a["fprint"]
-    if not isinstance(typ, str) or not _is_iri(typ):
-        return None
+    if not isinstance(typ, str) or not matches_uri_ref_syntax(typ):
+        return None  # the interpreter would raise on I(typ)
     if (a["rel"], a["origin"], a["unique"], a["split"], a["attributes"],
             a["vars"]) != (None,) * 6 or a["links"] or a["preserve_fprint"]:
         return None
@@ -163,19 +156,17 @@ class RulePlan:
         self._ids = {}
 
     def _group(self, triples):
-        """One document's input model as {subject: [(rel, target)]} in
+        """One document's triples as {subject: [(rel, target)]} in
         first-appearance order plus its fingerprinted subjects
-        [(subject, rule, values)], or None to fall back."""
-        seen = set()
+        [(subject, rule, values)], or None to fall back. Repeated
+        triples stay: ``_emit`` refuses duplicate output links, and a
+        repeat keeps the first one's place there as the input model's
+        refusal does."""
         by_subj = {}
         for s, p, o, _ in triples:
             if not s or not p or o is None:
                 return None
             rel = VTYPE_REL if p == RDF_TYPE_REL else p
-            key = (s, rel, o)
-            if key in seen:
-                continue
-            seen.add(key)
             links = by_subj.get(s)
             if links is None:
                 by_subj[s] = links = []
@@ -186,7 +177,7 @@ class RulePlan:
             rule = None
             for rel, o in links:
                 if rel == VTYPE_REL and o in fp:
-                    if rule is not None:
+                    if rule is not None and rule is not fp[o]:
                         return None
                     rule = fp[o]
             if rule is None:
