@@ -24,6 +24,7 @@ from versa_ray.core import (
     row_to_link,
     simple_hashstring,
 )
+from versa_ray.core.hashing import simple_hashstrings
 from versa_ray.core.mmh3 import hash64_signed
 
 
@@ -49,6 +50,24 @@ def test_resource_id_anchors():
     # The hash ID the reference pipeline test asserts (test_pipeline.py:415)
     MB = "https://musicbrainz.org/doc/MusicBrainz_Database/Schema/"
     assert resource_id(MB + "Artist", [(MB + "name", "Yasiin Bey")]) == "i5GvPVm7ClA"
+
+
+def test_simple_hashstrings_matches_scalar_convention():
+    # The batch form gives the scalar form's IDs for the anchors, the
+    # empty sentinel, repeats, non-ASCII and keys longer than one
+    # 16-byte block.
+    MB = "https://musicbrainz.org/doc/MusicBrainz_Database/Schema/"
+    texts = [
+        fingerprint_text(MB + "Artist", [(MB + "name", "Yasiin Bey")]),
+        "", "x", "Zo\u00eb \u4f5c\u5bb6", "x", "a" * 70,
+        fingerprint_text("http://schema.org/Person",
+                         [("http://schema.org/name", "Augusta Ada King")]),
+    ]
+    want = [simple_hashstring(t) for t in texts]
+    assert (want[0], want[1], want[-1]) == (
+        "i5GvPVm7ClA", "AAAAAAAAAAA", "xjgOrUFiw_o")
+    assert simple_hashstrings(texts) == want
+    assert simple_hashstrings([]) == []
 
 
 def test_resource_id_type_dedup_and_sort():

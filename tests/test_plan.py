@@ -86,9 +86,8 @@ def _plan_rows(plan, ex, docs, fell_back):
         fell_back.append(url)
         return ex._transform(url, triples)
 
-    cols = plan.run(docs, fallback)
-    cols["src_url"] = cols.pop("doc")
-    return pa.Table.from_pydict(cols, schema=LINKS_OUT_SCHEMA).to_pylist()
+    return pa.Table.from_pydict(plan.run(docs, fallback),
+                                schema=LINKS_OUT_SCHEMA).to_pylist()
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -150,6 +149,18 @@ def test_rules_outside_the_subset_do_not_compile():
     as_if = dict(labelize)
     as_if[BF("Person")] = if_(True, follow(BF("name")))
     assert compile_plan(fingerprint, transform, as_if) is None
+
+
+def test_extractor_refuses_rules_the_plan_cannot_compile(monkeypatch):
+    import versa_ray.web.kgpipeline as kgp
+
+    fingerprint, transform, labelize = kg_rules()
+    with_if = dict(transform)
+    with_if[SCH("name")] = link(rel=BF("name"), target=if_(True, "x"))
+    monkeypatch.setattr(kgp, "kg_rules",
+                        lambda: (fingerprint, with_if, labelize))
+    with pytest.raises(ValueError, match="outside the rule subset"):
+        kgp.PageKGExtractor()
 
 
 def test_check_text_without_text_column_raises():

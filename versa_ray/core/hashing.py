@@ -34,7 +34,7 @@ import json
 import struct
 from collections import OrderedDict
 
-from .mmh3 import hash64_signed
+from .mmh3 import hash64_batch, hash64_signed
 from .irihelpers import I, is_absolute
 
 VERSA_BASEIRI = I("http://bibfra.me/purl/versa/")
@@ -47,6 +47,10 @@ FROM_EMPTY_64BIT_HASH = "AAAAAAAAAAA"
 
 
 _HASHSTRING_MEMO: dict = {}
+
+
+def _b64_id(raw: bytes) -> str:
+    return base64.urlsafe_b64encode(raw).rstrip(b"=").decode("ascii")
 
 
 def simple_hashstring(obj, bits: int = 64) -> str:
@@ -62,10 +66,19 @@ def simple_hashstring(obj, bits: int = 64) -> str:
     raw = struct.pack("!q", basis)
     if bits != 64:
         raw = raw[: -int((64 - bits) / 8)]
-    out = base64.urlsafe_b64encode(raw).rstrip(b"=").decode("ascii")
+    out = _b64_id(raw)
     if len(_HASHSTRING_MEMO) < 500_000:
         _HASHSTRING_MEMO[key] = out
     return out
+
+
+def simple_hashstrings(texts) -> list:
+    """``simple_hashstring(t)`` (64 bits) for each str in ``texts``,
+    hashed in one vectorized ``hash64_batch`` call. A text must not end
+    in NUL (the batch hasher pads with NUL); fingerprint JSON never
+    does."""
+    raw = hash64_batch(texts).astype(">u8").tobytes()
+    return [_b64_id(raw[i: i + 8]) for i in range(0, len(raw), 8)]
 
 
 class OrderedJsonEncoder(json.JSONEncoder):

@@ -9,14 +9,15 @@ web flagship's ``kg_rules()`` uses:
 * transform: ``link(rel=R)`` and ``link(rel=R, target=lookup("@resource"))``
 * labelize: ``follow(rel)``
 
-Anything else compiles to ``None`` and runs on the interpreter.
+Anything else compiles to ``None``: such a rule set runs only on the
+interpreter (``generic_pipeline``), as the CLI ``transform`` does.
 
 A plan runs a whole batch of documents at once, without a
 ``MicroModel``, a context or an action call per link: it groups each
 document's triples by subject (with the rdf:type -> ``VTYPE_REL``
 rename; the input model's duplicate refusal is applied to the output
-links, where it has the same effect), hashes every new
-fingerprint of the batch in one ``hash64_batch`` call, then applies
+links, where it has the same effect), hashes every fingerprint of
+the batch in one ``simple_hashstrings`` call, then applies
 the rel map, the ``@resource`` lookup and the labels, emitting
 canonical link columns directly. The output equals the interpreter's
 ``to_rows()`` row for row, in order (tests/test_plan.py checks it).
@@ -36,14 +37,11 @@ vocabulary base and no ``lookups`` extras.
 
 from __future__ import annotations
 
-import base64
-
 from ..core import I, RDF_TYPE_REL, VLABEL_REL, VTYPE_REL, matches_uri_ref_syntax
 from ..core.canon import EMPTY_ATTRS
-from ..core.hashing import fingerprint_text
+from ..core.hashing import fingerprint_text, simple_hashstrings
 from .context import is_pipeline_action
 
-_MEMO_CAP = 500_000
 _VTYPE, _VLABEL = str(VTYPE_REL), str(VLABEL_REL)
 
 
@@ -130,15 +128,6 @@ def compile_plan(fingerprint_rules, transform_rules, labelize_rules):
     return RulePlan(fp, tr, lab)
 
 
-def _hash_ids(texts):
-    """``simple_hashstring`` of each text, hashed in one batch."""
-    from ..core.mmh3 import hash64_batch
-
-    h = hash64_batch(texts).astype(">u8").tobytes()
-    return [base64.urlsafe_b64encode(h[i:i + 8]).rstrip(b"=").decode("ascii")
-            for i in range(0, len(h), 8)]
-
-
 class RulePlan:
     """The compiled fingerprint -> transform -> labelize rules."""
 
@@ -150,10 +139,6 @@ class RulePlan:
         self.transform = transform
         # output type -> rel whose targets become labels
         self.labelize = labelize
-        # (rule number, fingerprint values) -> entity ID; the values
-        # repeat across documents (head entities), so a warm worker
-        # skips both the fingerprint JSON and the hash
-        self._ids = {}
 
     def _group(self, triples):
         """One document's triples as {subject: [(rel, target)]} in
@@ -189,33 +174,30 @@ class RulePlan:
             ents.append((s, rule, vals))
         return by_subj, ents
 
-    def _entity_ids(self, grouped):
-        """Resolve every fingerprint of the batch, hashing the ones the
-        memo has not seen in one call."""
-        ids = self._ids
-        if len(ids) > _MEMO_CAP:
-            ids.clear()
-        todo = {}
+    @staticmethod
+    def _entity_ids(grouped):
+        """{(rule number, fingerprint values): entity ID} for every
+        fingerprinted subject of the batch, hashed in one call."""
+        texts = {}
         for g in grouped:
             if g is None:
                 continue
             for _, (n, typ, keys), vals in g[1]:
                 key = (n, vals)
-                if key not in ids and key not in todo:
-                    todo[key] = fingerprint_text(typ, {
+                if key not in texts:
+                    texts[key] = fingerprint_text(typ, {
                         (k, v) for (k, _), vs in zip(keys, vals) for v in vs})
-        if todo:
-            ids.update(zip(todo, _hash_ids(list(todo.values()))))
-        return ids
+        return dict(zip(texts, simple_hashstrings(list(texts.values()))))
 
     def run(self, docs, fallback):
         """Link columns for a batch of ``(tint, triples)`` documents:
-        ``LINK_COLUMNS`` plus ``doc`` (the tint of each row's document).
+        ``LINK_COLUMNS`` plus ``src_url`` (the tint of each row's
+        document).
         ``fallback(tint, triples)`` returns the interpreter's output
         model for a document the plan does not reproduce."""
         grouped = [self._group(triples) for _, triples in docs]
         ids = self._entity_ids(grouped)
-        origin, rel, target, is_iri, doc = [], [], [], [], []
+        origin, rel, target, is_iri, src = [], [], [], [], []
         for (tint, triples), g in zip(docs, grouped):
             n0 = len(origin)
             if g is None:
@@ -226,10 +208,10 @@ class RulePlan:
                     is_iri.append(row["target_is_iri"])
             else:
                 self._emit(g, ids, origin, rel, target, is_iri)
-            doc.extend([tint] * (len(origin) - n0))
+            src.extend([tint] * (len(origin) - n0))
         return {"origin": origin, "rel": rel, "target": target,
                 "target_is_iri": is_iri,
-                "attrs": [EMPTY_ATTRS] * len(origin), "doc": doc}
+                "attrs": [EMPTY_ATTRS] * len(origin), "src_url": src}
 
     def _emit(self, g, ids, origin, rel, target, is_iri):
         by_subj, ents = g

@@ -115,6 +115,10 @@ class PageKGExtractor:
         rules = kg_rules()
         self.pipeline = generic_pipeline(*rules)
         self.plan = compile_plan(*rules)
+        if self.plan is None:
+            raise ValueError(
+                "kg_rules() is outside the rule subset pipeline/plan.py "
+                "compiles")
         self.check_text = check_text
 
     def _transform(self, url: str, triples) -> MicroModel:
@@ -144,9 +148,9 @@ class PageKGExtractor:
             if golden is not None and text != golden[i]:
                 raise TextMismatch(f"text extraction drift for {url}")
             docs.append((url, triples))
-        cols = self.plan.run(docs, fallback=self._transform)
-        cols["src_url"] = cols.pop("doc")
-        return pa.Table.from_pydict(cols, schema=LINKS_OUT_SCHEMA)
+        return pa.Table.from_pydict(
+            self.plan.run(docs, fallback=self._transform),
+            schema=LINKS_OUT_SCHEMA)
 
 
 # per-worker-process stage caches: tasks reuse worker processes, so
