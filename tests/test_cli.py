@@ -358,9 +358,10 @@ def test_modelsite_at_name_collision_resolution(tmp_path):
 
 
 def test_cli_kgbuild_sharded(tmp_path):
-    """--sharded drives the per-shard resumable build: shard manifests
-    + final linkset; --max-shards bounds one run's work and the next
-    run completes the rest; rerun resumes to the same row count."""
+    """--num-shards drives the per-shard resumable build: shard
+    manifests + final linkset; --max-shards bounds one run's work and
+    the next run completes the rest; rerun resumes to the same row
+    count."""
     import json
 
     from versa_ray.web.synth import write_pages
@@ -369,7 +370,7 @@ def test_cli_kgbuild_sharded(tmp_path):
     write_pages(str(pages), 120)
     out = tmp_path / "kg"
     # bounded first run: only 2 of 4 shards
-    r = _run(["kgbuild", str(pages), str(out), "--sharded",
+    r = _run(["kgbuild", str(pages), str(out),
               "--num-shards", "4", "--max-shards", "2"])
     assert r.returncode == 0, r.stderr
     assert "shards complete: 2/4" in r.stdout
@@ -378,7 +379,7 @@ def test_cli_kgbuild_sharded(tmp_path):
     done = glob.glob(str(out / "manifests" / "shard-*.json"))
     assert len(done) == 2
     # completing run
-    r2 = _run(["kgbuild", str(pages), str(out), "--sharded",
+    r2 = _run(["kgbuild", str(pages), str(out),
                "--num-shards", "4"])
     assert r2.returncode == 0, r2.stderr
     done = glob.glob(str(out / "manifests" / "shard-*.json"))
@@ -386,15 +387,15 @@ def test_cli_kgbuild_sharded(tmp_path):
     rows = int(r2.stdout.strip().rsplit("linkset rows: ", 1)[1].split()[0])
     # manifest lineage present
     m = json.load(open(done[0]))
-    assert {"shard", "page_range", "rows", "wall_sec"} <= set(m)
+    assert {"shard", "files", "rows", "wall_sec"} <= set(m)
     # rerun resumes with identical output
-    r3 = _run(["kgbuild", str(pages), str(out), "--sharded",
+    r3 = _run(["kgbuild", str(pages), str(out),
                "--num-shards", "4"])
     rows3 = int(r3.stdout.strip().rsplit("linkset rows: ", 1)[1].split()[0])
     assert rows3 == rows
     # resuming with a DIFFERENT shard split is refused (it would
     # silently drop pages)
-    r4 = _run(["kgbuild", str(pages), str(out), "--sharded",
+    r4 = _run(["kgbuild", str(pages), str(out),
                "--num-shards", "8"])
     assert r4.returncode != 0
     assert "num_shards" in (r4.stderr + r4.stdout)

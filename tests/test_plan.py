@@ -168,3 +168,36 @@ def test_check_text_without_text_column_raises():
     with pytest.raises(ValueError, match="'text' column"):
         PageKGExtractor(check_text=True)(pages)
     assert PageKGExtractor()(pages).num_rows > 0
+
+
+def test_interpreter_rows_do_not_depend_on_hash_seed():
+    """A subject matching two fingerprint rules goes to the
+    interpreter; its rows come out in the same order whatever the
+    process's string-hash seed (and object addresses, which differ
+    between the processes too)."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import json, sys\n"
+        "import pyarrow as pa\n"
+        "from versa_ray.web.kgpipeline import PageKGExtractor\n"
+        "url, html = json.load(sys.stdin)\n"
+        "pages = pa.table({'url': [url], 'html': [html.encode('utf-8')]})\n"
+        "print(json.dumps(PageKGExtractor()(pages).to_pylist()))\n")
+    page = json.dumps(["https://example.org/edge/two-fingerprint-types",
+                       EDGE_PAGES["two-fingerprint-types"][0]])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = []
+    path = [root] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(path))
+        r = subprocess.run([sys.executable, "-c", script], input=page,
+                           capture_output=True, text=True, env=env, cwd=root)
+        assert r.returncode == 0, r.stderr
+        runs.append(json.loads(r.stdout))
+    assert runs[0] and all(r == runs[0] for r in runs[1:])

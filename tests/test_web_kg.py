@@ -14,6 +14,13 @@ from versa_ray.web.kgpipeline import PageKGExtractor
 from versa_ray.web.synth import make_page
 
 N = 40
+QUAD = ["origin", "rel", "target", "target_is_iri", "attrs", "src_url"]
+
+
+def _quads(ds):
+    """A link-set's rows as one sorted quad list (lineage included)."""
+    df = ds.to_pandas()
+    return sorted(map(tuple, df[QUAD].itertuples(index=False)))
 
 
 def test_text_extraction_byte_identical():
@@ -100,14 +107,17 @@ def test_end_to_end_ray_pipeline(ray_session, tmp_path):
     # entity linking annotated the head author's name link
     assert df["attrs"].str.contains("authority.example.org").any()
 
-    # resume: wipe nothing, run again -> must read checkpoint, same count
+    # resume: wipe nothing, run again -> must read checkpoint, same links
+    want = _quads(links)
     links2 = build_kg(pages_ds=None, out_dir=out_dir)
     assert links2.count() == total
+    assert _quads(links2) == want
 
     # resume after losing the final stage but keeping extraction
     shutil.rmtree(os.path.join(out_dir, "stage=linkset"))
     links3 = build_kg(pages_ds=None, out_dir=out_dir, alias_table=alias)
     assert links3.count() == total
+    assert _quads(links3) == want
 
 
 def test_build_kg_resume_after_store_commit(ray_session, tmp_path):
@@ -145,33 +155,83 @@ def test_stage_and_shard_dirs_cleared_before_write(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from versa_ray.web.kgpipeline import (LINKS_OUT_SCHEMA, build_kg,
-                                          build_kg_sharded)
+    from versa_ray.web.kgpipeline import LINKS_OUT_SCHEMA, build_kg
     from versa_ray.web.synth import write_pages
 
     stray = pa.Table.from_pylist(
         [{"origin": "urn:stray", "rel": "urn:stray:rel", "target": "x",
           "target_is_iri": False, "attrs": "{}", "src_url": "urn:stray"}],
         schema=LINKS_OUT_SCHEMA)
+    pages = str(tmp_path / "pages.parquet")
+    write_pages(pages, 40)
 
     out = str(tmp_path / "sharded")
     os.makedirs(f"{out}/stage=extracted/shard=0")
     pq.write_table(stray, f"{out}/stage=extracted/shard=0/stray.parquet")
-    links = build_kg_sharded(out, n_pages=40, num_shards=2).to_pandas()
+    links = build_kg(pages_path=pages, out_dir=out, num_shards=2).to_pandas()
     assert "urn:stray" not in set(links["origin"])
     shard = json.load(open(f"{out}/manifests/shard-0.json"))
     files = glob.glob(f"{out}/stage=extracted/shard=0/*.parquet")
     assert shard["rows"] == sum(
         pq.ParquetFile(f).metadata.num_rows for f in files)
 
-    pages = str(tmp_path / "pages.parquet")
-    write_pages(pages, 20)
+    # one shard: its directory is cleared too, and a file beside the
+    # shard directories is never read back (only marker-listed files are)
     kg = str(tmp_path / "kg")
-    os.makedirs(f"{kg}/stage=extracted")
+    os.makedirs(f"{kg}/stage=extracted/shard=0")
+    pq.write_table(stray, f"{kg}/stage=extracted/shard=0/stray.parquet")
     pq.write_table(stray, f"{kg}/stage=extracted/stray.parquet")
     links = build_kg(pages_path=pages, out_dir=kg).to_pandas()
     assert "urn:stray" not in set(links["origin"])
-    assert not os.path.exists(f"{kg}/stage=extracted/stray.parquet")
+    assert not os.path.exists(f"{kg}/stage=extracted/shard=0/stray.parquet")
+
+
+def test_stored_linkset_holds_exactly_the_link_columns(ray_session, tmp_path):
+    """Every store file, after a build with one or two shards and after
+    an update_kg on top, holds exactly the LINKS_OUT_SCHEMA columns:
+    the checkpoint's stage=/shard= path segments must not be read back
+    as columns."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from versa_ray.web.kgpipeline import LINKS_OUT_SCHEMA, build_kg, update_kg
+    from versa_ray.web.synth import page_batch, write_pages
+
+    pages = str(tmp_path / "pages.parquet")
+    write_pages(pages, 20)
+
+    def columns(store):
+        files = glob.glob(f"{store}/**/*.parquet", recursive=True)
+        assert files
+        return {tuple(pq.read_schema(f).names) for f in files}
+
+    want = {tuple(LINKS_OUT_SCHEMA.names)}
+    for shards in (1, 2):
+        out = str(tmp_path / f"kg{shards}")
+        build_kg(pages_path=pages, out_dir=out, num_shards=shards)
+        assert columns(f"{out}/stage=linkset") == want, shards
+    update_kg(rd.from_arrow(page_batch(42, 15, 30, 30)),
+              str(tmp_path / "kg1" / "stage=linkset"))
+    assert columns(str(tmp_path / "kg1" / "stage=linkset")) == want
+
+
+def test_build_kg_resume_without_input_names_missing_shards(
+        ray_session, tmp_path):
+    """Resuming a build with shards left to extract but no pages input
+    is refused with the out_dir and the missing shards named."""
+    from versa_ray.web.kgpipeline import build_kg
+    from versa_ray.web.synth import write_pages
+
+    pages = str(tmp_path / "pages.parquet")
+    write_pages(pages, 10)
+    out = str(tmp_path / "kg")
+    assert build_kg(pages_path=pages, out_dir=out, num_shards=3,
+                    max_shards_this_run=1) is None
+    with pytest.raises(ValueError) as err:
+        build_kg(out_dir=out, num_shards=3)
+    assert out in str(err.value) and "[1, 2]" in str(err.value)
 
 
 def test_origin_adjacency_and_literate_at_scale(ray_session, tmp_path):
@@ -203,43 +263,53 @@ def test_origin_adjacency_and_literate_at_scale(ray_session, tmp_path):
 
 def test_sharded_resume(ray_session, tmp_path):
     """Per-shard checkpointing: a partial run persists shard progress;
-    the resume run skips completed shards and finishes."""
+    the resume run skips completed shards and finishes. The resumed
+    build, an uninterrupted 4-shard build and a 1-shard build of the
+    same corpus store identical link-sets, lineage included."""
+    import glob
     import json
 
-    from versa_ray.web.kgpipeline import build_kg_sharded
+    import pyarrow.parquet as pq
+
+    from versa_ray.web.kgpipeline import build_kg
+    from versa_ray.web.synth import author_name, write_pages
+
+    pages = str(tmp_path / "pages.parquet")
+    write_pages(pages, 80)
+    alias = {author_name(42, 0): "https://authority.example.org/person/0"}
+
+    def build(name, **kw):
+        return build_kg(pages_path=pages, out_dir=str(tmp_path / name),
+                        alias_table=alias, num_partitions=4, **kw)
 
     out = str(tmp_path / "kg_sharded")
     # first invocation only processes 2 of 4 shards
-    partial = build_kg_sharded(out, n_pages=80, num_shards=4, max_shards_this_run=2)
-    assert partial is None
-    import glob
-
+    assert build("kg_sharded", num_shards=4, max_shards_this_run=2) is None
     markers = sorted(glob.glob(out + "/manifests/shard-*.json"))
     assert len(markers) == 2
     stamps = {m: os.path.getmtime(m) for m in markers}
-    # lineage manifest contents
-    man = json.load(open(markers[0]))
-    assert man["rows"] > 0 and man["page_range"][1] > man["page_range"][0]
-    # the marker's row count is the shard's stored Parquet row count
-    import pyarrow.parquet as pq
-
+    # lineage manifest contents: the marker lists the shard's stored
+    # files and its row count is their Parquet footer row count
     for m in markers:
         shard = json.load(open(m))
-        files = glob.glob(
-            f"{out}/stage=extracted/shard={shard['shard']}/*.parquet")
-        assert files and shard["rows"] == sum(
-            pq.ParquetFile(f).metadata.num_rows for f in files)
+        sdir = f"{out}/stage=extracted/shard={shard['shard']}"
+        files = sorted(os.path.basename(f)
+                       for f in glob.glob(f"{sdir}/*.parquet"))
+        assert files and shard["files"] == files
+        assert shard["rows"] > 0 and shard["rows"] == sum(
+            pq.ParquetFile(f"{sdir}/{f}").metadata.num_rows for f in files)
 
     # resume completes the rest without redoing finished shards
-    final = build_kg_sharded(out, n_pages=80, num_shards=4)
+    final = build("kg_sharded", num_shards=4)
     assert final is not None
     for m, ts in stamps.items():
         assert os.path.getmtime(m) == ts  # untouched
-    n = final.count()
+    resumed = _quads(final)
+    assert resumed
 
-    # equals a fresh unsharded-equivalent run
-    full = build_kg_sharded(str(tmp_path / "kg_full"), n_pages=80, num_shards=2)
-    assert full.count() == n
+    # equals uninterrupted runs with the same and with one shard
+    assert _quads(build("kg_4", num_shards=4)) == resumed
+    assert _quads(build("kg_1", num_shards=1)) == resumed
 
 
 def test_canonicalize_authorities(ray_session):

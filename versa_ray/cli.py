@@ -5,7 +5,7 @@ Mirrors the reference toolchain's CLI surface
 
     python -m versa_ray.cli parse IN [OUT]
     python -m versa_ray.cli transform RULESPEC.py IN [OUT]
-    python -m versa_ray.cli kgbuild PAGES.parquet OUT_DIR [--resume]
+    python -m versa_ray.cli kgbuild PAGES.parquet OUT_DIR [--num-shards N] [--max-shards M]
     python -m versa_ray.cli canonicalize IN [OUT]
 
 Formats by extension: .vlit/.md Versa Literate; .vdump JSON dump;
@@ -166,26 +166,19 @@ def cmd_kgbuild(args):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    if args.sharded:
-        from .web.kgpipeline import build_kg_sharded
+    from .web.kgpipeline import build_kg
 
-        links = build_kg_sharded(
-            args.out_dir, pages_path=args.pages,
-            num_shards=args.num_shards, check_text=args.check_text,
-            max_shards_this_run=args.max_shards)
-        if links is None:  # bounded run left shards for the next one
-            import glob as _glob
+    links = build_kg(pages_path=args.pages, out_dir=args.out_dir,
+                     check_text=args.check_text, num_shards=args.num_shards,
+                     max_shards_this_run=args.max_shards)
+    if links is None:  # bounded run left shards for the next one
+        import glob as _glob
 
-            done = len(_glob.glob(f"{args.out_dir}/manifests/shard-*.json"))
-            print(f"shards complete: {done}/{args.num_shards} "
-                  f"(rerun to continue) -> {args.out_dir}")
-            ray.shutdown()
-            return
-    else:
-        from .web.kgpipeline import build_kg
-
-        links = build_kg(pages_path=args.pages, out_dir=args.out_dir,
-                         check_text=args.check_text)
+        done = len(_glob.glob(f"{args.out_dir}/manifests/shard-*.json"))
+        print(f"shards complete: {done}/{args.num_shards} "
+              f"(rerun to continue) -> {args.out_dir}")
+        ray.shutdown()
+        return
     print(f"linkset rows: {links.count()} -> {args.out_dir}/stage=linkset")
     ray.shutdown()
 
@@ -510,14 +503,17 @@ def main(argv=None):
     p.add_argument("gr_out", nargs="?", default="-")
     p.set_defaults(func=cmd_canonicalize)
 
-    p = sub.add_parser("kgbuild", help="run the flagship KG pipeline over a pages Parquet corpus")
+    p = sub.add_parser(
+        "kgbuild",
+        help="run the flagship KG pipeline over a pages Parquet corpus; "
+             "rerunning on the same OUT_DIR resumes an interrupted build",
+    )
     p.add_argument("pages")
     p.add_argument("out_dir")
     p.add_argument("--check-text", action="store_true")
-    p.add_argument("--sharded", action="store_true",
-                   help="per-shard resumable build (lineage manifest + "
-                        "_SUCCESS per shard; reruns skip finished shards)")
-    p.add_argument("--num-shards", type=int, default=8)
+    p.add_argument("--num-shards", type=int, default=1,
+                   help="url-hash shards, each checkpointed with a lineage "
+                        "manifest; reruns skip finished shards")
     p.add_argument("--max-shards", type=int, default=None,
                    help="bound incomplete shards processed this run")
     p.set_defaults(func=cmd_kgbuild)

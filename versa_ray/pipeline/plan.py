@@ -24,8 +24,8 @@ canonical link columns directly. The output equals the interpreter's
 A document the plan cannot reproduce exactly goes to the caller's
 ``fallback`` (the interpreter), decided from its own triples:
 
-* a subject that matches two fingerprint rules (the interpreter's
-  output order then depends on set iteration order);
+* a subject that matches two fingerprint rules (it then has two
+  main entities, and the plan maps each subject to one);
 * a fingerprint-typed subject with no fingerprint values (the
   interpreter takes the order-dependent counter ID);
 * a triple with an empty subject or rel (the interpreter raises) or

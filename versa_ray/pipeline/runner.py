@@ -98,10 +98,13 @@ class definition:
                     rule_tup if isinstance(rule_tup, (list, tuple)) else (rule_tup,)
                 )
                 for rule in rule_tup:
-                    out_rids = set()
+                    # insertion-ordered dicts, not sets: the order of a
+                    # subject's mains is the order of its output rows,
+                    # which must not depend on the string-hash seed
+                    out_rids = {}
 
                     def new_entity(eid, _sink=out_rids):
-                        _sink.add(eid)
+                        _sink[eid] = None
 
                     # null rel signals materialize not to attach
                     link = (rid, None, typ, {})
@@ -113,11 +116,12 @@ class definition:
                     ne_hook = ctx.extras.setdefault("@new-entity-hook", [])
                     ctx.extras["@new-entity-hook"] = _make_list(ne_hook, new_entity)
                     mains = rule(ctx)
-                    mains = set(mains) if isinstance(mains, list) else {mains}
-                    curr_m, curr_o = self.fingerprints.setdefault(rid, (set(), set()))
-                    curr_m.update(mains)
+                    mains = mains if isinstance(mains, list) else [mains]
+                    curr_m, curr_o = self.fingerprints.setdefault(rid, ({}, {}))
+                    curr_m.update(dict.fromkeys(mains))
                     curr_o.update(out_rids)
-                    curr_o -= curr_m
+                    for m in curr_m:
+                        curr_o.pop(m, None)
                     new_rids.update(out_rids)
         return new_rids
 
@@ -145,10 +149,10 @@ class definition:
         for rid in origins:
             mains, others = origins[rid]
             for o, r, t, attribs in self.input_model.match(rid):
-                match_sets = set()
+                match_sets = {}
                 for rule in plain_by_rel.get(r, ()):
                     for out_rid in mains:
-                        match_sets.add((rule, out_rid))
+                        match_sets[rule, out_rid] = None
                 for rule, typs in typed_by_rel.get(r, ()):
                     for out_rid in itertools.chain(mains, others):
                         if out_rid not in types_cache:
@@ -156,7 +160,7 @@ class definition:
                                 vutil.resourcetypes(self.output_model, out_rid)
                             )
                         if any(typ in types_cache[out_rid] for typ in typs):
-                            match_sets.add((rule, out_rid))
+                            match_sets[rule, out_rid] = None
                 if not match_sets:
                     if handle_misses:
                         handle_misses((rid, r, t, attribs))

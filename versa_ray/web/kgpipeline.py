@@ -14,8 +14,12 @@
       -> write_linkset: ONE partition-keyed shuffle (rel_bucket x
          part_id) that drops duplicate quads inside each partition,
          then one Parquet file per partition, published as one epoch
-         commit (stage-level resume via build_kg, per-shard resume via
-         build_kg_sharded)
+         commit
+
+``build_kg`` runs it with per-shard resume: the extracted links of
+each url-hash shard are checkpointed under ``stage=extracted/shard=K``
+with a lineage marker, and a rerun extracts only the shards that lack
+one before scoring and committing the link-set.
 
 Each stage has one execution path. Ray fuses the two map stages into
 one operator, so the link stream between them never round-trips
@@ -25,9 +29,8 @@ All entity IDs are content fingerprints, so the cross-document "same
 entity" reconciliation IS the dedup shuffle (see SURVEY.md §7 hard
 part 2); identical quads share origin and rel, so the store's partition
 shuffle is where that dedup happens. ``update_kg`` folds a delta in
-through the same shuffle. Each stage boundary materializes to
-Parquet with a _SUCCESS marker; a rerun skips completed stages
-(resume) and the output carries per-partition lineage columns.
+through the same shuffle. The output carries per-row lineage
+(``src_url``) and per-partition lineage (the store layout).
 """
 
 from __future__ import annotations
@@ -477,10 +480,6 @@ def _stage_dir(root, name):
     return os.path.join(root, f"stage={name}")
 
 
-def _complete(root, name):
-    return os.path.exists(os.path.join(_stage_dir(root, name), "_SUCCESS"))
-
-
 def _write_dir(ds, d):
     """Write ``ds`` as Parquet into ``d``, cleared first: Ray's
     write_parquet appends into an existing directory, so files that a
@@ -489,142 +488,36 @@ def _write_dir(ds, d):
     ds.write_parquet(d)
 
 
-def _mark_complete(root, name, meta=None):
-    d = _stage_dir(root, name)
-    os.makedirs(d, exist_ok=True)
-    with open(os.path.join(d, "_SUCCESS"), "w") as f:
-        json.dump({"stage": name, "ts": time.time(), **(meta or {})}, f)
+def _shard_of(pages_ds, k, num_shards):
+    """The pages whose url hashes to shard ``k`` (a stable, vectorized
+    hash: no salted Python hash, no per-row filter)."""
+    if num_shards == 1:
+        return pages_ds
+
+    def _keep(tbl: pa.Table) -> pa.Table:
+        h = pd.util.hash_pandas_object(tbl["url"].to_pandas(), index=False)
+        return tbl.filter(pa.array((h % num_shards == k).to_numpy()))
+
+    return pages_ds.map_batches(_keep, batch_format="pyarrow")
 
 
-def build_kg_sharded(
-    out_dir: str,
-    pages_path: str | None = None,
-    n_pages: int | None = None,
-    num_shards: int = 8,
-    alias_table=None,
-    check_text=False,
-    max_shards_this_run: int | None = None,
-    num_partitions: int = 16,
-):
-    """Per-shard resumable flagship build.
-
-    The page corpus is split into ``num_shards`` ranges (or file
-    groups); each shard extracts+scores+locally-dedups into its own
-    ``stage=extracted/shard=K`` directory with a _SUCCESS manifest
-    recording lineage (input range, pages, rows, wall seconds). A
-    rerun skips completed shards — that is per-PARTITION resume, finer
-    than the stage-level resume of build_kg. When all shards are
-    present, one global dedup shuffle materializes the final linkset.
-
-    ``max_shards_this_run`` limits how many incomplete shards this
-    invocation processes (used to exercise partial-progress resume).
-    """
-    import ray.data as rd
-
-    from .synth import pages_dataset
-
-    os.makedirs(out_dir, exist_ok=True)
-    ex_root = os.path.join(out_dir, "stage=extracted")
-    man_root = os.path.join(out_dir, "manifests")
-    os.makedirs(man_root, exist_ok=True)
-
-    # the shard split is part of the build's identity: shard-K markers
-    # only cover hash%num_shards == K, so resuming with a DIFFERENT
-    # num_shards would silently skip pages. Record it once, refuse a
-    # mismatched rerun.
+def _check_num_shards(man_root, num_shards):
+    """The shard split is part of the build's identity: shard-K markers
+    only cover hash % num_shards == K, so resuming with a different
+    ``num_shards`` would silently skip pages. Record it once, refuse a
+    mismatched rerun."""
     build_marker = os.path.join(man_root, "_build.json")
-    if os.path.exists(build_marker):
-        with open(build_marker) as f:
-            prev = json.load(f)
-        if int(prev.get("num_shards", num_shards)) != int(num_shards):
-            raise ValueError(
-                "build_kg_sharded: this build was started with "
-                f"num_shards={prev['num_shards']}; resuming with "
-                f"num_shards={num_shards} would silently drop pages. "
-                "Rerun with the original value or start a fresh out_dir."
-            )
-    else:
+    if not os.path.exists(build_marker):
         with open(build_marker, "w") as f:
-            json.dump({"num_shards": int(num_shards)}, f)
-
-    if pages_path is not None:
-
-        def shard_pages(k):
-            # stable hash-sharding on url (vectorized; no salted
-            # Python hash, no per-row filter)
-            def _keep(tbl: pa.Table, k=k) -> pa.Table:
-                urls = tbl["url"].to_pandas()
-                mask = (
-                    pd.util.hash_pandas_object(urls, index=False) % num_shards == k
-                ).to_numpy()
-                return tbl.filter(pa.array(mask))
-
-            ds = rd.read_parquet(pages_path).map_batches(_keep, batch_format="pyarrow")
-            return ds, (k, k)
-    else:
-        assert n_pages is not None
-
-        def shard_pages(k):
-            lo = n_pages * k // num_shards
-            hi = n_pages * (k + 1) // num_shards
-            from .synth import page_batch
-
-            def _gen(batch: pa.Table, lo=lo, n=n_pages) -> pa.Table:
-                ids = batch["id"].to_numpy()
-                return page_batch(42, lo + int(ids.min()), lo + int(ids.max()) + 1, n)
-
-            base = rd.range(hi - lo)
-            return base.map_batches(_gen, batch_format="pyarrow"), (lo, hi)
-
-    done, ran = [], 0
-    for k in range(num_shards):
-        sdir = os.path.join(ex_root, f"shard={k}")
-        marker = os.path.join(man_root, f"shard-{k}.json")
-        if os.path.exists(marker):
-            done.append(k)
-            continue
-        if max_shards_this_run is not None and ran >= max_shards_this_run:
-            continue
-        t0 = time.time()
-        ds, (lo, hi) = shard_pages(k)
-        links = extract_links(ds, check_text=check_text)
-        if alias_table:
-            links = score_entities(links, alias_table)
-        _write_dir(distinct_links(links), sdir)
-        with open(marker, "w") as f:
-            json.dump(
-                {
-                    "shard": k,
-                    "page_range": [lo, hi],
-                    # footers only: counting the lazy Dataset would
-                    # rerun extract + score + dedup
-                    "rows": sum(
-                        pq.ParquetFile(f).metadata.num_rows
-                        for f in glob.glob(os.path.join(sdir, "*.parquet"))),
-                    "wall_sec": round(time.time() - t0, 2),
-                },
-                f,
-            )
-        done.append(k)
-        ran += 1
-
-    if len(done) < num_shards:
-        return None  # partial progress persisted; caller reruns to resume
-
-    if not _complete(out_dir, "linkset"):
-        all_links = rd.read_parquet(ex_root)
-        if "shard" in all_links.schema().names:
-            all_links = all_links.drop_columns(["shard"])
-        from ..model.store import write_linkset
-
-        write_linkset(
-            all_links, _stage_dir(out_dir, "linkset"),
-            num_partitions=num_partitions,
-        )
-        _mark_complete(out_dir, "linkset", {"partitions": num_partitions, "shards": num_shards})
-    from ..model.store import read_linkset
-
-    return read_linkset(_stage_dir(out_dir, "linkset"))
+            json.dump({"num_shards": num_shards}, f)
+        return
+    with open(build_marker) as f:
+        prev = int(json.load(f)["num_shards"])
+    if prev != num_shards:
+        raise ValueError(
+            f"build_kg: this build was started with num_shards={prev}; "
+            f"resuming with num_shards={num_shards} would silently drop "
+            "pages. Rerun with the original value or start a fresh out_dir.")
 
 
 def build_kg(
@@ -634,53 +527,88 @@ def build_kg(
     alias_table=None,
     check_text=False,
     num_partitions=16,
+    num_shards=1,
+    max_shards_this_run=None,
 ):
-    """Run the flagship pipeline with stage-boundary checkpoints.
+    """Run the flagship pipeline with per-shard checkpoints.
 
-    Returns the final links Dataset (already written under
-    ``out_dir/stage=linkset``). Rerunning with the same out_dir skips
-    completed stages — that is the resume path; lineage is the
-    ``src_url`` column plus the per-stage manifests. A run that crashed
-    after the store commit but before its stage marker resumes by
-    committing the next store epoch, which replaces every partition,
-    so the resumed link-set equals an uninterrupted run's."""
+    The pages (``pages_ds``, or the Parquet at ``pages_path``) split
+    into ``num_shards`` by url hash. Each shard's extracted links are
+    written to ``stage=extracted/shard=K`` with a lineage marker
+    ``manifests/shard-K.json`` (its files, footer row count and wall
+    seconds); a rerun with the same out_dir skips shards that have a
+    marker, so an interrupted build resumes where it stopped.
+    ``max_shards_this_run`` bounds how many incomplete shards one call
+    extracts; while shards remain the call returns None.
+
+    Once every shard is done, exactly the files the markers list are
+    read back, scored against ``alias_table`` and committed through
+    ``write_linkset`` (whose partition shuffle is the global dedup)
+    under ``stage=linkset``, with its own _SUCCESS marker. Returns that
+    link-set. A run that crashed after the store commit but before the
+    marker resumes by committing the next store epoch, which replaces
+    every partition, so the resumed link-set equals an uninterrupted
+    run's."""
     import ray.data as rd
 
-    os.makedirs(out_dir, exist_ok=True)
+    from ..model.store import read_linkset, write_linkset
 
-    if _complete(out_dir, "linkset"):
-        from ..model.store import read_linkset
+    man_root = os.path.join(out_dir, "manifests")
+    os.makedirs(man_root, exist_ok=True)
+    _check_num_shards(man_root, num_shards)
+    store = _stage_dir(out_dir, "linkset")
+    if os.path.exists(os.path.join(store, "_SUCCESS")):
+        return read_linkset(store)
 
-        return read_linkset(_stage_dir(out_dir, "linkset"))
+    markers = [os.path.join(man_root, f"shard-{k}.json")
+               for k in range(num_shards)]
+    sdirs = [os.path.join(_stage_dir(out_dir, "extracted"), f"shard={k}")
+             for k in range(num_shards)]
+    todo = [k for k in range(num_shards) if not os.path.exists(markers[k])]
+    if todo and pages_ds is None:
+        if pages_path is None:
+            raise ValueError(
+                f"build_kg: {out_dir} has incomplete shards {todo} of "
+                f"{num_shards}; pass pages_ds or pages_path to extract them")
+        pages_ds = rd.read_parquet(
+            pages_path, columns=["url", "html"] + (["text"] if check_text else []))
+    run = todo[:max_shards_this_run]
+    for k in run:
+        t0 = time.time()
+        _write_dir(extract_links(_shard_of(pages_ds, k, num_shards),
+                                 check_text=check_text), sdirs[k])
+        files = sorted(os.path.basename(f)
+                       for f in glob.glob(os.path.join(sdirs[k], "*.parquet")))
+        with open(markers[k], "w") as f:
+            json.dump({
+                "shard": k,
+                "files": files,
+                # footers only: counting the lazy Dataset would rerun
+                # the extraction
+                "rows": sum(pq.ParquetFile(os.path.join(sdirs[k], n))
+                            .metadata.num_rows for n in files),
+                "wall_sec": round(time.time() - t0, 2),
+            }, f)
+    if len(run) < len(todo):
+        return None  # partial progress persisted; a rerun resumes
 
-    if _complete(out_dir, "extracted"):
-        links = rd.read_parquet(_stage_dir(out_dir, "extracted"))
-    else:
-        if pages_ds is None:
-            pages_ds = rd.read_parquet(
-                pages_path, columns=["url", "html"] + (["text"] if check_text else [])
-            )
-        _write_dir(extract_links(pages_ds, check_text=check_text),
-                   _stage_dir(out_dir, "extracted"))
-        _mark_complete(out_dir, "extracted")
-        links = rd.read_parquet(_stage_dir(out_dir, "extracted"))
-
+    files = []
+    for m, sdir in zip(markers, sdirs):
+        with open(m) as f:
+            files += [os.path.join(sdir, n) for n in json.load(f)["files"]]
+    # partitioning=None: the default hive parsing would turn the
+    # stage=/shard= path segments into link columns
+    links = rd.read_parquet(files, partitioning=None)
     if alias_table:
         links = score_entities(links, alias_table)
-
     # rel+origin partitioned output: match(rel=...) and match(origin=...)
     # against the stored linkset prune whole partition directories
-    # (model/store.py — the sqlite driver's (subj,pred) index intent);
-    # the write's partition shuffle is also the global dedup
-    from ..model.store import write_linkset
-
-    write_linkset(
-        links, _stage_dir(out_dir, "linkset"), num_partitions=num_partitions
-    )
-    _mark_complete(out_dir, "linkset", {"partitions": num_partitions})
-    from ..model.store import read_linkset
-
-    return read_linkset(_stage_dir(out_dir, "linkset"))
+    # (model/store.py — the sqlite driver's (subj,pred) index intent)
+    write_linkset(links, store, num_partitions=num_partitions)
+    with open(os.path.join(store, "_SUCCESS"), "w") as f:
+        json.dump({"stage": "linkset", "ts": time.time(),
+                   "partitions": num_partitions, "shards": num_shards}, f)
+    return read_linkset(store)
 
 
 def update_kg(pages_ds, store_dir, alias_table=None, check_text=False):
