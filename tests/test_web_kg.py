@@ -217,23 +217,6 @@ def test_stored_linkset_holds_exactly_the_link_columns(ray_session, tmp_path):
     assert columns(str(tmp_path / "kg1" / "stage=linkset")) == want
 
 
-def test_build_kg_resume_without_input_names_missing_shards(
-        ray_session, tmp_path):
-    """Resuming a build with shards left to extract but no pages input
-    is refused with the out_dir and the missing shards named."""
-    from versa_ray.web.kgpipeline import build_kg
-    from versa_ray.web.synth import write_pages
-
-    pages = str(tmp_path / "pages.parquet")
-    write_pages(pages, 10)
-    out = str(tmp_path / "kg")
-    assert build_kg(pages_path=pages, out_dir=out, num_shards=3,
-                    max_shards_this_run=1) is None
-    with pytest.raises(ValueError) as err:
-        build_kg(out_dir=out, num_shards=3)
-    assert out in str(err.value) and "[1, 2]" in str(err.value)
-
-
 def test_origin_adjacency_and_literate_at_scale(ray_session, tmp_path):
     from versa_ray.model.linkset import from_links, origin_adjacency, write_literate_ds
     from versa_ray.core import I, VTYPE_REL
@@ -263,7 +246,8 @@ def test_origin_adjacency_and_literate_at_scale(ray_session, tmp_path):
 
 def test_sharded_resume(ray_session, tmp_path):
     """Per-shard checkpointing: a partial run persists shard progress;
-    the resume run skips completed shards and finishes. The resumed
+    a resume without pages input is refused with the missing shards
+    named; the resume run skips completed shards and finishes. The resumed
     build, an uninterrupted 4-shard build and a 1-shard build of the
     same corpus store identical link-sets, lineage included."""
     import glob
@@ -298,6 +282,13 @@ def test_sharded_resume(ray_session, tmp_path):
         assert files and shard["files"] == files
         assert shard["rows"] > 0 and shard["rows"] == sum(
             pq.ParquetFile(f"{sdir}/{f}").metadata.num_rows for f in files)
+
+    # resuming with shards left but no pages input names them
+    with pytest.raises(ValueError) as err:
+        build_kg(out_dir=out, num_shards=4)
+    missing = sorted(set(range(4)) - {
+        json.load(open(m))["shard"] for m in markers})
+    assert out in str(err.value) and str(missing) in str(err.value)
 
     # resume completes the rest without redoing finished shards
     final = build("kg_sharded", num_shards=4)
