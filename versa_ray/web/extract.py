@@ -1,15 +1,30 @@
 """HTML text extraction and RDFa-Lite triple extraction.
 
-Implemented on the stdlib ``html.parser`` (no external HTML deps in
-this environment). The RDFa-Lite walker follows the attribute
-semantics of the reference extractor
-(/root/reference/tools/py/serial/rdfalite.py:78-172): track
-``vocab`` / ``prefix`` / ``resource`` down the tree; ``typeof`` emits
-rdf:type statements; ``property`` emits a statement whose value is the
-nested resource if present, else ``content`` / ``href`` / ``src`` /
-the element's text value; unlike the reference, blank nodes are
-DETERMINISTIC (content-derived per document), because random bnode ids
-would break distributed re-execution and dedup.
+``parse_html`` builds one ``_Node`` tree per document; the text and
+RDFa walkers read that tree. It has two tokenizers that build the same
+tree:
+
+* the fast path (``_fast_tree``) splits the decoded document once on
+  tag tokens and reads each tag through a strict grammar (letters,
+  digits and ``-`` in names, quoted attribute values, whitespace-only
+  separators, comments, ``<!DOCTYPE ...>``). Parsed tag tokens are kept
+  in a bounded per-process memo, since most tags of a corpus repeat;
+* any document with a construct outside that grammar (``script`` /
+  ``style``, a ``<`` that does not open a well-formed tag, unquoted or
+  ``=``-run attribute values, ``<?``, ``<![CDATA[`` or any other
+  markup declaration) is parsed whole by the stdlib ``html.parser``
+  (``_TreeBuilder``), the exact reference for the fast path
+  (tests/test_extract_fast.py).
+
+The RDFa-Lite walker follows the attribute semantics of the reference
+extractor (rdfalite.py:78-172): track ``vocab`` / ``prefix`` /
+``resource`` down the tree; ``typeof`` emits rdf:type statements;
+``property`` emits a statement whose value is the nested resource if
+present, else ``content`` / ``href`` / ``src`` / the element's text
+value; unlike the reference, blank nodes are DETERMINISTIC
+(content-derived per document), because random bnode ids would break
+distributed re-execution and dedup. Every walker is iterative, so a
+page nested thousands of elements deep extracts like any other.
 
 Both functions are stateless and run vectorized-per-row inside
 ``map_batches`` tasks; per-document cost is one parse.
@@ -17,6 +32,8 @@ Both functions are stateless and run vectorized-per-row inside
 
 from __future__ import annotations
 
+import re
+from html import unescape
 from html.parser import HTMLParser
 
 from ..core import I, RDF_NS, absolutize
@@ -49,15 +66,16 @@ class _Node:
     def text_value(self) -> str:
         """Concatenated descendant text (reference xml_value)."""
         out = []
-
-        def walk(n):
-            for c in n.children:
+        stack = [iter(self.children)]
+        while stack:
+            for c in stack[-1]:
                 if isinstance(c, str):
                     out.append(c)
                 else:
-                    walk(c)
-
-        walk(self)
+                    stack.append(iter(c.children))
+                    break
+            else:
+                stack.pop()
         return "".join(out)
 
 
@@ -86,24 +104,151 @@ class _TreeBuilder(HTMLParser):
         if data:
             self.stack[-1].children.append(data)
 
+    def parse_marked_section(self, i, report=1):
+        # html.parser raises AssertionError on a '<![' that is not a
+        # known marked section ('<![x', '<![�'); read it as the
+        # bogus comment HTML5 makes of it rather than fail the page
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
 
-def parse_html(html) -> _Node:
-    if isinstance(html, (bytes, bytearray, memoryview)):
-        html = bytes(html).decode("utf-8", "replace")
+
+def _parser_tree(html: str) -> _Node:
+    """The stdlib html.parser tree: the fallback and the reference."""
     tb = _TreeBuilder()
     tb.feed(html)
     tb.close()
     return tb.root
 
 
+# -- fast path: one regex split, a strict tag grammar, a tag memo ----------
+#
+# Every '<' of an accepted document opens a tag token that the grammar
+# below reads, so html.parser would see the same tags and the same data
+# runs between them. It calls html.unescape on each data run and on each
+# non-empty attribute value, lower-cases tag and attribute names, keeps
+# the last of duplicate attributes, and drops comments and declarations
+# (a comment still ends the data run before it). script/style switch
+# html.parser to raw-text mode, so a document using them is declined.
+
+_split_tags = re.compile(r"(<[^<>]*>)").split
+_START_TAG = re.compile(
+    r"<([a-zA-Z][a-zA-Z0-9-]*)"
+    r"((?:[ \t\n\r\f]+[a-zA-Z_:][a-zA-Z0-9_:.-]*"
+    r"(?:[ \t\n\r\f]*=[ \t\n\r\f]*(?:\"[^\"]*\"|'[^']*'))?)*)"
+    r"[ \t\n\r\f]*(/?)>\Z")
+_ATTR = re.compile(
+    r"[ \t\n\r\f]+([a-zA-Z_:][a-zA-Z0-9_:.-]*)"
+    r"(?:[ \t\n\r\f]*=[ \t\n\r\f]*(\"[^\"]*\"|'[^']*'))?")
+_END_TAG = re.compile(r"</([a-zA-Z][a-zA-Z0-9-]*)[ \t\n\r\f]*>\Z")
+_COMMENT_CLOSE = re.compile(r"--\s*>")  # html.parser's own comment close
+_RAW_TEXT = frozenset(("script", "style"))
+
+# tag token kinds: an element that opens (pushed), one that does not
+# (void or self-closing), an end tag, and a dropped comment/declaration
+_OPEN, _LEAF, _CLOSE, _SKIP = range(4)
+_SKIPPED = (_SKIP, None, None)
+
+# parsed tag tokens, per process; cleared whenever it reaches the cap
+_TAG_MEMO: dict = {}
+_TAG_MEMO_MAX = 8192
+
+
+def _read_tag(tok: str):
+    """One tag token -> (kind, name, attrs), or None outside the grammar."""
+    c = tok[1:2]
+    if c == "/":
+        m = _END_TAG.match(tok)
+        if m is None:
+            return None
+        name = m.group(1).lower()
+        return None if name in _RAW_TEXT else (_CLOSE, name, None)
+    if c == "!":
+        if tok.startswith("<!--"):
+            # the comment must close inside this token, as html.parser
+            # closes it at the first '--\s*>' after '<!--'
+            return _SKIPPED if _COMMENT_CLOSE.search(tok, 4) else None
+        return _SKIPPED if tok[:9].lower() == "<!doctype" else None
+    m = _START_TAG.match(tok)
+    if m is None:
+        return None
+    name = m.group(1).lower()
+    if name in _RAW_TEXT:
+        return None
+    attrs = {}
+    for aname, value in _ATTR.findall(m.group(2)):
+        if value:
+            value = value[1:-1]
+            if value:
+                value = unescape(value)
+        else:
+            value = None
+        attrs[aname.lower()] = value
+    kind = _LEAF if m.group(3) or name in VOID_ELEMENTS else _OPEN
+    return kind, name, attrs
+
+
+def _fast_tree(html: str):
+    """The ``_parser_tree`` of a document inside the fast grammar, or
+    None for any other document."""
+    root = _Node("#root", {})
+    stack = [root]
+    kids = root.children
+    memo = _TAG_MEMO
+    parts = iter(_split_tags(html))
+    for text in parts:  # text runs and tag tokens alternate
+        if text:
+            if "<" in text:
+                return None
+            kids.append(unescape(text) if "&" in text else text)
+        tok = next(parts, None)
+        if tok is None:
+            break
+        entry = memo.get(tok)
+        if entry is None:
+            entry = _read_tag(tok)
+            if entry is None:
+                return None
+            if len(memo) >= _TAG_MEMO_MAX:
+                memo.clear()
+            memo[tok] = entry
+        kind, name, attrs = entry
+        if kind == _OPEN:
+            node = _Node(name, dict(attrs))
+            kids.append(node)
+            stack.append(node)
+            kids = node.children
+        elif kind == _LEAF:
+            kids.append(_Node(name, dict(attrs)))
+        elif kind == _CLOSE:
+            for ix in range(len(stack) - 1, 0, -1):
+                if stack[ix].tag == name:
+                    del stack[ix:]
+                    kids = stack[-1].children
+                    break
+    return root
+
+
+def parse_html(html) -> _Node:
+    if isinstance(html, (bytes, bytearray, memoryview)):
+        html = bytes(html).decode("utf-8", "replace")
+    root = _fast_tree(html)
+    return _parser_tree(html) if root is None else root
+
+
 def _find(node: _Node, tag: str):
-    for c in node.children:
-        if isinstance(c, _Node):
-            if c.tag == tag:
-                return c
-            found = _find(c, tag)
-            if found is not None:
-                return found
+    """First descendant element named ``tag``, in document order."""
+    stack = [iter(node.children)]
+    while stack:
+        for c in stack[-1]:
+            if not isinstance(c, str):
+                if c.tag == tag:
+                    return c
+                stack.append(iter(c.children))
+                break
+        else:
+            stack.pop()
     return None
 
 
@@ -121,19 +266,18 @@ def extract_text(html) -> str:
 def text_from_tree(root: _Node) -> str:
     body = _find(root, "body") or root
     segments = []
-
-    def walk(n: _Node):
-        if n.tag in _SKIP_TEXT:
-            return
-        for c in n.children:
+    stack = [iter(body.children)]  # body's own tag is never skipped
+    while stack:
+        for c in stack[-1]:
             if isinstance(c, str):
                 s = c.strip()
                 if s:
                     segments.append(s)
-            else:
-                walk(c)
-
-    walk(body)
+            elif c.tag not in _SKIP_TEXT:
+                stack.append(iter(c.children))
+                break
+        else:
+            stack.pop()
     return "\n".join(segments)
 
 
@@ -172,7 +316,16 @@ def rdfa_from_tree(root: _Node, source_uri: str, strict: bool = False):
         bnode_counter[0] += 1
         return I("_:b%s-%d" % (doc_tag, bnode_counter[0]))
 
-    def do_parse(elem: _Node, resource, vocab=None, prefixes=None):
+    # pre-order walk: one (children, scope) frame per open element
+    stack = [(iter((root,)), source_uri, None, None)]
+    while stack:
+        elems, resource, vocab, prefixes = stack[-1]
+        for elem in elems:
+            if not isinstance(elem, str):
+                break
+        else:
+            stack.pop()
+            continue
         prefixes = prefixes or dict(DEFAULT_PREFIXES)
         attrs = elem.attrs
         vocab = attrs.get("vocab", vocab)
@@ -282,9 +435,5 @@ def rdfa_from_tree(root: _Node, source_uri: str, strict: bool = False):
                 resource = new_value
             elif strict and new_resource:
                 resource = new_resource
-        for child in elem.children:
-            if isinstance(child, _Node):
-                do_parse(child, resource, vocab=vocab, prefixes=prefixes)
-
-    do_parse(root, source_uri)
+        stack.append((iter(elem.children), resource, vocab, prefixes))
     return triples

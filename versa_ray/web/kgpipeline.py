@@ -2,6 +2,8 @@
 
     read_parquet(pages)                       [prune to url/html(/text)]
       -> map_batches(PageKGExtractor)  [tasks + per-worker cache]
+           html -> one page tree (regex tag split + strict tag
+              grammar; stdlib html.parser for pages outside it)
            html -> text (byte-identical invariant)
            html -> RDFa-Lite triples
            -> fingerprint/transform/labelize rules (schema.org ->
