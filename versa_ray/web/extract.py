@@ -106,7 +106,7 @@ class _TreeBuilder(HTMLParser):
 
     def parse_marked_section(self, i, report=1):
         # html.parser raises AssertionError on a '<![' that is not a
-        # known marked section ('<![x', '<![�'); read it as the
+        # known marked section ('<![x', '<![1'); read it as the
         # bogus comment HTML5 makes of it rather than fail the page
         try:
             return super().parse_marked_section(i, report)
