@@ -80,7 +80,8 @@ def _check(doc: bytes):
 # -- generated documents ----------------------------------------------------
 
 NAMES = ["p", "div", "SPAN", "a", "Body", "body", "html", "head", "meta",
-         "br", "img", "IMG", "template", "article", "x-y", "li", "ul", "h1"]
+         "br", "img", "IMG", "template", "article", "x-y", "li", "ul", "h1",
+         "title", "TextArea"]
 ATTR_NAMES = ["vocab", "typeof", "property", "resource", "content", "href",
               "src", "about", "prefix", "class", "ID", "Property", "data-x",
               "xml:lang", "disabled"]
@@ -97,7 +98,7 @@ TEXT_PIECES = ["x", "word", " ", "  ", "\n", "\t", "café", "—",
 INSIDE = ["<!--x-->", "<!-- a -- b -->", "<!---->", "<!-- -- >",
           "<!DOCTYPE html>", "<!doctype html>", "<br>", "<br/>", "<hr />"]
 OUTSIDE = ["a < b", "<", "<3", "<?xml version='1.0'?>", "<![CDATA[x<y]]>",
-           "<!ELEMENT x>", "<!>", "<!-->", "<!--->", "<!--a--!>",
+           "<!ELEMENT x>", "<!>", "<!-->", "<!--->", "<!--a--!>", "<!--x--!>y-->",
            "<script>var a = 1 < 2;</script>", "<style>p{}</style>",
            "<SCRIPT src='x.js'></SCRIPT>", "</script>", "<p class=bare>",
            "<p class==\"x\">", "<a href=x/>", "</>", "</ p>", "</p x>",
@@ -232,6 +233,10 @@ EDGE_PAGES = [
     "<!-->x<!---->y",
     "</>x</ p>y",
     "<p\va=\"x\">vt</p>",
+    "<title>a&amp;b <i>x</i></title><p>y</p>",
+    "<textarea><p>x</p> &lt;</textarea>z",
+    "a<!--x--!>b-->c",
+    "</script>x</STYLE>y",
 ]
 
 
@@ -277,6 +282,43 @@ def test_decline_classes_fall_back(name):
     assert not _check(doc.encode("utf-8"))
 
 
+@pytest.mark.parametrize("name", X._RAW_TEXT)
+def test_raw_text_elements_decline_before_the_memo(name):
+    """Every element the installed html.parser reads as raw text hands
+    its page back before any tag token is read or memoised."""
+    doc = ('<body><p class="m1">x</p><%s>a<b>&amp;</b></%s><p class="m2">'
+           "y</p></body>" % (name.upper(), name))
+    X._TAG_MEMO.clear()
+    assert X._fast_tree(doc) is None
+    assert not X._TAG_MEMO
+    assert _events(X.parse_html(doc)) == _events(X._parser_tree(doc))
+
+
+def test_declined_page_builds_no_tree():
+    """A token or a '<' outside the grammar at the end of a page
+    declines it before a node is built."""
+    built = []
+
+    class Counting(X._Node):
+        __slots__ = ()
+
+        def __init__(self, tag, attrs):
+            built.append(tag)
+            super().__init__(tag, attrs)
+
+    doc = "<body>" + '<p class="x">t</p>' * 50 + "<p class=bare>t</p></body>"
+    node, X._Node = X._Node, Counting
+    try:
+        assert X._fast_tree(doc) is None
+        ok = doc.replace("class=bare", 'class="q"')
+        assert X._fast_tree(ok.replace("</body>", "a < b</body>")) is None
+        assert not built
+        assert X._fast_tree(ok) is not None
+        assert built
+    finally:
+        X._Node = node
+
+
 # -- tag memo ---------------------------------------------------------------
 
 def test_tag_memo_stays_under_cap():
@@ -297,6 +339,15 @@ def test_tag_memo_stays_under_cap():
         assert after <= cap
         assert _events(root) == _events(X._parser_tree(doc))
     assert cleared and peak > cap - 2 * per_doc
+    # long tokens (inline data: URIs, JSON attributes) stay out of it
+    X._TAG_MEMO.clear()
+    blob = "A" * (2 * X._MEMO_TOKEN_MAX)
+    doc = "<body>" + "".join(
+        '<img src="data:image/png;base64,%s%d"><p data-j=\'{"k": "%s"}\'>'
+        "x</p>" % (blob, k, blob) for k in range(100)) + "</body>"
+    assert _events(X.parse_html(doc)) == _events(X._parser_tree(doc))
+    assert X._TAG_MEMO
+    assert all(len(tok) <= X._MEMO_TOKEN_MAX for tok in X._TAG_MEMO)
     # nodes own their attribute dicts: editing one leaves the memo intact
     doc = '<p class="c0">x</p>'
     X.parse_html(doc).children[0].attrs["class"] = "edited"

@@ -7,14 +7,18 @@ tree:
 * the fast path (``_fast_tree``) splits the decoded document once on
   tag tokens and reads each tag through a strict grammar (letters,
   digits and ``-`` in names, quoted attribute values, whitespace-only
-  separators, comments, ``<!DOCTYPE ...>``). Parsed tag tokens are kept
-  in a bounded per-process memo, since most tags of a corpus repeat;
-* any document with a construct outside that grammar (``script`` /
-  ``style``, a ``<`` that does not open a well-formed tag, unquoted or
-  ``=``-run attribute values, ``<?``, ``<![CDATA[`` or any other
-  markup declaration) is parsed whole by the stdlib ``html.parser``
+  separators, comments, ``<!DOCTYPE ...>``). Short parsed tag tokens
+  are kept in a bounded per-process memo, since most tags of a corpus
+  repeat;
+* any document with a construct outside that grammar (an element
+  html.parser reads as raw text, such as ``script`` / ``style``, a
+  ``<`` that does not open a well-formed tag, unquoted or ``=``-run
+  attribute values, ``<?``, ``<![CDATA[`` or any other markup
+  declaration) is parsed whole by the stdlib ``html.parser``
   (``_TreeBuilder``), the exact reference for the fast path
-  (tests/test_extract_fast.py).
+  (tests/test_extract_fast.py). A raw-text element is found by one
+  scan before the split, so a page with a ``<script>`` costs
+  html.parser plus that scan.
 
 The RDFa-Lite walker follows the attribute semantics of the reference
 extractor (rdfalite.py:78-172): track ``vocab`` / ``prefix`` /
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import re
 from html import unescape
-from html.parser import HTMLParser
+from html.parser import HTMLParser, commentclose
 
 from ..core import I, RDF_NS, absolutize
 from ..core.hashing import simple_hashstring
@@ -129,9 +133,15 @@ def _parser_tree(html: str) -> _Node:
 # runs between them. It calls html.unescape on each data run and on each
 # non-empty attribute value, lower-cases tag and attribute names, keeps
 # the last of duplicate attributes, and drops comments and declarations
-# (a comment still ends the data run before it). script/style switch
-# html.parser to raw-text mode, so a document using them is declined.
+# (a comment still ends the data run before it). Its raw-text elements
+# (script/style, and title/textarea in versions with an RCDATA mode)
+# read their content up to the end tag, so a document that opens one is
+# declined; the element names and the comment close are html.parser's
+# own, so the two paths agree on whichever version is installed.
 
+_RAW_TEXT = (HTMLParser.CDATA_CONTENT_ELEMENTS
+             + getattr(HTMLParser, "RCDATA_CONTENT_ELEMENTS", ()))
+_opens_raw_text = re.compile("<(?:%s)" % "|".join(_RAW_TEXT), re.I).search
 _split_tags = re.compile(r"(<[^<>]*>)").split
 _START_TAG = re.compile(
     r"<([a-zA-Z][a-zA-Z0-9-]*)"
@@ -142,17 +152,18 @@ _ATTR = re.compile(
     r"[ \t\n\r\f]+([a-zA-Z_:][a-zA-Z0-9_:.-]*)"
     r"(?:[ \t\n\r\f]*=[ \t\n\r\f]*(\"[^\"]*\"|'[^']*'))?")
 _END_TAG = re.compile(r"</([a-zA-Z][a-zA-Z0-9-]*)[ \t\n\r\f]*>\Z")
-_COMMENT_CLOSE = re.compile(r"--\s*>")  # html.parser's own comment close
-_RAW_TEXT = frozenset(("script", "style"))
 
 # tag token kinds: an element that opens (pushed), one that does not
 # (void or self-closing), an end tag, and a dropped comment/declaration
 _OPEN, _LEAF, _CLOSE, _SKIP = range(4)
 _SKIPPED = (_SKIP, None, None)
 
-# parsed tag tokens, per process; cleared whenever it reaches the cap
+# parsed tag tokens, per process; cleared whenever it reaches the cap.
+# Only tokens up to _MEMO_TOKEN_MAX chars go in (a long inline value,
+# such as a data: URI, rarely repeats), so it holds a few MiB at most.
 _TAG_MEMO: dict = {}
 _TAG_MEMO_MAX = 8192
+_MEMO_TOKEN_MAX = 256
 
 
 def _read_tag(tok: str):
@@ -162,20 +173,17 @@ def _read_tag(tok: str):
         m = _END_TAG.match(tok)
         if m is None:
             return None
-        name = m.group(1).lower()
-        return None if name in _RAW_TEXT else (_CLOSE, name, None)
+        return _CLOSE, m.group(1).lower(), None
     if c == "!":
         if tok.startswith("<!--"):
             # the comment must close inside this token, as html.parser
-            # closes it at the first '--\s*>' after '<!--'
-            return _SKIPPED if _COMMENT_CLOSE.search(tok, 4) else None
+            # closes it at the first commentclose match after '<!--'
+            return _SKIPPED if commentclose.search(tok, 4) else None
         return _SKIPPED if tok[:9].lower() == "<!doctype" else None
     m = _START_TAG.match(tok)
     if m is None:
         return None
     name = m.group(1).lower()
-    if name in _RAW_TEXT:
-        return None
     attrs = {}
     for aname, value in _ATTR.findall(m.group(2)):
         if value:
@@ -191,29 +199,34 @@ def _read_tag(tok: str):
 
 def _fast_tree(html: str):
     """The ``_parser_tree`` of a document inside the fast grammar, or
-    None for any other document."""
+    None for any other document. Every token is read before any node is
+    built, so a declined document costs a split and a memo pass."""
+    if _opens_raw_text(html):
+        return None
+    parts = _split_tags(html)  # text runs and tag tokens alternate
+    toks = parts[1::2]
+    if html.count("<") != len(toks):  # a '<' that opens no tag token
+        return None
+    texts = parts[0::2]
+    memo = _TAG_MEMO
+    entries = list(map(memo.get, toks))
+    if None in entries:
+        for ix, entry in enumerate(entries):
+            if entry is None:
+                tok = toks[ix]
+                entry = entries[ix] = _read_tag(tok)
+                if entry is None:
+                    return None
+                if len(tok) <= _MEMO_TOKEN_MAX:
+                    if len(memo) >= _TAG_MEMO_MAX:
+                        memo.clear()
+                    memo[tok] = entry
     root = _Node("#root", {})
     stack = [root]
     kids = root.children
-    memo = _TAG_MEMO
-    parts = iter(_split_tags(html))
-    for text in parts:  # text runs and tag tokens alternate
+    for text, (kind, name, attrs) in zip(texts, entries):
         if text:
-            if "<" in text:
-                return None
             kids.append(unescape(text) if "&" in text else text)
-        tok = next(parts, None)
-        if tok is None:
-            break
-        entry = memo.get(tok)
-        if entry is None:
-            entry = _read_tag(tok)
-            if entry is None:
-                return None
-            if len(memo) >= _TAG_MEMO_MAX:
-                memo.clear()
-            memo[tok] = entry
-        kind, name, attrs = entry
         if kind == _OPEN:
             node = _Node(name, dict(attrs))
             kids.append(node)
@@ -227,6 +240,9 @@ def _fast_tree(html: str):
                     del stack[ix:]
                     kids = stack[-1].children
                     break
+    text = texts[-1]
+    if text:
+        kids.append(unescape(text) if "&" in text else text)
     return root
 
 
