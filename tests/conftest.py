@@ -26,6 +26,20 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def shuffle_width(monkeypatch):
+    """``shuffle_width(n)`` pins the keyed-shuffle bucket count to ``n``
+    for the rest of the test: every ``exchange`` (and every width read
+    from ``default_buckets``) built after the call uses ``n``, so a
+    test can check that its result does not depend on the bucketing."""
+    from versa_ray.core import exchange
+
+    def _pin(n):
+        monkeypatch.setattr(exchange, "default_buckets", lambda: n)
+
+    return _pin
+
+
 # Checkout of the Versa reference repository. Its test resources and its
 # vendored pymmh3 are not part of this repository; tests that read them
 # carry ``requires_reference`` and run wherever the checkout is present.

@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+from versa_ray.ops import bpe
 from versa_ray.ops.bpe import (
     apply_merges,
     encode_bpe,
@@ -68,26 +69,30 @@ def test_word_freqs_matches_counter(ray_session):
 
 
 @pytest.mark.parametrize("threshold", [200_000, 0])
-def test_train_bpe_matches_reference(ray_session, threshold):
+def test_train_bpe_matches_reference(ray_session, threshold, shuffle_width,
+                                     monkeypatch):
     # threshold=0 forces the DISTRIBUTED merge loop (vocab never fits);
     # the default takes the driver-side path — both must agree with
     # the brute-force reference bit-exactly
-    got = train_bpe(_docs_ds(4), num_merges=8, num_buckets=5,
-                    driver_vocab_threshold=threshold, flush_every=3)
+    shuffle_width(5)
+    monkeypatch.setattr(bpe, "DRIVER_VOCAB_THRESHOLD", threshold)
+    got = train_bpe(_docs_ds(4), num_merges=8, flush_every=3)
     want, _ = _ref_bpe(CORPUS, 8)
     assert [tuple(r) for r in got.itertuples(index=False)] == want
 
 
-def test_apply_merges_replays_training_state(ray_session):
-    merges = train_bpe(_docs_ds(2), num_merges=12, num_buckets=5)
+def test_apply_merges_replays_training_state(ray_session, shuffle_width):
+    shuffle_width(5)
+    merges = train_bpe(_docs_ds(2), num_merges=12)
     _, syms = _ref_bpe(CORPUS, 12)
     pairs = list(zip(merges["lhs"], merges["rhs"]))
     for w, s in syms.items():
         assert apply_merges(w, pairs) == s.split(), w
 
 
-def test_encode_bpe_counts(ray_session):
-    merges = train_bpe(_docs_ds(2), num_merges=8, num_buckets=5)
+def test_encode_bpe_counts(ray_session, shuffle_width):
+    shuffle_width(5)
+    merges = train_bpe(_docs_ds(2), num_merges=8)
     out = (
         encode_bpe(_docs_ds(3), merges, concurrency=2)
         .to_pandas()
@@ -104,9 +109,10 @@ def test_encode_bpe_counts(ray_session):
         )
 
 
-def test_train_bpe_exhausts_pairs_early(ray_session):
+def test_train_bpe_exhausts_pairs_early(ray_session, shuffle_width):
     ds = rd.from_pandas(pd.DataFrame({"text": ["a a a"]}))
-    merges = train_bpe(ds, num_merges=10, num_buckets=3)
+    shuffle_width(3)
+    merges = train_bpe(ds, num_merges=10)
     # single word 'a' -> ' a </w> ': one merge then no adjacent pairs
     assert [tuple(r) for r in merges.itertuples(index=False)] == [
         (0, "a", "</w>", 3)

@@ -148,7 +148,7 @@ def _exchange_schema():
     [5, 5, 5, 5],            # all duplicates
     [0, 1, 0, 0, 0, 0],      # one hot key
 ])
-def test_exchange_typed_output(ray_session, rows):
+def test_exchange_typed_output(ray_session, rows, shuffle_width):
     import pyarrow as pa
     import ray.data as rd
 
@@ -163,8 +163,8 @@ def test_exchange_typed_output(ray_session, rows):
     schema = _exchange_schema()
     ds = rd.from_arrow(pa.table({"k": pa.array(rows, type=pa.int64()),
                                  "v": pa.array([str(r) for r in rows])}))
-    out = exchange(ds, "k", _count_per_key, schema,
-                   num_buckets=3).materialize()
+    shuffle_width(3)
+    out = exchange(ds, "k", _count_per_key, schema).materialize()
     assert out.schema().base_schema == schema
     assert out.schema().base_schema.metadata is None
     tables = [ray_session.get(r) for r in out.to_arrow_refs()]
@@ -179,7 +179,7 @@ def test_exchange_typed_output(ray_session, rows):
     assert sorted((d["k"], d["n"]) for d in got) == sorted(want.items())
 
 
-def test_exchange_cogroup_int_widths_colocate(ray_session):
+def test_exchange_cogroup_int_widths_colocate(ray_session, shuffle_width):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -202,13 +202,13 @@ def test_exchange_cogroup_int_widths_colocate(ray_session):
         return lf.merge(rf, left_on="a", right_on="b")[["a", "w"]]
 
     schema = pa.schema({"a": pa.int64(), "w": pa.string()})
-    out = exchange([left, right], [["a"], ["b"]], _join, schema,
-                   num_buckets=5)
+    shuffle_width(5)
+    out = exchange([left, right], [["a"], ["b"]], _join, schema)
     rows = sorted((r["a"], r["w"]) for r in out.take_all())
     assert rows == [(k, f"w{k}") for k in keys]
 
 
-def test_exchange_pandas_metadata_hashes_in_reduce(ray_session):
+def test_exchange_pandas_metadata_hashes_in_reduce(ray_session, shuffle_width):
     """Blocks made from pandas carry pandas schema metadata, which
     pyarrow cannot hash; Ray's reduce hashes block schemas, so an
     exchange over such blocks must not log "Failed to hash the
@@ -229,9 +229,10 @@ def test_exchange_pandas_metadata_hashes_in_reduce(ray_session):
     logger = logging.getLogger("ray.data")
     logger.addHandler(handler)
     try:
+        shuffle_width(4)
         out = distinct_rows(
             rd.from_pandas([df.iloc[:30], df.iloc[30:60], df.iloc[60:]]),
-            ["k"], schema, num_buckets=4).to_pandas()
+            ["k"], schema).to_pandas()
     finally:
         logger.removeHandler(handler)
     assert sorted(out.k) == list(range(7))
@@ -240,7 +241,7 @@ def test_exchange_pandas_metadata_hashes_in_reduce(ray_session):
                 if "Failed to hash the schemas" in r.getMessage()]
 
 
-def test_bucketed_group_apply_min_group_size(ray_session):
+def test_bucketed_group_apply_min_group_size(ray_session, shuffle_width):
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
@@ -250,10 +251,11 @@ def test_bucketed_group_apply_min_group_size(ray_session):
     ds = rd.from_pandas(pd.DataFrame({"g": [1, 2, 2, 3, 3, 3],
                                       "x": [1, 2, 3, 4, 5, 6]}))
     schema = pa.schema({"g": pa.int64(), "s": pa.int64()})
+    shuffle_width(4)
     out = bucketed_group_apply(
         ds, ["g"], lambda grp: pd.DataFrame(
             {"g": [grp["g"].iloc[0]], "s": [grp["x"].sum()]}),
-        schema, num_buckets=4, min_group_size=2)
+        schema, min_group_size=2)
     assert sorted((r["g"], r["s"]) for r in out.take_all()) == [(2, 5), (3, 15)]
 
 
@@ -270,6 +272,31 @@ def test_keyed_shuffles_route_through_exchange():
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if ".map_groups(" in line or '"_cbucket"' in line
     ]
+    assert not offenders, offenders
+
+
+def test_shuffle_width_is_not_an_operator_option():
+    """``exchange.default_buckets`` sizes every keyed shuffle: no
+    function in ``versa_ray/`` takes a ``num_buckets`` parameter (or
+    one of the former path-switch thresholds), except the persisted
+    layout hashes, whose count is the on-disk partition count."""
+    import ast
+    import pathlib
+
+    layout = {"_stable_bucket", "_stable_int_bucket", "_stable_term_bucket"}
+    banned = {"num_buckets", "broadcast_threshold", "driver_vocab_threshold",
+              "inline_broadcast_threshold"}
+    root = pathlib.Path(__file__).resolve().parents[1] / "versa_ray"
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name in layout):
+                continue
+            a = node.args
+            names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            offenders += [f"{path.relative_to(root.parent)}:{node.lineno} "
+                          f"{node.name}({p})" for p in sorted(names & banned)]
     assert not offenders, offenders
 
 

@@ -54,14 +54,15 @@ def _brute_pairs(texts, threshold, max_df, min_df=2, ngram_n=1):
                                                     (4, 0.05, 1),
                                                     (4, 0.3, 1),
                                                     (4, 0.05, 2)])
-def test_sparse_cosine_pairs_brute(ray_session, blocks, threshold, ngram):
+def test_sparse_cosine_pairs_brute(ray_session, blocks, threshold, ngram,
+                                   shuffle_width):
     ds = rd.from_pandas(
         pd.DataFrame({"doc_id": range(len(DOCS)), "text": DOCS})
     ).repartition(blocks)
     # max_df_frac chosen so max_df = floor(0.5 * 8) = 4
+    shuffle_width(5)
     got = sparse_tf_cosine_pairs(
-        ds, threshold=threshold, max_df_frac=0.5, ngram_n=ngram,
-        num_buckets=5
+        ds, threshold=threshold, max_df_frac=0.5, ngram_n=ngram
     ).to_pandas()
     got = sorted(
         (int(r.id_a), int(r.id_b), int(r.dot), float(r.cos))
@@ -72,24 +73,26 @@ def test_sparse_cosine_pairs_brute(ray_session, blocks, threshold, ngram):
     assert len(want) > 0  # the fixture must actually exercise pairs
 
 
-def test_sparse_cosine_pairs_df_pruning_drops_stopwords(ray_session):
+def test_sparse_cosine_pairs_df_pruning_drops_stopwords(ray_session,
+                                                        shuffle_width):
     # 'the' appears in every doc: with max_df 2 it can never generate
     # candidates, so two docs sharing ONLY 'the' produce no pair
     docs = ["the cat", "the dog", "the bird", "rare pair", "rare pair"]
     ds = rd.from_pandas(pd.DataFrame({"doc_id": range(5), "text": docs}))
-    got = sparse_tf_cosine_pairs(ds, threshold=0.0, max_df_frac=0.4,
-                                 num_buckets=3).to_pandas()
+    shuffle_width(3)
+    got = sparse_tf_cosine_pairs(ds, threshold=0.0,
+                                 max_df_frac=0.4).to_pandas()
     assert set(zip(got["id_a"], got["id_b"])) == {(3, 4)}
 
 
 @pytest.mark.parametrize("blocks", [1, 5])
-def test_percent_rank_matches_pandas(ray_session, blocks):
+def test_percent_rank_matches_pandas(ray_session, blocks, shuffle_width):
     rng = np.random.default_rng(7)
     vals = rng.integers(0, 40, size=300)  # heavy ties
     df = pd.DataFrame({"id": np.arange(300), "v": vals})
+    shuffle_width(8)
     got = (
-        percent_rank(rd.from_pandas(df).repartition(blocks), "v",
-                     num_buckets=8)
+        percent_rank(rd.from_pandas(df).repartition(blocks), "v")
         .to_pandas().sort_values("id").reset_index(drop=True)
     )
     want = (df["v"].rank(method="min") - 1) / (len(df) - 1)
@@ -123,7 +126,7 @@ def test_diff_statements(ray_session):
     assert out["target_is_iri"].dtype == bool
 
 
-def test_random_walks_brute(ray_session):
+def test_random_walks_brute(ray_session, shuffle_width):
     import hashlib
 
     from versa_ray.ops.graph import random_walks
@@ -137,9 +140,9 @@ def test_random_walks_brute(ray_session):
                           "dst": np.concatenate([dst[keep], [99]])})
     edges = edges.drop_duplicates(ignore_index=True)
     L = 5
+    shuffle_width(4)
     got = (
-        random_walks(rd.from_pandas(edges).repartition(4), walk_len=L,
-                     num_buckets=4)
+        random_walks(rd.from_pandas(edges).repartition(4), walk_len=L)
         .to_pandas().sort_values(["walk_id", "step"])
     )
 

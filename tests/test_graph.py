@@ -180,7 +180,7 @@ def test_wcc_raises_on_iteration_budget(ray_session):
         ).materialize()
 
 
-def test_sameas_canonicalize(ray_session):
+def test_sameas_canonicalize(ray_session, shuffle_width):
     import json
 
     import pyarrow as pa
@@ -211,8 +211,9 @@ def test_sameas_canonicalize(ray_session):
         "attrs": ["{}"] * 3 + [json.dumps({"seen-at": "urn:x"})]
         + ["{}"] * (len(links) - 4),
     })
+    shuffle_width(5)
     out = sameas_canonicalize(
-        rd.from_arrow(tbl).repartition(3), num_buckets=5).to_pandas()
+        rd.from_arrow(tbl).repartition(3)).to_pandas()
     # NB out["attrs"], not out.attrs — the latter is DataFrame metadata
     got = set(zip(out.origin, out.rel, out.target, out["attrs"]))
     # min IRI of {urn:e:a, urn:x, urn:y, urn:z} is urn:e:a
@@ -226,7 +227,7 @@ def test_sameas_canonicalize(ray_session):
     assert not out.duplicated(["origin", "rel", "target", "attrs"]).any()
 
 
-def test_cooccurrence_edges(ray_session):
+def test_cooccurrence_edges(ray_session, shuffle_width):
     import itertools
     import math
     from collections import Counter
@@ -250,8 +251,9 @@ def test_cooccurrence_edges(ray_session):
         "doc_id": [r[0] for r in rows],
         "entity": [r[1] for r in rows],
     })
+    shuffle_width(5)
     out = cooccurrence_edges(
-        rd.from_arrow(tbl).repartition(3), total_docs=N, num_buckets=5,
+        rd.from_arrow(tbl).repartition(3), total_docs=N,
     ).to_pandas()
 
     docs = {}
@@ -275,7 +277,7 @@ def test_cooccurrence_edges(ray_session):
 
 
 
-def test_bfs_depths(ray_session):
+def test_bfs_depths(ray_session, shuffle_width):
     import pytest
 
     from versa_ray.ops.graph import bfs_depths
@@ -290,15 +292,16 @@ def test_bfs_depths(ray_session):
         ("urn:i1", "urn:i2"),                        # island, unreachable
     ]
     links = [(a, "urn:g:rel", b) for a, b in edges]
-    out = bfs_depths(_links_ds(links), seeds=["urn:s", "urn:t"],
-                     num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out = bfs_depths(_links_ds(links), seeds=["urn:s", "urn:t"]).to_pandas()
     got = dict(zip(out.node, out.depth))
     assert got == {"urn:s": 0, "urn:t": 0, "urn:a": 1, "urn:b": 1,
                    "urn:d": 1, "urn:c": 2}
 
     # max_depth prunes
-    out2 = bfs_depths(_links_ds(links), seeds=["urn:s"], max_depth=1,
-                      num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out2 = bfs_depths(_links_ds(links), seeds=["urn:s"],
+                      max_depth=1).to_pandas()
     assert dict(zip(out2.node, out2.depth)) == {
         "urn:s": 0, "urn:a": 1, "urn:b": 1}
 
@@ -306,11 +309,12 @@ def test_bfs_depths(ray_session):
     chain = [(f"urn:c:{i:02d}", "urn:g:rel", f"urn:c:{i + 1:02d}")
              for i in range(12)]
     with pytest.raises(RuntimeError, match="converge"):
+        shuffle_width(5)
         bfs_depths(_links_ds(chain), seeds=["urn:c:00"],
-                   max_iters=4, num_buckets=5).materialize()
+                   max_iters=4).materialize()
 
 
-def test_negative_samples(ray_session):
+def test_negative_samples(ray_session, shuffle_width):
     import hashlib
 
     from versa_ray.ops.graph import negative_samples
@@ -319,7 +323,8 @@ def test_negative_samples(ray_session):
              for i in range(8)]
     links.append(("urn:s:0", "urn:rel:name", "literal-l"))  # non-IRI
     ds = _links_ds(links)
-    out = negative_samples(ds, n_neg=3, num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out = negative_samples(ds, n_neg=3).to_pandas()
 
     ents = sorted({f"urn:s:{i}" for i in range(8)})
     n = len(ents)
@@ -341,7 +346,7 @@ def test_negative_samples(ray_session):
     assert (out.neg_entity != out.target).all()
 
 
-def test_clustering_coefficients(ray_session):
+def test_clustering_coefficients(ray_session, shuffle_width):
     import itertools
 
     import pyarrow as pa
@@ -356,8 +361,9 @@ def test_clustering_coefficients(ray_session):
                     if a != b})
     tbl = pa.table({"u": [e[0] for e in edges],
                     "v": [e[1] for e in edges]})
+    shuffle_width(6)
     out = clustering_coefficients(
-        rd.from_arrow(tbl).repartition(5), num_buckets=6).to_pandas()
+        rd.from_arrow(tbl).repartition(5)).to_pandas()
 
     eset = set(edges)
     adj = {}
@@ -416,7 +422,7 @@ def test_personalized_pagerank(ray_session):
                  personalize=["urn:g:a", "urn:not-there"]).take_all()
 
 
-def test_k_core(ray_session):
+def test_k_core(ray_session, shuffle_width):
     import pyarrow as pa
     import pytest
     import ray.data as rd
@@ -445,11 +451,13 @@ def test_k_core(ray_session):
             es = {(a, b) for a, b in es if a not in bad and b not in bad}
 
     for k in (2, 3, 5):
-        got = set(k_core(ds, k=k, num_buckets=4).to_pandas()["node"])
+        shuffle_width(4)
+        got = set(k_core(ds, k=k).to_pandas()["node"])
         assert got == ref_core(edges, k), k
 
     # k high enough to empty the graph: result is empty, not an error
-    assert k_core(ds, k=50, num_buckets=4).count() == 0
+    shuffle_width(4)
+    assert k_core(ds, k=50).count() == 0
 
     # a triangle fan that needs several peel rounds but hits the budget
     chain = pa.table({"u": list(range(0, 9)), "v": list(range(1, 10))})
@@ -457,7 +465,7 @@ def test_k_core(ray_session):
         k_core(rd.from_arrow(chain), k=2, max_rounds=1).count()
 
 
-def test_neighborhood_jaccard(ray_session):
+def test_neighborhood_jaccard(ray_session, shuffle_width):
     import itertools
 
     import pyarrow as pa
@@ -480,8 +488,8 @@ def test_neighborhood_jaccard(ray_session):
         adj.setdefault(b, set()).add(a)
 
     for min_sim in (0.0 + 1e-12, 0.3, 0.6):
-        out = neighborhood_jaccard(ds, min_sim=min_sim,
-                                   num_buckets=4).to_pandas()
+        shuffle_width(4)
+        out = neighborhood_jaccard(ds, min_sim=min_sim).to_pandas()
         got = {(int(r.u), int(r.v)): (int(r.common), r.jaccard)
                for r in out.itertuples()}
         want = {}
@@ -543,7 +551,7 @@ def test_degree_assortativity(ray_session):
     assert np.isnan(r["assortativity"].iloc[0])
 
 
-def test_label_propagation(ray_session):
+def test_label_propagation(ray_session, shuffle_width):
     import pyarrow as pa
     import ray.data as rd
 
@@ -585,9 +593,10 @@ def test_label_propagation(ray_session):
         return lab
 
     for rounds in (1, 3, 4):
+        shuffle_width(4)
         got = {int(r["node"]): int(r["label"])
                for r in label_propagation(
-                   ds, n_rounds=rounds, num_buckets=4).take_all()}
+                   ds, n_rounds=rounds).take_all()}
         assert got == ref_lpa(rounds), rounds
 
 
@@ -632,7 +641,7 @@ def test_hits_scores(ray_session):
     pd.testing.assert_frame_equal(out8, out1)
 
 
-def test_schema_profile(ray_session):
+def test_schema_profile(ray_session, shuffle_width):
     """Schema induction: multi-typed entities contribute one count
     per type combination; untyped entities and literal targets get
     the sentinel types."""
@@ -657,7 +666,8 @@ def test_schema_profile(ray_session):
         links, columns=["origin", "rel", "target", "target_is_iri"]
     ).assign(attrs="{}"))
 
-    out = (schema_profile(ds, num_buckets=8).to_pandas()
+    shuffle_width(8)
+    out = (schema_profile(ds).to_pandas()
            .sort_values(["rel", "origin_type", "target_type"])
            .reset_index(drop=True))
     got = {tuple(r[:3]): r[3] for r in out.itertuples(index=False)}
@@ -676,13 +686,14 @@ def test_schema_profile(ray_session):
     assert got == exp
 
     # partition invariance
-    out8 = (schema_profile(ds.repartition(8), num_buckets=4).to_pandas()
+    shuffle_width(4)
+    out8 = (schema_profile(ds.repartition(8)).to_pandas()
             .sort_values(["rel", "origin_type", "target_type"])
             .reset_index(drop=True))
     pd.testing.assert_frame_equal(out, out8)
 
 
-def test_link_prediction(ray_session):
+def test_link_prediction(ray_session, shuffle_width):
     import itertools
     import random
 
@@ -711,13 +722,15 @@ def test_link_prediction(ray_session):
         want[(a, b)] = (len(common),
                         sum(10**9 // len(adj[z]) for z in common))
 
-    out = link_prediction(ds, min_cn=1, num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out = link_prediction(ds, min_cn=1).to_pandas()
     got = {(int(r.u), int(r.v)): (int(r.cn), int(r.ra_e9))
            for r in out.itertuples()}
     assert got == want
 
     # min_cn filters; scores of survivors unchanged
-    out2 = link_prediction(ds, min_cn=3, num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out2 = link_prediction(ds, min_cn=3).to_pandas()
     got2 = {(int(r.u), int(r.v)): (int(r.cn), int(r.ra_e9))
             for r in out2.itertuples()}
     assert got2 == {k: v for k, v in want.items() if v[0] >= 3}
@@ -725,8 +738,8 @@ def test_link_prediction(ray_session):
     # max_degree drops wedges centered at hubs (documented undercount):
     # every surviving pair's scores count only sub-cap common neighbors
     cap = 5
-    out3 = link_prediction(ds, min_cn=1, max_degree=cap,
-                           num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out3 = link_prediction(ds, min_cn=1, max_degree=cap).to_pandas()
     got3 = {(int(r.u), int(r.v)): (int(r.cn), int(r.ra_e9))
             for r in out3.itertuples()}
     want3 = {}
@@ -740,7 +753,7 @@ def test_link_prediction(ray_session):
     assert got3 == want3
 
 
-def test_shortest_paths(ray_session):
+def test_shortest_paths(ray_session, shuffle_width):
     import pytest
     import ray.data as rd
 
@@ -758,8 +771,8 @@ def test_shortest_paths(ray_session):
         ("urn:i1", "urn:i2", 1),                    # unreachable island
     ]
     ds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst", "w"]))
-    out = shortest_paths(ds, seeds=["urn:s", "urn:t"],
-                         num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out = shortest_paths(ds, seeds=["urn:s", "urn:t"]).to_pandas()
     got = dict(zip(out.node, out.dist.astype(int)))
     assert got == {"urn:s": 0, "urn:t": 0, "urn:a": 1, "urn:b": 2,
                    "urn:c": 3}
@@ -768,7 +781,8 @@ def test_shortest_paths(ray_session):
     z = rd.from_pandas(pd.DataFrame(
         [("urn:x", "urn:y", 0), ("urn:y", "urn:x", 0)],
         columns=["src", "dst", "w"]))
-    outz = shortest_paths(z, seeds=["urn:x"], num_buckets=3).to_pandas()
+    shuffle_width(3)
+    outz = shortest_paths(z, seeds=["urn:x"]).to_pandas()
     assert dict(zip(outz.node, outz.dist.astype(int))) == {
         "urn:x": 0, "urn:y": 0}
 
@@ -776,11 +790,11 @@ def test_shortest_paths(ray_session):
     chain = [(f"urn:c:{i:02d}", f"urn:c:{i + 1:02d}", 1) for i in range(12)]
     cds = rd.from_pandas(pd.DataFrame(chain, columns=["src", "dst", "w"]))
     with pytest.raises(RuntimeError, match="converge"):
-        shortest_paths(cds, seeds=["urn:c:00"], max_rounds=4,
-                       num_buckets=3).materialize()
+        shuffle_width(3)
+        shortest_paths(cds, seeds=["urn:c:00"], max_rounds=4).materialize()
 
 
-def test_functional_conflicts(ray_session):
+def test_functional_conflicts(ray_session, shuffle_width):
     from versa_ray.ops.validate import functional_conflicts
 
     links = [
@@ -798,9 +812,9 @@ def test_functional_conflicts(ray_session):
         ("urn:o1", "urn:r:tag", "literal-x"),
         ("urn:o1", "urn:r:tag", "literal-y"),
     ]
+    shuffle_width(5)
     out = functional_conflicts(
-        _links_ds(links), ["urn:r:inNation", "urn:r:isbn"],
-        num_buckets=5).to_pandas()
+        _links_ds(links), ["urn:r:inNation", "urn:r:isbn"]).to_pandas()
     got = {(r.origin, r.rel): int(r.n_values) for r in out.itertuples()}
     assert got == {("urn:o1", "urn:r:inNation"): 2,
                    ("urn:o3", "urn:r:isbn"): 3}
@@ -817,12 +831,13 @@ def test_functional_conflicts(ray_session):
         "target_is_iri": [True, False],
         "attrs": ["{}", "{}"],
     })
+    shuffle_width(3)
     out2 = functional_conflicts(
-        rd.from_arrow(tbl2), ["urn:r:ref"], num_buckets=3).to_pandas()
+        rd.from_arrow(tbl2), ["urn:r:ref"]).to_pandas()
     assert len(out2) == 1 and int(out2.n_values.iloc[0]) == 2
 
 
-def test_entail_domain_range(ray_session):
+def test_entail_domain_range(ray_session, shuffle_width):
     from versa_ray.ops.graph import entail_domain_range
 
     links = [
@@ -839,9 +854,9 @@ def test_entail_domain_range(ray_session):
         "urn:r:tag": (None, "urn:Tag"),              # no domain
         "urn:r:src": ("urn:Sourced", None),          # no range
     }
+    shuffle_width(5)
     out = entail_domain_range(
-        _links_ds(links), rules, type_rel="urn:r:type",
-        num_buckets=5).to_pandas()
+        _links_ds(links), rules, type_rel="urn:r:type").to_pandas()
     got = set(zip(out.node, out.cls))
     assert got == {
         ("urn:a", "urn:C"),                          # direct
@@ -853,7 +868,7 @@ def test_entail_domain_range(ray_session):
     assert len(out) == len(got)  # distinct
 
 
-def test_latest_statements(ray_session):
+def test_latest_statements(ray_session, shuffle_width):
     import pandas as pd
     import ray.data as rd
 
@@ -868,8 +883,9 @@ def test_latest_statements(ray_session):
         # urn:b has a TS TIE -> smallest target (x1) must win
         "ts": [10, 20, 5, 7, 7, 1],
     })
+    shuffle_width(5)
     out = latest_statements(
-        rd.from_pandas(rows, override_num_blocks=3), num_buckets=5
+        rd.from_pandas(rows, override_num_blocks=3)
     ).to_pandas()
     got = {(r.origin, r.rel): (r.target, int(r.ts))
            for r in out.itertuples()}
@@ -882,7 +898,7 @@ def test_latest_statements(ray_session):
     assert "rank" not in out.columns
 
 
-def test_multi_source_bfs_and_closeness(ray_session):
+def test_multi_source_bfs_and_closeness(ray_session, shuffle_width):
     import collections
     import random
 
@@ -917,13 +933,15 @@ def test_multi_source_bfs_and_closeness(ray_session):
         for n, d in dist.items():
             want[(n, s)] = d
 
-    out = multi_source_bfs(ds, seeds, num_buckets=5).to_pandas()
+    shuffle_width(5)
+    out = multi_source_bfs(ds, seeds).to_pandas()
     got = {(int(r.node), int(r.seed)): int(r.depth)
            for r in out.itertuples()}
     assert got == want
 
     # closeness rollup = exact integer aggregation of the same depths
-    cl = closeness_from_seeds(ds, seeds, num_buckets=5).to_pandas()
+    shuffle_width(5)
+    cl = closeness_from_seeds(ds, seeds).to_pandas()
     agg = collections.defaultdict(lambda: [0, 0])
     for (n, _), d in want.items():
         agg[n][0] += 1
@@ -936,10 +954,11 @@ def test_multi_source_bfs_and_closeness(ray_session):
     chain = [(i, i + 1) for i in range(12)]
     cds = rd.from_pandas(pd.DataFrame(chain, columns=["src", "dst"]))
     with pytest.raises(RuntimeError, match="converge"):
-        multi_source_bfs(cds, [0], max_iters=4, num_buckets=3).materialize()
+        shuffle_width(3)
+        multi_source_bfs(cds, [0], max_iters=4).materialize()
 
 
-def test_strongly_connected_components(ray_session):
+def test_strongly_connected_components(ray_session, shuffle_width):
     import random
 
     import ray.data as rd
@@ -968,7 +987,8 @@ def test_strongly_connected_components(ray_session):
     def run(edges):
         nodes = sorted({a for a, b in edges} | {b for a, b in edges})
         ds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-        out = strongly_connected_components(ds, num_buckets=5).to_pandas()
+        shuffle_width(5)
+        out = strongly_connected_components(ds).to_pandas()
         got = dict(zip(out.node.astype(int), out.comp.astype(int)))
         assert got == brute_scc(edges, nodes)
         assert len(out) == len(nodes)  # exactly one row per node
@@ -995,7 +1015,7 @@ def test_strongly_connected_components(ray_session):
     run(edges)
 
 
-def test_bipartite_check_brute_force(ray_session):
+def test_bipartite_check_brute_force(ray_session, shuffle_width):
     """bipartite_check equals a BFS-parity reference on a mix of even
     cycle, odd cycle, random component, single edge, plus dup/reversed
     edges and a self loop (dropped)."""
@@ -1043,8 +1063,9 @@ def test_bipartite_check_brute_force(ray_session):
         want[n] = (len(depth), len(comp_edges), odd, odd == 0)
         seen.update(depth)
 
+    shuffle_width(6)
     out = bipartite_check(
-        rd.from_pandas(df).repartition(4), num_buckets=6).to_pandas()
+        rd.from_pandas(df).repartition(4)).to_pandas()
     got = {int(r.component): (int(r.n_nodes), int(r.n_edges),
                               int(r.odd_edges), bool(r.is_bipartite))
            for r in out.itertuples()}
@@ -1053,7 +1074,7 @@ def test_bipartite_check_brute_force(ray_session):
     assert got[0][3] and got[50][3]             # even cycle + single edge
 
 
-def test_k_truss_brute_force(ray_session):
+def test_k_truss_brute_force(ray_session, shuffle_width):
     """k_truss equals an iterative brute-force peel at k=3/4/5 on a
     random graph with a planted 5-clique, and raises below k=3."""
     import itertools
@@ -1089,8 +1110,8 @@ def test_k_truss_brute_force(ray_session):
 
     for k in (3, 4, 5):
         want = brute(set(zip(df.u, df.v)), k)
-        got = k_truss(rd.from_pandas(df).repartition(4), k=k,
-                      num_buckets=5).to_pandas()
+        shuffle_width(5)
+        got = k_truss(rd.from_pandas(df).repartition(4), k=k).to_pandas()
         assert set(zip(got.u.astype(int), got.v.astype(int))) == want
     assert brute(set(zip(df.u, df.v)), 5) >= {
         (a, b) for a, b in itertools.combinations([30, 31, 32, 33, 34], 2)}
@@ -1098,7 +1119,7 @@ def test_k_truss_brute_force(ray_session):
         k_truss(rd.from_pandas(df), k=2)
 
 
-def test_maximal_independent_set_brute_force(ray_session):
+def test_maximal_independent_set_brute_force(ray_session, shuffle_width):
     """maximal_independent_set equals a sequential deterministic-Luby
     reference (md5 priorities, ties by id), and the result is both
     independent and maximal."""
@@ -1137,8 +1158,9 @@ def test_maximal_independent_set_brute_force(ray_session):
             rm |= adj[x] & live
         live -= rm
 
+    shuffle_width(5)
     got = maximal_independent_set(
-        rd.from_pandas(df).repartition(4), num_buckets=5).to_pandas()
+        rd.from_pandas(df).repartition(4)).to_pandas()
     gset = set(got.node.astype(int))
     assert gset == want
     assert all(not (adj[a] & gset) for a in gset)          # independent

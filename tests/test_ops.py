@@ -550,11 +550,12 @@ def test_verified_near_dup_pairs_distributed(ray_session):
         assert j == ngram_jaccard(texts[a], texts[b])
 
 
-def test_assign_clusters_join_path(ray_session):
-    """broadcast_threshold=0 forces the distributed label-propagation
-    path; result must equal the broadcast path."""
+def test_assign_clusters_join_path(ray_session, monkeypatch):
+    """CLUSTER_BROADCAST_THRESHOLD=0 forces the distributed
+    label-propagation path; result must equal the broadcast path."""
     import ray.data as rd
 
+    from versa_ray.ops import dedup
     from versa_ray.ops.dedup import assign_clusters
 
     corpus = rd.from_pandas(pd.DataFrame({"doc_id": list(range(10))}))
@@ -562,9 +563,8 @@ def test_assign_clusters_join_path(ray_session):
         pd.DataFrame({"id_a": [0, 1, 5], "id_b": [1, 2, 7]})
     )
     fast = assign_clusters(corpus, pairs).to_pandas().sort_values("doc_id")
-    slow = assign_clusters(
-        corpus, pairs, broadcast_threshold=0
-    ).to_pandas().sort_values("doc_id")
+    monkeypatch.setattr(dedup, "CLUSTER_BROADCAST_THRESHOLD", 0)
+    slow = assign_clusters(corpus, pairs).to_pandas().sort_values("doc_id")
     assert list(fast["cluster"]) == list(slow["cluster"])
     m = dict(zip(fast["doc_id"], fast["cluster"]))
     assert m[0] == m[1] == m[2] == 0 and m[5] == m[7] == 5 and m[3] == 3
@@ -589,11 +589,13 @@ def test_simhash_batch_matches_per_doc():
     assert (got == want).all()
 
 
-def test_verify_pairs_threshold_switch(ray_session):
+def test_verify_pairs_threshold_switch(ray_session, monkeypatch):
     """verify_pairs_jaccard gives identical results on both sides of
-    broadcast_threshold (broadcast fast path vs distributed verify)."""
+    VERIFY_BROADCAST_THRESHOLD (broadcast fast path vs distributed
+    verify)."""
     import ray.data as rd
 
+    from versa_ray.ops import dedup
     from versa_ray.ops.dedup import verify_pairs_jaccard
 
     base = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
@@ -608,10 +610,10 @@ def test_verify_pairs_threshold_switch(ray_session):
     cand = [{"id_a": 1, "id_b": 2}, {"id_a": 1, "id_b": 3},
             {"id_a": 1, "id_b": 4}, {"id_a": 2, "id_b": 3}]
 
-    via_broadcast = verify_pairs_jaccard(ds, cand, threshold=0.5,
-                                         broadcast_threshold=100)
-    via_distributed = verify_pairs_jaccard(ds, cand, threshold=0.5,
-                                           broadcast_threshold=2)
+    monkeypatch.setattr(dedup, "VERIFY_BROADCAST_THRESHOLD", 100)
+    via_broadcast = verify_pairs_jaccard(ds, cand, threshold=0.5)
+    monkeypatch.setattr(dedup, "VERIFY_BROADCAST_THRESHOLD", 2)
+    via_distributed = verify_pairs_jaccard(ds, cand, threshold=0.5)
     key = lambda ps: sorted((p["id_a"], p["id_b"], round(p["jaccard"], 9)) for p in ps)
     assert key(via_broadcast) == key(via_distributed)
     assert {(p["id_a"], p["id_b"]) for p in via_broadcast} >= {(1, 2)}
@@ -884,21 +886,23 @@ def test_simhash_batch_chunked_identical():
     assert (full == tiny).all()
 
 
-def test_verify_pairs_drops_phantom_endpoints(ray_session):
+def test_verify_pairs_drops_phantom_endpoints(ray_session, monkeypatch):
     """Pairs whose endpoints are absent from the corpus are DROPPED on
     both sides of the broadcast threshold (was: broadcast path scored
     jaccard('','') = 1.0 for phantom pairs)."""
     import ray.data as rd
 
+    from versa_ray.ops import dedup
     from versa_ray.ops.dedup import verify_pairs_jaccard
 
     ds = rd.from_pandas(
         pd.DataFrame({"doc_id": [1], "text": ["alpha beta gamma delta"]})
     )
     cand = [{"id_a": 8, "id_b": 9}]  # neither endpoint exists
-    assert verify_pairs_jaccard(ds, cand, threshold=0.0,
-                                broadcast_threshold=100) == []
-    out = verify_pairs_jaccard(ds, cand, threshold=0.0, broadcast_threshold=0)
+    monkeypatch.setattr(dedup, "VERIFY_BROADCAST_THRESHOLD", 100)
+    assert verify_pairs_jaccard(ds, cand, threshold=0.0) == []
+    monkeypatch.setattr(dedup, "VERIFY_BROADCAST_THRESHOLD", 0)
+    out = verify_pairs_jaccard(ds, cand, threshold=0.0)
     assert out == []
 
 
@@ -937,7 +941,7 @@ def test_repetition_stats_handcrafted():
     assert r.iloc[2, -3:].sum() == 0.0
 
 
-def test_remove_boilerplate(ray_session):
+def test_remove_boilerplate(ray_session, shuffle_width):
     import ray.data as rd
 
     from versa_ray.ops.boilerplate import remove_boilerplate
@@ -953,9 +957,10 @@ def test_remove_boilerplate(ray_session):
             "footer line\nfooter line\nunique",
         ],
     })
+    shuffle_width(8)
     out = (
         remove_boilerplate(rd.from_pandas(df).repartition(3),
-                           min_docs=3, num_buckets=8)
+                           min_docs=3)
         .to_pandas().set_index("doc_id")["clean_text"]
     )
     assert len(out) == 6  # every doc present, even all-boilerplate ones
@@ -1001,11 +1006,12 @@ def test_host_doc_counts(ray_session):
     assert out.to_dict() == {"example.com": 2, "example.co.uk": 1}
 
 
-def test_doc_perplexity_paths_and_values(ray_session):
+def test_doc_perplexity_paths_and_values(ray_session, monkeypatch):
     import math
 
     import ray.data as rd
 
+    from versa_ray.ops import lm
     from versa_ray.ops.lm import doc_perplexity
 
     df = pd.DataFrame({
@@ -1015,7 +1021,8 @@ def test_doc_perplexity_paths_and_values(ray_session):
     ds = rd.from_pandas(df).repartition(2)
     b = (doc_perplexity(ds, min_count=2).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
-    d = (doc_perplexity(ds, min_count=2, broadcast_threshold=0).to_pandas()
+    monkeypatch.setattr(lm, "BROADCAST_THRESHOLD", 0)
+    d = (doc_perplexity(ds, min_count=2).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(b, d[b.columns], check_dtype=False)
     # tokens: the×4 cat sat rare unique zebra -> T=9, vocab={the}, V=1
@@ -1434,7 +1441,7 @@ def _brute_dup_spans(docs, k=3, min_docs=2):
     return set(spans)
 
 
-def test_dup_spans_brute_force(ray_session):
+def test_dup_spans_brute_force(ray_session, shuffle_width):
     import ray.data as rd
     from versa_ray.ops.dedup import dup_spans, remove_dup_spans
 
@@ -1453,7 +1460,8 @@ def test_dup_spans_brute_force(ray_session):
 
     k = 3
     ds = rd.from_pandas(df).repartition(5)
-    got = dup_spans(ds, k=k, num_buckets=7).to_pandas()
+    shuffle_width(7)
+    got = dup_spans(ds, k=k).to_pandas()
     want = _brute_dup_spans(docs, k=k)
     assert set(zip(got.doc_id.astype(int), got.span_start.astype(int),
                    got.span_end.astype(int))) == want
@@ -1461,7 +1469,8 @@ def test_dup_spans_brute_force(ray_session):
     # the planted passage is found in both carriers, maximally
     assert (100, 1, 5) in want and (101, 0, 4) in want
 
-    stripped = remove_dup_spans(ds, k=k, num_buckets=7).to_pandas()
+    shuffle_width(7)
+    stripped = remove_dup_spans(ds, k=k).to_pandas()
     assert len(stripped) == len(df)
     bydoc = dict(zip(stripped.doc_id.astype(int), stripped.text))
     cover = {}
@@ -1473,7 +1482,7 @@ def test_dup_spans_brute_force(ray_session):
         assert bydoc[d] == " ".join(keep)
 
 
-def test_doc_bigram_perplexity_brute(ray_session):
+def test_doc_bigram_perplexity_brute(ray_session, shuffle_width):
     import math
     from collections import Counter
 
@@ -1489,8 +1498,9 @@ def test_doc_bigram_perplexity_brute(ray_session):
     docs.append((201, "lone"))    # single token: no bigrams
     df = pd.DataFrame(docs, columns=["doc_id", "text"])
 
+    shuffle_width(7)
     out = doc_bigram_perplexity(
-        rd.from_pandas(df).repartition(6), num_buckets=7).to_pandas()
+        rd.from_pandas(df).repartition(6)).to_pandas()
 
     toks = {d: t.split() for d, t in docs}
     V = len({w for tk in toks.values() for w in tk})
@@ -1512,7 +1522,7 @@ def test_doc_bigram_perplexity_brute(ray_session):
             assert got[d][1] == pytest.approx(-s / n, abs=1e-6)
 
 
-def test_grouped_quantile_disc_and_filter(ray_session):
+def test_grouped_quantile_disc_and_filter(ray_session, shuffle_width):
     import ray.data as rd
 
     from versa_ray.ops.agg import (filter_above_group_quantile,
@@ -1525,18 +1535,18 @@ def test_grouped_quantile_disc_and_filter(ray_session):
         "row": np.arange(400, dtype="int64"),
     })
     for q in [0.0, 0.25, 0.5, 0.9, 1.0]:
+        shuffle_width(4)
         got = grouped_quantile_disc(
-            rd.from_pandas(df).repartition(5), "grp", "val", q,
-            num_buckets=4).to_pandas()
+            rd.from_pandas(df).repartition(5), "grp", "val", q).to_pandas()
         want = {}
         for g, sub in df.groupby("grp"):
             v = np.sort(sub["val"].to_numpy())
             want[g] = v[max(int(np.ceil(q * len(v))) - 1, 0)]
         assert dict(zip(got.grp, got.val)) == want, q
 
+    shuffle_width(4)
     kept = filter_above_group_quantile(
-        rd.from_pandas(df).repartition(5), "grp", "val", 0.5,
-        num_buckets=4).to_pandas()
+        rd.from_pandas(df).repartition(5), "grp", "val", 0.5).to_pandas()
     med = {g: np.sort(s["val"].to_numpy())[
         max(int(np.ceil(0.5 * len(s))) - 1, 0)]
         for g, s in df.groupby("grp")}
@@ -1545,7 +1555,7 @@ def test_grouped_quantile_disc_and_filter(ray_session):
     assert {int(r) for r in kept.row} == want_rows
 
 
-def test_zip_with_index(ray_session):
+def test_zip_with_index(ray_session, shuffle_width):
     import ray.data as rd
 
     from versa_ray.ops.agg import zip_with_index
@@ -1553,8 +1563,9 @@ def test_zip_with_index(ray_session):
     rng = np.random.RandomState(31)
     vals = [f"urn:e:{i:05d}" for i in rng.permutation(800)]
     df = pd.DataFrame({"entity": vals, "payload": np.arange(800)})
+    shuffle_width(7)
     out = zip_with_index(
-        rd.from_pandas(df).repartition(6), "entity", num_buckets=7
+        rd.from_pandas(df).repartition(6), "entity"
     ).to_pandas()
     srt = sorted(vals)
     assert len(out) == 800
@@ -1615,7 +1626,7 @@ def test_inverted_index_build_and_lookup(ray_session, docs_ds, tmp_path):
     assert empty.count() == 0
 
 
-def test_dsir_weights_brute_force(ray_session):
+def test_dsir_weights_brute_force(ray_session, shuffle_width):
     import math
 
     import numpy as np
@@ -1650,10 +1661,10 @@ def test_dsir_weights_brute_force(ray_session):
         want[d] = (len(ts), round(s / len(ts), 6))
 
     for nb in (3, 17):  # partition invariance across bucket counts
+        shuffle_width(nb)
         out = dsir_weights(
             rd.from_pandas(rows, override_num_blocks=3),
-            is_target=lambda df: df["lang"].to_numpy() == "en",
-            num_buckets=nb).to_pandas()
+            is_target=lambda df: df["lang"].to_numpy() == "en").to_pandas()
         got = {int(r.doc_id): (int(r.n_tokens), float(r.log_ratio))
                for r in out.itertuples()}
         assert set(got) == set(want)
@@ -1667,7 +1678,7 @@ def test_dsir_weights_brute_force(ray_session):
         np.mean([got[d][1] for d in got if not tgt[d]])
 
 
-def test_edit_distance_join_brute_force(ray_session):
+def test_edit_distance_join_brute_force(ray_session, shuffle_width):
     import itertools
 
     import pandas as pd
@@ -1703,9 +1714,10 @@ def test_edit_distance_join_brute_force(ray_session):
                                           right.itertuples())
             if lev(l.s, r.s) <= 1}
 
+    shuffle_width(5)
     out = edit_distance_join(
         rd.from_pandas(left), rd.from_pandas(right),
-        col="s", num_buckets=5).to_pandas()
+        col="s").to_pandas()
     got = {(int(r.id_l), int(r.id_r)): int(r.dist)
            for r in out.itertuples()}
     assert got == want
@@ -1713,7 +1725,7 @@ def test_edit_distance_join_brute_force(ray_session):
     assert (4, 15) in got and got[(4, 15)] == 1  # empty-string side
 
 
-def test_winnow_fingerprints_brute_force(ray_session):
+def test_winnow_fingerprints_brute_force(ray_session, shuffle_width):
     """winnow_fingerprints equals a pure-Python winnowing reference
     (rightmost-min tie rule) on random word-soup docs, and the paper's
     guarantee holds: two docs sharing a substring of length >= w+k-1
@@ -1788,9 +1800,10 @@ def test_winnow_fingerprints_brute_force(ray_session):
             n = sum(1 for fp in fp_sets[a] & fp_sets[b] if freq[fp] <= cap)
             if n >= min_shared:
                 want_pairs[(a, b)] = n
+    shuffle_width(7)
     out = winnow_overlap_pairs(
         rd.from_pandas(docs), k=k, w=w, min_shared=min_shared,
-        max_fp_docs=cap, num_buckets=7).to_pandas()
+        max_fp_docs=cap).to_pandas()
     got_pairs = {(int(r.id_a), int(r.id_b)): int(r.shared)
                  for r in out.itertuples()}
     assert got_pairs == want_pairs
@@ -1836,7 +1849,7 @@ def test_mad_outliers_brute_force(ray_session):
     assert sum(1 for *_, o in want.values() if o) == 6  # all plants flagged
 
 
-def test_ntile_sql_semantics(ray_session):
+def test_ntile_sql_semantics(ray_session, shuffle_width):
     """ntile matches SQL NTILE (first N%B buckets take ceil(N/B)) on
     uneven N, N < B, duplicate values (tie-broken by id), and is
     partition-invariant."""
@@ -1855,9 +1868,9 @@ def test_ntile_sql_semantics(ray_session):
             "SELECT rid, CAST(NTILE(%d) OVER (ORDER BY x, rid) AS BIGINT)"
             " AS tile FROM df ORDER BY rid" % b).df()
         for nblocks in (1, 6):
+            shuffle_width(5)
             out = ntile(rd.from_pandas(df).repartition(nblocks),
-                        col="x", tie_col="rid", n_tiles=b,
-                        num_buckets=5).to_pandas()
+                        col="x", tie_col="rid", n_tiles=b).to_pandas()
             got = out.sort_values("rid")[["rid", "tile"]].reset_index(
                 drop=True)
             pd.testing.assert_frame_equal(
@@ -1942,7 +1955,7 @@ def test_weighted_sample_properties(ray_session):
                         id_col="rid")
 
 
-def test_grouped_percent_rank_brute_force(ray_session):
+def test_grouped_percent_rank_brute_force(ray_session, shuffle_width):
     """grouped_percent_rank equals the SQL window per group, incl.
     heavy ties and a single-row group (0.0), at two block layouts."""
     import duckdb
@@ -1963,9 +1976,10 @@ def test_grouped_percent_rank_brute_force(ray_session):
         "SELECT rid, percent_rank() OVER (PARTITION BY g ORDER BY x) "
         "AS pct_rank FROM df ORDER BY rid").df()
     for nblocks in (1, 7):
+        shuffle_width(4)
         out = grouped_percent_rank(
-            rd.from_pandas(df).repartition(nblocks), key="g", col="x",
-            num_buckets=4).to_pandas()
+            rd.from_pandas(df).repartition(nblocks), key="g",
+            col="x").to_pandas()
         got = out.sort_values("rid")[["rid", "pct_rank"]].reset_index(
             drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
@@ -2021,7 +2035,7 @@ def test_winnow_poly_hasher_fast_path(ray_session):
     assert poly_t < md5_t         # the fast path is actually faster
 
 
-def test_winnow_containment_brute_force(ray_session):
+def test_winnow_containment_brute_force(ray_session, shuffle_width):
     """winnow_containment_pairs: a short doc fully contained in a long
     one shows containment ~1 while Jaccard stays low, and counts equal
     a brute-force reference."""
@@ -2058,9 +2072,10 @@ def test_winnow_containment_brute_force(ray_session):
         return sel
 
     sk = {int(r.doc_id): sketch(r.text) for r in docs.itertuples()}
+    shuffle_width(4)
     out = winnow_containment_pairs(
         rd.from_pandas(docs).repartition(3), k=k, w=w, min_shared=2,
-        max_fp_docs=10, num_buckets=4).to_pandas()
+        max_fp_docs=10).to_pandas()
     got = {(int(r.id_a), int(r.id_b)): (int(r.shared), int(r.n_a),
                                         int(r.n_b))
            for r in out.itertuples()}

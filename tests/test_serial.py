@@ -252,7 +252,7 @@ def _flatten_jsonld(objs):
     return triples
 
 
-def test_bind_ds_matches_driver_binder(ray_session):
+def test_bind_ds_matches_driver_binder(ray_session, monkeypatch):
     """Distributed inlined binder == driver-side binder after
     expansion (flatten-triple equality) on a model with single-ref
     chains, a multi-ref node, literals, and pruned types."""
@@ -310,8 +310,8 @@ def test_bind_ds_matches_driver_binder(ray_session):
     assert V + "leak" not in d_node
 
     # shuffle absorb path (threshold 0 forces it) == broadcast path
-    got_shuffle = bind_ds(ds, ignore_oftypes=[V + "Secret"],
-                          inline_broadcast_threshold=0).take_all()
+    monkeypatch.setattr(jsonld, "INLINE_BROADCAST_THRESHOLD", 0)
+    got_shuffle = bind_ds(ds, ignore_oftypes=[V + "Secret"]).take_all()
     assert sorted(
         (r["origin"], r["node"]) for r in got_shuffle
     ) == sorted((r["origin"], r["node"]) for r in got_rows)

@@ -543,7 +543,7 @@ def test_entity_scorer_scales_to_100k_aliases():
     assert score_s < 20, score_s
 
 
-def test_replace_values_ds_rewrites_attr_values(ray_session):
+def test_replace_values_ds_rewrites_attr_values(ray_session, shuffle_width):
     """The distributed rewrite must match the broadcast one on ALL
     three surfaces — origin, target, AND entity IRIs appearing as
     attr values (the at-scale semantic fork flagged in round 3)."""
@@ -583,8 +583,9 @@ def test_replace_values_ds_rewrites_attr_values(ray_session):
         .to_pandas()[key]
         .sort_values(key, ignore_index=True)
     )
+    shuffle_width(4)
     rhs = (
-        replace_values_ds(links, mapping_ds, num_buckets=4)
+        replace_values_ds(links, mapping_ds)
         .to_pandas()[key]
         .sort_values(key, ignore_index=True)
     )

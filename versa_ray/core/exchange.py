@@ -11,6 +11,11 @@ the keys themselves keeps Ray's per-group overhead (~ms per group)
 paid once per bucket; the per-key work inside a bucket is one
 vectorized pandas call, or the local loop of ``bucketed_group_apply``.
 
+One width: the bucket count is ``default_buckets()``, derived from
+the cluster's CPUs, for every exchange. Operators take no bucket
+count of their own, so the fan-out grows with the cluster and is set
+in this module only.
+
 The result of every bucket is cast to the caller's ``out_schema`` with
 schema metadata removed: empty buckets stay typed, a null-typed
 delta column takes its declared type, and no ``b'pandas'`` metadata
@@ -39,8 +44,9 @@ _PAYLOAD = "_payload"
 
 
 def default_buckets() -> int:
-    """The bucket count used when a caller gives none: twice the
-    cluster's CPUs, at least 16."""
+    """The bucket count of every keyed shuffle: twice the cluster's
+    CPUs, at least 16. Operators that size ranges or repartitions to
+    match the shuffle call this too."""
     import ray
 
     try:
@@ -128,7 +134,7 @@ def _unpack(t: pa.Table, n_inputs: int):
     return out
 
 
-def exchange(inputs, keys, fn, out_schema, num_buckets=None):
+def exchange(inputs, keys, fn, out_schema):
     """Shuffle ``inputs`` on ``keys`` and apply ``fn`` once per bucket.
 
     ``inputs``: one Dataset, or a list of Datasets for a co-group or
@@ -147,7 +153,7 @@ def exchange(inputs, keys, fn, out_schema, num_buckets=None):
     ``out_schema``: the result's ``pa.Schema``, or a callable mapping
     the inputs' Arrow schemas in the bucket to it (for operators
     whose output carries the input's own columns).
-    ``num_buckets``: defaults to ``default_buckets()``.
+    The bucket count is ``default_buckets()``; callers do not set it.
 
     With a fixed ``out_schema`` the result also carries one typed
     empty block, so an empty input still yields that schema."""
@@ -156,7 +162,7 @@ def exchange(inputs, keys, fn, out_schema, num_buckets=None):
     multi = not isinstance(inputs, rd.Dataset)
     dss = list(inputs) if multi else [inputs]
     side_keys = _side_keys(keys, len(dss))
-    n = num_buckets or default_buckets()
+    n = default_buckets()
 
     def _tagger(side):
         ks = side_keys[side]
@@ -193,8 +199,7 @@ def exchange(inputs, keys, fn, out_schema, num_buckets=None):
     return out.union(rd.from_arrow(out_schema.empty_table()))
 
 
-def bucketed_group_apply(ds, keys, fn, out_schema, num_buckets=None,
-                         min_group_size=1):
+def bucketed_group_apply(ds, keys, fn, out_schema, min_group_size=1):
     """Per-key form of ``exchange``: ``fn(group)`` once per distinct
     ``keys`` value, run as a local pandas groupby loop inside each
     bucket.
@@ -218,10 +223,10 @@ def bucketed_group_apply(ds, keys, fn, out_schema, num_buckets=None,
                 outs.append(res)
         return pd.concat(outs, ignore_index=True) if outs else None
 
-    return exchange(ds, keys, _bucket, out_schema, num_buckets)
+    return exchange(ds, keys, _bucket, out_schema)
 
 
-def distinct_rows(ds, subset, out_schema, num_buckets=None):
+def distinct_rows(ds, subset, out_schema):
     """Global ``drop_duplicates(subset)``: each batch drops its local
     duplicates first (combiner), then one exchange on ``subset``."""
     subset = list(subset)
@@ -230,7 +235,7 @@ def distinct_rows(ds, subset, out_schema, num_buckets=None):
         return df.drop_duplicates(subset=subset) if len(df) else df
 
     return exchange(ds.map_batches(_local, batch_format="pandas"), subset,
-                    _local, out_schema, num_buckets)
+                    _local, out_schema)
 
 
 def spread_key(df: pd.DataFrame, col: str, inert, id_col: str) -> np.ndarray:

@@ -145,7 +145,7 @@ def _unescape(s: str) -> str:
     return "".join(out)
 
 
-def intersect_statements(a, b, num_buckets=64):
+def intersect_statements(a, b):
     """Statement-set INTERSECTION of two link-sets (full-quad
     equality, attrs included). Both sides may be corpus-sized: each
     side's rows carry their composite quad key, and one two-input
@@ -164,10 +164,10 @@ def intersect_statements(a, b, num_buckets=64):
         lambda tbl: tbl.select(["qkey"]), batch_format="pyarrow")
     return exchange(
         [with_quad_key(a.select_columns(QUAD_COLS)), keys_b], "qkey", _keep,
-        LINK_SCHEMA, num_buckets)
+        LINK_SCHEMA)
 
 
-def diff_statements(a, b, num_buckets=64):
+def diff_statements(a, b):
     """Symmetric statement-set DIFFERENCE of two link-set snapshots —
     the KG version diff: distinct quads present only in ``a`` emit
     with ``change='removed'``, only in ``b`` with ``change='added'``
@@ -191,7 +191,7 @@ def diff_statements(a, b, num_buckets=64):
 
     return exchange(
         [with_quad_key(a), with_quad_key(b)], "qkey", _emit,
-        LINK_SCHEMA.append(pa.field("change", pa.string())), num_buckets)
+        LINK_SCHEMA.append(pa.field("change", pa.string())))
 
 
 def with_quad_key(ds, key_col="qkey"):
@@ -235,7 +235,7 @@ def quad_from_key(keys) -> pa.Table:
     )
 
 
-def distinct_links(ds, num_buckets=None):
+def distinct_links(ds):
     """Global exact dedup of quads: the distributed form of the model's
     duplicate-refusing add (memory.py:179-181) / util.uniquify.
 
@@ -300,8 +300,7 @@ def distinct_links(ds, num_buckets=None):
 
     return exchange(
         ds.map_batches(_prep, batch_format="pyarrow"), "_qhash",
-        _dedup_bucket, lambda sch: sch.remove(sch.get_field_index("_qhash")),
-        num_buckets)
+        _dedup_bucket, lambda sch: sch.remove(sch.get_field_index("_qhash")))
 
 
 def union(*datasets, dedup=True):
@@ -497,7 +496,7 @@ def remove_statements(ds, links):
     return ds.map_batches(_filter, batch_format="pyarrow")
 
 
-def replace_values_ds(ds, mapping_ds, num_buckets=64):
+def replace_values_ds(ds, mapping_ds):
     """Canonicalization rewrite for CORPUS-PROPORTIONAL mappings.
 
     ``replace_values`` broadcasts the mapping (fine while authority
@@ -536,7 +535,7 @@ def replace_values_ds(ds, mapping_ds, num_buckets=64):
         mapping = (mapping if mapping is not None else mapping_ds).map_batches(
             _mapping_rows, batch_format="pandas")
         return exchange([links, mapping], [[key_col], ["_key"]], _apply,
-                        lambda ls, ms: ls, num_buckets)
+                        lambda ls, ms: ls)
 
     def _attrs_translation(links):
         """Distributed (attrs -> rewritten attrs) translation table.
@@ -575,7 +574,7 @@ def replace_values_ds(ds, mapping_ds, num_buckets=64):
         matched = exchange(
             [links.map_batches(_explode, batch_format="pandas"),
              mapping_ds.map_batches(_mapping_rows, batch_format="pandas")],
-            "_key", _hits, string3, num_buckets)
+            "_key", _hits, string3)
 
         def _rebuild(grp: pd.DataFrame) -> pd.DataFrame:
             out_a, out_n = [], []
@@ -593,8 +592,7 @@ def replace_values_ds(ds, mapping_ds, num_buckets=64):
 
         return exchange(
             matched, "_astr", _rebuild,
-            pa.schema({"entity": pa.string(), "authority": pa.string()}),
-            num_buckets)
+            pa.schema({"entity": pa.string(), "authority": pa.string()}))
 
     out = _rewrite_pass(_rewrite_pass(ds, "origin"), "target")
     if "attrs" in (ds.schema(fetch_if_missing=False) or ds.schema()).names:
@@ -673,7 +671,7 @@ def follow_join(ds, *rels, num_partitions=None):
     return frontier
 
 
-def origin_adjacency(ds, num_buckets=64):
+def origin_adjacency(ds):
     """Distributed origin_view (util.py:144-158): one row per origin
     with its [rel, target, attrs] adjacency as a JSON column. Groups by
     a coarse hash bucket of the origin (origins are near-unique keys —
@@ -709,8 +707,7 @@ def origin_adjacency(ds, num_buckets=64):
 
     return exchange(
         ds, "origin", _adj_bucket,
-        pa.schema({"origin": pa.string(), "adjacency": pa.string()}),
-        num_buckets)
+        pa.schema({"origin": pa.string(), "adjacency": pa.string()}))
 
 
 def _resolve_sink(path, filesystem=None):
@@ -959,7 +956,7 @@ def zoom_in(ds, focus, depth=1, max_rels=0):
     return rd.from_items(parts), True
 
 
-def transitive_closure_ds(ds, seeds, rel, max_iters=50, num_buckets=None):
+def transitive_closure_ds(ds, seeds, rel, max_iters=50):
     """Fully distributed transitive closure over one rel: the frontier
     lives in the Dataset, never on the driver (the driver-side
     ``transitive_closure`` caps its frontier and raises; this form is
@@ -1058,8 +1055,7 @@ def transitive_closure_ds(ds, seeds, rel, max_iters=50, num_buckets=None):
 
     new_count = 0
     for _ in range(max_iters):
-        work = exchange(work, "key", _hop, work_schema,
-                        num_buckets).materialize()
+        work = exchange(work, "key", _hop, work_schema).materialize()
         new_count = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "c"].sum())]}
@@ -1106,7 +1102,7 @@ def transitive_closure(ds, orig, rel, max_frontier=100_000):
     return seen
 
 
-def latest_statements(ds, ts_col="ts", num_buckets=64):
+def latest_statements(ds, ts_col="ts"):
     """Temporal statement resolution — latest-assertion-wins: for each
     (origin, rel) keep only the most recent statement by ``ts_col``,
     ties broken by smallest (target, target_is_iri) so the result is a
@@ -1123,5 +1119,5 @@ def latest_statements(ds, ts_col="ts", num_buckets=64):
 
     out = grouped_topk(
         ds, ["origin", "rel"], ts_col, k=1, ascending=False,
-        tie_cols=["target", "target_is_iri"], num_buckets=num_buckets)
+        tie_cols=["target", "target_is_iri"])
     return out.drop_columns(["rank"])

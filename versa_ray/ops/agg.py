@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..core import exchange as shuffle
 from ..core.exchange import bucketed_group_apply, exchange
 
 __all__ = [
@@ -60,8 +61,7 @@ def grouped_agg_small(ds, keys, spec):
     )
 
 
-def grouped_topk(ds, keys, order_by, k=1, ascending=False, tie_cols=None,
-                 num_buckets=64):
+def grouped_topk(ds, keys, order_by, k=1, ascending=False, tie_cols=None):
     """Top-k rows per group — the "best N docs per domain/language"
     primitive. Two-phase: every batch keeps its LOCAL top-k per group
     (combiner — at most ``groups x k`` rows per batch survive), then
@@ -93,7 +93,7 @@ def grouped_topk(ds, keys, order_by, k=1, ascending=False, tie_cols=None,
 
     return bucketed_group_apply(
         ds.map_batches(_local, batch_format="pandas"), keys, _final,
-        lambda sch: sch.append(pa.field("rank", pa.int64())), num_buckets,
+        lambda sch: sch.append(pa.field("rank", pa.int64())),
     )
 
 
@@ -388,7 +388,7 @@ def exact_quantiles(ds, col, qs, grid=4096, max_collect=2_000_000,
     return out
 
 
-def grouped_quantile_disc(ds, key, col, q, num_buckets=64):
+def grouped_quantile_disc(ds, key, col, q):
     """EXACT per-group discrete quantile (SQL ``quantile_disc``
     semantics: the element at 0-indexed rank ``ceil(q*N) - 1`` within
     each group) — ``(key, col)`` rows, one per group.
@@ -422,11 +422,10 @@ def grouped_quantile_disc(ds, key, col, q, num_buckets=64):
 
     return exchange(
         ds.map_batches(_partial, batch_format="pandas"),
-        key, _select, lambda sch: pa.schema([sch.field(key), sch.field(col)]),
-        num_buckets)
+        key, _select, lambda sch: pa.schema([sch.field(key), sch.field(col)]))
 
 
-def filter_above_group_quantile(ds, key, col, q, num_buckets=64):
+def filter_above_group_quantile(ds, key, col, q):
     """Keep rows whose ``col`` is STRICTLY above their group's exact
     discrete ``q``-quantile — the 'keep the best half per language /
     domain' curation primitive. The per-group thresholds come from
@@ -436,7 +435,7 @@ def filter_above_group_quantile(ds, key, col, q, num_buckets=64):
     import ray
 
     th = grouped_quantile_disc(
-        ds, key, col, q, num_buckets=num_buckets).to_pandas()
+        ds, key, col, q).to_pandas()
     ref = ray.put(dict(zip(th[key], th[col])))
 
     def _filter(df: pd.DataFrame) -> pd.DataFrame:
@@ -446,8 +445,7 @@ def filter_above_group_quantile(ds, key, col, q, num_buckets=64):
     return ds.map_batches(_filter, batch_format="pandas")
 
 
-def zip_with_index(ds, order_by, num_buckets=64, samples_per_batch=64,
-                   out_col="_index"):
+def zip_with_index(ds, order_by, samples_per_batch=64, out_col="_index"):
     """Assign each row its GLOBAL 0-based rank under ``order_by`` —
     the zip-with-index primitive — without a driver-side sort of the
     data. ``order_by`` must be a UNIQUE key (ranks among duplicates
@@ -455,9 +453,9 @@ def zip_with_index(ds, order_by, num_buckets=64, samples_per_batch=64,
     tie-breaking composite as a single column).
 
     Three bounded passes: (1) per-batch boundary samples give
-    ``num_buckets - 1`` split points (driver sees blocks x samples
-    KEY VALUES only); (2) per-batch partial counts per range bucket
-    -> driver prefix sums (``num_buckets`` scalars); (3) one
+    ``default_buckets() - 1`` split points (driver sees blocks x
+    samples KEY VALUES only); (2) per-batch partial counts per range
+    bucket -> driver prefix sums (one scalar per range); (3) one
     range-bucket shuffle, local sort inside each bucket, index =
     bucket offset + arange. Sample skew makes buckets UNEVEN, never
     wrong — searchsorted with the same boundaries on both passes is
@@ -480,7 +478,8 @@ def zip_with_index(ds, order_by, num_buckets=64, samples_per_batch=64,
     if not len(samp):
         bounds = np.array([], dtype=object)
     else:
-        cut = np.linspace(0, len(samp) - 1, num_buckets + 1)[1:-1]
+        cut = np.linspace(0, len(samp) - 1,
+                          shuffle.default_buckets() + 1)[1:-1]
         bounds = samp[cut.astype(int)]
     b_ref = ray.put(bounds)
 
@@ -522,18 +521,17 @@ def zip_with_index(ds, order_by, num_buckets=64, samples_per_batch=64,
 
     return bucketed_group_apply(
         ds.map_batches(_tag, batch_format="pandas"), ["_zb"], _assign,
-        _replace_tag("_zb", out_col, pa.int64()), num_buckets)
+        _replace_tag("_zb", out_col, pa.int64()))
 
 
-def percent_rank(ds, col, out_col="pct_rank", num_buckets=64,
-                 samples_per_batch=64):
+def percent_rank(ds, col, out_col="pct_rank", samples_per_batch=64):
     """SQL ``percent_rank() OVER (ORDER BY col)``: for each row,
     (count of strictly smaller values) / (N - 1), ties sharing a
     rank — computed exactly and distributed.
 
     Same three bounded passes as ``zip_with_index`` (boundary sample
-    -> split points; per-range counts -> driver prefix sums of
-    ``num_buckets`` scalars; one range shuffle) but TIE-AWARE where
+    -> split points; per-range counts -> driver prefix sums of one
+    scalar per range; one range shuffle) but TIE-AWARE where
     zip_with_index requires unique keys: ranges split by VALUE with
     ``searchsorted(side='right')`` on both passes, so EQUAL values
     always co-locate in one range and their shared strictly-smaller
@@ -556,7 +554,8 @@ def percent_rank(ds, col, out_col="pct_rank", num_buckets=64,
     if not len(samp):
         bounds = np.array([], dtype=object)
     else:
-        cut = np.linspace(0, len(samp) - 1, num_buckets + 1)[1:-1]
+        cut = np.linspace(0, len(samp) - 1,
+                          shuffle.default_buckets() + 1)[1:-1]
         bounds = np.unique(samp[cut.astype(int)])
     b_ref = ray.put(bounds)
 
@@ -601,7 +600,7 @@ def percent_rank(ds, col, out_col="pct_rank", num_buckets=64,
 
     return bucketed_group_apply(
         ds.map_batches(_tag, batch_format="pandas"), ["_prb"], _assign,
-        _replace_tag("_prb", out_col, pa.float64()), num_buckets)
+        _replace_tag("_prb", out_col, pa.float64()))
 
 
 def _replace_tag(tag, out_col, out_type):
@@ -611,7 +610,7 @@ def _replace_tag(tag, out_col, out_type):
         pa.field(out_col, out_type))
 
 
-def mad_outliers(ds, key, col, k=3, num_buckets=64):
+def mad_outliers(ds, key, col, k=3):
     """Robust per-group outlier flags via median absolute deviation:
     a row is an outlier when ``|x - median(group)| > k * MAD(group)``
     with MAD = median of ``|x - median|`` — the classic heavy-tail-safe
@@ -634,7 +633,7 @@ def mad_outliers(ds, key, col, k=3, num_buckets=64):
     """
     import ray
 
-    med = grouped_quantile_disc(ds, key, col, 0.5, num_buckets=num_buckets)
+    med = grouped_quantile_disc(ds, key, col, 0.5)
     med_pd = med.to_pandas()
     med_map = dict(zip(med_pd[key], med_pd[col]))
     med_ref = ray.put(med_map)
@@ -651,7 +650,7 @@ def mad_outliers(ds, key, col, k=3, num_buckets=64):
 
     mad = grouped_quantile_disc(
         ds.map_batches(_dev, batch_format="pandas"),
-        key, "_dev", 0.5, num_buckets=num_buckets).to_pandas()
+        key, "_dev", 0.5).to_pandas()
     mad_map = dict(zip(mad[key], mad["_dev"]))
     stats_ref = ray.put((med_map, mad_map))
 
@@ -669,7 +668,7 @@ def mad_outliers(ds, key, col, k=3, num_buckets=64):
     return ds.map_batches(_flag, batch_format="pandas")
 
 
-def ntile(ds, col, tie_col, n_tiles, out_col="tile", num_buckets=64):
+def ntile(ds, col, tie_col, n_tiles, out_col="tile"):
     """Global equal-frequency binning with SQL ``NTILE`` semantics:
     rows ordered by ``(col, tie_col)`` split into ``n_tiles`` buckets
     where the first ``N % n_tiles`` buckets take ``ceil(N/n_tiles)``
@@ -701,7 +700,7 @@ def ntile(ds, col, tie_col, n_tiles, out_col="tile", num_buckets=64):
 
     ranked = zip_with_index(
         ds.map_batches(_key, batch_format="pandas"), "_ntkey",
-        num_buckets=num_buckets, out_col="_ntrank")
+        out_col="_ntrank")
 
     size, rem = divmod(int(n_rows), int(n_tiles))
     cut = rem * (size + 1)
@@ -740,8 +739,7 @@ def winsorize(ds, col, q_lo=0.05, q_hi=0.95, out_col=None, **quantile_kw):
     return ds.map_batches(_clip, batch_format="pandas")
 
 
-def grouped_percent_rank(ds, key, col, out_col="pct_rank",
-                         num_buckets=64):
+def grouped_percent_rank(ds, key, col, out_col="pct_rank"):
     """Per-group ``percent_rank() OVER (PARTITION BY key ORDER BY
     col)``: (strictly smaller in group) / (group size - 1), ties
     sharing a rank, single-row groups at 0.0 (SQL semantics) — the
@@ -765,5 +763,5 @@ def grouped_percent_rank(ds, key, col, out_col="pct_rank",
 
     return bucketed_group_apply(
         ds, [key], _rank,
-        lambda sch: sch.append(pa.field(out_col, pa.float64())), num_buckets)
+        lambda sch: sch.append(pa.field(out_col, pa.float64())))
 

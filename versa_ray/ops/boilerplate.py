@@ -64,7 +64,7 @@ def explode_lines(ds, id_col: str = "doc_id", text_col: str = "text",
 
 
 def boilerplate_lines(ds, min_docs: int = 10, id_col: str = "doc_id",
-                      text_col: str = "text", num_buckets: int = 64):
+                      text_col: str = "text"):
     """Distinct non-blank lines occurring in >= ``min_docs`` distinct
     documents, as a (small) Dataset of ``line`` rows."""
 
@@ -82,13 +82,11 @@ def boilerplate_lines(ds, min_docs: int = 10, id_col: str = "doc_id",
 
     lines = explode_lines(ds, id_col=id_col, text_col=text_col)
     return exchange(lines.map_batches(_distinct, batch_format="pandas"),
-                    "line", _count, pa.schema({"line": pa.string()}),
-                    num_buckets)
+                    "line", _count, pa.schema({"line": pa.string()}))
 
 
 def remove_boilerplate(ds, min_docs: int = 10, id_col: str = "doc_id",
-                       text_col: str = "text", out_col: str = "clean_text",
-                       num_buckets: int = 64):
+                       text_col: str = "text", out_col: str = "clean_text"):
     """Remove corpus-wide boilerplate lines from every document.
 
     Returns ``(id_col, out_col)`` with each document's surviving lines
@@ -97,7 +95,7 @@ def remove_boilerplate(ds, min_docs: int = 10, id_col: str = "doc_id",
     ``id_col`` must be integer-typed."""
 
     flags = boilerplate_lines(ds, min_docs=min_docs, id_col=id_col,
-                              text_col=text_col, num_buckets=num_buckets)
+                              text_col=text_col)
 
     def _keyed(df: pd.DataFrame) -> pd.DataFrame:
         # blank lines and anchors can never be flagged, so they don't
@@ -129,7 +127,6 @@ def remove_boilerplate(ds, min_docs: int = 10, id_col: str = "doc_id",
         [lines.map_batches(_keyed, batch_format="pandas"), flags],
         [["_k"], ["line"]], _filter,
         pa.schema({id_col: pa.int64(), "pos": pa.int64(),
-                   "line": pa.string()}), num_buckets)
+                   "line": pa.string()}))
     return exchange(kept, id_col, _reassemble,
-                    pa.schema({id_col: pa.int64(), out_col: pa.string()}),
-                    num_buckets)
+                    pa.schema({id_col: pa.int64(), out_col: pa.string()}))

@@ -13,9 +13,9 @@ public algorithm) re-expressed Ray-Data-first:
 - ``train_bpe``: each merge round is one ``map_batches`` pass over the
   (distributed, materialized-in-object-store) word table emitting
   partial pair counts, one coarse PAIR-hash bucket shuffle summing
-  them, a per-bucket top-1, and a driver argmax over <= num_buckets
-  candidate rows.  Nothing vocabulary- or corpus-sized ever lands on
-  the driver; per-round driver traffic is ``num_buckets`` rows.
+  them, a per-bucket top-1, and a driver argmax over one candidate
+  row per bucket.  Nothing vocabulary- or corpus-sized ever lands on
+  the driver; per-round driver traffic is one row per bucket.
 - ``encode_bpe``: one corpus pass on an actor pool; each actor applies
   the (broadcast, tiny) merge list to the batch's DISTINCT words with
   a cross-batch memo, then maps counts back through the word
@@ -53,6 +53,9 @@ import pyarrow as pa
 
 _TOKEN_RUN = re.compile(r"[a-z0-9]+")
 _EOW = "</w>"
+# ``train_bpe`` runs its merge loop driver-side on a word table of at
+# most this many rows, and distributed above it.
+DRIVER_VOCAB_THRESHOLD = 200_000
 
 
 def spaced(word: str) -> str:
@@ -60,7 +63,7 @@ def spaced(word: str) -> str:
     return " " + " ".join(word) + " " + _EOW + " "
 
 
-def word_freqs(ds, text_col: str = "text", num_buckets: int = 32):
+def word_freqs(ds, text_col: str = "text"):
     """Distinct-word frequency Dataset ``(word, freq)`` over the shared
     ``[a-z0-9]+`` lowercase tokenizer contract.  Per-batch vectorized
     partial counts; each word's total is summed inside its coarse hash
@@ -82,7 +85,7 @@ def word_freqs(ds, text_col: str = "text", num_buckets: int = 32):
 
     return exchange(
         ds.map_batches(_partial, batch_format="pandas"), "word", _sum,
-        pa.schema({"word": pa.string(), "freq": pa.int64()}), num_buckets)
+        pa.schema({"word": pa.string(), "freq": pa.int64()}))
 
 
 def _pair_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -141,8 +144,6 @@ def _train_driver(wdf: pd.DataFrame, num_merges: int) -> pd.DataFrame:
 
 
 def train_bpe(ds, num_merges: int, text_col: str = "text",
-              num_buckets: int = 32,
-              driver_vocab_threshold: int = 200_000,
               flush_every: int = 4) -> pd.DataFrame:
     """Learn ``num_merges`` BPE merges from a document corpus.
 
@@ -154,17 +155,17 @@ def train_bpe(ds, num_merges: int, text_col: str = "text",
 
     Path switch (the ops/lm.py broadcast-threshold idiom): the corpus
     is always reduced distributed to the vocabulary-sized word table
-    first; if that table has <= ``driver_vocab_threshold`` rows the
+    first; if that table has <= ``DRIVER_VOCAB_THRESHOLD`` rows the
     merge loop runs DRIVER-SIDE on it (the classic in-memory
     algorithm — zero per-round Ray jobs), otherwise every round stays
     distributed: one pass over the word table emitting pair partials
     (with up to ``flush_every`` pending merges applied on the fly,
     so the table is re-materialized only every few rounds), one
-    pair-bucket shuffle, <= num_buckets candidate rows to the driver.
+    pair-bucket shuffle, one candidate row per bucket to the driver.
     Both paths share the contract bit-exactly (equality pytest)."""
     from ..core.exchange import exchange
 
-    wf = word_freqs(ds, text_col=text_col, num_buckets=num_buckets)
+    wf = word_freqs(ds, text_col=text_col)
 
     def _to_sym(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -179,7 +180,7 @@ def train_bpe(ds, num_merges: int, text_col: str = "text",
     n_vocab = words.count()
     if n_vocab == 0:
         return _merges_df([])
-    if n_vocab <= driver_vocab_threshold:
+    if n_vocab <= DRIVER_VOCAB_THRESHOLD:
         return _train_driver(words.to_pandas(), num_merges)
 
     def _bucket_top1(df: pd.DataFrame) -> pd.DataFrame:
@@ -208,8 +209,8 @@ def train_bpe(ds, num_merges: int, text_col: str = "text",
             stage.map_batches(_pair_partials, batch_format="pandas"),
             ["lhs", "rhs"], _bucket_top1,
             pa.schema({"lhs": pa.string(), "rhs": pa.string(),
-                       "n": pa.int64()}), num_buckets,
-        ).to_pandas()  # <= num_buckets rows by construction
+                       "n": pa.int64()}),
+        ).to_pandas()  # <= one row per bucket by construction
         if not len(cands):
             break
         cands = cands.sort_values(

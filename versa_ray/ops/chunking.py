@@ -206,5 +206,4 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
         ranged, ["_range"], _spans,
         lambda sch: pa.schema([sch.field(id_col),
                                pa.field("seq_id", pa.int64()),
-                               pa.field("n_tokens", pa.int64())]),
-        min(num_ranges, 64))
+                               pa.field("n_tokens", pa.int64())]))

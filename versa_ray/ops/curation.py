@@ -23,7 +23,7 @@ __all__ = ["curate_documents"]
 def curate_documents(ds, *, text_col="text", id_col="doc_id", lang_col="lang",
                      lang_allow=None, min_tokens=0, max_digit_ratio=1.0,
                      normalize=True, near_dedup=False, near_threshold=0.5,
-                     line_dedup_words=None, num_buckets=64, out_path=None,
+                     line_dedup_words=None, out_path=None,
                      **near_kw):
     """Curated rows ``(id, lang, norm_text|text)``: language
     allow-list, token-count floor, digit-ratio ceiling (expressed as
@@ -62,7 +62,7 @@ def curate_documents(ds, *, text_col="text", id_col="doc_id", lang_col="lang",
 
         filtered = line_dedup(
             filtered, text_col=out_text, id_col=id_col,
-            line_words=line_dedup_words, num_buckets=num_buckets,
+            line_words=line_dedup_words,
             keep_cols=(lang_col,),
         ).map_batches(
             # docs whose every line was a duplicate drop out
@@ -88,7 +88,7 @@ def curate_documents(ds, *, text_col="text", id_col="doc_id", lang_col="lang",
         return pa.schema([sch.field(c) for c in cols])
 
     deduped = exchange(filtered.map_batches(_local, batch_format="pandas"),
-                       "_fp", _bucket_dedup, _cols_of, num_buckets)
+                       "_fp", _bucket_dedup, _cols_of)
 
     if near_dedup:
         from .dedup import minhash_dedup
@@ -117,15 +117,14 @@ def curate_documents(ds, *, text_col="text", id_col="doc_id", lang_col="lang",
             return keep
 
         deduped = exchange([deduped, drops], id_col, _anti,
-                           deduped.schema().base_schema, num_buckets)
+                           deduped.schema().base_schema)
 
     if out_path:
         deduped.write_parquet(out_path, partition_cols=[lang_col])
     return deduped
 
 
-def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
-                 num_buckets=64):
+def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id"):
     """DSIR-style importance weights for training-data selection
     (Data Selection via Importance Resampling, Xie et al. 2023,
     arXiv:2302.03169): score every document by how much more likely
@@ -192,7 +191,6 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
     cnt = exchange(
         ds.map_batches(_partials, batch_format="pandas"), "token", _merge,
         pa.schema({"token": pa.string(), "ct": pa.int64(), "cs": pa.int64()}),
-        num_buckets,
     ).materialize()
     scal = cnt.map_batches(
         lambda df: pd.DataFrame({
@@ -242,9 +240,8 @@ def dsir_weights(ds, *, is_target, text_col="text", id_col="doc_id",
     attached = exchange(
         [ds.map_batches(_doc_rows, batch_format="pandas"), cnt],
         [["_k"], ["token"]], _attach,
-        pa.schema({id_col: pa.int64(), "m": pa.int64(), "_lr": pa.float64()}),
-        num_buckets)
+        pa.schema({id_col: pa.int64(), "m": pa.int64(), "_lr": pa.float64()}))
     return exchange(
         attached, id_col, _finalize,
         pa.schema({id_col: pa.int64(), "n_tokens": pa.int64(),
-                   "log_ratio": pa.float64()}), num_buckets)
+                   "log_ratio": pa.float64()}))

@@ -44,6 +44,16 @@ from ..core.dsutil import write_parquet_plain
 from ..core.exchange import bucketed_group_apply, distinct_rows, exchange
 
 _MERSENNE = (1 << 61) - 1
+# ``assign_clusters`` solves components driver-side up to this many
+# verified pairs, and ``verify_pairs_jaccard`` broadcasts candidate
+# texts up to this many pairs; above each, the distributed path runs.
+CLUSTER_BROADCAST_THRESHOLD = 100_000
+VERIFY_BROADCAST_THRESHOLD = 10_000
+# Partition count of the incremental dedup state on disk (``bucket=N``
+# under the exact state dir, ``bands/`` and ``sigs/`` for MinHash). It
+# is layout, fixed for every call on a state dir: a call probing a
+# different count would miss the partitions that hold earlier hashes.
+_STATE_BUCKETS = 16
 _MINHASHER_CACHE: dict = {}
 # per-byte popcount lookup table (Hamming distance on packed uint64)
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
@@ -141,7 +151,7 @@ def word_shingles(text: str, k: int = 3) -> list[str]:
 # Exact dedup
 
 
-def exact_dedup(ds, key: str = "text", id_col: str = "doc_id", num_buckets=64):
+def exact_dedup(ds, key: str = "text", id_col: str = "doc_id"):
     """Keep the minimum id per distinct key value.
 
     The shuffle key is a 64-bit FINGERPRINT of the content (hashed into
@@ -164,8 +174,7 @@ def exact_dedup(ds, key: str = "text", id_col: str = "doc_id", num_buckets=64):
 
     return exchange(
         ds.map_batches(_local, batch_format="pandas"), "_fp", _bucket_dedup,
-        lambda sch: pa.schema([sch.field(id_col), sch.field(key)]),
-        num_buckets)
+        lambda sch: pa.schema([sch.field(id_col), sch.field(key)]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +417,7 @@ def _work_frame(key, kind, a, c=None) -> pd.DataFrame:
     )
 
 
-def cluster_pairs_ds(pairs, max_iters=50, num_buckets=None):
+def cluster_pairs_ds(pairs, max_iters=50):
     """Distributed connected components over a pair list: iterative
     min-label propagation to fixpoint, expressed as coarse-bucket
     shuffles over a tagged working set (kind 0 = label row keyed by
@@ -482,7 +491,7 @@ def cluster_pairs_ds(pairs, max_iters=50, num_buckets=None):
 
     work = pairs.map_batches(_init, batch_format="pandas")
     for it in range(max_iters):
-        work = exchange(work, "key", _step, _WORK, num_buckets).materialize()
+        work = exchange(work, "key", _step, _WORK).materialize()
         if it == 0:
             if work.count() == 0:
                 return rd.from_arrow(pa.table(
@@ -501,12 +510,11 @@ def cluster_pairs_ds(pairs, max_iters=50, num_buckets=None):
     return work.map_batches(_labels_only, batch_format="pandas")
 
 
-def assign_clusters(ds, pairs, id_col="doc_id", num_buckets=None,
-                    broadcast_threshold=100_000):
+def assign_clusters(ds, pairs, id_col="doc_id"):
     """id -> cluster-representative Dataset for the WHOLE corpus.
 
     Pairs are the small output of verification — while they fit under
-    ``broadcast_threshold`` the components are solved driver-side over
+    ``CLUSTER_BROADCAST_THRESHOLD`` the components are solved driver-side over
     the PAIR LIST ONLY (bounded state, never corpus ids) and the label
     map is broadcast once (ray.put) into a distributed corpus map.
     Above the threshold, distributed min-label propagation
@@ -516,7 +524,7 @@ def assign_clusters(ds, pairs, id_col="doc_id", num_buckets=None,
     import ray
 
     pairs = pairs.materialize()
-    if pairs.count() <= broadcast_threshold:
+    if pairs.count() <= CLUSTER_BROADCAST_THRESHOLD:
         from ..core.dsutil import rows_of
 
         label_map = cluster_pairs(
@@ -537,7 +545,7 @@ def assign_clusters(ds, pairs, id_col="doc_id", num_buckets=None,
             _map, batch_format="pandas"
         )
 
-    labels = cluster_pairs_ds(pairs, num_buckets=num_buckets)
+    labels = cluster_pairs_ds(pairs)
 
     def _merge(corpus: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
         if not len(corpus):
@@ -553,12 +561,11 @@ def assign_clusters(ds, pairs, id_col="doc_id", num_buckets=None,
 
     return exchange(
         [ds.select_columns([id_col]), labels], [[id_col], ["node"]], _merge,
-        pa.schema({id_col: pa.int64(), "cluster": pa.int64()}), num_buckets)
+        pa.schema({id_col: pa.int64(), "cluster": pa.int64()}))
 
 
 def verified_near_dup_pairs(ds, threshold=0.5, est_threshold=0.35, k=3,
-                            text_col="text", id_col="doc_id",
-                            num_buckets=64, **kw):
+                            text_col="text", id_col="doc_id", **kw):
     """Near-duplicate pairs with EXACT n-gram-Jaccard verification,
     fully distributed: LSH candidate pairs (generous estimate
     threshold for recall) verified by verify_pairs_jaccard_ds.
@@ -576,12 +583,12 @@ def verified_near_dup_pairs(ds, threshold=0.5, est_threshold=0.35, k=3,
     )
     return verify_pairs_jaccard_ds(
         ds, pairs, threshold=threshold, k=k, text_col=text_col,
-        id_col=id_col, num_buckets=num_buckets,
+        id_col=id_col,
     )
 
 
 def verify_pairs_jaccard_ds(ds, pairs, threshold=0.5, k=3, text_col="text",
-                            id_col="doc_id", num_buckets=64):
+                            id_col="doc_id"):
     """Distributed exact-Jaccard verification of a candidate-pair
     Dataset (integer ids): texts attach to pair endpoints in ONE
     corpus bucket-merge pass (each pair emits two endpoint-keyed
@@ -596,11 +603,11 @@ def verify_pairs_jaccard_ds(ds, pairs, threshold=0.5, k=3, text_col="text",
                            dtype=np.float64, count=len(ta))
 
     attached = _attach_endpoints(ds.select_columns([id_col, text_col]), pairs,
-                                 id_col, _texts, pa.string(), num_buckets)
-    return _verify_pairs(attached, _jaccard, "jaccard", threshold, num_buckets)
+                                 id_col, _texts, pa.string())
+    return _verify_pairs(attached, _jaccard, "jaccard", threshold)
 
 
-def _attach_endpoints(ds, pairs, id_col, payload, pay_type, num_buckets):
+def _attach_endpoints(ds, pairs, id_col, payload, pay_type):
     """(id_a, id_b, side, pay) rows: each candidate pair's endpoint
     payloads (``payload(corpus_frame)``), attached in ONE corpus
     exchange — every pair emits two rows, keyed by each endpoint."""
@@ -641,10 +648,10 @@ def _attach_endpoints(ds, pairs, id_col, payload, pay_type, num_buckets):
         [ds, pairs.map_batches(_pair_rows, batch_format="pandas")],
         [[id_col], ["key"]], _attach,
         _PAIRS.append(pa.field("side", pa.int8())).append(
-            pa.field("pay", pay_type)), num_buckets)
+            pa.field("pay", pay_type)))
 
 
-def _verify_pairs(attached, score, col, threshold, num_buckets):
+def _verify_pairs(attached, score, col, threshold):
     """Pair-sized exchange joining both endpoint payloads of each pair
     and keeping pairs with ``score(pay_a, pay_b) >= threshold``."""
 
@@ -664,8 +671,7 @@ def _verify_pairs(attached, score, col, threshold, num_buckets):
             col: sc[keep],
         })
 
-    return exchange(attached, ["id_a", "id_b"], _verify, _pair_schema(col),
-                    num_buckets)
+    return exchange(attached, ["id_a", "id_b"], _verify, _pair_schema(col))
 
 
 def minhash_dedup(ds, text_col="text", id_col="doc_id", threshold=0.5, **kw):
@@ -696,7 +702,7 @@ def _edit_distance_leq1(a: str, b: str) -> bool:
     return a[i:] == b[i + 1:]
 
 
-def edit_distance_pairs(ds, col, id_col="doc_id", num_buckets=64):
+def edit_distance_pairs(ds, col, id_col="doc_id"):
     """All pairs of rows whose ``col`` strings are within Levenshtein
     distance 1 (typo-duplicates) — FastSS deletion neighborhoods:
 
@@ -743,13 +749,13 @@ def edit_distance_pairs(ds, col, id_col="doc_id", num_buckets=64):
     schema = _pair_schema("dist", pa.int64())
     cands = bucketed_group_apply(
         ds.map_batches(_variants, batch_format="pandas"),
-        ["_var"], _pairs, schema, num_buckets, min_group_size=2,
+        ["_var"], _pairs, schema, min_group_size=2,
     )
-    return distinct_rows(cands, ["id_a", "id_b"], schema, num_buckets)
+    return distinct_rows(cands, ["id_a", "id_b"], schema)
 
 
 def near_dup_keep_best(ds, by, text_col="text", id_col="doc_id",
-                       threshold=0.5, ascending=False, num_buckets=64, **kw):
+                       threshold=0.5, ascending=False, **kw):
     """Quality-aware near-dedup keep rule: one row per near-dup
     cluster, keeping the BEST document — argmax of the ``by`` column
     (argmin with ``ascending=True``), ties to the smallest id —
@@ -782,10 +788,10 @@ def near_dup_keep_best(ds, by, text_col="text", id_col="doc_id",
     joined = exchange(
         [assigns, quality], id_col, _merge,
         pa.schema([pa.field(id_col, pa.int64()), pa.field("cluster", pa.int64()),
-                   pa.field(by, by_type)]), num_buckets)
+                   pa.field(by, by_type)]))
     best = grouped_topk(
         joined, ["cluster"], by, k=1, ascending=ascending,
-        tie_cols=[id_col], num_buckets=num_buckets,
+        tie_cols=[id_col],
     )
     return best.map_batches(
         lambda df: df.drop(columns=["rank"]), batch_format="pandas"
@@ -956,11 +962,11 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
 
 
 def verify_pairs_jaccard(ds, pairs, text_col="text", id_col="doc_id", k=3,
-                         threshold=0.5, broadcast_threshold=10_000):
+                         threshold=0.5):
     """Exact-Jaccard verification of candidate pairs: broadcast the
     candidate docs' texts (small side), verify inside map_batches.
 
-    Above ``broadcast_threshold`` pairs this auto-switches to the
+    Above ``VERIFY_BROADCAST_THRESHOLD`` pairs this auto-switches to the
     distributed ``verify_pairs_jaccard_ds`` (texts attached by bucket
     merge, never broadcast driver-side) — mirroring assign_clusters'
     guard, so callers can't accidentally broadcast a corpus-sized
@@ -972,7 +978,7 @@ def verify_pairs_jaccard(ds, pairs, text_col="text", id_col="doc_id", k=3,
         # pipeline once for the count and AGAIN for the verify
         pairs = pairs.materialize()
     n_pairs = len(pairs) if isinstance(pairs, list) else pairs.count()
-    if n_pairs > broadcast_threshold:
+    if n_pairs > VERIFY_BROADCAST_THRESHOLD:
         import ray.data as rd
 
         pairs_ds = rd.from_items(pairs) if isinstance(pairs, list) else pairs
@@ -1022,8 +1028,7 @@ def verify_pairs_jaccard(ds, pairs, text_col="text", id_col="doc_id", k=3,
 def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
                            max_df_frac: float = 0.02, min_df: int = 2,
                            max_df: int | None = None, ngram_n: int = 1,
-                           text_col: str = "text", id_col: str = "doc_id",
-                           num_buckets: int = 64):
+                           text_col: str = "text", id_col: str = "doc_id"):
     """Sparse term-frequency cosine similarity between documents:
     pairs whose raw-tf vectors have cosine >= ``threshold``, with the
     candidate set generated TERM-AT-A-TIME (the classic sparse-index
@@ -1120,8 +1125,7 @@ def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
 
     tf_rows = ds.map_batches(_tf, batch_format="pandas")
     pair_parts = bucketed_group_apply(
-        tf_rows, ["term"], _term_pairs, _pair_schema,
-        num_buckets, min_group_size=min_df)
+        tf_rows, ["term"], _term_pairs, _pair_schema, min_group_size=min_df)
 
     def _finalize(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby(["id_a", "id_b"], as_index=False).agg(
@@ -1136,8 +1140,7 @@ def sparse_tf_cosine_pairs(ds, threshold: float = 0.5,
     return exchange(
         pair_parts, ["id_a", "id_b"], _finalize,
         lambda sch: pa.schema([sch.field("id_a"), sch.field("id_b"),
-                               ("dot", pa.int64()), ("cos", pa.float64())]),
-        num_buckets)
+                               ("dot", pa.int64()), ("cos", pa.float64())]))
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1163,7 @@ def _partition_files(state_dir, buckets):
 
 
 def line_dedup(ds, text_col="text", id_col="doc_id", sep="\n",
-               line_words=None, num_buckets=64, keep_cols=()):
+               line_words=None, keep_cols=()):
     """CCNet-style LINE-level dedup: every document is split into
     lines, the corpus-wide FIRST occurrence of each distinct line
     (minimum ``(doc_id, line_idx)``) is kept, every other copy is
@@ -1230,12 +1233,11 @@ def line_dedup(ds, text_col="text", id_col="doc_id", sep="\n",
 
     marked = exchange(
         ds.map_batches(_explode, batch_format="pandas"), "line", _mark,
-        lambda sch: sch.append(pa.field("keep", pa.bool_())), num_buckets)
+        lambda sch: sch.append(pa.field("keep", pa.bool_())))
     return exchange(
         marked, id_col, _rebuild,
         lambda sch: pa.schema([sch.field(id_col), pa.field(text_col, pa.string())]
-                              + [sch.field(c) for c in keep_cols]),
-        num_buckets)
+                              + [sch.field(c) for c in keep_cols]))
 
 
 def _sweep_stages(state_dir):
@@ -1345,7 +1347,7 @@ def _recover_pending_delta(state_dir):
 
 
 def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
-                            id_col: str = "doc_id", num_buckets: int = 16):
+                            id_col: str = "doc_id"):
     """Exact dedup of an APPEND-ONLY corpus across micro-batches: each
     call dedups ``delta_ds`` against everything any previous call saw,
     returning ``(new_docs_ds, n_new)``. The continuous-crawl shape of
@@ -1385,13 +1387,13 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
             hashlib.md5(str(v).encode("utf-8")).hexdigest()
             for v in out[key]
         ]
-        out["bucket"] = (fp % num_buckets).astype("int64")
+        out["bucket"] = (fp % _STATE_BUCKETS).astype("int64")
         return out
 
     delta = delta_ds.map_batches(_local, batch_format="pandas").materialize()
     touched = sorted(
         int(b) for b in delta.unique("bucket")
-    )  # bounded by num_buckets
+    )  # bounded by _STATE_BUCKETS
     existing = [
         b for b in touched
         if os.path.isdir(os.path.join(state_dir, f"bucket={b}"))
@@ -1409,8 +1411,8 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
             d = d[~d["_md5"].isin(set(state["_md5"]))]
         return d
 
-    new_docs = exchange(inputs, "_md5", _merge, lambda sch, *_: sch,
-                        num_buckets).materialize()
+    new_docs = exchange(inputs, "_md5", _merge,
+                        lambda sch, *_: sch).materialize()
     n_new = new_docs.count()
 
     # rewrite ONLY touched buckets: old rows of the bucket + new hashes
@@ -1427,7 +1429,7 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
         upd = upd.map_batches(
             lambda df: df.assign(
                 bucket=(
-                    df["_fp"].to_numpy().astype(np.uint64) % num_buckets
+                    df["_fp"].to_numpy().astype(np.uint64) % _STATE_BUCKETS
                 ).astype("int64")
             ),
             batch_format="pandas",
@@ -1440,7 +1442,7 @@ def incremental_exact_dedup(state_dir, delta_ds, key: str = "text",
 
 def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                               id_col="doc_id", num_perm=64, bands=16, k=3,
-                              threshold=0.5, num_buckets=16,
+                              threshold=0.5,
                               max_bucket=2048):
     """NEAR-duplicate dedup of an APPEND-ONLY corpus across
     micro-batches — the MinHash/LSH sibling of
@@ -1514,8 +1516,8 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
             out["band_hash"].to_numpy().astype(np.uint64) * _P1
             + out["band"].to_numpy().astype(np.uint64)
         )
-        out["bucket"] = _stable_int_bucket(key.astype(np.int64), num_buckets).astype(
-            "int64")
+        out["bucket"] = _stable_int_bucket(
+            key.astype(np.int64), _STATE_BUCKETS).astype("int64")
         return out
 
     delta_sigs = delta_ds.map_batches(
@@ -1625,7 +1627,8 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
         if len(cand):
             cand_reps = np.unique(cand["_rep"].to_numpy())
             rep_buckets = sorted(
-                set(int(b) for b in _stable_int_bucket(cand_reps, num_buckets)))
+                set(int(b) for b in
+                    _stable_int_bucket(cand_reps, _STATE_BUCKETS)))
             rep_buckets = [
                 b for b in rep_buckets
                 if os.path.isdir(os.path.join(sigs_dir, f"bucket={b}"))
@@ -1720,7 +1723,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
             one = df[df["band"] == 0]
             out = one[["rep", "sig"]].copy()
             out["bucket"] = _stable_int_bucket(
-                out["rep"].to_numpy().astype(np.int64), num_buckets
+                out["rep"].to_numpy().astype(np.int64), _STATE_BUCKETS
             ).astype("int64")
             return out
 
@@ -1748,7 +1751,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                         lambda df: df.assign(
                             bucket=_stable_int_bucket(
                                 df["rep"].to_numpy().astype(np.int64),
-                                num_buckets).astype("int64")),
+                                _STATE_BUCKETS).astype("int64")),
                         batch_format="pandas",
                     )
                 )
@@ -1767,7 +1770,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
                              * _P1
                              + df["band"].to_numpy().astype(np.uint64)
                              ).astype(np.int64),
-                            num_buckets).astype("int64")),
+                            _STATE_BUCKETS).astype("int64")),
                     batch_format="pandas",
                 )
             )
@@ -1798,8 +1801,7 @@ def incremental_minhash_dedup(state_dir, delta_ds, text_col="text",
 # Cross-document duplicated-span detection (exact-substring dedup)
 
 
-def dup_spans(ds, text_col="text", id_col="doc_id", k=8, min_docs=2,
-              num_buckets=64):
+def dup_spans(ds, text_col="text", id_col="doc_id", k=8, min_docs=2):
     """Cross-document duplicated-SPAN detection: the exact-substring
     dedup of "Deduplicating Training Data Makes Language Models
     Better" (Lee et al. 2022), re-expressed for Ray Data as k-token-
@@ -1869,9 +1871,8 @@ def dup_spans(ds, text_col="text", id_col="doc_id", k=8, min_docs=2,
 
     grams = ds.map_batches(_grams, batch_format="pandas")
     hits = exchange(grams, "gram", _mark,
-                    pa.schema({id_col: pa.int64(), "pos": pa.int64()}),
-                    num_buckets)
-    return exchange(hits, id_col, _spans, _SPANS(id_col), num_buckets)
+                    pa.schema({id_col: pa.int64(), "pos": pa.int64()}))
+    return exchange(hits, id_col, _spans, _SPANS(id_col))
 
 
 def _SPANS(id_col):
@@ -1880,7 +1881,7 @@ def _SPANS(id_col):
 
 
 def remove_dup_spans(ds, spans=None, text_col="text", id_col="doc_id",
-                     k=8, min_docs=2, num_buckets=64):
+                     k=8, min_docs=2):
     """Strip every duplicated span found by :func:`dup_spans` from its
     document and reassemble the surviving tokens in order (single-
     space joined). Unlike first-wins line dedup this removes ALL
@@ -1893,7 +1894,7 @@ def remove_dup_spans(ds, spans=None, text_col="text", id_col="doc_id",
     """
     if spans is None:
         spans = dup_spans(ds, text_col=text_col, id_col=id_col, k=k,
-                          min_docs=min_docs, num_buckets=num_buckets)
+                          min_docs=min_docs)
 
     def _strip(docs: pd.DataFrame, sp: pd.DataFrame) -> pd.DataFrame:
         if not len(docs):
@@ -1917,11 +1918,11 @@ def remove_dup_spans(ds, spans=None, text_col="text", id_col="doc_id",
 
     return exchange(
         [ds.select_columns([id_col, text_col]), spans], id_col, _strip,
-        pa.schema({id_col: pa.int64(), text_col: pa.string()}), num_buckets)
+        pa.schema({id_col: pa.int64(), text_col: pa.string()}))
 
 
 def edit_distance_join(left, right, col, right_col=None, id_col="doc_id",
-                       right_id_col=None, num_buckets=64):
+                       right_id_col=None):
     """Bipartite Levenshtein-distance-<=1 record linkage: match rows
     of ``left`` against rows of ``right`` whose strings are within
     edit distance 1 — the clean-entities-vs-noisy-feed step of KG
@@ -1972,9 +1973,9 @@ def edit_distance_join(left, right, col, right_col=None, id_col="doc_id",
         left.map_batches(_variants(col, id_col, 0), batch_format="pandas")
         .union(right.map_batches(
             _variants(rcol, rid, 1), batch_format="pandas")),
-        ["_var"], _pairs, schema, num_buckets, min_group_size=2,
+        ["_var"], _pairs, schema, min_group_size=2,
     )
-    return distinct_rows(cands, ["id_l", "id_r"], schema, num_buckets)
+    return distinct_rows(cands, ["id_l", "id_r"], schema)
 
 
 def _winnow_hash_md5(text: str, k: int, m: int) -> "np.ndarray":
@@ -2079,7 +2080,7 @@ def winnow_fingerprints(ds, text_col="text", id_col="doc_id", k=8, w=8,
 
 
 def winnow_overlap_pairs(ds, text_col="text", id_col="doc_id", k=8, w=8,
-                         min_shared=2, max_fp_docs=64, num_buckets=64,
+                         min_shared=2, max_fp_docs=64,
                          hasher="md5"):
     """Document-overlap candidate pairs from shared winnowing
     fingerprints — the plagiarism/boilerplate-passage detector.
@@ -2115,7 +2116,7 @@ def winnow_overlap_pairs(ds, text_col="text", id_col="doc_id", k=8, w=8,
         return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]})
 
     cands = bucketed_group_apply(
-        dfp, ["fp"], _pairs, _PAIRS, num_buckets, min_group_size=2)
+        dfp, ["fp"], _pairs, _PAIRS, min_group_size=2)
 
     def _count(bucket: pd.DataFrame) -> pd.DataFrame:
         counts = (
@@ -2125,12 +2126,11 @@ def winnow_overlap_pairs(ds, text_col="text", id_col="doc_id", k=8, w=8,
         return counts[counts["shared"] >= min_shared]
 
     return exchange(cands, ["id_a", "id_b"], _count,
-                    _pair_schema("shared", pa.int64()), num_buckets)
+                    _pair_schema("shared", pa.int64()))
 
 
 def winnow_containment_pairs(ds, text_col="text", id_col="doc_id", k=8,
-                             w=8, min_shared=2, max_fp_docs=64,
-                             num_buckets=64, hasher="md5"):
+                             w=8, min_shared=2, max_fp_docs=64, hasher="md5"):
     """Asymmetric overlap detection on winnowing sketches: for every
     pair sharing >= ``min_shared`` fingerprints, emit
     ``(id_a, id_b, shared, n_a, n_b)`` — shared fingerprint count plus
@@ -2150,8 +2150,7 @@ def winnow_containment_pairs(ds, text_col="text", id_col="doc_id", k=8,
     """
     pairs = winnow_overlap_pairs(
         ds, text_col=text_col, id_col=id_col, k=k, w=w,
-        min_shared=min_shared, max_fp_docs=max_fp_docs,
-        num_buckets=num_buckets, hasher=hasher)
+        min_shared=min_shared, max_fp_docs=max_fp_docs, hasher=hasher)
 
     fps = winnow_fingerprints(
         ds, text_col=text_col, id_col=id_col, k=k, w=w, hasher=hasher)
@@ -2181,5 +2180,5 @@ def winnow_containment_pairs(ds, text_col="text", id_col="doc_id", k=8,
     for side, out_col in (("id_a", "n_a"), ("id_b", "n_b")):
         schema = schema.append(pa.field(out_col, pa.int64()))
         cur = exchange([cur, counts], [[side], [id_col]],
-                       _attach(side, out_col), schema, num_buckets)
+                       _attach(side, out_col), schema)
     return cur

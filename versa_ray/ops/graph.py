@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..core import exchange as shuffle
 from ..core.exchange import bucketed_group_apply, distinct_rows, exchange
 
 # string-keyed working sets of the iterative operators
@@ -32,7 +33,7 @@ def _int64_schema(names):
     return pa.schema([(c, pa.int64()) for c in names])
 
 
-def _distinct_nodes(edges, cols, num_buckets):
+def _distinct_nodes(edges, cols):
     """Distinct int64 ``node`` rows over the endpoint ``cols``."""
 
     def _ends(df: pd.DataFrame) -> pd.DataFrame:
@@ -41,10 +42,10 @@ def _distinct_nodes(edges, cols, num_buckets):
         return pd.DataFrame({"node": np.unique(ends).astype(np.int64)})
 
     return distinct_rows(edges.map_batches(_ends, batch_format="pandas"),
-                         ["node"], _int64_schema(["node"]), num_buckets)
+                         ["node"], _int64_schema(["node"]))
 
 
-def out_degrees(links_ds, num_buckets=64):
+def out_degrees(links_ds):
     """(origin, out_degree) for every origin — per-batch partial
     counts merged in a coarse-bucket shuffle (origins are near-unique
     keys)."""
@@ -60,8 +61,7 @@ def out_degrees(links_ds, num_buckets=64):
 
     return exchange(
         links_ds.map_batches(_partial, batch_format="pandas"), "origin",
-        _merge, pa.schema({"origin": pa.string(), "out_degree": pa.int64()}),
-        num_buckets)
+        _merge, pa.schema({"origin": pa.string(), "out_degree": pa.int64()}))
 
 
 def _iri_edges(links_ds):
@@ -80,8 +80,7 @@ def _iri_edges(links_ds):
     return links_ds.map_batches(_edges, batch_format="pyarrow")
 
 
-def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
-             personalize=None):
+def pagerank(links_ds, damping=0.85, n_iters=20, personalize=None):
     """Distributed PageRank over the IRI-target entity graph.
 
     Working-set rows (all string-keyed): kind 0 = node state
@@ -136,8 +135,7 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
         )
         return out
 
-    work = exchange(work, "key", _collapse, _PR_WORK,
-                    num_buckets).materialize()
+    work = exchange(work, "key", _collapse, _PR_WORK).materialize()
     n_nodes = work.map_batches(
         lambda df: pd.DataFrame({"n": [int((df["kind"] == 0).sum())]}),
         batch_format="pandas",
@@ -250,8 +248,7 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
                 )
             return pd.concat(out_parts, ignore_index=True)
 
-        work = exchange(work, "key", _step, _PR_WORK,
-                        num_buckets).materialize()
+        work = exchange(work, "key", _step, _PR_WORK).materialize()
         # collect this round's dangling mass (one scalar), then drop
         # the marker rows and stale contributions for the next round
         state["dangling"] = work.map_batches(
@@ -278,8 +275,7 @@ def pagerank(links_ds, damping=0.85, n_iters=20, num_buckets=None,
     return work.map_batches(_final, batch_format="pandas")
 
 
-def weakly_connected_components(links_ds, rels=None, max_iters=50,
-                                num_buckets=None):
+def weakly_connected_components(links_ds, rels=None, max_iters=50):
     """(node, component) over the undirected entity graph: component =
     lexicographic-min node IRI, via distributed min-label propagation
     (the string-keyed sibling of ops.dedup.cluster_pairs_ds).
@@ -369,8 +365,7 @@ def weakly_connected_components(links_ds, rels=None, max_iters=50,
     )
     converged = False
     for it in range(max_iters):
-        work = exchange(work, "key", _step, _LABEL_WORK,
-                        num_buckets).materialize()
+        work = exchange(work, "key", _step, _LABEL_WORK).materialize()
         if it == 0:
             if work.count() == 0:
                 return rd.from_arrow(
@@ -397,7 +392,7 @@ def weakly_connected_components(links_ds, rels=None, max_iters=50,
     return work.map_batches(_labels_only, batch_format="pandas")
 
 
-def entail_types(links_ds, subclass_pairs, type_rel=None, num_buckets=64):
+def entail_types(links_ds, subclass_pairs, type_rel=None):
     """RDFS-style type entailment: every entity typed ``C`` is also
     typed with every (transitive) superclass of ``C``.
 
@@ -453,10 +448,10 @@ def entail_types(links_ds, subclass_pairs, type_rel=None, num_buckets=64):
     out = links_ds.map_batches(_entail, batch_format="pandas")
     return distinct_rows(
         out, ["origin", "cls"],
-        pa.schema({"origin": pa.string(), "cls": pa.string()}), num_buckets)
+        pa.schema({"origin": pa.string(), "cls": pa.string()}))
 
 
-def triangle_count(edges_ds, u="u", v="v", num_buckets=64):
+def triangle_count(edges_ds, u="u", v="v"):
     """EXACT triangle count of an undirected simple graph given as
     canonical edges (``u < v``, distinct). Node-iterator algorithm,
     fully distributed:
@@ -475,19 +470,19 @@ def triangle_count(edges_ds, u="u", v="v", num_buckets=64):
     degree so hubs sit highest and generate no wedges.
 
     Returns a one-row pandas DataFrame ``(n_triangles,)`` — the
-    per-bucket match counts (<= ``num_buckets`` rows) merge on the
+    per-bucket match counts (one row per bucket at most) merge on the
     driver."""
     uv = _uv_schema(u, v)
     wedges = bucketed_group_apply(
-        edges_ds, [u], _wedges_of(u, v), uv, num_buckets, min_group_size=2)
+        edges_ds, [u], _wedges_of(u, v), uv, min_group_size=2)
 
     # count wedges that are themselves edges: a two-input exchange on
     # the (u, v) pair, per-bucket set membership, small-sum finish
     matched = exchange(
         [edges_ds.select_columns([u, v]), wedges], [u, v], _count_matches(u, v),
-        pa.schema({"n": pa.int64()}), num_buckets)
+        pa.schema({"n": pa.int64()}))
 
-    # final merge is driver-side on purpose: <= num_buckets count rows,
+    # final merge is driver-side on purpose: one count row per bucket,
     # and a triangle-free graph leaves EVERY block empty — a
     # repartition(1) + map_batches finisher would then see zero input
     # blocks and emit nothing instead of the required single 0 row
@@ -530,7 +525,7 @@ def _count_matches(u, v):
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 
 
-def sameas_canonicalize(links_ds, sameas_rel=OWL_SAMEAS, num_buckets=64):
+def sameas_canonicalize(links_ds, sameas_rel=OWL_SAMEAS):
     """Entity canonicalization over an ``owl:sameAs``-style equivalence
     relation — the KG-construction step that collapses aliased
     entities after record linkage. Components of the (undirected)
@@ -555,7 +550,7 @@ def sameas_canonicalize(links_ds, sameas_rel=OWL_SAMEAS, num_buckets=64):
     from ..model.linkset import distinct_links, replace_values_ds
 
     wcc = weakly_connected_components(
-        links_ds, rels=[sameas_rel], num_buckets=num_buckets)
+        links_ds, rels=[sameas_rel])
 
     def _mapping(df: pd.DataFrame) -> pd.DataFrame:
         sub = df[df["node"] != df["component"]]
@@ -571,11 +566,11 @@ def sameas_canonicalize(links_ds, sameas_rel=OWL_SAMEAS, num_buckets=64):
 
     rest = links_ds.map_batches(_drop_sameas, batch_format="pyarrow")
     return distinct_links(
-        replace_values_ds(rest, mapping, num_buckets=num_buckets))
+        replace_values_ds(rest, mapping))
 
 
 def cooccurrence_edges(mentions_ds, total_docs, id_col="doc_id",
-                       entity_col="entity", min_count=1, num_buckets=64):
+                       entity_col="entity", min_count=1):
     """Entity co-occurrence graph construction from a (doc, entity)
     mention stream — the edge-building step of KG-from-text: two
     entities are linked when they are mentioned in the same document,
@@ -603,7 +598,7 @@ def cooccurrence_edges(mentions_ds, total_docs, id_col="doc_id",
     m = distinct_rows(
         mentions_ds.map_batches(
             lambda df: df[[id_col, entity_col]], batch_format="pandas"),
-        [id_col, entity_col], lambda sch: sch, num_buckets)
+        [id_col, entity_col], lambda sch: sch)
 
     ent_df = grouped_agg_small(
         m, [entity_col], {"n_docs": (id_col, "size")}).to_pandas()
@@ -638,17 +633,14 @@ def cooccurrence_edges(mentions_ds, total_docs, id_col="doc_id",
             [("entity_a", sch.field(entity_col).type),
              ("entity_b", sch.field(entity_col).type)] + extra)
 
-    pairs = exchange(m, id_col, _pairs, _ent_pair([("n", pa.int64())]),
-                     num_buckets)
+    pairs = exchange(m, id_col, _pairs, _ent_pair([("n", pa.int64())]))
     return exchange(
         pairs, ["entity_a", "entity_b"], _finalize,
         lambda sch: pa.schema([sch.field("entity_a"), sch.field("entity_b"),
-                               ("n_docs", pa.int64()), ("pmi", pa.float64())]),
-        num_buckets)
+                               ("n_docs", pa.int64()), ("pmi", pa.float64())]))
 
 
-def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
-               num_buckets=None):
+def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50):
     """Minimum hop distance from any seed along directed IRI edges —
     ``(node, depth)`` with seeds at depth 0, unreachable nodes absent.
     The breadth-first sibling of ``transitive_closure_ds``: the
@@ -728,8 +720,7 @@ def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
 
     pending = 0
     for _ in range(max_iters):
-        work = exchange(work, "key", _hop, seed_tbl.schema,
-                        num_buckets).materialize()
+        work = exchange(work, "key", _hop, seed_tbl.schema).materialize()
         pending = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "d"].sum())]}),
@@ -754,7 +745,7 @@ def bfs_depths(links_ds, seeds, rels=None, max_depth=None, max_iters=50,
     return work.map_batches(_out, batch_format="pandas")
 
 
-def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
+def negative_samples(links_ds, n_neg=2, rels=None):
     """TransE-style corrupted-triple generation for KG-embedding
     training: every (origin, rel, IRI-target) statement yields
     ``n_neg`` deterministic negatives, the corrupted target drawn
@@ -785,8 +776,8 @@ def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
 
     ents = distinct_rows(
         links_ds.map_batches(_ents, batch_format="pyarrow"),
-        ["entity"], pa.schema({"entity": pa.string()}), num_buckets)
-    indexed = zip_with_index(ents, "entity", num_buckets=num_buckets)
+        ["entity"], pa.schema({"entity": pa.string()}))
+    indexed = zip_with_index(ents, "entity")
     n = int(indexed.count())
     if n < 2:
         raise ValueError("negative_samples needs >= 2 distinct entities")
@@ -838,7 +829,7 @@ def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
         """Attach indexed.entity at samples.ix via one two-input
         exchange keyed on the rank."""
         return exchange([samples, indexed], [["ix"], ["_index"]], _join,
-                        resolved, num_buckets)
+                        resolved)
 
     pos = links_ds.map_batches(_pos, batch_format="pyarrow")
     first = _resolve(pos.map_batches(_expand, batch_format="pandas"))
@@ -874,7 +865,7 @@ def negative_samples(links_ds, n_neg=2, rels=None, num_buckets=64):
     return ok.union(fixed)
 
 
-def clustering_coefficients(edges_ds, u="u", v="v", num_buckets=64):
+def clustering_coefficients(edges_ds, u="u", v="v"):
     """EXACT per-node local clustering coefficient of an undirected
     simple graph given as canonical edges (``u < v``, distinct):
     ``cc(x) = 2 * T(x) / (deg(x) * (deg(x) - 1))`` with ``T(x)`` the
@@ -897,7 +888,7 @@ def clustering_coefficients(edges_ds, u="u", v="v", num_buckets=64):
     wedges = bucketed_group_apply(
         edges_ds, [u], _wedges,
         lambda sch: pa.schema([("c", pa.int64()), sch.field(u), sch.field(v)]),
-        num_buckets, min_group_size=2)
+        min_group_size=2)
 
     def _match(e: pd.DataFrame, w: pd.DataFrame) -> pd.DataFrame:
         if not len(e) or not len(w):
@@ -914,8 +905,7 @@ def clustering_coefficients(edges_ds, u="u", v="v", num_buckets=64):
 
     node_t = pa.schema({"node": pa.int64(), "t": pa.int64()})
     tri_partial = exchange(
-        [edges_ds.select_columns([u, v]), wedges], [u, v], _match, node_t,
-        num_buckets)
+        [edges_ds.select_columns([u, v]), wedges], [u, v], _match, node_t)
 
     def _deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         nodes = np.concatenate([df[u].to_numpy(), df[v].to_numpy()]) \
@@ -942,11 +932,10 @@ def clustering_coefficients(edges_ds, u="u", v="v", num_buckets=64):
         [edges_ds.map_batches(_deg_partial, batch_format="pandas"),
          tri_partial], "node", _finalize,
         pa.schema({"node": pa.int64(), "degree": pa.int64(),
-                   "triangles": pa.int64(), "cc": pa.float64()}),
-        num_buckets)
+                   "triangles": pa.int64(), "cc": pa.float64()}))
 
 
-def k_core(edges_ds, k, max_rounds=50, num_buckets=64):
+def k_core(edges_ds, k, max_rounds=50):
     """Nodes of the ``k``-core: the maximal subgraph where every node
     has degree >= k (undirected simple graph as canonical ``u < v``
     distinct edges). Iterative peeling, fully distributed: each round
@@ -987,7 +976,7 @@ def k_core(edges_ds, k, max_rounds=50, num_buckets=64):
     for _ in range(max_rounds):
         dropped = exchange(
             edges.map_batches(_ends, batch_format="pandas"), "node", _drop,
-            node, num_buckets,
+            node,
         ).repartition(8).materialize()
         n_dropped = int(dropped.count())
         if n_dropped == 0:
@@ -998,23 +987,22 @@ def k_core(edges_ds, k, max_rounds=50, num_buckets=64):
         # one exchange keyed on that endpoint
         for end in ("u", "v"):
             edges = exchange([edges, dropped], [[end], ["node"]],
-                             _keep_off(end), uv, num_buckets)
+                             _keep_off(end), uv)
         # repartition BEFORE materializing: each union+groupby grows the
         # block count (sort output blocks ~ input blocks), and ten rounds
         # of compounding leaves hundreds of near-empty blocks whose sort
         # overhead dwarfs the actual data (measured 0.4s -> ~40s/round at
         # sf0.01 without this)
-        edges = edges.repartition(num_buckets).materialize()
+        edges = edges.repartition(shuffle.default_buckets()).materialize()
     else:
         raise RuntimeError(
             f"k_core did not converge in {max_rounds} peel rounds; "
             "raise max_rounds")
 
-    return _distinct_nodes(edges, ["u", "v"], num_buckets)
+    return _distinct_nodes(edges, ["u", "v"])
 
 
-def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
-                         num_buckets=64, max_degree=None):
+def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v", max_degree=None):
     """Node pairs whose neighborhoods overlap, with EXACT Jaccard
     similarity ``|N(a) & N(b)| / |N(a) | N(b)|`` — the classic
     structural entity-resolution signal over a KG (two entities whose
@@ -1058,7 +1046,7 @@ def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
         return pd.DataFrame({"x": nb[ia], "y": nb[ib]})
 
     pairs = bucketed_group_apply(
-        adj, ["a"], _wedges, _int64_schema(["x", "y"]), num_buckets,
+        adj, ["a"], _wedges, _int64_schema(["x", "y"]),
         min_group_size=2)
 
     def _pcount(g: pd.DataFrame) -> pd.DataFrame:
@@ -1066,12 +1054,11 @@ def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
         return out.rename(columns={"size": "common"})
 
     common = exchange(pairs, ["x", "y"], _pcount,
-                      _int64_schema(["x", "y", "common"]), num_buckets)
-    deg = _node_degrees(adj, "a", num_buckets)
-    with_dx = _attach_degree(common, ["x", "y", "common"], deg, "x", "dx",
-                             num_buckets)
+                      _int64_schema(["x", "y", "common"]))
+    deg = _node_degrees(adj, "a")
+    with_dx = _attach_degree(common, ["x", "y", "common"], deg, "x", "dx")
     with_dy = _attach_degree(with_dx, ["x", "y", "common", "dx"], deg, "y",
-                             "dy", num_buckets)
+                             "dy")
 
     def _score(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({u: pd.Series([], dtype="int64"),
@@ -1094,7 +1081,7 @@ def neighborhood_jaccard(edges_ds, min_sim=0.5, u="u", v="v",
     return with_dy.map_batches(_score, batch_format="pandas")
 
 
-def _node_degrees(adj, col, num_buckets):
+def _node_degrees(adj, col):
     """Materialized ``(node, d)`` degrees from bidirectional adjacency
     rows (one row per edge orientation, source node in ``col``)."""
 
@@ -1108,11 +1095,10 @@ def _node_degrees(adj, col, num_buckets):
         return g.groupby("node", as_index=False, sort=False)["d"].sum()
 
     return exchange(adj.map_batches(_deg_partial, batch_format="pandas"),
-                    "node", _dsum, _int64_schema(["node", "d"]),
-                    num_buckets).materialize()
+                    "node", _dsum, _int64_schema(["node", "d"])).materialize()
 
 
-def _attach_degree(pairs, cols, deg, end_col, out_col, num_buckets):
+def _attach_degree(pairs, cols, deg, end_col, out_col):
     """``pairs`` (int64 ``cols``) plus ``out_col`` = the degree of the
     ``end_col`` endpoint, via one two-input exchange on that node."""
 
@@ -1124,7 +1110,7 @@ def _attach_degree(pairs, cols, deg, end_col, out_col, num_buckets):
 
     return exchange(
         [pairs, deg], [[end_col], ["node"]], _join,
-        _int64_schema(cols + [out_col]), num_buckets)
+        _int64_schema(cols + [out_col]))
 
 
 def degree_assortativity(edges_ds, u="u", v="v"):
@@ -1154,9 +1140,9 @@ def degree_assortativity(edges_ds, u="u", v="v"):
     # bidirectional edges as (x, y) pair rows, so the degree attach
     # below is neighborhood_jaccard's
     bidir = edges_ds.map_batches(_bidir, batch_format="pandas").materialize()
-    deg = _node_degrees(bidir, "x", 64)
-    with_dx = _attach_degree(bidir, ["x", "y"], deg, "x", "dx", 64)
-    with_dy = _attach_degree(with_dx, ["x", "y", "dx"], deg, "y", "dy", 64)
+    deg = _node_degrees(bidir, "x")
+    with_dx = _attach_degree(bidir, ["x", "y"], deg, "x", "dx")
+    with_dy = _attach_degree(with_dx, ["x", "y", "dx"], deg, "y", "dy")
 
     def _moments(df: pd.DataFrame) -> pd.DataFrame:
         if "dx" not in df.columns or not len(df):
@@ -1181,7 +1167,7 @@ def degree_assortativity(edges_ds, u="u", v="v"):
     return rd.from_pandas(pd.DataFrame({"assortativity": [r]}))
 
 
-def label_propagation(edges_ds, n_rounds=4, u="u", v="v", num_buckets=64):
+def label_propagation(edges_ds, n_rounds=4, u="u", v="v"):
     """Community detection by synchronous label propagation with a
     DETERMINISTIC update rule, run for exactly ``n_rounds`` rounds:
     every node starts labeled with its own id, and each round adopts
@@ -1211,7 +1197,7 @@ def label_propagation(edges_ds, n_rounds=4, u="u", v="v", num_buckets=64):
                                  df[u].to_numpy()]).astype(np.int64)})
 
     adj = edges_ds.map_batches(_bidir, batch_format="pandas").materialize()
-    labels = _seed_nodes(adj, ["a"], "label", None, num_buckets)
+    labels = _seed_nodes(adj, ["a"], "label", None)
 
     def _annotate(e: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
         if not len(e):
@@ -1231,12 +1217,12 @@ def label_propagation(edges_ds, n_rounds=4, u="u", v="v", num_buckets=64):
 
     for _ in range(n_rounds):
         counts = exchange([adj, labels], [["b"], ["node"]], _annotate,
-                          _int64_schema(["node", "label", "c"]), num_buckets)
+                          _int64_schema(["node", "label", "c"]))
         # repartition bounds per-round block growth (two exchanges
         # compound sort-output blocks; see k_core)
         labels = exchange(
-            counts, "node", _argmax, _int64_schema(["node", "label"]),
-            num_buckets).repartition(num_buckets).materialize()
+            counts, "node", _argmax, _int64_schema(["node", "label"])
+        ).repartition(shuffle.default_buckets()).materialize()
 
     return labels
 
@@ -1254,7 +1240,7 @@ def _node_values(rows, key_col, vals, val_col):
     return got.to_numpy(dtype=np.int64)
 
 
-def _seed_nodes(edges, cols, val_col, val, num_buckets):
+def _seed_nodes(edges, cols, val_col, val):
     """Materialized distinct ``(node, val_col)`` over the int endpoint
     ``cols`` of ``edges``; ``val_col`` starts at ``val``, or at the
     node id itself when ``val`` is None."""
@@ -1265,11 +1251,11 @@ def _seed_nodes(edges, cols, val_col, val, num_buckets):
         return df.assign(**{val_col: df["node"] if val is None
                             else np.int64(val)})
 
-    return _distinct_nodes(edges, cols, num_buckets).map_batches(
+    return _distinct_nodes(edges, cols).map_batches(
         _seed, batch_format="pandas").materialize()
 
 
-def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
+def hits_scores(edges_ds, n_rounds=2, u="u", v="v"):
     """Unnormalized integer HITS (Kleinberg hubs & authorities) over
     a DIRECTED graph of distinct ``u -> v`` edges, run for exactly
     ``n_rounds`` full rounds: all scores start at 1, and each round
@@ -1307,7 +1293,7 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
             "b": df[v].to_numpy().astype(np.int64)})
 
     edges = edges_ds.map_batches(_edges, batch_format="pandas").materialize()
-    nodes = _seed_nodes(edges, ["a", "b"], "s", 1, num_buckets)
+    nodes = _seed_nodes(edges, ["a", "b"], "s", 1)
     node_s = _int64_schema(["node", "s"])
 
     def _sum(g: pd.DataFrame) -> pd.DataFrame:
@@ -1326,10 +1312,10 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
                 "s": _node_values(e, score_end, sc, "s")}))
 
         partial = exchange([edges, scores], [[score_end], ["node"]],
-                           _annotate, node_s, num_buckets)
+                           _annotate, node_s)
         # repartition bounds per-round block growth (see k_core)
-        return exchange(partial, "node", _sum, node_s,
-                        num_buckets).repartition(num_buckets).materialize()
+        return exchange(partial, "node", _sum, node_s).repartition(
+            shuffle.default_buckets()).materialize()
 
     hub = nodes
     auth = nodes
@@ -1359,10 +1345,10 @@ def hits_scores(edges_ds, n_rounds=2, u="u", v="v", num_buckets=64):
         return pd.DataFrame({"node": idx, "hub": _at(h), "auth": _at(a)})
 
     return exchange([nodes, hub, auth], "node", _final,
-                    _int64_schema(["node", "hub", "auth"]), num_buckets)
+                    _int64_schema(["node", "hub", "auth"]))
 
 
-def schema_profile(links_ds, type_rel=None, num_buckets=64,
+def schema_profile(links_ds, type_rel=None,
                    untyped="urn:versa:Untyped",
                    literal="urn:versa:Literal"):
     """Schema induction / domain-range profiling over a built KG:
@@ -1420,7 +1406,7 @@ def schema_profile(links_ds, type_rel=None, num_buckets=64,
         [links_ds.map_batches(_links, batch_format="pandas"), typed], "key",
         _attach_origin,
         pa.schema({"rel": pa.string(), "key": pa.string(),
-                   "iri": pa.bool_(), "otype": pa.string()}), num_buckets)
+                   "iri": pa.bool_(), "otype": pa.string()}))
 
     def _spread(df: pd.DataFrame) -> pd.DataFrame:
         # literal targets need no type lookup — spread them uniformly
@@ -1450,15 +1436,13 @@ def schema_profile(links_ds, type_rel=None, num_buckets=64,
         [annotated.map_batches(_spread, batch_format="pandas"), typed],
         [["_k"], ["key"]], _attach_target,
         pa.schema({"rel": pa.string(), "origin_type": pa.string(),
-                   "target_type": pa.string(), "n": pa.int64()}),
-        num_buckets)
+                   "target_type": pa.string(), "n": pa.int64()}))
     return grouped_agg_small(
         partials, ["rel", "origin_type", "target_type"],
         {"n": ("n", "sum")})
 
 
-def random_walks(edges, walk_len, src_col="src", dst_col="dst",
-                 num_buckets=64):
+def random_walks(edges, walk_len, src_col="src", dst_col="dst"):
     """Deterministic fixed-length random walks from EVERY node of a
     directed edge set — the node2vec/DeepWalk corpus-prep primitive,
     made a pure function of the graph so an external replay can check
@@ -1490,8 +1474,7 @@ def random_walks(edges, walk_len, src_col="src", dst_col="dst",
     adj = exchange(
         edges.select_columns([src_col, dst_col]), src_col, _adj,
         lambda sch: sch.append(pa.field("rnk", pa.int64())).append(
-            pa.field("deg", pa.int64())),
-        num_buckets).materialize()
+            pa.field("deg", pa.int64()))).materialize()
 
     def _seeds(df: pd.DataFrame) -> pd.DataFrame:
         u = df[[src_col]].drop_duplicates()
@@ -1501,8 +1484,8 @@ def random_walks(edges, walk_len, src_col="src", dst_col="dst",
     node_t = adj.schema().base_schema.field(src_col).type
     walk = pa.schema([("walk_id", node_t), ("node", node_t)])
     frontier = distinct_rows(
-        adj.map_batches(_seeds, batch_format="pandas"), ["walk_id"], walk,
-        num_buckets).materialize()
+        adj.map_batches(_seeds, batch_format="pandas"), ["walk_id"],
+        walk).materialize()
 
     outs = [frontier]
     for k in range(walk_len):
@@ -1525,7 +1508,7 @@ def random_walks(edges, walk_len, src_col="src", dst_col="dst",
                                  "node": hit[dst_col].to_numpy()})
 
         stepped = exchange([adj, frontier], [[src_col], ["node"]], _step,
-                           walk, num_buckets).materialize()
+                           walk).materialize()
         if not stepped.count():
             break  # every live walk hit a sink; nothing to union in
         outs.append(stepped)
@@ -1546,8 +1529,7 @@ def random_walks(edges, walk_len, src_col="src", dst_col="dst",
     return result
 
 
-def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v",
-                    num_buckets=64):
+def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v"):
     """Common-neighbor link prediction over an undirected simple graph
     given as canonical distinct edges (``u < v``): every NON-edge pair
     at distance 2 scored by
@@ -1601,8 +1583,7 @@ def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v",
         adj, ["_c"], _wedges,
         lambda sch: pa.schema([(u, sch.field("_n").type),
                                (v, sch.field("_n").type),
-                               ("_ra", pa.int64())]),
-        num_buckets, min_group_size=2)
+                               ("_ra", pa.int64())]), min_group_size=2)
 
     def _score(e: pd.DataFrame, wd: pd.DataFrame) -> pd.DataFrame:
         if not len(wd):
@@ -1617,10 +1598,10 @@ def link_prediction(edges_ds, min_cn=1, max_degree=None, u="u", v="v",
 
     return exchange(
         [edges_ds.select_columns([u, v]), wedges], [u, v], _score,
-        _int64_schema([u, v, "cn", "ra_e9"]), num_buckets)
+        _int64_schema([u, v, "cn", "ra_e9"]))
 
 
-def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
+def shortest_paths(edges_ds, seeds, max_rounds=50,
                    src="src", dst="dst", w="w"):
     """Minimum total-weight distance from any seed along directed edges
     with NON-NEGATIVE INTEGER weights — ``(node, dist)``, seeds at 0,
@@ -1697,8 +1678,7 @@ def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
 
     pending = 0
     for _ in range(max_rounds):
-        work = exchange(work, "key", _relax, seed_tbl.schema,
-                        num_buckets).materialize()
+        work = exchange(work, "key", _relax, seed_tbl.schema).materialize()
         pending = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "d"].sum())]}),
@@ -1723,8 +1703,7 @@ def shortest_paths(edges_ds, seeds, max_rounds=50, num_buckets=None,
     return work.map_batches(_out, batch_format="pandas")
 
 
-def entail_domain_range(links_ds, property_rules, type_rel=None,
-                        num_buckets=64):
+def entail_domain_range(links_ds, property_rules, type_rel=None):
     """RDFS domain/range type entailment (rules rdfs2 + rdfs3): a
     statement ``(s, p, o)`` where ``p`` declares ``rdfs:domain C``
     entails ``s a C``; where ``p`` declares ``rdfs:range D`` (and the
@@ -1774,10 +1753,10 @@ def entail_domain_range(links_ds, property_rules, type_rel=None,
     out = links_ds.map_batches(_entail, batch_format="pandas")
     return distinct_rows(
         out, ["node", "cls"],
-        pa.schema({"node": pa.string(), "cls": pa.string()}), num_buckets)
+        pa.schema({"node": pa.string(), "cls": pa.string()}))
 
 
-def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
+def multi_source_bfs(edges_ds, seeds, max_iters=50,
                      src="src", dst="dst"):
     """Per-seed minimum hop distances from K seeds in ONE traversal —
     ``(node, seed, depth)`` for every (seed, node) pair with a path,
@@ -1862,8 +1841,7 @@ def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
 
     pending = 0
     for _ in range(max_iters):
-        work = exchange(work, "key", _hop, lambda sch: sch,
-                        num_buckets).materialize()
+        work = exchange(work, "key", _hop, lambda sch: sch).materialize()
         pending = work.map_batches(
             lambda df: pd.DataFrame(
                 {"n": [int(df.loc[df["kind"] == 4, "d"].sum())]}),
@@ -1891,7 +1869,7 @@ def multi_source_bfs(edges_ds, seeds, max_iters=50, num_buckets=None,
     return work.map_batches(_out, batch_format="pandas")
 
 
-def closeness_from_seeds(edges_ds, seeds, max_iters=50, num_buckets=64,
+def closeness_from_seeds(edges_ds, seeds, max_iters=50,
                          src="src", dst="dst"):
     """Seed-sampled closeness centrality: for every node reached by at
     least one seed, ``(node, n_reached, sum_depth)`` — how many of the
@@ -1902,12 +1880,12 @@ def closeness_from_seeds(edges_ds, seeds, max_iters=50, num_buckets=64,
     ``multi_source_bfs`` traversal plus a node-keyed exchange
     rollup."""
     depths = multi_source_bfs(
-        edges_ds, seeds, max_iters=max_iters, num_buckets=num_buckets,
+        edges_ds, seeds, max_iters=max_iters,
         src=src, dst=dst)
-    return _depth_rollup(depths, num_buckets)
+    return _depth_rollup(depths)
 
 
-def _depth_rollup(depths, num_buckets):
+def _depth_rollup(depths):
     """``(node, n_reached, sum_depth)`` over ``(node, seed, depth)``
     rows, on one node-keyed exchange."""
 
@@ -1918,11 +1896,11 @@ def _depth_rollup(depths, num_buckets):
     return exchange(
         depths, "node", _roll,
         lambda sch: pa.schema([sch.field("node"), ("n_reached", pa.int64()),
-                               ("sum_depth", pa.int64())]), num_buckets)
+                               ("sum_depth", pa.int64())]))
 
 
 def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
-                                  num_buckets=64, src="src", dst="dst"):
+                                  src="src", dst="dst"):
     """Strongly connected components of a directed graph over INTEGER
     node ids — ``(node, comp)`` with ``comp`` = the minimum node id of
     the SCC. Distributed FB-MIN peeling:
@@ -1957,7 +1935,7 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
 
     edges = edges_ds.map_batches(_proj, batch_format="pandas").materialize()
 
-    nodes = _distinct_nodes(edges, ["src", "dst"], num_buckets).materialize()
+    nodes = _distinct_nodes(edges, ["src", "dst"]).materialize()
 
     def _minprop(nodes_ds, edges_ds_live, forward: bool):
         """Min-label fixpoint: label(v) = min id with a directed path
@@ -2027,8 +2005,7 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
 
         pending = 0
         for _ in range(max_inner):
-            work = exchange(work, "key", _relax, work_schema,
-                            num_buckets).materialize()
+            work = exchange(work, "key", _relax, work_schema).materialize()
             pending = work.map_batches(
                 lambda df: pd.DataFrame(
                     {"n": [int(df.loc[df["kind"] == 4, "c"].sum())]}),
@@ -2069,8 +2046,8 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
                                  "comp": hit["c_f"].to_numpy()})
 
         newly = exchange(
-            [fwd, bwd], "node", _match, _int64_schema(["node", "comp"]),
-            num_buckets).repartition(8).materialize()
+            [fwd, bwd], "node", _match, _int64_schema(["node", "comp"])
+        ).repartition(8).materialize()
         if not newly.count():
             raise RuntimeError(
                 "scc made no progress in an outer round — "
@@ -2088,13 +2065,12 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
             return _survive
 
         nodes = exchange(
-            [nodes, newly], "node", _survive_on("node"), node_s,
-            num_buckets).repartition(8).materialize()
+            [nodes, newly], "node", _survive_on("node"), node_s
+        ).repartition(8).materialize()
         for end in ("src", "dst"):
             edges = exchange([edges, newly], [[end], ["node"]],
-                             _survive_on(end), _int64_schema(["src", "dst"]),
-                             num_buckets)
-        edges = edges.repartition(num_buckets).materialize()
+                             _survive_on(end), _int64_schema(["src", "dst"]))
+        edges = edges.repartition(shuffle.default_buckets()).materialize()
     else:
         raise RuntimeError(
             f"scc did not converge in {max_outer} peel rounds; "
@@ -2106,7 +2082,7 @@ def strongly_connected_components(edges_ds, max_outer=20, max_inner=50,
     return out
 
 
-def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
+def bipartite_check(edges_ds, max_iters=50,
                     src="src", dst="dst"):
     """Per-component bipartiteness via BFS-layer parity — the
     odd-cycle detector (2-colorability QA for interaction graphs,
@@ -2143,14 +2119,12 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
 
     pairs = distinct_rows(
         edges_ds.map_batches(_canon, batch_format="pandas"),
-        ["id_a", "id_b"], _int64_schema(["id_a", "id_b"]),
-        num_buckets).materialize()
+        ["id_a", "id_b"], _int64_schema(["id_a", "id_b"])).materialize()
 
     comp = cluster_pairs_ds(
-        pairs, max_iters=max_iters, num_buckets=num_buckets)
+        pairs, max_iters=max_iters)
     seeds = distinct_rows(
         comp.select_columns(["label"]), ["label"], _int64_schema(["label"]),
-        num_buckets,
     ).to_pandas()["label"].astype(np.int64).tolist()
 
     def _sym(df: pd.DataFrame) -> pd.DataFrame:
@@ -2164,7 +2138,7 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
     # (node, seed = component, depth) rows
     depths = multi_source_bfs(
         pairs.map_batches(_sym, batch_format="pandas"), seeds,
-        max_iters=max_iters, num_buckets=num_buckets).materialize()
+        max_iters=max_iters).materialize()
 
     def _attach_u(d: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         if not len(e):
@@ -2179,7 +2153,7 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
     # pass 1 re-keys each edge onto its second endpoint with the first
     # endpoint's depth parity; pass 2 compares parities per component
     halves = exchange([depths, pairs], [["node"], ["id_a"]], _attach_u,
-                      _int64_schema(["key", "upar", "comp"]), num_buckets)
+                      _int64_schema(["key", "upar", "comp"]))
 
     def _partials(d: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -2202,7 +2176,7 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
 
     partials = exchange(
         [depths, halves], [["node"], ["key"]], _partials,
-        _int64_schema(["comp", "nodes", "edges", "odd"]), num_buckets)
+        _int64_schema(["comp", "nodes", "edges", "odd"]))
 
     def _rollup(bucket: pd.DataFrame) -> pd.DataFrame:
         g = bucket.groupby("comp", sort=False).agg(
@@ -2214,11 +2188,11 @@ def bipartite_check(edges_ds, max_iters=50, num_buckets=64,
     return exchange(
         partials, "comp", _rollup,
         _int64_schema(["component", "n_nodes", "n_edges", "odd_edges"])
-        .append(pa.field("is_bipartite", pa.bool_())), num_buckets)
+        .append(pa.field("is_bipartite", pa.bool_())))
 
 
 def harmonic_from_seeds(edges_ds, seeds, scale=10**9, max_iters=50,
-                        num_buckets=64, src="src", dst="dst"):
+                        src="src", dst="dst"):
     """Seed-sampled HARMONIC centrality: per reached node,
     ``(node, n_reached, harmonic_e9)`` where harmonic_e9 is the exact
     INTEGER ``sum over reaching seeds of scale // depth`` (depth-0
@@ -2231,7 +2205,7 @@ def harmonic_from_seeds(edges_ds, seeds, scale=10**9, max_iters=50,
     the link_prediction convention. One ``multi_source_bfs`` traversal
     plus a node-keyed exchange rollup."""
     depths = multi_source_bfs(
-        edges_ds, seeds, max_iters=max_iters, num_buckets=num_buckets,
+        edges_ds, seeds, max_iters=max_iters,
         src=src, dst=dst)
 
     def _roll(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -2244,10 +2218,10 @@ def harmonic_from_seeds(edges_ds, seeds, scale=10**9, max_iters=50,
     return exchange(
         depths, "node", _roll,
         lambda sch: pa.schema([sch.field("node"), ("n_reached", pa.int64()),
-                               ("harmonic_e9", pa.int64())]), num_buckets)
+                               ("harmonic_e9", pa.int64())]))
 
 
-def k_truss(edges_ds, k, u="u", v="v", max_rounds=30, num_buckets=64):
+def k_truss(edges_ds, k, u="u", v="v", max_rounds=30):
     """k-truss decomposition: the maximal subgraph in which every
     edge participates in at least ``k - 2`` triangles — the
     cohesive-community filter one notch stronger than k-core (a
@@ -2312,12 +2286,11 @@ def k_truss(edges_ds, k, u="u", v="v", max_rounds=30, num_buckets=64):
     n0 = cur.count()
     for _ in range(max_rounds):
         wedges = bucketed_group_apply(
-            cur, [u], _wedges, _int64_schema(["x", "y", "c"]), num_buckets,
+            cur, [u], _wedges, _int64_schema(["x", "y", "c"]),
             min_group_size=2)
         partials = exchange([cur, wedges], [[u, v], ["x", "y"]], _partials,
-                            _int64_schema([u, v, "s"]), num_buckets)
-        nxt = exchange([cur, partials], [u, v], _keep, uv,
-                       num_buckets).materialize()
+                            _int64_schema([u, v, "s"]))
+        nxt = exchange([cur, partials], [u, v], _keep, uv).materialize()
         n1 = nxt.count()
         cur = nxt
         if n1 == n0:
@@ -2328,8 +2301,7 @@ def k_truss(edges_ds, k, u="u", v="v", max_rounds=30, num_buckets=64):
         f"raise max_rounds")
 
 
-def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
-                            num_buckets=64):
+def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30):
     """Deterministic Luby's maximal independent set: no two selected
     nodes are adjacent and every unselected node has a selected
     neighbor — the classic symmetry-breaking primitive (conflict-free
@@ -2373,7 +2345,7 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
         })
 
     edges = edges_ds.map_batches(_sym, batch_format="pandas").materialize()
-    nodes = _distinct_nodes(edges, ["a"], num_buckets).materialize()
+    nodes = _distinct_nodes(edges, ["a"]).materialize()
 
     def _winners(nd: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
         if not len(nd):
@@ -2420,13 +2392,13 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
         # lesson; measured 5.6 s -> 228 s/round here without it)
         winners = exchange(
             [live_nodes, live_edges], [["node"], ["a"]], _winners,
-            _int64_schema(["node"]), num_buckets,
+            _int64_schema(["node"]),
         ).repartition(8).materialize()
         mis_parts.append(winners)
         removed = winners.union(
             semi_join_keys(
                 live_edges, winners, on="a", keys_on="node",
-                num_buckets=num_buckets, left_cols=["a", "b"]
+                left_cols=["a", "b"]
             ).map_batches(
                 lambda df: pd.DataFrame(
                     {"node": df["b"].to_numpy()
@@ -2436,13 +2408,11 @@ def maximal_independent_set(edges_ds, u="u", v="v", max_rounds=30,
                 batch_format="pandas")
         )
         live_nodes = semi_join_keys(
-            live_nodes, removed, on="node", keys_on="node", anti=True,
-            num_buckets=num_buckets).repartition(8).materialize()
+            live_nodes, removed, on="node", keys_on="node", anti=True
+        ).repartition(8).materialize()
         live_edges = semi_join_keys(
-            semi_join_keys(live_edges, live_nodes, on="a", keys_on="node",
-                           num_buckets=num_buckets),
-            live_nodes, on="b", keys_on="node",
-            num_buckets=num_buckets).repartition(8).materialize()
+            semi_join_keys(live_edges, live_nodes, on="a", keys_on="node"),
+            live_nodes, on="b", keys_on="node").repartition(8).materialize()
     raise RuntimeError(
         f"maximal_independent_set did not converge in {max_rounds} "
         f"rounds; raise max_rounds")

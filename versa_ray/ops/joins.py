@@ -17,8 +17,7 @@ import pandas as pd
 __all__ = ["semi_join_keys", "salted_join"]
 
 
-def semi_join_keys(left, keys, on, keys_on=None, anti=False,
-                   num_buckets=64, left_cols=None):
+def semi_join_keys(left, keys, on, keys_on=None, anti=False, left_cols=None):
     """EXACT distributed semi (``anti=False``) / anti (``anti=True``)
     join: keep left rows whose ``on`` value is / is not present in
     ``keys`` (a Dataset holding the key column ``keys_on``). One
@@ -46,7 +45,7 @@ def semi_join_keys(left, keys, on, keys_on=None, anti=False,
 
     return exchange(
         [left, keys.map_batches(_key_col, batch_format="pyarrow")],
-        [[on], [keys_on]], _filter, lambda ls, ks: ls, num_buckets)
+        [[on], [keys_on]], _filter, lambda ls, ks: ls)
 
 
 def salted_join(left, right, on, right_on=None, salt=8, num_partitions=None,

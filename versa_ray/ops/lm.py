@@ -25,7 +25,7 @@ Scale design:
   token, m)`` by a two-input exchange on the SAME token key (second
   token-cardinality shuffle), then documents re-aggregate on a
   doc-bucketed groupby (doc-cardinality). When the vocabulary is
-  small (``V <= broadcast_threshold``) the count table is instead
+  small (``V <= BROADCAST_THRESHOLD``) the count table is instead
   broadcast once via ``ray.put`` and scoring is a single
   ``map_batches`` pass — the auto-switch mirrors
   ``assign_clusters`` / ``verify_pairs_jaccard``.
@@ -41,6 +41,9 @@ from ..core.exchange import exchange, spread_key
 from .textstats import _WS_CLASS
 
 _ATTACHED = {"m": pa.int64(), "_logp": pa.float64()}
+# ``doc_perplexity`` broadcasts a count table of at most this many
+# vocabulary types and shuffles on the token key above it.
+BROADCAST_THRESHOLD = 1_000_000
 
 
 def _partial_counts(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
@@ -54,7 +57,7 @@ def _partial_counts(df: pd.DataFrame, text_col: str) -> pd.DataFrame:
                          "n": vc.to_numpy().astype("int64")})
 
 
-def token_counts(ds, text_col: str = "text", num_buckets: int = 64):
+def token_counts(ds, text_col: str = "text"):
     """Global whitespace-token counts as a ``(token, n)`` Dataset —
     per-batch partials merged on one keyed exchange."""
 
@@ -64,8 +67,7 @@ def token_counts(ds, text_col: str = "text", num_buckets: int = 64):
     return exchange(
         ds.map_batches(lambda df: _partial_counts(df, text_col),
                        batch_format="pandas"),
-        "token", _merge, pa.schema({"token": pa.string(), "n": pa.int64()}),
-        num_buckets)
+        "token", _merge, pa.schema({"token": pa.string(), "n": pa.int64()}))
 
 
 def _doc_token_counts(df: pd.DataFrame, id_col: str,
@@ -102,13 +104,12 @@ def _round6(x):
 
 
 def doc_perplexity(ds, text_col: str = "text", id_col: str = "doc_id",
-                   min_count: int = 2, num_buckets: int = 64,
-                   broadcast_threshold: int = 1_000_000):
+                   min_count: int = 2):
     """Per-document unigram log-perplexity ``(id_col, n_tokens,
     log_ppl)`` against the corpus-estimated LM (see module doc)."""
     import ray
 
-    counts = token_counts(ds, text_col=text_col, num_buckets=num_buckets)
+    counts = token_counts(ds, text_col=text_col)
     # the only driver-side values: two scalars (and the path switch).
     # T counts EVERY token occurrence; V counts only vocabulary types
     # (global count >= min_count) — sub-threshold types share the one
@@ -132,7 +133,7 @@ def doc_perplexity(ds, text_col: str = "text", id_col: str = "doc_id",
         )
         return out
 
-    if V <= broadcast_threshold:
+    if V <= BROADCAST_THRESHOLD:
         table = counts.to_pandas()
         ref = ray.put({
             "tok": table["token"].to_numpy(dtype=object),
@@ -180,11 +181,11 @@ def doc_perplexity(ds, text_col: str = "text", id_col: str = "doc_id",
     attached = exchange(
         [ds.map_batches(_doc_rows, batch_format="pandas"), counts],
         [["_k"], ["token"]], _attach,
-        pa.schema({id_col: pa.int64(), **_ATTACHED}), num_buckets)
+        pa.schema({id_col: pa.int64(), **_ATTACHED}))
     return exchange(
         attached, id_col, _finalize,
         pa.schema({id_col: pa.int64(), "n_tokens": pa.int64(),
-                   "log_ppl": pa.float64()}), num_buckets)
+                   "log_ppl": pa.float64()}))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def _doc_bigram_counts(df: pd.DataFrame, id_col: str,
 
 
 def doc_bigram_perplexity(ds, text_col: str = "text",
-                          id_col: str = "doc_id", num_buckets: int = 64):
+                          id_col: str = "doc_id"):
     """Per-document add-one-smoothed BIGRAM log-perplexity
     ``(id_col, n_bigrams, log_ppl2)`` against the corpus-estimated
     bigram LM: ``p(w2 | w1) = (C(w1 w2) + 1) / (C1(w1) + V)`` where
@@ -243,8 +244,7 @@ def doc_bigram_perplexity(ds, text_col: str = "text",
     coarse buckets hold many contexts each, which bounds the skew a
     hot single KEY would otherwise cause.
     """
-    V = int(token_counts(ds, text_col=text_col,
-                         num_buckets=num_buckets).count())
+    V = int(token_counts(ds, text_col=text_col).count())
 
     def _partials(df: pd.DataFrame) -> pd.DataFrame:
         bc = _doc_bigram_counts(df, id_col, text_col)
@@ -295,8 +295,8 @@ def doc_bigram_perplexity(ds, text_col: str = "text",
         [ds.map_batches(_doc_rows, batch_format="pandas"),
          ds.map_batches(_partials, batch_format="pandas")],
         [["_k"], ["w1"]], _attach,
-        pa.schema({id_col: pa.int64(), **_ATTACHED}), num_buckets)
+        pa.schema({id_col: pa.int64(), **_ATTACHED}))
     return exchange(
         attached, id_col, _finalize,
         pa.schema({id_col: pa.int64(), "n_bigrams": pa.int64(),
-                   "log_ppl2": pa.float64()}), num_buckets)
+                   "log_ppl2": pa.float64()}))

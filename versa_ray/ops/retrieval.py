@@ -174,8 +174,7 @@ def bm25_search(ds, queries, k=10, k1=1.2, b=0.75, text_col="text",
                    "rank": pa.int64()}))
 
 
-def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
-                   num_buckets=64, round_to=9):
+def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id", round_to=9):
     """Top-m TF-IDF keywords per document: ``(doc_id, term, rank)``.
 
     Unlike BM25 the vocabulary here is CORPUS-cardinality, so df
@@ -234,7 +233,7 @@ def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
     scored = bucketed_group_apply(
         doc_terms, ["term"], _score_term_group,
         lambda sch: pa.schema([sch.field("doc_id"), sch.field("term"),
-                               ("score", pa.float64())]), num_buckets)
+                               ("score", pa.float64())]))
 
     def _topm(group: pd.DataFrame) -> pd.DataFrame:
         g = group.copy()
@@ -247,7 +246,7 @@ def tfidf_keywords(ds, top_m=3, text_col="text", id_col="doc_id",
     return bucketed_group_apply(
         scored, ["doc_id"], _topm,
         lambda sch: pa.schema([sch.field("doc_id"), sch.field("term"),
-                               ("rank", pa.int64())]), num_buckets)
+                               ("rank", pa.int64())]))
 
 
 def _stable_term_bucket(values: "pd.Series", num_buckets: int) -> np.ndarray:

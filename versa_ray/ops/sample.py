@@ -31,8 +31,7 @@ def _rank_keys(ids) -> np.ndarray:
     )
 
 
-def stratified_sample(ds, group_col: str, n_per_group: int, id_col: str,
-                      num_buckets: int = 64):
+def stratified_sample(ds, group_col: str, n_per_group: int, id_col: str):
     """n_per_group rows per stratum, chosen by md5(id) rank (ties by
     id). Per-batch partial top-n, then a per-group merge shuffled on a
     keyed exchange on the stratum key."""
@@ -58,7 +57,7 @@ def stratified_sample(ds, group_col: str, n_per_group: int, id_col: str,
     partials = ds.map_batches(_partial, batch_format="pandas")
     return bucketed_group_apply(
         partials, [group_col], _final,
-        lambda sch: sch.remove(sch.get_field_index("_rk")), num_buckets)
+        lambda sch: sch.remove(sch.get_field_index("_rk")))
 
 
 def uniform_sample(ds, n: int, id_col: str):
@@ -82,7 +81,7 @@ def uniform_sample(ds, n: int, id_col: str):
 
 
 def token_budget_sample(ds, budget_tokens: int, source_col: str, id_col: str,
-                        text_col: str = "text", num_buckets: int = 64):
+                        text_col: str = "text"):
     """Per-source selection under a TOKEN budget — the core step of
     training-mixture construction: within each source, documents are
     taken in md5(id) rank order (ties by id) while the running token
@@ -125,7 +124,7 @@ def token_budget_sample(ds, budget_tokens: int, source_col: str, id_col: str,
     slim = ds.map_batches(_slim, batch_format="pandas")
     return bucketed_group_apply(
         slim, [source_col], _take,
-        lambda sch: sch.remove(sch.get_field_index("_rk")), num_buckets)
+        lambda sch: sch.remove(sch.get_field_index("_rk")))
 
 
 def split_by_hash(ds, weights, id_col: str, salt: str = ""):

@@ -167,7 +167,7 @@ def normalize_text(batch: pd.DataFrame, text_col: str = "text") -> pd.DataFrame:
     return out
 
 
-def top_tokens(ds, k: int = 50, text_col: str = "text", num_buckets: int = 64):
+def top_tokens(ds, k: int = 50, text_col: str = "text"):
     """Global top-k whitespace tokens by count (ties broken by token
     asc). Per-batch vectorized counts (explode + value_counts), token
     totals merged on one keyed exchange, per-bucket top-k (each
@@ -202,7 +202,6 @@ def top_tokens(ds, k: int = 50, text_col: str = "text", num_buckets: int = 64):
     return exchange(
         ds.map_batches(_partial, batch_format="pandas"), "token",
         _bucket_topk, pa.schema({"token": pa.string(), "n": pa.int64()}),
-        num_buckets,
     ).repartition(1).map_batches(_final, batch_format="pandas")
 
 

@@ -31,7 +31,7 @@ from ..core.exchange import exchange
 _COLS = ["origin", "cls", "prop", "n", "kind"]
 
 
-def validate_shapes(links_ds, rules, type_rel=None, num_buckets=64):
+def validate_shapes(links_ds, rules, type_rel=None):
     """Violations Dataset for ``rules`` over ``links_ds`` (quad
     schema). See module docstring for the rule dict shape."""
     from ..core import VTYPE_REL
@@ -99,10 +99,10 @@ def validate_shapes(links_ds, rules, type_rel=None, num_buckets=64):
         _evaluate,
         pa.schema({"origin": pa.string(), "cls": pa.string(),
                    "prop": pa.string(), "n": pa.int64(),
-                   "kind": pa.string()}), num_buckets)
+                   "kind": pa.string()}))
 
 
-def functional_conflicts(links_ds, rels, num_buckets=64):
+def functional_conflicts(links_ds, rels):
     """Functional-property violation detection — the KG-construction
     QA pass that finds entities asserting MORE THAN ONE distinct value
     for a property declared functional (owl:FunctionalProperty
@@ -140,7 +140,7 @@ def functional_conflicts(links_ds, rels, num_buckets=64):
         links_ds.map_batches(_filt, batch_format="pyarrow"),
         ["origin", "rel"], _conflicts,
         pa.schema({"origin": pa.string(), "rel": pa.string(),
-                   "n_values": pa.int64()}), num_buckets)
+                   "n_values": pa.int64()}))
 
 
 def profile_table(ds, columns):

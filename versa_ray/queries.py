@@ -1228,7 +1228,7 @@ def _coorder_edges_multi(sf_dir, min_orders=2):
         return g[g["size"] >= min_orders]
 
     return exchange(_coorder_pairs(sf_dir), ["u", "v"], _multi,
-                    lambda s: s, 64)
+                    lambda s: s)
 
 
 def q_part_kcore(sf_dir):
@@ -1468,7 +1468,7 @@ def q_doc_bpe_merges(sf_dir):
     """Distributed BPE tokenizer training (Sennrich et al. 2016): one
     corpus pass reduces to the vocabulary-sized word-frequency table;
     each merge round is one pass over that table + a pair-keyed
-    coarse-bucket shuffle + a <=num_buckets-row driver argmax. The
+    coarse-bucket shuffle + a one-row-per-bucket driver argmax. The
     merge table (the tokenizer MODEL) is the only driver-side object.
     Hash-exact vs the unrolled-round DuckDB replay."""
     from .ops.bpe import train_bpe
@@ -1571,7 +1571,7 @@ def q_doc_cos_pairs(sf_dir):
 def q_doc_len_pct_rank(sf_dir):
     """Exact distributed percent_rank over document char lengths
     (ties share ranks): three bounded passes — boundary sample,
-    per-range counts to the driver as num_buckets ints, one range
+    per-range counts to the driver, one int per bucket, one range
     shuffle with a local searchsorted. Hash-exact vs the SQL window
     function (the final division is one IEEE op on exact integers)."""
     from .ops.agg import percent_rank

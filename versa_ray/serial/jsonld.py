@@ -13,6 +13,10 @@ __all__ = ["bind", "bind_ds", "write_jsonld_nested_ds"]
 
 _BLANK_PREFIX = "__VERSABLANKNODE__"
 
+# A ``bind_ds`` inlining round with at most this many leaves ships them
+# to every task (``ray.put``) instead of shuffling the node state.
+INLINE_BROADCAST_THRESHOLD = 100_000
+
 
 def bind(models, context=None, ignore_oftypes=None, type_rel=None):
     """Build JSON-LD-ish nested objects: origin-grouped links become
@@ -174,7 +178,7 @@ def _schemas():
     return rows, state
 
 
-def _bind_state_fused(links_ds, type_rels, _rel, num_buckets):
+def _bind_state_fused(links_ds, type_rels, _rel):
     """Node state (origin, node, refcount, referrer, pending) in TWO
     keyed shuffles (the no-pruning fast path of ``bind_ds``):
 
@@ -273,8 +277,7 @@ def _bind_state_fused(links_ds, type_rels, _rel, num_buckets):
     rows_schema, state_schema = _schemas()
     info = exchange(links_ds.map_batches(_edge_rows, batch_format="pandas"),
                     "key", _refs_bucket,
-                    rows_schema.remove(rows_schema.get_field_index("s2")),
-                    num_buckets)
+                    rows_schema.remove(rows_schema.get_field_index("s2")))
 
     # ---- shuffle 2: node build + info merge, keyed by origin ---------
     def _link_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -372,11 +375,10 @@ def _bind_state_fused(links_ds, type_rels, _rel, num_buckets):
     merged = links_ds.map_batches(_link_rows, batch_format="pandas").union(
         info.map_batches(_info_rows, batch_format="pandas")
     )
-    return exchange(merged, "key", _build_bucket, state_schema, num_buckets)
+    return exchange(merged, "key", _build_bucket, state_schema)
 
 
-def _bind_inline_rounds(state, max_depth, num_buckets,
-                        inline_broadcast_threshold):
+def _bind_inline_rounds(state, max_depth):
     """Phase C + finalize, shared by both bind_ds state builders:
     iterative leaf inlining (early exit on a scalar count; small
     rounds broadcast the leaves instead of shuffling the corpus-sized
@@ -457,7 +459,7 @@ def _bind_inline_rounds(state, max_depth, num_buckets,
             # builder in finalize
             state = routed.map_batches(_drop_route_cols, batch_format="pandas")
             break
-        if n_child <= inline_broadcast_threshold:
+        if n_child <= INLINE_BROADCAST_THRESHOLD:
             # few inlinable leaves this round: ship THEM (bounded by
             # the threshold) to every task via ray.put instead of
             # sort-shuffling the whole corpus-sized node state. A
@@ -480,7 +482,7 @@ def _bind_inline_rounds(state, max_depth, num_buckets,
             state = routed.map_batches(
                 _absorb_broadcast(_ray.put(cmap)), batch_format="pandas")
             continue
-        state = exchange(routed, "_k", _absorb, _schemas()[1], num_buckets)
+        state = exchange(routed, "_k", _absorb, _schemas()[1])
 
     def _finalize(df: pd.DataFrame) -> pd.DataFrame:
         origins, nodes = [], []
@@ -495,8 +497,7 @@ def _bind_inline_rounds(state, max_depth, num_buckets,
     return state.map_batches(_finalize, batch_format="pandas")
 
 
-def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3,
-            num_buckets=32, inline_broadcast_threshold=100_000):
+def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3):
     """Distributed INLINED JSON-LD binder: the at-scale form of
     ``bind`` (reference serial/jsonld.py:17-103).
 
@@ -544,10 +545,8 @@ def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3,
         # FUSED fast path (no type pruning — the common case): two
         # keyed shuffles total instead of three, and node JSON never
         # transits the target-keyed one. See _bind_state_fused.
-        state = _bind_state_fused(links_ds, type_rels, _rel, num_buckets)
-        return _bind_inline_rounds(
-            state, max_depth, num_buckets, inline_broadcast_threshold
-        )
+        state = _bind_state_fused(links_ds, type_rels, _rel)
+        return _bind_inline_rounds(state, max_depth)
 
     adj = origin_adjacency(links_ds)
 
@@ -664,7 +663,7 @@ def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3,
         work = work.union(adj.map_batches(_prune_removals, batch_format="pandas"))
 
     rows_schema, state_schema = _schemas()
-    staged = exchange(work, "key", _phase_a, rows_schema, num_buckets)
+    staged = exchange(work, "key", _phase_a, rows_schema)
 
     # ---- phase B (one bucket shuffle keyed by origin, vectorized
     # merges; JSON is only parsed for nodes that lose refs) -----------
@@ -713,11 +712,9 @@ def bind_ds(links_ds, context=None, ignore_oftypes=None, max_depth=3,
                 df.at[i, "node"] = json.dumps(obj, ensure_ascii=False)
         return df[_STATE_COLS]
 
-    state = exchange(staged, "key", _phase_b, state_schema, num_buckets)
+    state = exchange(staged, "key", _phase_b, state_schema)
 
-    return _bind_inline_rounds(
-        state, max_depth, num_buckets, inline_broadcast_threshold
-    )
+    return _bind_inline_rounds(state, max_depth)
 
 
 def write_jsonld_nested_ds(links_ds, path: str, context=None,
